@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .entropy import (
     ComplexEntropyReport,
@@ -54,6 +53,7 @@ from .photon_dist import (
     DEFAULT_TOL_IMAG,
     DEFAULT_TOL_NEG,
     PhotonDistribution,
+    _fmt,
     deformed_distribution,
     distribution_to_csv,
     distribution_to_json,
@@ -113,8 +113,14 @@ class RunConfig:
             raise DomainError("tolerances must be positive")
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+def _grid(start: float, stop: float, step: float) -> list[float]:
+    """Points start + i*step for integer i, up to stop with half a step of slack.
+
+    Scaling the step itself puts the default violation sweep's -1 + 10*0.1
+    on tau = 0 exactly; np.arange scales the rounded (start + step) - start
+    and lands at -2.2e-16, on the wrong side of the boundary.
+    """
+    return [start + i * step for i in range(math.ceil((stop + step / 2 - start) / step))]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -387,7 +393,7 @@ def _cmd_violation(args) -> int:
     )
     if args.tau_step <= 0:
         raise DomainError("--tau-step must be positive")
-    taus = np.arange(args.tau_min, args.tau_max + args.tau_step / 2, args.tau_step)
+    taus = _grid(args.tau_min, args.tau_max, args.tau_step)
     scheme = PartitionScheme(cfg.partition_m)
     lines = [
         "tau,x,slack,classification,mean_value,mean_abs,"
@@ -395,7 +401,6 @@ def _cmd_violation(args) -> int:
     ]
     tol = dict(tol_imag=cfg.tol_imag, tol_neg=cfg.tol_neg)
     for tau in taus:
-        tau = float(tau)
         xyt = from_tau(tau, args.y, args.t)
         verdict = uncertainty_check(xyt.to_state())
         try:
@@ -475,8 +480,7 @@ def _cmd_figures(args) -> int:
     if step <= 0:
         raise DomainError("--param-step must be positive")
     lines = [f"{name},information"]
-    for value in np.arange(start, stop + step / 2, step):
-        value = float(value)
+    for value in _grid(start, stop, step):
         lines.append(f"{_fmt(value)},{_fmt(_figure_value(args.fig, value))}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -31,6 +31,9 @@ from .errors import DomainError
 from .gaussian_state import OneModeGaussianState, XYTState, from_tau
 from .photon_dist import (
     Classification,
+    DeformationKind,
+    DeformationSpec,
+    deformed_distribution,
     mean_photon_xyt,
     pn_centered_xyt,
     pn_hermite,
@@ -127,17 +130,6 @@ def oracle_poisson_blocks(x_bar: float, m: int, j: int) -> float:
         w = cmath.exp(2j * math.pi * u / m)
         acc += w ** (-j) * cmath.exp(w * x_bar)
     return (math.exp(-x_bar) * acc / m).real
-
-
-def _poisson_distribution(x_bar: float, n_max: int = 256):
-    from .photon_dist import distribution_from_values
-
-    vals = [
-        math.exp(-x_bar + n * math.log(x_bar) - log_factorial(n)) if x_bar > 0
-        else (1.0 if n == 0 else 0.0)
-        for n in range(n_max + 1)
-    ]
-    return distribution_from_values(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +263,9 @@ def run_suite(config: OracleGridConfig | None = None) -> list[OracleVerdict]:
     # Poisson block structure: closed parity form, roots-of-unity filter,
     # and the documented discrepancies of the quoted forms
     for x_bar in cfg.x_bars:
-        dist = _poisson_distribution(x_bar)
+        dist = deformed_distribution(
+            DeformationSpec(DeformationKind.POISSON, alpha_mag2=x_bar), 256
+        )
         rep2 = block_entropies(dist, pair)
         out.append(
             _verdict(

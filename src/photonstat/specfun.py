@@ -353,10 +353,11 @@ def gauss_2f1_terminating(k: int, b: float, c: float, z: float) -> float:
 
     For 0 <= z < 1 with c > b the alternating sum is mapped through
     (1-z)^k 2F1(-k, c-b; c; z/(z-1)) onto a series of positive terms, so
-    no cancellation occurs.  Every other case (including z = 1, where the
-    sum telescopes against heavy cancellation) is evaluated in exact
-    rational arithmetic -- binary floats are exact rationals -- and only
-    the final conversion rounds.
+    no cancellation occurs.  At z = 1 with c > b the sum has the
+    Chu-Vandermonde closed form (c-b)_k / (c)_k (DLMF 15.4.24), a product
+    of positive factors.  Every other case is evaluated in exact rational
+    arithmetic -- binary floats are exact rationals -- and only the final
+    conversion rounds.
 
     Raises:
         DomainError: k < 0.
@@ -372,6 +373,11 @@ def gauss_2f1_terminating(k: int, b: float, c: float, z: float) -> float:
             term *= (k - j) * (c - b + j) * w / ((c + j) * (j + 1))
             total += term
         return (1 - z) ** k * total
+    if z == 1 and c > 0 and c - b > 0:
+        prod = 1.0
+        for j in range(k):
+            prod *= (c - b + j) / (c + j)
+        return prod
     b_r, c_r, z_r = Fraction(b), Fraction(c), Fraction(z)
     term = Fraction(1)
     total = Fraction(1)

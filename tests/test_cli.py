@@ -194,6 +194,17 @@ class TestViolation:
             else:
                 assert row[3] != "Probability"
 
+    def test_grid_hits_boundary_exactly(self, capsys):
+        # -1 + 10 * 0.1 is the default sweep's eleventh point
+        code, out, _ = run(
+            capsys, "violation", "--tau-min", "-1", "--tau-max", "0",
+            "--tau-step", "0.1", "--y", "5", "--n-max", "16",
+        )
+        assert code == 0
+        row = out.strip().splitlines()[11].split(",")
+        assert row[0] == "0"
+        assert row[3] == "Probability"
+
     def test_documented_cell(self, capsys):
         code, out, _ = run(
             capsys, "violation", "--tau-min", "4", "--tau-max", "4",

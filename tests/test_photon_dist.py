@@ -328,6 +328,13 @@ class TestTwoModeTotals:
                 squeezed_vacuum_law(r, 2 * k), rel=1e-10, abs=1e-300
             )
 
+    def test_one_sided_squeezing_central_binomial(self):
+        # s1 = 0 puts the 2F1 at z = 1: P_2k = sqrt(1-s) s^k C(2k,k) / 4^k
+        for s in (0.25, 0.8):
+            for k in range(400):
+                ref = math.sqrt(1 - s) * s**k * (math.comb(2 * k, k) / 4**k)
+                assert two_mode_p2k(0.0, s, k) == pytest.approx(ref, rel=1e-13)
+
     def test_zero_pairs(self):
         assert two_mode_p2k(0.3, 0.6, 0) == pytest.approx(
             math.sqrt(0.7) * math.sqrt(0.4), abs=1e-15

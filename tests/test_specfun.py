@@ -184,11 +184,17 @@ class TestGauss2F1:
         assert gauss_2f1_terminating(2, 0.5, 1.0, 1.0) == pytest.approx(3 / 8, abs=1e-15)
 
     def test_chu_vandermonde_central_binomial(self):
-        # at z = 1 the sum telescopes to (2k)! / (4^k (k!)^2); exact integers
-        for k in range(31):
+        # at z = 1 the sum telescopes to (2k)! / (4^k (k!)^2); the integer
+        # quotient rounds once, so it is the correctly rounded exact value
+        for k in range(401):
             ref = math.comb(2 * k, k) / 4**k
             got = gauss_2f1_terminating(k, 0.5, 1.0, 1.0)
-            assert abs(got - ref) <= 1e-12 * ref
+            assert abs(got - ref) <= 1e-13 * ref
+
+    def test_unit_argument_without_closed_form_stays_exact(self):
+        # c - b <= 0 leaves the Chu-Vandermonde branch; the rational sum
+        # 1 - 6 + 9 - 4 vanishes exactly, as (c-b)_3 / (c)_3 = (-1)(0)(1) / 3!
+        assert gauss_2f1_terminating(3, 2.0, 1.0, 1.0) == 0.0
 
     def test_matches_scipy(self):
         for k in (2, 5, 9):
@@ -198,8 +204,11 @@ class TestGauss2F1:
                 )
 
     def test_pole_detected(self):
+        for z in (0.5, 1.0):
+            with pytest.raises(PoleError):
+                gauss_2f1_terminating(3, 0.5, -1.0, z)
         with pytest.raises(PoleError):
-            gauss_2f1_terminating(3, 0.5, -1.0, 0.5)
+            gauss_2f1_terminating(2, 0.5, 0.0, 1.0)
 
     def test_unreachable_pole_tolerated(self):
         # (b)_j kills the series at j = 2, before (c)_j vanishes at j = 3;
