@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .entropy import (
     ComplexEntropyReport,
@@ -118,9 +119,15 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 
     Scaling the step itself puts the default violation sweep's -1 + 10*0.1
     on tau = 0 exactly; np.arange scales the rounded (start + step) - start
-    and lands at -2.2e-16, on the wrong side of the boundary.
+    and lands at -2.2e-16, on the wrong side of the boundary.  Other starts
+    round to +-1e-16 there (-0.3 + 3*0.1 gives 5.6e-17), so the point whose
+    decimal value, as the flags are written, is zero is set to 0 exactly.
     """
-    return [start + i * step for i in range(math.ceil((stop + step / 2 - start) / step))]
+    d_start, d_step = Decimal(repr(start)), Decimal(repr(step))
+    return [
+        0.0 if d_start + i * d_step == 0 else start + i * step
+        for i in range(math.ceil((stop + step / 2 - start) / step))
+    ]
 
 
 def _emit(text: str, out_path: str | None) -> None:

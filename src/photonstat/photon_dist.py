@@ -13,11 +13,17 @@ values, and every distribution carries a classification verdict:
 * ``SIGNED_REAL``: real but with at least one negative entry.
 * ``COMPLEX``: at least one entry with a non-negligible imaginary part.
 
+Each series is a finite double sum "row n = e^{C[n]} sum_k A[k] B[n-k]";
+every route builds its own A, B and C and sums all rows at once with
+:func:`specfun.log_cauchy_rows`, in the log domain.
+
 Truncation is adaptive unless an explicit ``n_max`` is given: the cutoff
 starts at 32 and doubles until the estimated geometric tail drops below
-1e-12 or the cutoff reaches 4096.  Sequences whose tail grows (the
-uncertainty-violating families are asymptotic, not convergent) are trimmed
-at their smallest term and the residual is reported in ``tail_bound``.
+1e-12 or the cutoff reaches 4096.  The estimate ignores magnitudes below
+1e3 eps of the largest term, which are roundoff (the odd terms of a pure
+squeezed vacuum).  Sequences whose tail grows (the uncertainty-violating
+families are asymptotic, not convergent) are trimmed at their smallest
+term and the residual is reported in ``tail_bound``.
 
 Everything here is pure and immutable after construction; grid sweeps over
 states are embarrassingly parallel with deterministic per-cell results.
@@ -29,6 +35,7 @@ import cmath
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,13 +52,17 @@ from .errors import (
 )
 from .gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, r_matrix
 from .specfun import (
-    LogSigned,
-    hermite_sequence_log,
-    laguerre_half_sequence,
+    _roots,
     assoc_legendre,
     gauss_2f1_terminating,
+    hermite_2d_factors,
+    hermite_sequence_log,
+    laguerre_half_sequence,
+    log_cauchy_rows,
     log_factorial,
-    logsigned_sum,
+    log_factorials,
+    log_powers,
+    log_signed_values,
 )
 
 __all__ = [
@@ -83,6 +94,7 @@ _TAIL_TARGET = 1e-12
 _ADAPTIVE_START = 32
 _ADAPTIVE_CAP = 4096
 _NORM_SLOP = 1e-9
+_NOISE_FLOOR = 1e3 * sys.float_info.epsilon
 
 _SQRT2 = math.sqrt(2)
 
@@ -210,14 +222,21 @@ class DeformationSpec:
 def _tail_estimate(mags: list[float]) -> float:
     """Geometric tail bound from the decay ratio of the last 5 nonzero terms.
 
-    A lone nonzero entry followed by a run of zeros counts as finite
-    support (tail 0); a lone entry with nothing after it is unbounded.
+    Magnitudes below 1e3 eps of the largest one count as zero: they are
+    roundoff, like the odd terms of a pure squeezed vacuum, and their
+    alternation with the even terms would read as growth.  Such terms after
+    the window are still retained, so the extrapolated decay steps past
+    them (one ratio per index gap of the last two counted terms) before it
+    reaches the omitted tail.  A lone nonzero entry followed by a run of
+    zeros counts as finite support (tail 0); a lone entry with nothing
+    after it is unbounded.
     """
-    nz = [(i, m) for i, m in enumerate(mags) if m > 0.0]
+    floor = _NOISE_FLOOR * max(mags, default=0.0)
+    nz = [(i, m) for i, m in enumerate(mags) if m > floor]
     if not nz:
         return 0.0
+    trailing = len(mags) - 1 - nz[-1][0]
     if len(nz) == 1:
-        trailing = len(mags) - 1 - nz[-1][0]
         return 0.0 if trailing >= 4 else math.inf
     window = [m for _, m in nz[-5:]]
     ratios = [window[i + 1] / window[i] for i in range(len(window) - 1)]
@@ -228,8 +247,9 @@ def _tail_estimate(mags: list[float]) -> float:
         if r >= 1.0:
             start = i + 1  # skip any hump inside the window
     r = max(ratios[start:])
+    stride = nz[-1][0] - nz[-2][0]
     # factor-2 headroom: the asymptotic ratio is sampled, not proven
-    return 2.0 * window[-1] * r / (1.0 - r)
+    return 2.0 * window[-1] * r ** (1 + trailing // stride) / (1.0 - r)
 
 
 def _trim_divergent(values: list[complex]) -> tuple[list[complex], bool]:
@@ -336,78 +356,30 @@ def distribution_from_values(
 _Y_ARG_SCALE = _SQRT2
 
 
-def _roots(rm) -> tuple[complex, complex, complex]:
-    rho = cmath.sqrt(complex(rm.r11) * complex(rm.r22))
-    if rho == 0:
-        return 0j, 0j, 0j
-    s1 = cmath.sqrt(complex(rm.r11))
-    return rho, s1, rho / s1
+def _log_signed(values) -> tuple[np.ndarray, np.ndarray]:
+    """Plain values as (log-magnitude, phase) arrays; zeros become (-inf, 0)."""
+    values = np.asarray(values)
+    size = np.abs(values)
+    with np.errstate(divide="ignore"):
+        mag = np.log(size)
+    size[size == 0] = 1.0
+    return mag, values / size
 
 
-def _hermite_ratio_seq(rm, n_max: int) -> list[LogSigned]:
-    """P_n / P0 for n = 0..n_max through the two-index Hermite sum."""
-    ys1 = _Y_ARG_SCALE * rm.y1
-    ys2 = _Y_ARG_SCALE * rm.y2
-    rho, s1, s2 = _roots(rm)
-    out: list[LogSigned] = []
-    if rho == 0:
-        w = (rm.r11 * ys1 + rm.r12 * ys2) * (rm.r12 * ys1 + rm.r22 * ys2)
-        lw = LogSigned.from_value(w)
-        lc = LogSigned.from_value(-2 * rm.r12)
-        for n in range(n_max + 1):
-            terms = []
-            for k in range(n + 1):
-                m = n - k
-                if (m > 0 and lw.is_zero) or (k > 0 and lc.is_zero):
-                    continue
-                mag = (
-                    log_factorial(n)
-                    - n * math.log(2)
-                    + m * (lw.log_magnitude if m else 0.0)
-                    + k * (lc.log_magnitude if k else 0.0)
-                    - 2 * log_factorial(m)
-                    - log_factorial(k)
-                )
-                ph = (lw.sign_phase**m if m else 1) * (lc.sign_phase**k if k else 1)
-                terms.append(LogSigned(mag, ph))
-            out.append(logsigned_sum(terms))
-        return out
-
-    z1 = (rm.r11 * ys1 + rm.r12 * ys2) / (2 * s1)
-    z2 = (rm.r12 * ys1 + rm.r22 * ys2) / (2 * s2)
-    h1 = hermite_sequence_log(z1, n_max)
-    h2 = hermite_sequence_log(z2, n_max)
-    lc = LogSigned.from_value(-2 * rm.r12 / rho)
-    lhalf = LogSigned.from_value(rho / 2)
-    for n in range(n_max + 1):
-        terms = []
-        for k in range(n + 1):
-            m = n - k
-            if k > 0 and lc.is_zero:
-                continue
-            cross = h1[m] * h2[m]
-            if cross.is_zero:
-                continue
-            mag = (
-                log_factorial(n)
-                + n * lhalf.log_magnitude
-                + k * (lc.log_magnitude if k else 0.0)
-                - 2 * log_factorial(m)
-                - log_factorial(k)
-                + cross.log_magnitude
-            )
-            ph = (
-                (lhalf.sign_phase**n)
-                * (lc.sign_phase**k if k else 1)
-                * cross.sign_phase
-            )
-            terms.append(LogSigned(mag, ph))
-        out.append(logsigned_sum(terms))
-    return out
+def _hermite_ratio_seq(rm, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """log-signed P_n / P0 = H_nn^{R}(y1, y2) / n! for n = 0..n_max."""
+    a, b, (c_mag, c_ph) = hermite_2d_factors(
+        n_max, rm, _Y_ARG_SCALE * rm.y1, _Y_ARG_SCALE * rm.y2
+    )
+    mag, ph = log_cauchy_rows(*a, *b, n_max + 1)
+    return mag + c_mag + log_factorials(n_max), ph * c_ph
 
 
-def _laguerre_ratio_seq(rm, n_max: int) -> list[LogSigned]:
-    """P_n / P0 for n = 0..n_max through the Laguerre-product sum."""
+def _laguerre_ratio_seq(rm, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """log-signed P_n / P0 for n = 0..n_max through the Laguerre-product sum
+
+        P_n / P0 = (-1)^n sum_s (r12 - rho)^s L_s(x1) (r12 + rho)^(n-s) L_(n-s)(x2)
+    """
     ys1 = _Y_ARG_SCALE * rm.y1
     ys2 = _Y_ARG_SCALE * rm.y2
     rho, s1, s2 = _roots(rm)
@@ -418,33 +390,14 @@ def _laguerre_ratio_seq(rm, n_max: int) -> list[LogSigned]:
         skew = (s1 / s2) * ys1 * ys1 + (s2 / s1) * ys2 * ys2
         x1 = 0.125 * (rm.r12 - rho) * (quad - skew)
         x2 = 0.125 * (rm.r12 + rho) * (quad + skew)
-    lam_m = LogSigned.from_value(rm.r12 - rho)
-    lam_p = LogSigned.from_value(rm.r12 + rho)
-    l1 = [LogSigned.from_value(v) for v in laguerre_half_sequence(x1, n_max)]
-    l2 = [LogSigned.from_value(v) for v in laguerre_half_sequence(x2, n_max)]
-    out: list[LogSigned] = []
-    for n in range(n_max + 1):
-        sign_n = LogSigned(0.0, complex((-1) ** n))
-        terms = []
-        for s in range(n + 1):
-            if (s > 0 and lam_m.is_zero) or (n - s > 0 and lam_p.is_zero):
-                continue
-            cross = l1[s] * l2[n - s]
-            if cross.is_zero:
-                continue
-            mag = (
-                s * (lam_m.log_magnitude if s else 0.0)
-                + (n - s) * (lam_p.log_magnitude if n - s else 0.0)
-                + cross.log_magnitude
-            )
-            ph = (
-                (lam_m.sign_phase**s if s else 1)
-                * (lam_p.sign_phase ** (n - s) if n - s else 1)
-                * cross.sign_phase
-            )
-            terms.append(LogSigned(mag, ph))
-        out.append(sign_n * logsigned_sum(terms))
-    return out
+    a_mag, a_ph = log_powers(rm.r12 - rho, n_max)
+    b_mag, b_ph = log_powers(rm.r12 + rho, n_max)
+    l1_mag, l1_ph = _log_signed(laguerre_half_sequence(x1, n_max))
+    l2_mag, l2_ph = _log_signed(laguerre_half_sequence(x2, n_max))
+    mag, ph = log_cauchy_rows(
+        a_mag + l1_mag, a_ph * l1_ph, b_mag + l2_mag, b_ph * l2_ph, n_max + 1
+    )
+    return mag, ph * log_powers(-1, n_max)[1]
 
 
 def _gaussian_series(state: OneModeGaussianState, ratio_fn):
@@ -452,7 +405,7 @@ def _gaussian_series(state: OneModeGaussianState, ratio_fn):
     p0v = complex(p0(state))
 
     def series(n_max: int) -> list[complex]:
-        return [p0v * t.value() for t in ratio_fn(rm, n_max)]
+        return [p0v * v for v in log_signed_values(*ratio_fn(rm, n_max))]
 
     return series
 
@@ -522,34 +475,25 @@ def pn_centered_xyt(
     if c == 0:
         raise SingularDenominatorError("4 det + 2 Tr + 1 vanishes for this state")
     log_c = cmath.log(complex(c))
-    la = LogSigned.from_value(-a)  # absorbs the (-1)^k alternation
-    lb = None if b == 0 else math.log(b)
 
     def series(n_max: int) -> list[complex]:
-        out = []
-        for n in range(n_max + 1):
-            terms = []
-            for k in range(n + 1):
-                if (n - k) % 2:
-                    continue  # odd-degree Hermite vanishes at 0
-                m = (n - k) // 2
-                if (k > 0 and la.is_zero) or (m > 0 and lb is None):
-                    continue
-                mag = (
-                    math.log(2)
-                    + log_factorial(n)
-                    + k * (la.log_magnitude if k else 0.0)
-                    + (m * lb if m else 0.0)
-                    - log_factorial(k)
-                    - 2 * log_factorial(m)
-                    - (n + 0.5) * log_c.real
-                )
-                ph = (la.sign_phase**k if k else 1) * cmath.exp(
-                    -1j * (n + 0.5) * log_c.imag
-                )
-                terms.append(LogSigned(mag, ph))
-            out.append(logsigned_sum(terms).value())
-        return out
+        n = np.arange(n_max + 1)
+        log_fact = log_factorials(n_max)
+        a_mag, a_ph = log_powers(-a, n_max)  # absorbs the (-1)^k alternation
+        b_mag, b_ph = log_powers(b, n_max // 2)
+        b_mag = b_mag - 2 * log_fact[: n_max // 2 + 1]
+        # odd-degree Hermite vanishes at 0: row n sums k = n mod 2, m = (n - k) / 2
+        mag = np.full(n_max + 1, -np.inf)
+        ph = np.zeros(n_max + 1)
+        for parity in (0, 1):
+            mag[parity::2], ph[parity::2] = log_cauchy_rows(
+                (a_mag - log_fact)[parity::2], a_ph[parity::2], b_mag, b_ph,
+                len(n[parity::2]),
+            )
+        mag += math.log(2) + log_fact - (n + 0.5) * log_c.real
+        if log_c.imag:
+            ph = ph * np.exp(-1j * (n + 0.5) * log_c.imag)
+        return log_signed_values(mag, ph)
 
     return _build_distribution(series, n_max, tol_imag, tol_neg)
 
@@ -600,35 +544,23 @@ def pn_violation(
     if w == 0:
         raise SingularDenominatorError("x + y + 1 - 4 tau vanishes")
     log_w = cmath.log(complex(w))
-    lb = LogSigned.from_value(bp)
-    log_tau = None if tau == 0 else math.log(tau)
 
     def series(n_cut: int) -> list[complex]:
-        out: list[complex] = []
-        for n in range(n_cut + 1):
-            if n % 2:
-                out.append(0j)
-                continue
-            l = n // 2
-            terms = []
-            for i in range(l + 1):
-                j = l - i
-                if (j > 0 and log_tau is None) or (i > 0 and lb.is_zero):
-                    continue
-                mag = (
-                    log_factorial(2 * l)
-                    + (2 * j * log_tau if j else 0.0)
-                    + i * (lb.log_magnitude if i else 0.0)
-                    - log_factorial(i)
-                    - 2 * log_factorial(2 * j)
-                    + (2 * l - 4 * i + 0.5) * math.log(2)
-                    - (2 * l + 0.5) * log_w.real
-                )
-                ph = (lb.sign_phase**i if i else 1) * cmath.exp(
-                    -1j * (2 * l + 0.5) * log_w.imag
-                )
-                terms.append(LogSigned(mag, ph))
-            out.append(logsigned_sum(terms).value())
+        l_max = n_cut // 2
+        l = np.arange(l_max + 1)  # also the index i of the bp^i factor
+        log_fact = log_factorials(2 * l_max)
+        i_mag, i_ph = log_powers(bp, l_max)
+        j_mag, j_ph = log_powers(tau, 2 * l_max)
+        mag, ph = log_cauchy_rows(
+            i_mag - 4 * math.log(2) * l - log_fact[: l_max + 1], i_ph,
+            j_mag[::2] - 2 * log_fact[::2], j_ph[::2],
+            l_max + 1,
+        )
+        mag += log_fact[::2] + (2 * l + 0.5) * (math.log(2) - log_w.real)
+        if log_w.imag:
+            ph = ph * np.exp(-1j * (2 * l + 0.5) * log_w.imag)
+        out = [0j] * (n_cut + 1)
+        out[::2] = log_signed_values(mag, ph)
         return out
 
     return _build_distribution(series, n_max, tol_imag, tol_neg)

@@ -18,7 +18,7 @@ Conventions
   Principal branches are used for every fractional power, and sqrt(R22) is
   derived from sqrt(R11 R22) / sqrt(R11) so all branch choices are mutually
   consistent.  The degenerate case R11 R22 = 0 is evaluated by its limit,
-  in which only powers of R12 survive (see `hermite_2d`).
+  in which only powers of R12 survive (see `hermite_2d_factors`).
 * Laguerre: order alpha = -1/2 only, recurrence
   (n+1) L_{n+1} = (2n + 1/2 - x) L_n - (n - 1/2) L_{n-1}.
 * Associated Legendre: integer l >= m >= 0, real argument of any magnitude,
@@ -27,11 +27,20 @@ Conventions
   the whole axis.  Callers that square the result are insensitive to the
   convention.
 
-Factorial-heavy sums are assembled in the log domain (`LogSigned`) and
-exponentiated last; a plain double-precision path overflows near n = 170.
+Factorial-heavy sums are assembled in the log domain and exponentiated
+last; a plain double-precision path overflows near n = 170.  Every finite
+double sum of the package has the Cauchy-product shape
 
-All functions are pure and use fixed ascending summation order, so results
-are deterministic and safe to call from concurrent code.
+    row n = e^{C[n]} sum_k A[k] B[n-k],
+
+and `log_cauchy_rows` evaluates it for whole sequences at once: the factors
+are given as (log-magnitude, phase) arrays, each row is shifted by its own
+largest term before exponentiation, and rows are processed in blocks so no
+temporary exceeds about 4096 elements.  Real phases stay exactly real.
+`log_signed_values` exponentiates the result once, at the end.
+
+All functions are pure and use a fixed summation order, so results are
+deterministic and safe to call from concurrent code.
 """
 
 from __future__ import annotations
@@ -42,17 +51,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .errors import DomainError, PoleError, RangeOverflowError
 
 __all__ = [
     "LogSigned",
     "logsigned_sum",
+    "log_cauchy_rows",
+    "log_signed_values",
+    "log_powers",
     "log_factorial",
+    "log_factorials",
     "hermite",
     "hermite_log",
     "hermite_sequence_log",
     "hermite_2d",
     "hermite_2d_log",
+    "hermite_2d_factors",
     "laguerre_half",
     "laguerre_half_sequence",
     "assoc_legendre",
@@ -67,6 +83,9 @@ _PLAIN_LIMIT = 1e284
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 
 _LOG_FACT_TABLE_SIZE = 512
+
+# Elements per temporary array in `log_cauchy_rows`.
+_CAUCHY_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -137,9 +156,124 @@ def logsigned_sum(terms: Iterable[LogSigned]) -> LogSigned:
     return LogSigned(top + math.log(abs(acc)), acc / abs(acc))
 
 
+def _phases(ph) -> np.ndarray:
+    """Phase array as float when every imaginary part is zero, else complex."""
+    ph = np.asarray(ph)
+    if np.iscomplexobj(ph):
+        return ph if np.count_nonzero(ph.imag) else ph.real
+    return np.asarray(ph, dtype=float)
+
+
+def _log_row_sums(t_mag: np.ndarray, t_ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum each row of exp(t_mag) * t_ph after shifting it by its largest term.
+
+    Entries with t_mag = -inf are zeros.  Rows summing to zero come back as
+    (-inf, 0).  Both arrays are overwritten.
+    """
+    shift = t_mag.max(axis=1)
+    shift[shift == -np.inf] = 0.0  # an all-zero row
+    t_mag -= shift[:, None]
+    np.exp(t_mag, out=t_mag)
+    t_ph *= t_mag
+    acc = t_ph.sum(axis=1)
+    size = np.abs(acc)
+    with np.errstate(divide="ignore"):
+        mag = shift + np.log(size)
+    size[size == 0] = 1.0  # zero rows keep phase 0
+    return mag, acc / size
+
+
+def log_cauchy_rows(a_mag, a_ph, b_mag, b_ph, n_rows: int | None = None):
+    """Rows of the Cauchy product of two sequences in log-signed form.
+
+    The sequences are A[k] = exp(a_mag[k]) a_ph[k] and B[j] likewise; a zero
+    entry has log-magnitude -inf.  Returns ``(mag, ph)`` with
+
+        exp(mag[n]) ph[n] = sum_k A[k] B[n-k],    n = 0 .. n_rows - 1
+
+    (``n_rows`` defaults to the full product, len(a) + len(b) - 1).  Each
+    row is summed after shifting by its own largest term, so rows far
+    outside the double range keep their relative precision.  Rows are
+    formed in blocks of at most about 4096 elements.  When both phase
+    arrays are real the arithmetic is real, so real phases stay exactly
+    +-1; a zero row is returned as (-inf, 0).
+    """
+    a_mag = np.asarray(a_mag, dtype=float)
+    b_mag = np.asarray(b_mag, dtype=float)
+    a_ph, b_ph = _phases(a_ph), _phases(b_ph)
+    na, nb = len(a_mag), len(b_mag)
+    if n_rows is None:
+        n_rows = na + nb - 1 if na and nb else 0
+    dtype = np.result_type(a_ph, b_ph)
+    mag = np.full(n_rows, -np.inf)
+    ph = np.zeros(n_rows, dtype=dtype)
+    if not (na and nb and n_rows):
+        return mag, ph
+    width = min(na, n_rows)
+    step = max(1, _CAUCHY_BLOCK // width)
+    # B reversed and padded with zeros, so that the factors B[n-k] of row n
+    # for ascending k form one contiguous window starting at nb - 1 - n + pad.
+    pad = step + width
+    rb_mag = np.concatenate([np.full(pad, -np.inf), b_mag[::-1], np.full(pad, -np.inf)])
+    rb_ph = np.concatenate([np.zeros(pad, dtype), b_ph[::-1], np.zeros(pad, dtype)])
+    for n0 in range(0, n_rows, step):
+        n1 = min(n0 + step, n_rows)
+        k0, k1 = max(0, n0 - nb + 1), min(n1, na)
+        if k0 >= k1:
+            continue  # every row of the block lies past the product's end
+        start = nb - 1 - n0 + k0 + pad
+        shape = (n1 - n0, k1 - k0)
+        t_mag = _windows(rb_mag, start, shape) + a_mag[k0:k1]
+        t_ph = _windows(rb_ph, start, shape) * a_ph[k0:k1]
+        mag[n0:n1], ph[n0:n1] = _log_row_sums(t_mag, t_ph)
+    return mag, ph
+
+
+def _windows(seq: np.ndarray, start: int, shape: tuple[int, int]) -> np.ndarray:
+    """Read-only view whose row i is seq[start - i : start - i + shape[1]]."""
+    step = seq.itemsize
+    view = np.ndarray(shape, seq.dtype, seq, start * step, (-step, step))
+    view.flags.writeable = False
+    return view
+
+
+def log_signed_values(mag, ph) -> list[complex]:
+    """exp(mag) * ph as a list of plain Python complex values.
+
+    Raises:
+        RangeOverflowError: some log-magnitude exceeds the double range.
+    """
+    mag = np.asarray(mag, dtype=float)
+    if mag.size and mag.max() > _LOG_DBL_MAX:
+        raise RangeOverflowError(
+            f"log-magnitude {mag.max():.6g} exceeds the double range"
+        )
+    return (np.exp(mag) * ph).astype(complex).tolist()
+
+
+def log_powers(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """z**k for k = 0 .. n_max as (log-magnitude, phase) arrays, with 0**0 = 1.
+
+    The phases of a real z are real, +-1 by the parity of k; a complex z
+    gives exp(i k arg z).
+    """
+    z = complex(z)
+    if z == 0:
+        mag, ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
+        mag[0], ph[0] = 0.0, 1.0
+        return mag, ph
+    k = np.arange(n_max + 1)
+    mag = k * math.log(abs(z))
+    if z.imag == 0:
+        ph = np.ones(n_max + 1)
+        if z.real < 0:
+            ph[1::2] = -1.0
+        return mag, ph
+    return mag, np.exp(1j * cmath.phase(z) * k)
+
+
 def _build_log_fact_table(size: int) -> list[float]:
     table = [0.0]
-    acc = 0
     fact = 1
     for i in range(1, size):
         fact *= i
@@ -148,6 +282,7 @@ def _build_log_fact_table(size: int) -> list[float]:
 
 
 _LOG_FACT = _build_log_fact_table(_LOG_FACT_TABLE_SIZE)
+_LOG_FACT_ARRAY = np.array(_LOG_FACT)
 
 
 def log_factorial(n: int) -> float:
@@ -157,6 +292,15 @@ def log_factorial(n: int) -> float:
     if n < _LOG_FACT_TABLE_SIZE:
         return _LOG_FACT[n]
     return math.lgamma(n + 1)
+
+
+def log_factorials(n_max: int) -> np.ndarray:
+    """ln(k!) for k = 0 .. n_max, the values of :func:`log_factorial`."""
+    head = _LOG_FACT_ARRAY[: n_max + 1]
+    if n_max < _LOG_FACT_TABLE_SIZE:
+        return head.copy()
+    tail = [math.lgamma(k + 1) for k in range(_LOG_FACT_TABLE_SIZE, n_max + 1)]
+    return np.concatenate([head, tail])
 
 
 def hermite(n: int, z: complex) -> complex:
@@ -208,12 +352,47 @@ def hermite_log(n: int, z: complex) -> LogSigned:
     return hermite_sequence_log(z, n)[-1]
 
 
-def _consistent_roots(r11: complex, r22: complex) -> tuple[complex, complex, complex]:
-    """Principal sqrt(R11 R22) plus individual roots sharing that branch."""
-    rho = cmath.sqrt(complex(r11) * complex(r22))
-    s1 = cmath.sqrt(complex(r11))
-    s2 = rho / s1 if s1 != 0 else 0j
-    return rho, s1, s2
+def _roots(r) -> tuple[complex, complex, complex]:
+    """Principal sqrt(R11 R22) and roots of R11, R22 sharing its branch.
+
+    All three are 0 when R11 R22 = 0, the degenerate limit.
+    """
+    rho = cmath.sqrt(complex(r.r11) * complex(r.r22))
+    if rho == 0:
+        return 0j, 0j, 0j
+    s1 = cmath.sqrt(complex(r.r11))
+    return rho, s1, rho / s1
+
+
+def hermite_2d_factors(n_max: int, r, y1: complex, y2: complex):
+    """Factors of the finite two-index Hermite sum for n = 0 .. n_max,
+
+        H_nn^{R}(y1, y2) = n!^2 e^{C[n]} sum_k A[k] B[n-k],
+
+    as three (log-magnitude, phase) array pairs ``(A, B, C)``:
+    A[k] = c^k / k!, B[m] = H_m(z1) H_m(z2) / m!^2 and e^{C[n]} = (rho/2)^n
+    with rho = sqrt(R11 R22) and c = -2 R12 / rho.  In the degenerate limit
+    rho = 0 they are A[k] = (-2 R12)^k / k!, B[m] = w^m / m!^2 and
+    e^{C[n]} = 2^-n, w = (R11 y1 + R12 y2)(R12 y1 + R22 y2).
+
+    ``r`` is any object with attributes ``r11``, ``r22``, ``r12``.
+    """
+    r11, r22, r12 = complex(r.r11), complex(r.r22), complex(r.r12)
+    y1, y2 = complex(y1), complex(y2)
+    rho, s1, s2 = _roots(r)
+    log_fact = log_factorials(n_max)
+    if rho == 0:
+        a_mag, a_ph = log_powers(-2 * r12, n_max)
+        b_mag, b_ph = log_powers((r11 * y1 + r12 * y2) * (r12 * y1 + r22 * y2), n_max)
+        c = (-math.log(2) * np.arange(n_max + 1), np.ones(n_max + 1))
+    else:
+        a_mag, a_ph = log_powers(-2 * r12 / rho, n_max)
+        h1 = hermite_sequence_log((r11 * y1 + r12 * y2) / (2 * s1), n_max)
+        h2 = hermite_sequence_log((r12 * y1 + r22 * y2) / (2 * s2), n_max)
+        b_mag = np.array([u.log_magnitude + v.log_magnitude for u, v in zip(h1, h2)])
+        b_ph = np.array([u.sign_phase * v.sign_phase for u, v in zip(h1, h2)])
+        c = log_powers(rho / 2, n_max)
+    return (a_mag - log_fact, a_ph), (b_mag - 2 * log_fact, b_ph), c
 
 
 def hermite_2d_log(n: int, r, y1: complex, y2: complex) -> LogSigned:
@@ -221,64 +400,21 @@ def hermite_2d_log(n: int, r, y1: complex, y2: complex) -> LogSigned:
 
     ``r`` is any object with attributes ``r11``, ``r22``, ``r12`` (for
     example the R-matrix produced by the Gaussian-state module).  The y
-    arguments are taken from the call, not from ``r``.
+    arguments are taken from the call, not from ``r``.  Only row n of
+    :func:`hermite_2d_factors` is summed, in O(n).
     """
     if n < 0:
         raise DomainError("hermite_2d degree must be nonnegative")
-    r11, r22, r12 = complex(r.r11), complex(r.r22), complex(r.r12)
-    y1, y2 = complex(y1), complex(y2)
-    rho, s1, s2 = _consistent_roots(r11, r22)
-
-    if rho == 0:
-        # Degenerate limit of the finite sum: only powers of R12 survive,
-        # paired with w = (R11 y1 + R12 y2)(R12 y1 + R22 y2).
-        w = (r11 * y1 + r12 * y2) * (r12 * y1 + r22 * y2)
-        lw = LogSigned.from_value(w)
-        lc = LogSigned.from_value(-2 * r12)
-        terms = []
-        for k in range(n + 1):
-            m = n - k
-            if m > 0 and lw.is_zero:
-                continue
-            if k > 0 and lc.is_zero:
-                continue
-            mag = (
-                2 * log_factorial(n)
-                - n * math.log(2)
-                + m * (lw.log_magnitude if m else 0.0)
-                + k * (lc.log_magnitude if k else 0.0)
-                - 2 * log_factorial(m)
-                - log_factorial(k)
-            )
-            phase = (lw.sign_phase**m if m else 1) * (lc.sign_phase**k if k else 1)
-            terms.append(LogSigned(mag, phase))
-        return logsigned_sum(terms)
-
-    z1 = (r11 * y1 + r12 * y2) / (2 * s1)
-    z2 = (r12 * y1 + r22 * y2) / (2 * s2)
-    h1 = hermite_sequence_log(z1, n)
-    h2 = hermite_sequence_log(z2, n)
-    lc = LogSigned.from_value(-2 * r12 / rho)
-    lhalf = LogSigned.from_value(rho / 2)
-    terms = []
-    for k in range(n + 1):
-        m = n - k
-        if k > 0 and lc.is_zero:
-            continue
-        part = h1[m] * h2[m]
-        if part.is_zero:
-            continue
-        mag = (
-            2 * log_factorial(n)
-            + n * lhalf.log_magnitude
-            + k * (lc.log_magnitude if k else 0.0)
-            - 2 * log_factorial(m)
-            - log_factorial(k)
-            + part.log_magnitude
-        )
-        phase = (lhalf.sign_phase**n) * (lc.sign_phase**k if k else 1) * part.sign_phase
-        terms.append(LogSigned(mag, phase))
-    return logsigned_sum(terms)
+    (a_mag, a_ph), (b_mag, b_ph), (c_mag, c_ph) = hermite_2d_factors(n, r, y1, y2)
+    row_mag, row_ph = _log_row_sums(
+        (a_mag + b_mag[::-1])[None], (_phases(a_ph) * _phases(b_ph)[::-1])[None]
+    )
+    if row_mag[0] == -np.inf:
+        return LogSigned.zero()
+    return LogSigned(
+        float(row_mag[0] + c_mag[n] + 2 * log_factorial(n)),
+        complex(row_ph[0] * c_ph[n]),
+    )
 
 
 def hermite_2d(n: int, r, y1: complex, y2: complex) -> complex:

@@ -205,6 +205,17 @@ class TestViolation:
         assert row[0] == "0"
         assert row[3] == "Probability"
 
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_zero_row_prints_zero_for_any_decimal_start(self, capsys, k):
+        start = -k / 10
+        code, out, _ = run(
+            capsys, "violation", "--tau-min", repr(start), "--tau-max", "0.05",
+            "--tau-step", "0.1", "--y", "5", "--n-max", "8",
+        )
+        assert code == 0
+        taus = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert taus[k] == "0"
+
     def test_documented_cell(self, capsys):
         code, out, _ = run(
             capsys, "violation", "--tau-min", "4", "--tau-max", "4",

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,6 +123,80 @@ class TestHermiteRoute:
         assert dist.classification is Classification.COMPLEX
 
 
+def squeezed_correlated_law_mp(r, theta, mq, mp, n_max, digits=50):
+    """squeezed_correlated_law evaluated in mpmath at ``digits`` digits."""
+    with mpmath.workdps(digits):
+        r, theta, mq, mp = map(mpmath.mpf, (r, theta, mq, mp))
+        t = mpmath.tanh(r)
+        g = mpmath.expj(-theta / 2) * mpmath.sqrt(t) * (
+            mpmath.mpc(mq, -mp) / 2 + mpmath.expj(theta) / t * mpmath.mpc(mq, mp) / 2
+        )
+        p0 = mpmath.sech(r) * mpmath.exp(
+            -(mp * mp + mq * mq) / 2
+            + t / 2 * ((mp * mp - mq * mq) * mpmath.cos(theta) + 2 * mp * mq * mpmath.sin(theta))
+        )
+        out, h_prev, h, fact = [], mpmath.mpc(0), mpmath.mpc(1), mpmath.mpf(1)
+        for n in range(n_max + 1):
+            fact *= max(n, 1)
+            out.append(p0 * t**n / (fact * 2**n) * abs(h) ** 2)
+            h_prev, h = h, 2 * g * h - 2 * n * h_prev
+        return out
+
+
+class TestHighPrecisionReference:
+    """All three routes at N = 1024 against a 50-digit closed form."""
+
+    R, THETA, MQ, MP = 1.0, 0.7, 0.8, -0.5
+    N = 1024
+
+    @staticmethod
+    def rel_err(value, ref):
+        return abs(mpmath.mpc(value) - ref) / ref
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    def test_displaced_squeezed_state(self, route):
+        ref = squeezed_correlated_law_mp(self.R, self.THETA, self.MQ, self.MP, self.N)
+        state = OneModeGaussianState.squeezed_correlated(self.R, self.THETA, self.MQ, self.MP)
+        dist = route(state, self.N)
+        assert dist.truncation == self.N
+        assert min(ref) > 1e-150  # every term is a normal double
+        assert max(self.rel_err(v, e) for v, e in zip(dist.values, ref)) <= 1e-9
+
+    def test_centered_covariance_route(self):
+        ref = squeezed_correlated_law_mp(self.R, self.THETA, 0.0, 0.0, self.N)
+        state = OneModeGaussianState.squeezed_correlated(self.R, self.THETA)
+        dist = pn_centered_xyt(XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq), self.N)
+        assert dist.truncation == self.N
+        for n, (v, e) in enumerate(zip(dist.values, ref)):
+            if n % 2:
+                # exact zeros of the pure state; det misses 1/4 by roundoff
+                assert e == 0 and abs(v) <= 1e-15
+            else:
+                assert self.rel_err(v, e) <= 1e-9
+
+
+class TestTailNoiseFloor:
+    """Roundoff-level odd terms of a pure squeezed vacuum do not drive
+    adaptive truncation to the cap."""
+
+    NOISY_R = 0.0506  # sigma_pp * sigma_qq misses 1/4 by an ulp
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    @pytest.mark.parametrize("r", [NOISY_R, 1.0])
+    def test_squeezed_vacuum_converges(self, route, r):
+        state = OneModeGaussianState.squeezed_vacuum(r)
+        if r == self.NOISY_R:
+            assert state.sigma_pp * state.sigma_qq != 0.25
+        dist = route(state)
+        assert math.isfinite(dist.tail_bound) and dist.tail_bound < 1e-12
+        # without the floor the noisy state runs on until its law underflows, N = 248
+        assert dist.truncation <= (64 if r == self.NOISY_R else 256)
+        spec = DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=r)
+        for n, v in enumerate(dist.values):
+            e = deformed_pn(spec, n)
+            assert abs(v - e) <= 1e-9 * abs(e) + 1e-14
+
+
 class TestLaguerreRoute:
     def test_vacuum(self):
         dist = pn_laguerre(OneModeGaussianState.vacuum())
@@ -182,6 +257,14 @@ class TestCenteredXytRoute:
         # 4 det + 2 Tr + 1 = 0 along x = -(2y+1)/(4y+2)
         with pytest.raises(SingularDenominatorError):
             pn_centered_xyt(XYTState(-0.5, 1.0, 0.0), 10)
+
+    def test_positive_denominator_gives_real_values(self):
+        # x = -0.25, y = 5: 4 det + 2 Tr + 1 = 5.5 > 0 makes every term real,
+        # also past k = 100 where powers of a complex -1 pick up roundoff
+        dist = pn_centered_xyt(from_tau(1.5, 5.0))
+        assert dist.classification is Classification.SIGNED_REAL
+        assert len(dist.values) > 100
+        assert all(v.imag == 0 for v in dist.values)
 
 
 def violation_closed_form(l_max):

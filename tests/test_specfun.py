@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from scipy import special as sps
 
@@ -15,7 +16,11 @@ from photonstat.specfun import (
     hermite_log,
     laguerre_half,
     laguerre_half_sequence,
+    log_cauchy_rows,
     log_factorial,
+    log_factorials,
+    log_powers,
+    log_signed_values,
     logsigned_sum,
 )
 
@@ -109,6 +114,24 @@ class TestHermite2d:
         rm = r_matrix(OneModeGaussianState.vacuum())
         for n in range(1, 10):
             assert hermite_2d(n, rm, 0, 0) == 0
+
+    def test_matches_plain_double_sum(self):
+        # the defining finite sum in plain complex arithmetic, for small n
+        rm = r_matrix(OneModeGaussianState(1.4, 0.7, 0.25, 0.6, -0.3))
+        y1, y2 = 0.35 - 0.2j, 0.35 + 0.2j
+        rho = cmath.sqrt(rm.r11 * rm.r22)
+        s1 = cmath.sqrt(rm.r11)
+        z1 = (rm.r11 * y1 + rm.r12 * y2) / (2 * s1)
+        z2 = (rm.r12 * y1 + rm.r22 * y2) / (2 * (rho / s1))
+        c = -2 * rm.r12 / rho
+        for n in range(25):
+            ref = math.factorial(n) ** 2 * (rho / 2) ** n * sum(
+                c**k / (math.factorial(k) * math.factorial(n - k) ** 2)
+                * hermite(n - k, z1) * hermite(n - k, z2)
+                for k in range(n + 1)
+            )
+            got = hermite_2d(n, rm, y1, y2)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 class TestLaguerreHalf:
@@ -257,3 +280,107 @@ class TestLogSigned:
     def test_value_overflow_raises(self):
         with pytest.raises(RangeOverflowError):
             LogSigned(1e4, 1 + 0j).value()
+
+
+def _log_signed(values):
+    values = np.asarray(values)
+    size = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(size), np.where(size > 0, values / size, 0)
+
+
+def _cauchy_values(a, b, n_rows=None):
+    mag, ph = log_cauchy_rows(*_log_signed(a), *_log_signed(b), n_rows)
+    return np.array(log_signed_values(mag, ph))
+
+
+class TestLogCauchyRows:
+    def test_matches_convolve(self):
+        rng = np.random.default_rng(7)
+        for na, nb in ((1, 1), (5, 9), (40, 25), (200, 200)):
+            a = rng.normal(size=na) + 1j * rng.normal(size=na)
+            b = rng.normal(size=nb) - 0.5j * rng.normal(size=nb)
+            ref = np.convolve(a, b)
+            got = _cauchy_values(a, b)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            # leading rows only
+            assert np.allclose(_cauchy_values(a, b, min(na, nb)), ref[: min(na, nb)],
+                               rtol=1e-13, atol=0)
+
+    def test_real_phases_stay_exactly_real(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=300), rng.normal(size=300)
+        mag, ph = log_cauchy_rows(*_log_signed(a + 0j), *_log_signed(b + 0j))
+        assert ph.dtype == np.float64
+        assert set(np.unique(ph)) <= {-1.0, 1.0}
+        values = log_signed_values(mag, ph)
+        assert all(type(v) is complex and v.imag == 0 for v in values)
+        ref = np.convolve(a, b)
+        assert np.max(np.abs(np.real(values) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_zero_and_minus_inf_entries(self):
+        a = np.array([2.0, 0.0, -1.0, 0.0])
+        b = np.array([0.0, 3.0, 0.0])
+        mag, ph = log_cauchy_rows(*_log_signed(a), *_log_signed(b))
+        assert mag[0] == -np.inf and ph[0] == 0  # every term of row 0 is zero
+        assert np.allclose(np.exp(mag) * ph, np.convolve(a, b), rtol=1e-15, atol=0)
+        # all-zero factors give all-zero rows, not nan
+        mag, ph = log_cauchy_rows([-np.inf] * 3, [0.0] * 3, [0.0, 1.0], [1.0, -1.0])
+        assert np.all(mag == -np.inf) and np.all(ph == 0)
+
+    def test_empty_inputs(self):
+        for args in (([], [], [], []), ([], [], [0.0], [1.0]), ([0.0], [1.0], [0.0], [1.0], 0)):
+            mag, ph = log_cauchy_rows(*args)
+            assert mag.size == 0 and ph.size == 0
+        # rows past the end of the full product are zero
+        mag, ph = log_cauchy_rows([0.0], [1.0], [0.0], [1.0], 3)
+        assert list(mag) == [0.0, -np.inf, -np.inf] and list(ph) == [1.0, 0.0, 0.0]
+
+    def test_block_boundaries(self):
+        # 1000 terms: 4 rows per block, and 1999 rows is not a multiple of 4;
+        # 5000 terms are wider than one block and go one row at a time
+        rng = np.random.default_rng(11)
+        for na, nb in ((1000, 1000), (1000, 37), (5000, 3)):
+            a = rng.uniform(0.5, 1.5, na) * rng.choice([-1.0, 1.0], na)
+            b = rng.uniform(0.5, 1.5, nb) * np.exp(1j * rng.uniform(0, 6, nb))
+            ref = np.convolve(a, b)
+            got = _cauchy_values(a, b)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_rows_beyond_the_double_range(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=50), rng.normal(size=50)
+        a_mag, a_ph = _log_signed(a)
+        b_mag, b_ph = _log_signed(b)
+        mag, ph = log_cauchy_rows(a_mag + 2000.0, a_ph, b_mag - 5000.0, b_ph)
+        ref = np.convolve(a, b)
+        got = np.exp(mag + 3000.0) * ph
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_overflow_raises(self):
+        with pytest.raises(RangeOverflowError):
+            log_signed_values([0.0, 710.0], [1.0, -1.0])
+        assert log_signed_values([709.0, -np.inf], [-1.0, 0.0]) == [-math.exp(709.0), 0j]
+
+
+class TestLogPowers:
+    def test_real_base_has_parity_phases(self):
+        mag, ph = log_powers(-2.5, 300)
+        assert ph.dtype == np.float64
+        assert np.array_equal(ph, np.where(np.arange(301) % 2, -1.0, 1.0))
+        assert mag[300] == pytest.approx(300 * math.log(2.5), rel=1e-15)
+
+    def test_zero_base(self):
+        mag, ph = log_powers(0, 3)
+        assert list(mag) == [0.0, -np.inf, -np.inf, -np.inf]
+        assert list(ph) == [1.0, 0.0, 0.0, 0.0]
+
+    def test_complex_base(self):
+        z = 0.9 * cmath.exp(0.3j)
+        mag, ph = log_powers(z, 40)
+        assert np.allclose(np.exp(mag) * ph, z ** np.arange(41), rtol=1e-13, atol=0)
+
+    def test_log_factorials_match_scalar(self):
+        table = log_factorials(700)
+        assert [float(v) for v in table] == [log_factorial(n) for n in range(701)]
