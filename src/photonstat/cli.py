@@ -95,9 +95,6 @@ _FAMILIES = (
 class RunConfig:
     """Validated per-invocation options shared by the subcommands."""
 
-    command: str
-    family: str | None = None
-    state_path: str | None = None
     n_max: int | None = None
     partition_m: int = 2
     tol_imag: float = DEFAULT_TOL_IMAG
@@ -187,7 +184,7 @@ def _deformation_from_args(args) -> DeformationSpec:
     raise DomainError(f"family {args.family!r} is not a deformation family")
 
 
-def _build_distribution(args, cfg: RunConfig) -> PhotonDistribution:
+def _distribution_from_args(args, cfg: RunConfig) -> PhotonDistribution:
     tol = dict(tol_imag=cfg.tol_imag, tol_neg=cfg.tol_neg)
     fam = args.family
     if fam == "gaussian":
@@ -226,14 +223,12 @@ def _build_distribution(args, cfg: RunConfig) -> PhotonDistribution:
 
 def _cmd_dist(args) -> int:
     cfg = RunConfig(
-        command="dist",
-        family=args.family,
         n_max=args.n_max,
         tol_imag=args.tol_imag,
         tol_neg=args.tol_neg,
         output_format=args.format,
     )
-    dist = _build_distribution(args, cfg)
+    dist = _distribution_from_args(args, cfg)
     if cfg.output_format == "json":
         _emit(distribution_to_json(dist) + "\n", args.out)
     else:
@@ -267,8 +262,6 @@ def _complex_report_json(report: ComplexEntropyReport) -> dict:
 
 def _cmd_entropy(args) -> int:
     cfg = RunConfig(
-        command="entropy",
-        family=args.family,
         n_max=args.n_max,
         partition_m=args.partition,
         tol_imag=args.tol_imag,
@@ -276,7 +269,7 @@ def _cmd_entropy(args) -> int:
         output_format=args.format,
         branch=args.branch,
     )
-    dist = _build_distribution(args, cfg)
+    dist = _distribution_from_args(args, cfg)
     scheme = PartitionScheme(cfg.partition_m)
     try:
         report = block_entropies(dist, scheme)
@@ -327,8 +320,6 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_inequality(args) -> int:
     cfg = RunConfig(
-        command="inequality",
-        family=args.family,
         n_max=args.n_max,
         partition_m=args.partition,
         tol_imag=args.tol_imag,
@@ -351,7 +342,7 @@ def _cmd_inequality(args) -> int:
             form = "laguerre-pair"
         dist = pn_hermite(state, cfg.n_max)
     else:
-        dist = _build_distribution(args, cfg)
+        dist = _distribution_from_args(args, cfg)
     try:
         report = block_entropies(dist, scheme)
     except ClassificationError:
@@ -391,7 +382,6 @@ def _cmd_inequality(args) -> int:
 
 def _cmd_violation(args) -> int:
     cfg = RunConfig(
-        command="violation",
         n_max=args.n_max,
         partition_m=args.partition,
         tol_imag=args.tol_imag,

@@ -26,6 +26,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     ClassificationError,
     DivergentSeriesError,
@@ -98,26 +100,35 @@ def _xlogx(p: float) -> float:
     return 0.0 if p <= 0.0 else p * math.log(p)
 
 
-def _shannon(masses) -> float:
-    return -math.fsum(_xlogx(p) for p in masses)
+def _shannon(masses: np.ndarray) -> float:
+    return -math.fsum(_xlogx(p) for p in masses.tolist())
 
 
-def _probabilities(dist: PhotonDistribution) -> list[float]:
+def _probabilities(dist: PhotonDistribution) -> np.ndarray:
     if dist.classification is not Classification.PROBABILITY:
         raise ClassificationError(
             f"distribution classifies as {dist.classification.value}; "
             "route non-probability input through complex_information"
         )
-    return [max(v.real, 0.0) for v in dist.values]
+    return np.maximum(dist.values.real, 0.0)
 
 
-def _block_sums(p: list, m: int) -> list:
-    return [sum(p[m * k + j] for j in range(m) if m * k + j < len(p))
-            for k in range((len(p) + m - 1) // m)]
+def _blocks(p: np.ndarray, m: int) -> np.ndarray:
+    """p zero-padded to whole blocks of m, one block per row (at least one).
+
+    The sums below take the last partial sum, which adds in index order;
+    np.sum adds pairwise and would move the last digits of the information.
+    """
+    rows = max(1, -(-len(p) // m))
+    return np.pad(p, (0, rows * m - len(p))).reshape(rows, m)
 
 
-def _residue_sums(p: list, m: int) -> list:
-    return [sum(p[j::m]) for j in range(m)]
+def _block_sums(p: np.ndarray, m: int) -> np.ndarray:
+    return _blocks(p, m).cumsum(axis=1)[:, -1]
+
+
+def _residue_sums(p: np.ndarray, m: int) -> np.ndarray:
+    return _blocks(p, m).cumsum(axis=0)[-1]
 
 
 def block_entropies(dist: PhotonDistribution, scheme: PartitionScheme) -> EntropyReport:
@@ -188,6 +199,10 @@ def _entropy_term(z: complex, branch: int) -> complex:
     return 0j if z == 0 else z * _log_branch(z, branch)
 
 
+def _complex_entropy(zs: np.ndarray, branch: int) -> complex:
+    return -sum(_entropy_term(z, branch) for z in zs.tolist())
+
+
 def complex_information(
     dist: PhotonDistribution,
     scheme: PartitionScheme,
@@ -218,17 +233,17 @@ def complex_information(
         raise DivergentSeriesError(
             "weight sequence has no convergent tail within the truncation"
         )
-    vals = list(dist.values)
+    vals = dist.values
     m = scheme.block_size
-    h_joint = -sum(_entropy_term(z, branch) for z in vals)
+    h_joint = _complex_entropy(vals, branch)
     if reading == "blocked":
-        h1 = -sum(_entropy_term(z, branch) for z in _block_sums(vals, m))
-        h2 = -sum(_entropy_term(z, branch) for z in _residue_sums(vals, m))
+        h1 = _complex_entropy(_block_sums(vals, m), branch)
+        h2 = _complex_entropy(_residue_sums(vals, m), branch)
         info = h1 + h2 - h_joint
     else:
         h1 = h_joint
-        total = sum(vals)
-        mag_total = math.fsum(abs(z) for z in vals)
+        total = sum(vals.tolist())
+        mag_total = math.fsum(abs(z) for z in vals.tolist())
         if total == 0 or mag_total == 0:
             h2 = 0j
         else:
@@ -251,7 +266,7 @@ def complex_information(
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_margin_from_scaled(h_tilde: list[float], scale: float) -> float:
+def _pairwise_margin_from_scaled(h_tilde: np.ndarray, scale: float) -> float:
     """Margin of the m = 2 inequality written over h_tilde = p / scale,
     with the scale reinstated inside every logarithm as the inequality is
     stated; the returned value is scale * (lhs - rhs), which coincides with
@@ -262,13 +277,9 @@ def _pairwise_margin_from_scaled(h_tilde: list[float], scale: float) -> float:
     def term(v: float) -> float:
         return 0.0 if v <= 0 else v * math.log(scale * v)
 
-    lhs = -term(odd) - term(even)
-    nb = (len(h_tilde) + 1) // 2
-    lhs -= math.fsum(
-        term(h_tilde[2 * k] + (h_tilde[2 * k + 1] if 2 * k + 1 < len(h_tilde) else 0.0))
-        for k in range(nb)
-    )
-    rhs = -math.fsum(term(v) for v in h_tilde)
+    blocks = _block_sums(h_tilde, 2).tolist()
+    lhs = -term(odd) - term(even) - math.fsum(map(term, blocks))
+    rhs = -math.fsum(map(term, h_tilde.tolist()))
     return scale * (lhs - rhs)
 
 
@@ -286,7 +297,7 @@ def hermite_inequality_margin(
     dist = pn_hermite(state, n_max)
     p = _probabilities(dist)
     scale = float(p0(state))
-    return _pairwise_margin_from_scaled([v / scale for v in p], scale)
+    return _pairwise_margin_from_scaled(p / scale, scale)
 
 
 def laguerre_inequality_margin(

@@ -25,6 +25,9 @@ squeezed vacuum).  Sequences whose tail grows (the uncertainty-violating
 families are asymptotic, not convergent) are trimmed at their smallest
 term and the residual is reported in ``tail_bound``.
 
+A distribution's ``values`` are one read-only complex128 array from the
+series through truncation and classification to the exporters.
+
 Everything here is pure and immutable after construction; grid sweeps over
 states are embarrassingly parallel with deterministic per-cell results.
 """
@@ -38,6 +41,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import takewhile
 
 import numpy as np
 
@@ -105,35 +109,34 @@ class Classification(str, enum.Enum):
     COMPLEX = "Complex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhotonDistribution:
     """A truncated photon-number sequence with tail estimate and verdict.
 
-    ``values[n]`` is the (possibly complex) weight of counting n photons;
-    ``truncation`` is the largest retained n; ``tail_bound`` estimates the
-    omitted mass from the geometric decay of the last retained terms.
+    ``values[n]`` is the (possibly complex) weight of counting n photons,
+    held as a read-only complex128 array; ``truncation`` is the largest
+    retained n; ``tail_bound`` estimates the omitted mass from the geometric
+    decay of the last retained terms.
     """
 
-    values: tuple[complex, ...]
+    values: np.ndarray
     truncation: int
     tail_bound: float
     classification: Classification
 
+    def __post_init__(self):
+        values = np.array(self.values, dtype=complex)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def total(self) -> complex:
-        return sum(self.values)
 
     def value(self, n: int) -> complex:
         """values[n], zero-extended beyond the truncation."""
         if n < 0:
             raise DomainError("photon number must be nonnegative")
         return self.values[n] if n < len(self.values) else 0j
-
-    def real_values(self) -> np.ndarray:
-        return np.array([v.real for v in self.values])
 
 
 @dataclass(frozen=True)
@@ -219,7 +222,12 @@ class DeformationSpec:
 # ---------------------------------------------------------------------------
 
 
-def _tail_estimate(mags: list[float]) -> float:
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    # abs() of each value, bit for bit; np.abs of complex input is not
+    return np.hypot(values.real, values.imag)
+
+
+def _tail_estimate(mags: np.ndarray) -> float:
     """Geometric tail bound from the decay ratio of the last 5 nonzero terms.
 
     Magnitudes below 1e3 eps of the largest one count as zero: they are
@@ -231,63 +239,48 @@ def _tail_estimate(mags: list[float]) -> float:
     zeros counts as finite support (tail 0); a lone entry with nothing
     after it is unbounded.
     """
-    floor = _NOISE_FLOOR * max(mags, default=0.0)
-    nz = [(i, m) for i, m in enumerate(mags) if m > floor]
-    if not nz:
+    nz = np.flatnonzero(mags > _NOISE_FLOOR * mags.max(initial=0.0))
+    if not nz.size:
         return 0.0
-    trailing = len(mags) - 1 - nz[-1][0]
-    if len(nz) == 1:
+    trailing = len(mags) - 1 - int(nz[-1])
+    if nz.size == 1:
         return 0.0 if trailing >= 4 else math.inf
-    window = [m for _, m in nz[-5:]]
+    window = mags[nz[-5:]].tolist()
     ratios = [window[i + 1] / window[i] for i in range(len(window) - 1)]
     if ratios[-1] >= 1.0:
         return math.inf  # still growing at the end
-    start = 0
-    for i, r in enumerate(ratios):
-        if r >= 1.0:
-            start = i + 1  # skip any hump inside the window
-    r = max(ratios[start:])
-    stride = nz[-1][0] - nz[-2][0]
+    r = max(takewhile(lambda q: q < 1.0, reversed(ratios)))  # past any hump
+    stride = int(nz[-1] - nz[-2])
     # factor-2 headroom: the asymptotic ratio is sampled, not proven
     return 2.0 * window[-1] * r ** (1 + trailing // stride) / (1.0 - r)
 
 
-def _trim_divergent(values: list[complex]) -> tuple[list[complex], bool]:
+def _trim_divergent(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Cut an asymptotic (decay-then-regrowth) tail back to its smallest term.
 
+    Returns the kept values, their magnitudes and whether a cut was made.
     Sequences that grow from the start are left alone: they carry their
     divergence as data (classification handles them), whereas trimming is
     only meaningful past a genuinely decayed head.
     """
-    mags = [abs(v) for v in values]
-    nz = [(i, m) for i, m in enumerate(mags) if m > 0.0]
-    if len(nz) < 8:
-        return values, False
-    tail = nz[-5:]
-    growing = all(tail[i + 1][1] > tail[i][1] for i in range(4))
-    if not growing:
-        return values, False
-    i_min, m_min = min(nz, key=lambda im: im[1])
-    if i_min >= nz[-1][0] - 4 or m_min >= nz[0][1]:
-        return values, False
-    return values[: i_min + 1], True
-
-
-def _strip_trailing_zeros(values: list[complex]) -> list[complex]:
-    end = len(values)
-    while end > 1 and values[end - 1] == 0:
-        end -= 1
-    return values[:end]
+    mags = _magnitudes(values)
+    nz = np.flatnonzero(mags > 0.0)
+    if nz.size < 8 or not (np.diff(mags[nz[-5:]]) > 0).all():
+        return values, mags, False
+    i_min = nz[np.argmin(mags[nz])]
+    if i_min >= nz[-1] - 4 or mags[i_min] >= mags[nz[0]]:
+        return values, mags, False
+    return values[: i_min + 1], mags[: i_min + 1], True
 
 
 def _classify(
-    values: list[complex], tail_bound: float, tol_imag: float, tol_neg: float
+    values: np.ndarray, tail_bound: float, tol_imag: float, tol_neg: float
 ) -> Classification:
-    if any(abs(v.imag) >= tol_imag for v in values):
+    if (np.abs(values.imag) >= tol_imag).any():
         return Classification.COMPLEX
-    if any(v.real < -tol_neg for v in values):
+    if (values.real < -tol_neg).any():
         return Classification.SIGNED_REAL
-    total = math.fsum(v.real for v in values)
+    total = math.fsum(values.real.tolist())
     if 1 - tail_bound - _NORM_SLOP <= total <= 1 + _NORM_SLOP:
         return Classification.PROBABILITY
     raise NormalizationError(
@@ -297,42 +290,41 @@ def _classify(
 
 
 def _finalize(
-    values: list[complex], tol_imag: float, tol_neg: float
+    values: np.ndarray, tail: float, tol_imag: float, tol_neg: float
 ) -> PhotonDistribution:
-    tail = _tail_estimate([abs(v) for v in values])
-    values = _strip_trailing_zeros(values)
-    cls = _classify(values, tail, tol_imag, tol_neg)
+    nonzero = np.flatnonzero(values[1:])  # trailing zeros are dropped, values[0] kept
+    values = values[: nonzero[-1] + 2 if nonzero.size else 1]
     return PhotonDistribution(
-        values=tuple(values),
+        values=values,
         truncation=len(values) - 1,
         tail_bound=tail,
-        classification=cls,
+        classification=_classify(values, tail, tol_imag, tol_neg),
     )
 
 
 def _build_distribution(series, n_max, tol_imag, tol_neg) -> PhotonDistribution:
-    """Run ``series(N) -> list[complex]`` under the adaptive truncation policy."""
+    """Run ``series(N) -> complex ndarray`` under the adaptive truncation policy."""
     if n_max is not None:
         if n_max < 0:
             raise DomainError("n_max must be nonnegative")
-        vals, _ = _trim_divergent(series(n_max))
-        return _finalize(vals, tol_imag, tol_neg)
+        vals, mags, _ = _trim_divergent(series(n_max))
+        return _finalize(vals, _tail_estimate(mags), tol_imag, tol_neg)
     n = _ADAPTIVE_START
-    best: list[complex] | None = None
+    best = None
     while True:
         try:
-            vals, trimmed = _trim_divergent(series(n))
+            vals, mags, trimmed = _trim_divergent(series(n))
         except RangeOverflowError:
             if best is None:
                 raise
-            return _finalize(best, tol_imag, tol_neg)
-        best = vals
-        tail = _tail_estimate([abs(v) for v in vals])
+            return _finalize(*best, tol_imag, tol_neg)
+        tail = _tail_estimate(mags)
+        best = vals, tail
         if trimmed or tail < _TAIL_TARGET or n >= _ADAPTIVE_CAP:
-            return _finalize(vals, tol_imag, tol_neg)
-        if not math.isfinite(tail) and any(abs(v) > 1e30 for v in vals):
+            return _finalize(vals, tail, tol_imag, tol_neg)
+        if not math.isfinite(tail) and (mags > 1e30).any():
             # growing past any probability scale: divergent, stop extending
-            return _finalize(vals, tol_imag, tol_neg)
+            return _finalize(vals, tail, tol_imag, tol_neg)
         n *= 2
 
 
@@ -342,7 +334,8 @@ def distribution_from_values(
     tol_neg: float = DEFAULT_TOL_NEG,
 ) -> PhotonDistribution:
     """Wrap an explicit weight sequence in a classified distribution."""
-    return _finalize([complex(v) for v in values], tol_imag, tol_neg)
+    values = np.asarray(values, dtype=complex)
+    return _finalize(values, _tail_estimate(_magnitudes(values)), tol_imag, tol_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +377,10 @@ def _laguerre_ratio_seq(rm, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     ys2 = _Y_ARG_SCALE * rm.y2
     rho, s1, s2 = _roots(rm)
     if rho == 0:
-        x1 = x2 = 0j
+        # both bases are r12, so only x1 + x2 enters (DLMF 18.18(iii)); in
+        # general x1 + x2 = (r12 quad + rho skew) / 4, and rho skew =
+        # R11 ys1^2 + R22 ys2^2 vanishes with R11 = R22 = 0
+        x1 = x2 = 0.25 * rm.r12 * ys1 * ys2
     else:
         quad = 2 * ys1 * ys2
         skew = (s1 / s2) * ys1 * ys1 + (s2 / s1) * ys2 * ys2
@@ -404,8 +400,8 @@ def _gaussian_series(state: OneModeGaussianState, ratio_fn):
     rm = r_matrix(state)
     p0v = complex(p0(state))
 
-    def series(n_max: int) -> list[complex]:
-        return [p0v * v for v in log_signed_values(*ratio_fn(rm, n_max))]
+    def series(n_max: int) -> np.ndarray:
+        return p0v * log_signed_values(*ratio_fn(rm, n_max))
 
     return series
 
@@ -476,7 +472,7 @@ def pn_centered_xyt(
         raise SingularDenominatorError("4 det + 2 Tr + 1 vanishes for this state")
     log_c = cmath.log(complex(c))
 
-    def series(n_max: int) -> list[complex]:
+    def series(n_max: int) -> np.ndarray:
         n = np.arange(n_max + 1)
         log_fact = log_factorials(n_max)
         a_mag, a_ph = log_powers(-a, n_max)  # absorbs the (-1)^k alternation
@@ -545,7 +541,7 @@ def pn_violation(
         raise SingularDenominatorError("x + y + 1 - 4 tau vanishes")
     log_w = cmath.log(complex(w))
 
-    def series(n_cut: int) -> list[complex]:
+    def series(n_cut: int) -> np.ndarray:
         l_max = n_cut // 2
         l = np.arange(l_max + 1)  # also the index i of the bp^i factor
         log_fact = log_factorials(2 * l_max)
@@ -559,7 +555,7 @@ def pn_violation(
         mag += log_fact[::2] + (2 * l + 0.5) * (math.log(2) - log_w.real)
         if log_w.imag:
             ph = ph * np.exp(-1j * (2 * l + 0.5) * log_w.imag)
-        out = [0j] * (n_cut + 1)
+        out = np.zeros(n_cut + 1, dtype=complex)
         out[::2] = log_signed_values(mag, ph)
         return out
 
@@ -626,10 +622,9 @@ def two_mode_p2k_distribution(
 ) -> PhotonDistribution:
     """Total-photon-number distribution (odd counts are zero)."""
 
-    def series(n_cut: int) -> list[complex]:
-        out: list[complex] = []
-        for n in range(n_cut + 1):
-            out.append(0j if n % 2 else complex(two_mode_p2k(s1, s2, n // 2)))
+    def series(n_cut: int) -> np.ndarray:
+        out = np.zeros(n_cut + 1, dtype=complex)
+        out[::2] = [two_mode_p2k(s1, s2, k) for k in range(n_cut // 2 + 1)]
         return out
 
     return _build_distribution(series, n_max, tol_imag, tol_neg)
@@ -821,8 +816,8 @@ def deformed_distribution(
 ) -> PhotonDistribution:
     """Tabulated distribution of a deformed family."""
 
-    def series(n_cut: int) -> list[complex]:
-        return [complex(deformed_pn(spec, n)) for n in range(n_cut + 1)]
+    def series(n_cut: int) -> np.ndarray:
+        return np.array([deformed_pn(spec, n) for n in range(n_cut + 1)], dtype=complex)
 
     return _build_distribution(series, n_max, tol_imag, tol_neg)
 
@@ -844,7 +839,7 @@ def distribution_to_csv(dist: PhotonDistribution) -> str:
         f"# tail_bound={_fmt(dist.tail_bound)}",
         "n,re,im",
     ]
-    for n, v in enumerate(dist.values):
+    for n, v in enumerate(dist.values.tolist()):
         lines.append(f"{n},{_fmt(v.real)},{_fmt(v.imag)}")
     return "\n".join(lines) + "\n"
 
@@ -853,7 +848,7 @@ def distribution_to_json(dist: PhotonDistribution) -> str:
     """JSON export mirroring the distribution fields."""
     return json.dumps(
         {
-            "values": [{"re": v.real, "im": v.imag} for v in dist.values],
+            "values": [{"re": v.real, "im": v.imag} for v in dist.values.tolist()],
             "truncation": dist.truncation,
             "tail_bound": dist.tail_bound,
             "classification": dist.classification.value,

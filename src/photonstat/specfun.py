@@ -237,8 +237,8 @@ def _windows(seq: np.ndarray, start: int, shape: tuple[int, int]) -> np.ndarray:
     return view
 
 
-def log_signed_values(mag, ph) -> list[complex]:
-    """exp(mag) * ph as a list of plain Python complex values.
+def log_signed_values(mag, ph) -> np.ndarray:
+    """exp(mag) * ph as a complex128 array.
 
     Raises:
         RangeOverflowError: some log-magnitude exceeds the double range.
@@ -248,7 +248,7 @@ def log_signed_values(mag, ph) -> list[complex]:
         raise RangeOverflowError(
             f"log-magnitude {mag.max():.6g} exceeds the double range"
         )
-    return (np.exp(mag) * ph).astype(complex).tolist()
+    return (np.exp(mag) * ph).astype(complex, copy=False)
 
 
 def log_powers(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:

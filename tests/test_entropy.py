@@ -112,6 +112,24 @@ class TestRelabelingExactness:
             assert rep.h_sub1 == pytest.approx(shannon(table.sum(axis=1)), abs=1e-12)
             assert rep.h_sub2 == pytest.approx(shannon(table.sum(axis=0)), abs=1e-12)
 
+    def test_subsystem_sums_add_in_index_order(self):
+        # the block and residue sums must equal plain sequential sums bit for
+        # bit (pairwise summation would move the last digits), for any m
+        def exact_shannon(masses):
+            return -math.fsum(q * math.log(q) for q in masses if q > 0)
+
+        rng = np.random.default_rng(8)
+        p = rng.random(97)
+        p /= p.sum()
+        dist = distribution_from_values(p)
+        p = dist.values.real.tolist()
+        for m in (2, 3, 8, 11, 97, 120):
+            rep = block_entropies(dist, PartitionScheme(m))
+            blocks = [sum(p[k : k + m]) for k in range(0, len(p), m)]
+            residues = [sum(p[j::m]) for j in range(m)]
+            assert rep.h_sub1 == exact_shannon(blocks)
+            assert rep.h_sub2 == exact_shannon(residues)
+
     def test_zero_entries_are_inert(self):
         base = [0.4, 0.35, 0.15, 0.1]
         padded = [0.4, 0.0, 0.35, 0.15, 0.0, 0.1, 0.0, 0.0]

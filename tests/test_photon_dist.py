@@ -234,6 +234,25 @@ class TestLaguerreRoute:
                 assert rel_close(va, vb, 1e-9)
 
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            OneModeGaussianState(1.0, 1.0, 0.0, 0.3, 0.2),
+            OneModeGaussianState(2.5, 2.5, 0.0, -1.2, 0.4),
+        ],
+    )
+    def test_matches_hermite_on_isotropic_displaced_states(self, state):
+        # R11 = R22 = 0: both Laguerre bases are R12 and the displacement
+        # enters only through x1 + x2
+        a = pn_hermite(state)
+        b = pn_laguerre(state)
+        assert len(a) == len(b)
+        for va, vb in zip(a.values, b.values):
+            assert rel_close(va, vb, 1e-9)
+        assert b.classification is Classification.PROBABILITY
+        assert math.fsum(b.values.real) == pytest.approx(1.0, abs=b.tail_bound + 1e-14)
+
+
 class TestCenteredXytRoute:
     def test_vacuum(self):
         dist = pn_centered_xyt(XYTState(0.5, 0.5, 0.0))
@@ -600,3 +619,43 @@ class TestDistributionPlumbing:
         assert data["classification"] == "Probability"
         assert data["values"][1] == {"re": 0.25, "im": 0.0}
         assert data["truncation"] == 1
+
+
+_CONSTRUCTORS = {
+    "hermite": lambda: pn_hermite(OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7)),
+    "laguerre": lambda: pn_laguerre(OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7)),
+    "xyt": lambda: pn_centered_xyt(XYTState(1.0, 0.6, 0.1)),
+    "violation": lambda: pn_violation(1.5, 5.0),
+    "two-mode": lambda: two_mode_p2k_distribution(0.25, 0.8),
+    "deformed": lambda: deformed_distribution(
+        DeformationSpec(DeformationKind.POISSON, alpha_mag2=2.0)
+    ),
+    "from-values": lambda: distribution_from_values([0.75, 0.25]),
+}
+
+
+class TestValuesFormat:
+    @pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+    def test_read_only_complex_array(self, name):
+        import json
+
+        dist = _CONSTRUCTORS[name]()
+        assert isinstance(dist.values, np.ndarray)
+        assert dist.values.dtype == np.complex128 and dist.values.ndim == 1
+        assert not dist.values.flags.writeable
+        with pytest.raises(ValueError):
+            dist.values[0] = 0.5
+        assert type(dist.truncation) is int and dist.truncation == len(dist) - 1
+        assert type(dist.tail_bound) is float
+        data = json.loads(distribution_to_json(dist))
+        assert [complex(v["re"], v["im"]) for v in data["values"]] == dist.values.tolist()
+        assert data["truncation"] == dist.truncation
+        assert data["tail_bound"] == dist.tail_bound
+        assert data["classification"] == dist.classification.value
+
+    def test_caller_array_is_not_frozen(self):
+        weights = np.array([0.75, 0.25])
+        dist = distribution_from_values(weights)
+        assert weights.flags.writeable
+        weights[0] = 0.0
+        assert dist.values[0] == 0.75
