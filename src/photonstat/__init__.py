@@ -54,6 +54,7 @@ from .photon_dist import (
     two_mode_joint_distribution,
     two_mode_p2k,
     two_mode_p2k_distribution,
+    two_mode_p2k_sequence,
 )
 from .entropy import (
     ComplexEntropyReport,

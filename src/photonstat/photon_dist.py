@@ -82,6 +82,7 @@ __all__ = [
     "pn_violation",
     "mean_photon_xyt",
     "two_mode_p2k",
+    "two_mode_p2k_sequence",
     "two_mode_p2k_distribution",
     "two_mode_joint",
     "two_mode_joint_distribution",
@@ -587,6 +588,16 @@ def mean_photon_xyt(x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _two_mode_args(s1: float, s2: float, k: int) -> tuple[float, float]:
+    """(lo, hi) of the two squeezing fractions, after the domain checks."""
+    if k < 0:
+        raise DomainError("photon pair index must be nonnegative")
+    for name, s in (("s1", s1), ("s2", s2)):
+        if not 0 <= s < 1:
+            raise DomainError(f"{name} must lie in [0, 1), got {s}")
+    return min(s1, s2), max(s1, s2)
+
+
 def two_mode_p2k(s1: float, s2: float, k: int) -> float:
     """Probability of counting 2k photons in total from two independently
     squeezed oscillators with squeezing fractions s_j = tanh^2 r_j:
@@ -596,20 +607,51 @@ def two_mode_p2k(s1: float, s2: float, k: int) -> float:
     The formula is symmetric in (s1, s2); the larger fraction is used as
     the expansion base so the hypergeometric argument stays in [0, 1]
     (this also provides the continuous limit when one fraction is 0).
+    Each call sums the O(k) hypergeometric series; whole sequences come
+    from :func:`two_mode_p2k_sequence`.
 
     Raises:
         DomainError: either fraction outside [0, 1) or k < 0.
     """
-    if k < 0:
-        raise DomainError("photon pair index must be nonnegative")
-    for name, s in (("s1", s1), ("s2", s2)):
-        if not 0 <= s < 1:
-            raise DomainError(f"{name} must lie in [0, 1), got {s}")
-    lo, hi = min(s1, s2), max(s1, s2)
+    lo, hi = _two_mode_args(s1, s2, k)
     if hi == 0:
         return 1.0 if k == 0 else 0.0
     front = math.sqrt((1 - s1) * (1 - s2))
     return front * hi**k * gauss_2f1_terminating(k, 0.5, 1.0, 1 - lo / hi)
+
+
+def two_mode_p2k_sequence(s1: float, s2: float, k_max: int) -> np.ndarray:
+    """P_0, P_2, ..., P_{2 k_max} of :func:`two_mode_p2k` in O(k_max).
+
+    F_k = 2F1(-k, 1/2; 1; z), z = 1 - lo/hi, follows the contiguous
+    relation in the first parameter (DLMF 15.5.11)
+
+        (k+1) F_{k+1} = (2k + 1 - (k + 1/2) z) F_k - k (1 - z) F_{k-1},
+
+    from F_0 = 1, F_1 = 1 - z/2; then P_2k = sqrt((1-s1)(1-s2)) hi^k F_k.
+    Its characteristic roots are 1 and 1 - z = lo/hi, so the forward
+    direction is stable.  It is run on the differences D_k = F_k - F_{k-1},
+
+        (k+1) D_{k+1} = k (1 - z) D_k - (z/2) F_k,    F_{k+1} = F_k + D_{k+1},
+
+    whose two terms share their sign.  Where the roots nearly coincide
+    (s1 close to s2) the three-term form loses about k eps (1.1e-13 at
+    k = 2048 for s = (0.95, 0.999)); the difference form stays within
+    5e-15 of 40-digit values for k <= 2048 on s in {0, .05, .25, .5, .8,
+    .95, .999}^2.  At z = 1 it is the Chu-Vandermonde product; at s1 = s2
+    it keeps F_k = 1 exactly.
+
+    Raises:
+        DomainError: either fraction outside [0, 1) or k_max < 0.
+    """
+    lo, hi = _two_mode_args(s1, s2, k_max)
+    z = 1 - lo / hi if hi else 0.0  # both unsqueezed: F_k = 1, hi^k = 0^k
+    f, d = [1.0], 0.0
+    for k in range(k_max):
+        d = (k * (1 - z) * d - 0.5 * z * f[k]) / (k + 1)
+        f.append(f[k] + d)
+    front = math.sqrt((1 - s1) * (1 - s2))
+    return np.array([front * hi**k * f[k] for k in range(k_max + 1)])
 
 
 def two_mode_p2k_distribution(
@@ -624,7 +666,7 @@ def two_mode_p2k_distribution(
 
     def series(n_cut: int) -> np.ndarray:
         out = np.zeros(n_cut + 1, dtype=complex)
-        out[::2] = [two_mode_p2k(s1, s2, k) for k in range(n_cut // 2 + 1)]
+        out[::2] = two_mode_p2k_sequence(s1, s2, n_cut // 2)
         return out
 
     return _build_distribution(series, n_max, tol_imag, tol_neg)
@@ -747,6 +789,70 @@ def _squeezed_correlated_amplitude(spec: DeformationSpec) -> tuple[float, comple
     return p0v, g
 
 
+def _log_fact(n: np.ndarray) -> np.ndarray:
+    # log_factorial entry by entry: log_factorials(n.max()) would cost O(n)
+    # for the single weight deformed_pn asks for
+    return np.array([log_factorial(k) for k in n.tolist()], dtype=float)
+
+
+def _exp(log_w: np.ndarray) -> np.ndarray:
+    # math.exp entry by entry: np.exp differs from it in the last bit
+    return np.array([math.exp(v) for v in log_w.tolist()], dtype=float)
+
+
+def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
+    """Weights of the deformed family at the photon numbers ``n`` (int array).
+
+    Each family's formula is written once, on arrays: :func:`deformed_pn`
+    reads one entry and :func:`deformed_distribution` a whole table.  The
+    squeezed/correlated family takes its Hermite values from one
+    ``hermite_sequence_log(g, max(n))`` call.
+    """
+    kind = spec.kind
+    if kind is DeformationKind.POISSON:
+        x_bar = spec.alpha_mag2
+        if x_bar == 0:
+            return (n == 0).astype(float)
+        return _exp(-x_bar + n * math.log(x_bar) - _log_fact(n))
+    if kind is DeformationKind.SQUEEZED_VACUUM:
+        out = np.zeros(len(n))
+        even = n % 2 == 0
+        m = n[even] // 2
+        t_half = math.tanh(abs(spec.r)) / 2
+        if t_half == 0:
+            out[even] = m == 0
+        else:
+            out[even] = _exp(
+                -math.log(math.cosh(spec.r))
+                + 2 * m * math.log(t_half)
+                + _log_fact(2 * m)
+                - 2 * _log_fact(m)
+            )
+        return out
+    if kind is DeformationKind.SQUEEZED_CORRELATED:
+        if spec.r < 0:
+            raise InvalidSpecError("squeeze modulus r must be nonnegative")
+        if spec.r == 0:
+            # unsqueezed limit: coherent statistics at |alpha|^2 = (q^2+p^2)/2
+            x_bar = (spec.mean_q**2 + spec.mean_p**2) / 2
+            return _deformed_weights(
+                DeformationSpec(DeformationKind.POISSON, alpha_mag2=x_bar), n
+            )
+        p0v, g = _squeezed_correlated_amplitude(spec)
+        h = hermite_sequence_log(g, int(n.max()))
+        h_mag = np.array([h[k].log_magnitude for k in n.tolist()], dtype=float)
+        return p0v * _exp(
+            n * math.log(math.tanh(spec.r) / 2) - _log_fact(n) + 2 * h_mag
+        )
+    if kind is DeformationKind.Q_COHERENT and spec.lam <= 0:
+        raise InvalidSpecError("q-coherent family needs lam > 0")
+    log_c0, logs = _deformed_log_weights(spec)
+    out = np.zeros(len(n))
+    inside = n < len(logs)
+    out[inside] = _exp(log_c0 + np.array(logs)[n[inside]])
+    return out
+
+
 def deformed_pn(spec: DeformationSpec, n: int) -> float:
     """Weight of counting n photons in the selected deformed family.
 
@@ -762,49 +868,7 @@ def deformed_pn(spec: DeformationSpec, n: int) -> float:
     """
     if n < 0:
         raise DomainError("photon number must be nonnegative")
-    kind = spec.kind
-    if kind is DeformationKind.POISSON:
-        x_bar = spec.alpha_mag2
-        if x_bar == 0:
-            return 1.0 if n == 0 else 0.0
-        return math.exp(-x_bar + n * math.log(x_bar) - log_factorial(n))
-    if kind is DeformationKind.SQUEEZED_VACUUM:
-        if n % 2:
-            return 0.0
-        m = n // 2
-        t_half = math.tanh(abs(spec.r)) / 2
-        if t_half == 0:
-            return 1.0 if m == 0 else 0.0
-        return math.exp(
-            -math.log(math.cosh(spec.r))
-            + 2 * m * math.log(t_half)
-            + log_factorial(2 * m)
-            - 2 * log_factorial(m)
-        )
-    if kind is DeformationKind.SQUEEZED_CORRELATED:
-        if spec.r < 0:
-            raise InvalidSpecError("squeeze modulus r must be nonnegative")
-        if spec.r == 0:
-            # unsqueezed limit: coherent statistics at |alpha|^2 = (q^2+p^2)/2
-            x_bar = (spec.mean_q**2 + spec.mean_p**2) / 2
-            return deformed_pn(
-                DeformationSpec(DeformationKind.POISSON, alpha_mag2=x_bar), n
-            )
-        p0v, g = _squeezed_correlated_amplitude(spec)
-        h = hermite_sequence_log(g, n)[-1]
-        if h.is_zero:
-            return 0.0
-        return p0v * math.exp(
-            n * math.log(math.tanh(spec.r) / 2)
-            - log_factorial(n)
-            + 2 * h.log_magnitude
-        )
-    if kind is DeformationKind.Q_COHERENT and spec.lam <= 0:
-        raise InvalidSpecError("q-coherent family needs lam > 0")
-    log_c0, logs = _deformed_log_weights(spec)
-    if n >= len(logs):
-        return 0.0
-    return math.exp(log_c0 + logs[n])
+    return float(_deformed_weights(spec, np.array([n]))[0])
 
 
 def deformed_distribution(
@@ -817,7 +881,7 @@ def deformed_distribution(
     """Tabulated distribution of a deformed family."""
 
     def series(n_cut: int) -> np.ndarray:
-        return np.array([deformed_pn(spec, n) for n in range(n_cut + 1)], dtype=complex)
+        return _deformed_weights(spec, np.arange(n_cut + 1)).astype(complex)
 
     return _build_distribution(series, n_max, tol_imag, tol_neg)
 

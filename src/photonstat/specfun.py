@@ -79,6 +79,10 @@ __all__ = [
 # leaves ~1e16 headroom below the double-precision ceiling.
 _PLAIN_LIMIT = 1e284
 
+# Running total of the positive-term 2F1 series at which part of its
+# (1-z)^k prefactor is applied early.
+_SERIES_LIMIT = 1e250
+
 # log of the largest finite double; exponentiation beyond this must raise.
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 
@@ -489,7 +493,10 @@ def gauss_2f1_terminating(k: int, b: float, c: float, z: float) -> float:
 
     For 0 <= z < 1 with c > b the alternating sum is mapped through
     (1-z)^k 2F1(-k, c-b; c; z/(z-1)) onto a series of positive terms, so
-    no cancellation occurs.  At z = 1 with c > b the sum has the
+    no cancellation occurs.  Once their running total passes 1e250 (which
+    z/(1-z) > 1 brings about at moderate k), part of the prefactor, a power
+    (1-z)^m near 1e-250, is applied to it early, so it never overflows.
+    At z = 1 with c > b the sum has the
     Chu-Vandermonde closed form (c-b)_k / (c)_k (DLMF 15.4.24), a product
     of positive factors.  Every other case is evaluated in exact rational
     arithmetic -- binary floats are exact rationals -- and only the final
@@ -505,10 +512,17 @@ def gauss_2f1_terminating(k: int, b: float, c: float, z: float) -> float:
         w = abs(z / (z - 1))
         term = 1.0
         total = 1.0
+        left = k  # factors of (1 - z) still to apply
         for j in range(k):
             term *= (k - j) * (c - b + j) * w / ((c + j) * (j + 1))
             total += term
-        return (1 - z) ** k * total
+            if total > _SERIES_LIMIT:
+                m = min(left, math.ceil(math.log(_SERIES_LIMIT) / -math.log1p(-z)))
+                scale = (1 - z) ** m
+                term *= scale
+                total *= scale
+                left -= m
+        return (1 - z) ** left * total
     if z == 1 and c > 0 and c - b > 0:
         prod = 1.0
         for j in range(k):

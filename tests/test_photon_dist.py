@@ -31,6 +31,7 @@ from photonstat.photon_dist import (
     two_mode_joint_distribution,
     two_mode_p2k,
     two_mode_p2k_distribution,
+    two_mode_p2k_sequence,
 )
 from photonstat.specfun import assoc_legendre, log_factorial
 
@@ -67,6 +68,31 @@ def squeezed_correlated_law(r, theta, mq, mp, n_max):
         out.append(P0 * math.tanh(r) ** n / (math.factorial(n) * 2**n) * abs(h) ** 2)
         h_prev, h = h, 2 * g * h - 2 * n * h_prev
     return out
+
+
+def squeezed_vacuum_law_mp(r, n_max, digits=30):
+    """sech r (tanh r / 2)^(2m) C(2m, m) at n = 2m, in mpmath at ``digits`` digits."""
+    with mpmath.workdps(digits):
+        t_half = mpmath.tanh(r) / 2
+        return [
+            mpmath.sech(r) * t_half**n * mpmath.binomial(n, n // 2) if n % 2 == 0 else 0
+            for n in range(n_max + 1)
+        ]
+
+
+def two_mode_p2k_mp(s1, s2, k, digits=40):
+    """The paper's sqrt((1-s1)(1-s2)) hi^k 2F1(-k, 1/2; 1; 1 - lo/hi) with
+    mpmath's 2F1 at ``digits`` digits."""
+    with mpmath.workdps(digits):
+        lo, hi = mpmath.mpf(min(s1, s2)), mpmath.mpf(max(s1, s2))
+        if hi == 0:
+            return mpmath.mpf(k == 0)
+        front = mpmath.sqrt((1 - lo) * (1 - hi))
+        return front * hi**k * mpmath.hyp2f1(-k, 0.5, 1, 1 - lo / hi)
+
+
+def mp_rel_err(value, ref):
+    return float(abs(mpmath.mpf(value) - ref) / ref)
 
 
 def centered_grid():
@@ -455,6 +481,19 @@ class TestTwoModeTotals:
         total = math.fsum(v.real for v in dist.values)
         assert total == pytest.approx(1.0, abs=1e-9 + dist.tail_bound)
 
+    # z / (1 - z) > 1: the positive-term 2F1 series outgrows the double range
+    @pytest.mark.parametrize(
+        "s1, s2, k", [(0.05, 0.5, 315), (0.01, 0.9, 250), (0.01, 0.9, 1000)]
+    )
+    def test_large_positive_term_series(self, s1, s2, k):
+        assert mp_rel_err(two_mode_p2k(s1, s2, k), two_mode_p2k_mp(s1, s2, k)) <= 1e-12
+
+    def test_distribution_past_the_positive_term_overflow(self):
+        dist = two_mode_p2k_distribution(0.01, 0.9)
+        assert dist.classification is Classification.PROBABILITY
+        total = math.fsum(v.real for v in dist.values)
+        assert 1 - dist.tail_bound - 1e-14 <= total <= 1 + 1e-14
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             two_mode_p2k(1.0, 0.5, 1)
@@ -462,6 +501,50 @@ class TestTwoModeTotals:
             two_mode_p2k(0.5, -0.1, 1)
         with pytest.raises(DomainError):
             two_mode_p2k(0.5, 0.5, -1)
+
+
+S_GRID = (0.0, 0.05, 0.25, 0.5, 0.8, 0.95, 0.999)
+
+
+class TestTwoModeSequence:
+    K_SAMPLE = (0, 1, 2, 3, 7, 20, 64, 199, 399, 400, 401, 777, 1000, 1199, 1200)
+
+    @pytest.mark.parametrize("s1", S_GRID)
+    def test_matches_mpmath(self, s1):
+        for s2 in S_GRID:
+            seq = two_mode_p2k_sequence(s1, s2, 1200)
+            assert seq.shape == (1201,)
+            for k in self.K_SAMPLE:
+                ref = two_mode_p2k_mp(s1, s2, k)
+                if ref < 1e-290:  # the double underflows
+                    assert 0 <= seq[k] <= 1e-290
+                else:
+                    assert mp_rel_err(seq[k], ref) <= 1e-12, (s1, s2, k)
+
+    def test_matches_pointwise_formula(self):
+        fractions = (0.0, 0.25, 0.5, 0.8)
+        for s1 in fractions:
+            for s2 in fractions:
+                seq = two_mode_p2k_sequence(s1, s2, 399)
+                for k in range(400):
+                    assert rel_close(seq[k], two_mode_p2k(s1, s2, k), 1e-12), (s1, s2, k)
+
+    def test_symmetric_exactly(self):
+        for s1 in S_GRID:
+            for s2 in S_GRID:
+                assert np.array_equal(
+                    two_mode_p2k_sequence(s1, s2, 300), two_mode_p2k_sequence(s2, s1, 300)
+                )
+
+    def test_equal_fractions_are_geometric(self):
+        for s in S_GRID:
+            seq = two_mode_p2k_sequence(s, s, 500)
+            assert seq.tolist() == [(1 - s) * s**k for k in range(501)]
+
+    def test_domain_checks(self):
+        for args in ((1.0, 0.5, 3), (0.5, -0.1, 3), (0.5, 0.5, -1)):
+            with pytest.raises(DomainError):
+                two_mode_p2k_sequence(*args)
 
 
 class TestTwoModeJoint:
@@ -585,6 +668,42 @@ class TestDeformedFamilies:
         spec = DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=r)
         total = math.fsum(deformed_pn(spec, n) for n in range(8001))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+_DEFORMED_SPECS = {
+    "poisson": DeformationSpec(DeformationKind.POISSON, alpha_mag2=2.5),
+    "f-coherent": DeformationSpec(DeformationKind.F_COHERENT, alpha_mag2=0.64),
+    "q-coherent": DeformationSpec(DeformationKind.Q_COHERENT, alpha_mag2=2.0, lam=0.5),
+    "squeezed-correlated": DeformationSpec(
+        DeformationKind.SQUEEZED_CORRELATED, r=0.9, theta=0.5, mean_q=0.3, mean_p=-0.2
+    ),
+    "squeezed-vacuum": DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=1.3),
+}
+
+
+class TestDeformedTables:
+    def test_squeezed_correlated_table(self):
+        dist = deformed_distribution(
+            DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=1.5, mean_q=1.0)
+        )
+        assert dist.classification is Classification.PROBABILITY
+        ref = squeezed_correlated_law_mp(1.5, 0.0, 1.0, 0.0, dist.truncation)
+        assert max(abs(mpmath.mpf(v.real) - e) for v, e in zip(dist.values, ref)) <= 1e-14
+
+    def test_squeezed_vacuum_table_at_the_cap(self):
+        spec = DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=2.8)
+        dist = deformed_distribution(spec)
+        assert dist.classification is Classification.PROBABILITY
+        assert dist.truncation == 4096
+        ref = squeezed_vacuum_law_mp(2.8, dist.truncation)
+        assert max(abs(mpmath.mpf(v.real) - e) for v, e in zip(dist.values, ref)) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(_DEFORMED_SPECS))
+    def test_pointwise_weight_is_the_table_entry(self, name):
+        spec = _DEFORMED_SPECS[name]
+        for dist in (deformed_distribution(spec), deformed_distribution(spec, 96)):
+            for n, v in enumerate(dist.values.tolist()):
+                assert deformed_pn(spec, n) == v, n
 
 
 class TestDistributionPlumbing:
