@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 
 from .entropy import (
@@ -51,8 +50,6 @@ from .oracle import OracleGridConfig, run_suite, suite_passed, verdicts_to_json_
 from .photon_dist import (
     DeformationKind,
     DeformationSpec,
-    DEFAULT_TOL_IMAG,
-    DEFAULT_TOL_NEG,
     PhotonDistribution,
     _fmt,
     deformed_distribution,
@@ -89,26 +86,6 @@ _FAMILIES = (
     "squeezed-vacuum",
     "squeezed-correlated",
 )
-
-
-@dataclass
-class RunConfig:
-    """Validated per-invocation options shared by the subcommands."""
-
-    n_max: int | None = None
-    partition_m: int = 2
-    tol_imag: float = DEFAULT_TOL_IMAG
-    tol_neg: float = DEFAULT_TOL_NEG
-    output_format: str = "csv"
-    branch: int = 0
-
-    def __post_init__(self):
-        if self.n_max is not None and self.n_max < 1:
-            raise DomainError("--n-max must be at least 1")
-        if self.partition_m < 2:
-            raise DomainError("--partition must be at least 2")
-        if self.tol_imag <= 0 or self.tol_neg <= 0:
-            raise DomainError("tolerances must be positive")
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
@@ -184,15 +161,14 @@ def _deformation_from_args(args) -> DeformationSpec:
     raise DomainError(f"family {args.family!r} is not a deformation family")
 
 
-def _distribution_from_args(args, cfg: RunConfig) -> PhotonDistribution:
-    tol = dict(tol_imag=cfg.tol_imag, tol_neg=cfg.tol_neg)
+def _distribution_from_args(args) -> PhotonDistribution:
     fam = args.family
     if fam == "gaussian":
         if not args.state:
             raise DomainError("--family gaussian requires --state <json>")
         state = _load_state(args.state)
         route = pn_laguerre if args.route == "laguerre" else pn_hermite
-        return route(state, cfg.n_max, **tol)
+        return route(state, args.n_max)
     if fam == "xyt":
         if args.y is None:
             raise DomainError("--family xyt requires --y")
@@ -205,15 +181,15 @@ def _distribution_from_args(args, cfg: RunConfig) -> PhotonDistribution:
                         f"--x {args.x} inconsistent with --tau {args.tau} "
                         f"(implied x = {implied})"
                     )
-            return pn_violation(args.tau, args.y, t, cfg.n_max, **tol)
+            return pn_violation(args.tau, args.y, t, args.n_max)
         if args.x is None:
             raise DomainError("--family xyt requires --x or --tau")
-        return pn_centered_xyt(XYTState(args.x, args.y, t), cfg.n_max, **tol)
+        return pn_centered_xyt(XYTState(args.x, args.y, t), args.n_max)
     if fam == "two-mode":
         if args.s1 is None or args.s2 is None:
             raise DomainError("--family two-mode requires --s1 and --s2")
-        return two_mode_p2k_distribution(args.s1, args.s2, cfg.n_max, **tol)
-    return deformed_distribution(_deformation_from_args(args), cfg.n_max, **tol)
+        return two_mode_p2k_distribution(args.s1, args.s2, args.n_max)
+    return deformed_distribution(_deformation_from_args(args), args.n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +198,19 @@ def _distribution_from_args(args, cfg: RunConfig) -> PhotonDistribution:
 
 
 def _cmd_dist(args) -> int:
-    cfg = RunConfig(
-        n_max=args.n_max,
-        tol_imag=args.tol_imag,
-        tol_neg=args.tol_neg,
-        output_format=args.format,
-    )
-    dist = _distribution_from_args(args, cfg)
-    if cfg.output_format == "json":
+    dist = _distribution_from_args(args)
+    if args.format == "json":
         _emit(distribution_to_json(dist) + "\n", args.out)
     else:
         _emit(distribution_to_csv(dist), args.out)
     return 0
+
+
+def _emit_report(args, payload: dict, rows: list[str]) -> None:
+    if args.format == "json":
+        _emit(json.dumps(payload) + "\n", args.out)
+    else:
+        _emit("\n".join(rows) + "\n", args.out)
 
 
 def _entropy_report_json(report: EntropyReport) -> dict:
@@ -260,19 +237,44 @@ def _complex_report_json(report: ComplexEntropyReport) -> dict:
     }
 
 
-def _cmd_entropy(args) -> int:
-    cfg = RunConfig(
-        n_max=args.n_max,
-        partition_m=args.partition,
-        tol_imag=args.tol_imag,
-        tol_neg=args.tol_neg,
-        output_format=args.format,
-        branch=args.branch,
+def _complex_report(dist: PhotonDistribution, args) -> tuple[dict, list[str]]:
+    """Complex information of a non-probability distribution, as the JSON
+    payload and the CSV rows; a notice on stderr says why it replaced the
+    real report."""
+    sys.stderr.write(
+        f"notice: classification {dist.classification.value}; "
+        "reporting complex information\n"
     )
-    dist = _distribution_from_args(args, cfg)
-    scheme = PartitionScheme(cfg.partition_m)
+    scheme = PartitionScheme(args.partition)
+    creport = complex_information(dist, scheme, branch=args.branch)
+    rows = [
+        "h_joint_re,h_joint_im,h_sub1_re,h_sub1_im,h_sub2_re,h_sub2_im,"
+        "information_re,information_im,branch,reading",
+        ",".join(
+            [
+                _fmt(creport.h_joint.real),
+                _fmt(creport.h_joint.imag),
+                _fmt(creport.h_sub1.real),
+                _fmt(creport.h_sub1.imag),
+                _fmt(creport.h_sub2.real),
+                _fmt(creport.h_sub2.imag),
+                _fmt(creport.information.real),
+                _fmt(creport.information.imag),
+                str(creport.branch_index),
+                creport.reading,
+            ]
+        ),
+    ]
+    return _complex_report_json(creport), rows
+
+
+def _cmd_entropy(args) -> int:
+    dist = _distribution_from_args(args)
     try:
-        report = block_entropies(dist, scheme)
+        report = block_entropies(dist, PartitionScheme(args.partition))
+    except ClassificationError:
+        payload, rows = _complex_report(dist, args)
+    else:
         payload = _entropy_report_json(report)
         rows = [
             "h_joint,h_sub1,h_sub2,information,subadditive",
@@ -286,48 +288,11 @@ def _cmd_entropy(args) -> int:
                 ]
             ),
         ]
-    except ClassificationError:
-        sys.stderr.write(
-            f"notice: classification {dist.classification.value}; "
-            "reporting complex information\n"
-        )
-        creport = complex_information(dist, scheme, branch=cfg.branch)
-        payload = _complex_report_json(creport)
-        rows = [
-            "h_joint_re,h_joint_im,h_sub1_re,h_sub1_im,h_sub2_re,h_sub2_im,"
-            "information_re,information_im,branch,reading",
-            ",".join(
-                [
-                    _fmt(creport.h_joint.real),
-                    _fmt(creport.h_joint.imag),
-                    _fmt(creport.h_sub1.real),
-                    _fmt(creport.h_sub1.imag),
-                    _fmt(creport.h_sub2.real),
-                    _fmt(creport.h_sub2.imag),
-                    _fmt(creport.information.real),
-                    _fmt(creport.information.imag),
-                    str(creport.branch_index),
-                    creport.reading,
-                ]
-            ),
-        ]
-    if cfg.output_format == "json":
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        _emit("\n".join(rows) + "\n", args.out)
+    _emit_report(args, payload, rows)
     return 0
 
 
 def _cmd_inequality(args) -> int:
-    cfg = RunConfig(
-        n_max=args.n_max,
-        partition_m=args.partition,
-        tol_imag=args.tol_imag,
-        tol_neg=args.tol_neg,
-        output_format=args.format,
-        branch=args.branch,
-    )
-    scheme = PartitionScheme(cfg.partition_m)
     form = "block-partition"
     margin = None
     if args.family == "gaussian" and args.form in ("hermite", "laguerre"):
@@ -335,25 +300,20 @@ def _cmd_inequality(args) -> int:
             raise DomainError("--family gaussian requires --state <json>")
         state = _load_state(args.state)
         if args.form == "hermite":
-            margin = hermite_inequality_margin(state, cfg.n_max)
+            margin = hermite_inequality_margin(state, args.n_max)
             form = "hermite-pair"
         else:
-            margin = laguerre_inequality_margin(state, cfg.n_max)
+            margin = laguerre_inequality_margin(state, args.n_max)
             form = "laguerre-pair"
-        dist = pn_hermite(state, cfg.n_max)
+        dist = pn_hermite(state, args.n_max)
     else:
-        dist = _distribution_from_args(args, cfg)
+        dist = _distribution_from_args(args)
     try:
-        report = block_entropies(dist, scheme)
+        report = block_entropies(dist, PartitionScheme(args.partition))
     except ClassificationError:
-        sys.stderr.write(
-            f"notice: classification {dist.classification.value}; "
-            "reporting complex information\n"
-        )
-        creport = complex_information(dist, scheme, branch=cfg.branch)
-        payload = _complex_report_json(creport)
-        payload["form"] = "complex-" + creport.reading
-        _emit(json.dumps(payload) + "\n", args.out)
+        payload, (header, row) = _complex_report(dist, args)
+        payload["form"] = "complex-" + payload["reading"]
+        _emit_report(args, payload, [header + ",form", row + "," + payload["form"]])
         return 0
     if margin is None:
         margin = report.information
@@ -365,43 +325,32 @@ def _cmd_inequality(args) -> int:
         payload["parity_entropy_closed_form"] = poisson_parity_information(
             alpha * alpha
         )
-    if cfg.output_format == "json":
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        keys = sorted(payload)
-        rows = [
-            ",".join(keys),
-            ",".join(
-                _fmt(payload[k]) if isinstance(payload[k], float) else str(payload[k])
-                for k in keys
-            ),
-        ]
-        _emit("\n".join(rows) + "\n", args.out)
+    keys = sorted(payload)
+    rows = [
+        ",".join(keys),
+        ",".join(
+            _fmt(payload[k]) if isinstance(payload[k], float) else str(payload[k])
+            for k in keys
+        ),
+    ]
+    _emit_report(args, payload, rows)
     return 0
 
 
 def _cmd_violation(args) -> int:
-    cfg = RunConfig(
-        n_max=args.n_max,
-        partition_m=args.partition,
-        tol_imag=args.tol_imag,
-        tol_neg=args.tol_neg,
-        branch=args.branch,
-    )
     if args.tau_step <= 0:
         raise DomainError("--tau-step must be positive")
     taus = _grid(args.tau_min, args.tau_max, args.tau_step)
-    scheme = PartitionScheme(cfg.partition_m)
+    scheme = PartitionScheme(args.partition)
     lines = [
         "tau,x,slack,classification,mean_value,mean_abs,"
         "i_blocked_re,i_blocked_im,i_verbatim_re,i_verbatim_im"
     ]
-    tol = dict(tol_imag=cfg.tol_imag, tol_neg=cfg.tol_neg)
     for tau in taus:
         xyt = from_tau(tau, args.y, args.t)
         verdict = uncertainty_check(xyt.to_state())
         try:
-            dist = pn_centered_xyt(xyt, cfg.n_max, **tol)
+            dist = pn_centered_xyt(xyt, args.n_max)
             label = dist.classification.value
         except SingularDenominatorError:
             dist, label = None, "Singular"
@@ -414,7 +363,7 @@ def _cmd_violation(args) -> int:
         # boundary the plain distribution carries them (real information)
         if tau >= 0:
             try:
-                dist_i = pn_violation(tau, args.y, args.t, cfg.n_max, **tol)
+                dist_i = pn_violation(tau, args.y, args.t, args.n_max)
             except (NormalizationError, SingularDenominatorError):
                 dist_i = None
         else:
@@ -425,7 +374,7 @@ def _cmd_violation(args) -> int:
                 cols += ["nan", "nan"]
                 continue
             try:
-                rep = complex_information(dist_i, scheme, cfg.branch, reading)
+                rep = complex_information(dist_i, scheme, args.branch, reading)
                 cols += [_fmt(rep.information.real), _fmt(rep.information.imag)]
             except (DivergentSeriesError, ClassificationError):
                 cols += ["nan", "nan"]
@@ -517,14 +466,18 @@ def _add_family_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mean-p", type=float, default=0.0)
 
 
-def _add_common_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n-max", type=int, default=None)
-    sub.add_argument("--partition", type=int, default=2)
-    sub.add_argument("--tol-imag", type=float, default=DEFAULT_TOL_IMAG)
-    sub.add_argument("--tol-neg", type=float, default=DEFAULT_TOL_NEG)
-    sub.add_argument("--branch", type=int, default=0)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", metavar="PATH")
+_SHARED_OPTIONS = {
+    "--n-max": dict(type=int, default=None),
+    "--partition": dict(type=int, default=2),
+    "--branch": dict(type=int, default=0),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(metavar="PATH"),
+}
+
+
+def _add_shared_options(sub: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        sub.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,17 +490,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("dist", help="emit a photon-number distribution")
     _add_family_options(p)
-    _add_common_options(p)
+    _add_shared_options(p, "--n-max", "--format", "--out")
     p.set_defaults(func=_cmd_dist)
 
     p = subs.add_parser("entropy", help="block-partition entropy report")
     _add_family_options(p)
-    _add_common_options(p)
+    _add_shared_options(p, "--n-max", "--partition", "--branch", "--format", "--out")
     p.set_defaults(func=_cmd_entropy)
 
     p = subs.add_parser("inequality", help="entropy-inequality margin report")
     _add_family_options(p)
-    _add_common_options(p)
+    _add_shared_options(p, "--n-max", "--partition", "--branch", "--format", "--out")
     p.add_argument("--form", choices=("hermite", "laguerre", "block"), default="block")
     p.set_defaults(func=_cmd_inequality)
 
@@ -557,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-step", type=float, default=0.1)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
-    _add_common_options(p)
+    _add_shared_options(p, "--n-max", "--partition", "--branch", "--out")
     p.set_defaults(func=_cmd_violation)
 
     p = subs.add_parser("figures", help="two-column CSV information sweeps")
@@ -565,13 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-min", type=float)
     p.add_argument("--param-max", type=float)
     p.add_argument("--param-step", type=float)
-    _add_common_options(p)
+    _add_shared_options(p, "--out")
     p.set_defaults(func=_cmd_figures)
 
     p = subs.add_parser("oracle", help="run the independent cross-check suite")
     p.add_argument("--empty-grid", action="store_true",
                    help="run with empty grids (no checks)")
-    _add_common_options(p)
+    _add_shared_options(p, "--out")
     p.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -581,6 +534,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n_max", None) is not None and args.n_max < 1:
+            raise DomainError("--n-max must be at least 1")
+        if getattr(args, "partition", 2) < 2:
+            raise DomainError("--partition must be at least 2")
         return args.func(args)
     except PhotonStatError as exc:
         for etype, code in _REASON_CODES:

@@ -8,10 +8,12 @@ central cross-check of this package.  For covariances violating the
 quadrature uncertainty relation the same formulas return negative or complex
 values, and every distribution carries a classification verdict:
 
-* ``PROBABILITY``: real within tolerance, nonnegative within tolerance, and
-  summing to one within the truncation tail bound.
-* ``SIGNED_REAL``: real but with at least one negative entry.
-* ``COMPLEX``: at least one entry with a non-negligible imaginary part.
+* ``PROBABILITY``: real and nonnegative to within 1e-12, and summing to one
+  within the truncation tail bound.
+* ``SIGNED_REAL``: real but with at least one entry below -1e-12.
+* ``COMPLEX``: at least one entry whose imaginary part reaches 1e-12.
+
+The two 1e-12 tolerances are fixed, so no caller can move a verdict.
 
 Each series is a finite double sum "row n = e^{C[n]} sum_k A[k] B[n-k]";
 every route builds its own A, B and C and sums all rows at once with
@@ -93,8 +95,8 @@ __all__ = [
     "distribution_to_json",
 ]
 
-DEFAULT_TOL_IMAG = 1e-12
-DEFAULT_TOL_NEG = 1e-12
+_TOL_IMAG = 1e-12
+_TOL_NEG = 1e-12
 _TAIL_TARGET = 1e-12
 _ADAPTIVE_START = 32
 _ADAPTIVE_CAP = 4096
@@ -152,7 +154,7 @@ class TwoModeJointDistribution:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 2:
             raise DomainError("joint table must be a 2-d array")
-        if (arr < -DEFAULT_TOL_NEG).any():
+        if (arr < -_TOL_NEG).any():
             raise DomainError("joint table entries must be nonnegative")
         if arr.sum() > 1 + _NORM_SLOP:
             raise NormalizationError("joint table mass exceeds one")
@@ -274,12 +276,10 @@ def _trim_divergent(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     return values[: i_min + 1], mags[: i_min + 1], True
 
 
-def _classify(
-    values: np.ndarray, tail_bound: float, tol_imag: float, tol_neg: float
-) -> Classification:
-    if (np.abs(values.imag) >= tol_imag).any():
+def _classify(values: np.ndarray, tail_bound: float) -> Classification:
+    if (np.abs(values.imag) >= _TOL_IMAG).any():
         return Classification.COMPLEX
-    if (values.real < -tol_neg).any():
+    if (values.real < -_TOL_NEG).any():
         return Classification.SIGNED_REAL
     total = math.fsum(values.real.tolist())
     if 1 - tail_bound - _NORM_SLOP <= total <= 1 + _NORM_SLOP:
@@ -290,26 +290,24 @@ def _classify(
     )
 
 
-def _finalize(
-    values: np.ndarray, tail: float, tol_imag: float, tol_neg: float
-) -> PhotonDistribution:
+def _finalize(values: np.ndarray, tail: float) -> PhotonDistribution:
     nonzero = np.flatnonzero(values[1:])  # trailing zeros are dropped, values[0] kept
     values = values[: nonzero[-1] + 2 if nonzero.size else 1]
     return PhotonDistribution(
         values=values,
         truncation=len(values) - 1,
         tail_bound=tail,
-        classification=_classify(values, tail, tol_imag, tol_neg),
+        classification=_classify(values, tail),
     )
 
 
-def _build_distribution(series, n_max, tol_imag, tol_neg) -> PhotonDistribution:
+def _build_distribution(series, n_max) -> PhotonDistribution:
     """Run ``series(N) -> complex ndarray`` under the adaptive truncation policy."""
     if n_max is not None:
         if n_max < 0:
             raise DomainError("n_max must be nonnegative")
         vals, mags, _ = _trim_divergent(series(n_max))
-        return _finalize(vals, _tail_estimate(mags), tol_imag, tol_neg)
+        return _finalize(vals, _tail_estimate(mags))
     n = _ADAPTIVE_START
     best = None
     while True:
@@ -318,25 +316,21 @@ def _build_distribution(series, n_max, tol_imag, tol_neg) -> PhotonDistribution:
         except RangeOverflowError:
             if best is None:
                 raise
-            return _finalize(*best, tol_imag, tol_neg)
+            return _finalize(*best)
         tail = _tail_estimate(mags)
         best = vals, tail
         if trimmed or tail < _TAIL_TARGET or n >= _ADAPTIVE_CAP:
-            return _finalize(vals, tail, tol_imag, tol_neg)
+            return _finalize(vals, tail)
         if not math.isfinite(tail) and (mags > 1e30).any():
             # growing past any probability scale: divergent, stop extending
-            return _finalize(vals, tail, tol_imag, tol_neg)
+            return _finalize(vals, tail)
         n *= 2
 
 
-def distribution_from_values(
-    values,
-    tol_imag: float = DEFAULT_TOL_IMAG,
-    tol_neg: float = DEFAULT_TOL_NEG,
-) -> PhotonDistribution:
+def distribution_from_values(values) -> PhotonDistribution:
     """Wrap an explicit weight sequence in a classified distribution."""
     values = np.asarray(values, dtype=complex)
-    return _finalize(values, _tail_estimate(_magnitudes(values)), tol_imag, tol_neg)
+    return _finalize(values, _tail_estimate(_magnitudes(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +402,7 @@ def _gaussian_series(state: OneModeGaussianState, ratio_fn):
 
 
 def pn_hermite(
-    state: OneModeGaussianState,
-    n_max: int | None = None,
-    *,
-    tol_imag: float = DEFAULT_TOL_IMAG,
-    tol_neg: float = DEFAULT_TOL_NEG,
+    state: OneModeGaussianState, n_max: int | None = None
 ) -> PhotonDistribution:
     """Photon-number distribution through the two-index Hermite representation.
 
@@ -423,34 +413,22 @@ def pn_hermite(
         SingularDenominatorError: structural denominators of the R-matrix
             or P0 vanish.
     """
-    return _build_distribution(
-        _gaussian_series(state, _hermite_ratio_seq), n_max, tol_imag, tol_neg
-    )
+    return _build_distribution(_gaussian_series(state, _hermite_ratio_seq), n_max)
 
 
 def pn_laguerre(
-    state: OneModeGaussianState,
-    n_max: int | None = None,
-    *,
-    tol_imag: float = DEFAULT_TOL_IMAG,
-    tol_neg: float = DEFAULT_TOL_NEG,
+    state: OneModeGaussianState, n_max: int | None = None
 ) -> PhotonDistribution:
     """Photon-number distribution through the Laguerre-product representation.
 
     Independent of :func:`pn_hermite` except for the shared state
     parametrization; their termwise agreement is a package-level invariant.
     """
-    return _build_distribution(
-        _gaussian_series(state, _laguerre_ratio_seq), n_max, tol_imag, tol_neg
-    )
+    return _build_distribution(_gaussian_series(state, _laguerre_ratio_seq), n_max)
 
 
 def pn_centered_xyt(
-    state: XYTState,
-    n_max: int | None = None,
-    *,
-    tol_imag: float = DEFAULT_TOL_IMAG,
-    tol_neg: float = DEFAULT_TOL_NEG,
+    state: XYTState, n_max: int | None = None
 ) -> PhotonDistribution:
     """Distribution of a centered covariance triple, coded directly from the
     covariance invariants (no R-matrix plumbing):
@@ -492,17 +470,11 @@ def pn_centered_xyt(
             ph = ph * np.exp(-1j * (n + 0.5) * log_c.imag)
         return log_signed_values(mag, ph)
 
-    return _build_distribution(series, n_max, tol_imag, tol_neg)
+    return _build_distribution(series, n_max)
 
 
 def pn_violation(
-    tau: float,
-    y: float,
-    t: float = 0.0,
-    n_max: int | None = None,
-    *,
-    tol_imag: float = DEFAULT_TOL_IMAG,
-    tol_neg: float = DEFAULT_TOL_NEG,
+    tau: float, y: float, t: float = 0.0, n_max: int | None = None
 ) -> PhotonDistribution:
     """Even-photon weights of the tau-parameterized violation family,
     det Sigma = 1/4 - tau with x solved from (y, t):
@@ -560,7 +532,7 @@ def pn_violation(
         out[::2] = log_signed_values(mag, ph)
         return out
 
-    return _build_distribution(series, n_max, tol_imag, tol_neg)
+    return _build_distribution(series, n_max)
 
 
 def mean_photon_xyt(x: float, y: float) -> float:
@@ -655,12 +627,7 @@ def two_mode_p2k_sequence(s1: float, s2: float, k_max: int) -> np.ndarray:
 
 
 def two_mode_p2k_distribution(
-    s1: float,
-    s2: float,
-    n_max: int | None = None,
-    *,
-    tol_imag: float = DEFAULT_TOL_IMAG,
-    tol_neg: float = DEFAULT_TOL_NEG,
+    s1: float, s2: float, n_max: int | None = None
 ) -> PhotonDistribution:
     """Total-photon-number distribution (odd counts are zero)."""
 
@@ -669,7 +636,7 @@ def two_mode_p2k_distribution(
         out[::2] = two_mode_p2k_sequence(s1, s2, n_cut // 2)
         return out
 
-    return _build_distribution(series, n_max, tol_imag, tol_neg)
+    return _build_distribution(series, n_max)
 
 
 def two_mode_joint(params: LegendreParams, n1: int, n2: int) -> float:
@@ -872,18 +839,14 @@ def deformed_pn(spec: DeformationSpec, n: int) -> float:
 
 
 def deformed_distribution(
-    spec: DeformationSpec,
-    n_max: int | None = None,
-    *,
-    tol_imag: float = DEFAULT_TOL_IMAG,
-    tol_neg: float = DEFAULT_TOL_NEG,
+    spec: DeformationSpec, n_max: int | None = None
 ) -> PhotonDistribution:
     """Tabulated distribution of a deformed family."""
 
     def series(n_cut: int) -> np.ndarray:
         return _deformed_weights(spec, np.arange(n_cut + 1)).astype(complex)
 
-    return _build_distribution(series, n_max, tol_imag, tol_neg)
+    return _build_distribution(series, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,19 @@ class TestInequality:
         assert data["form"] == "hermite-pair"
         assert data["margin"] == pytest.approx(data["information"], abs=1e-10)
 
+    def test_non_probability_csv_matches_entropy_plus_form(self, capsys):
+        argv = ("--family", "xyt", "--y", "5", "--tau", "4")
+        _, entropy_csv, _ = run(capsys, "entropy", *argv)
+        code, out, err = run(capsys, "inequality", *argv)
+        assert code == 0
+        assert err.startswith("notice: classification Complex")
+        header, row = out.splitlines()
+        e_header, e_row = entropy_csv.splitlines()
+        assert header == e_header + ",form"
+        assert row == e_row + ",complex-blocked"
+        _, out_json, _ = run(capsys, "inequality", *argv, "--format", "json")
+        assert json.loads(out_json)["form"] == "complex-blocked"
+
 
 class TestViolation:
     def test_boundary_in_sweep(self, capsys):
@@ -301,3 +314,53 @@ class TestErrorPaths:
         code, _, err = run(capsys, "dist", "--family", "gaussian", "--state", str(path))
         assert code == 1
         assert err.startswith("error: singular-denominator:")
+
+
+# arguments that make each subcommand valid on their own
+_BASE_ARGS = {
+    "dist": ["--family", "poisson"],
+    "entropy": ["--family", "poisson"],
+    "inequality": ["--family", "poisson"],
+    "violation": ["--y", "5"],
+    "figures": ["--fig", "1"],
+    "oracle": [],
+}
+
+_REMOVED_FLAGS = (
+    [(cmd, flag, "1e-12") for cmd in _BASE_ARGS for flag in ("--tol-imag", "--tol-neg")]
+    + [
+        (cmd, flag, value)
+        for cmd in ("figures", "oracle")
+        for flag, value in (("--n-max", "3"), ("--partition", "3"),
+                            ("--branch", "1"), ("--format", "json"))
+    ]
+    + [("violation", "--format", "json"),
+       ("dist", "--partition", "3"), ("dist", "--branch", "1")]
+)
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize(
+        "argv",
+        [["dist", "--family", "xyt", "--x", "0.2", "--y", "0.3", "--tol-neg", "1"]]
+        + [[cmd, *_BASE_ARGS[cmd], flag, value] for cmd, flag, value in _REMOVED_FLAGS],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_removed_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cmd, flag, value, message",
+        [(cmd, "--n-max", "0", "--n-max must be at least 1")
+         for cmd in ("dist", "entropy", "inequality", "violation")]
+        + [(cmd, "--partition", "1", "--partition must be at least 2")
+           for cmd in ("entropy", "inequality", "violation")],
+    )
+    def test_shared_option_bounds(self, capsys, cmd, flag, value, message):
+        code, out, err = run(capsys, cmd, *_BASE_ARGS[cmd], flag, value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: domain-error: {message}\n"

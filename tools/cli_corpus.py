@@ -1,0 +1,89 @@
+"""Digest the photonstat CLI's output over a fixed list of invocations.
+
+Usage: python3 tools/cli_corpus.py CHECKOUT
+
+Runs each invocation below as ``python -m photonstat.cli ...`` with
+``CHECKOUT/src`` on PYTHONPATH and prints one line per invocation: the
+sha256 of its stdout, stderr and exit code, then its arguments.  Running it
+on two checkouts and diffing the outputs shows which invocations changed
+their output.  Standard library only; not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# --state STATE is replaced by a displaced squeezed-state descriptor file
+STATE_DESCRIPTOR = {
+    "sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1, "mean_q": 0.3, "mean_p": -0.2
+}
+
+FAMILIES = (
+    "--family gaussian --state STATE",
+    "--family gaussian --state STATE --route laguerre",
+    "--family xyt --x 0.6 --y 0.7 --t 0.1",
+    "--family xyt --y 5 --tau 4",
+    "--family two-mode --s1 0.25 --s2 0.8",
+    "--family poisson --alpha 1.5",
+    "--family f-coherent --alpha 0.8",
+    "--family q-coherent --alpha 1.3 --lambda 2",
+    "--family squeezed-vacuum --r 1.0",
+    "--family squeezed-correlated --r 0.7 --mean-q 0.3",
+)
+
+INVOCATIONS = (
+    ["oracle"]
+    + [f"violation --y {y}" for y in ("0.5", "1", "2", "5")]
+    + [f"figures --fig {fig}" for fig in (1, 2, 3, 4)]
+    + [f"{cmd} {fam}" for cmd in ("dist", "entropy") for fam in FAMILIES]
+    + [
+        "dist --family squeezed-vacuum --r 1.0 --n-max 8 --format json",
+        "entropy --family poisson --alpha 1.0 --partition 3 --format json",
+        "entropy --family xyt --y 5 --tau 4 --format json",
+        "inequality --family gaussian --state STATE --form hermite",
+        "inequality --family gaussian --state STATE --form laguerre --format json",
+        "inequality --family squeezed-vacuum --r 1.0 --n-max 600",
+        "inequality --family poisson --alpha 1.0 --format json",
+        "inequality --family xyt --y 5 --tau 4",
+        "inequality --family xyt --y 5 --tau 4 --format json",
+        "dist --family poisson --alpha 1 --n-max 0",
+        "entropy --family poisson --alpha 1 --partition 1",
+        "violation --y 5 --partition 1",
+    ]
+)
+
+
+def digest(checkout: Path, argv: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "photonstat.cli", *argv],
+        capture_output=True, env=env, cwd=checkout,
+    )
+    h = hashlib.sha256()
+    for part in (proc.stdout, proc.stderr, str(proc.returncode).encode()):
+        h.update(len(part).to_bytes(8, "little") + part)
+    return h.hexdigest()
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    checkout = Path(sys.argv[1]).resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        state = Path(tmp) / "state.json"
+        state.write_text(json.dumps(STATE_DESCRIPTOR))
+        for line in INVOCATIONS:
+            argv = [str(state) if tok == "STATE" else tok for tok in line.split()]
+            print(f"{digest(checkout, argv)}  {line}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
