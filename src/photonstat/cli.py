@@ -292,6 +292,13 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+def _csv_cell(v) -> str:
+    # booleans lowercase, as in the entropy report
+    if isinstance(v, bool):
+        return str(v).lower()
+    return _fmt(v) if isinstance(v, float) else str(v)
+
+
 def _cmd_inequality(args) -> int:
     form = "block-partition"
     margin = None
@@ -328,10 +335,7 @@ def _cmd_inequality(args) -> int:
     keys = sorted(payload)
     rows = [
         ",".join(keys),
-        ",".join(
-            _fmt(payload[k]) if isinstance(payload[k], float) else str(payload[k])
-            for k in keys
-        ),
+        ",".join(_csv_cell(payload[k]) for k in keys),
     ]
     _emit_report(args, payload, rows)
     return 0

@@ -58,6 +58,7 @@ from .errors import (
 )
 from .gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, r_matrix
 from .specfun import (
+    _log_signed,
     _roots,
     assoc_legendre,
     gauss_2f1_terminating,
@@ -342,16 +343,6 @@ def distribution_from_values(values) -> PhotonDistribution:
 # y's here restores termwise agreement with that form and unit total mass
 # for displaced states.
 _Y_ARG_SCALE = _SQRT2
-
-
-def _log_signed(values) -> tuple[np.ndarray, np.ndarray]:
-    """Plain values as (log-magnitude, phase) arrays; zeros become (-inf, 0)."""
-    values = np.asarray(values)
-    size = np.abs(values)
-    with np.errstate(divide="ignore"):
-        mag = np.log(size)
-    size[size == 0] = 1.0
-    return mag, values / size
 
 
 def _hermite_ratio_seq(rm, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -696,6 +687,16 @@ def _log_sinh(t: float) -> float:
     return t - math.log(2) + math.log1p(-math.exp(-2 * t))
 
 
+def _converged(logs: list[float]) -> bool:
+    """Whether the log-terms so far end converged: the last three decrease
+    and the last is below eps times the running sum."""
+    if len(logs) < 3 or not logs[-1] < logs[-2] < logs[-3]:
+        return False
+    top = max(logs)
+    log_sum = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+    return logs[-1] < log_sum + math.log(sys.float_info.epsilon)
+
+
 @lru_cache(maxsize=64)
 def _deformed_log_weights(spec: DeformationSpec) -> tuple[float, tuple[float, ...]]:
     """(log C0, log term_n table) for the series-normalized families."""
@@ -710,6 +711,8 @@ def _deformed_log_weights(spec: DeformationSpec) -> tuple[float, tuple[float, ..
         if spec.kind is DeformationKind.F_COHERENT:
             if spec.f_values:
                 if n >= len(spec.f_values):
+                    if _converged(logs):
+                        break
                     raise InvalidSpecError(
                         "f_values exhausted before the normalization series converged"
                     )
@@ -806,8 +809,7 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
                 DeformationSpec(DeformationKind.POISSON, alpha_mag2=x_bar), n
             )
         p0v, g = _squeezed_correlated_amplitude(spec)
-        h = hermite_sequence_log(g, int(n.max()))
-        h_mag = np.array([h[k].log_magnitude for k in n.tolist()], dtype=float)
+        h_mag = hermite_sequence_log(g, int(n.max()))[0][n]
         return p0v * _exp(
             n * math.log(math.tanh(spec.r) / 2) - _log_fact(n) + 2 * h_mag
         )

@@ -35,9 +35,18 @@ double sum of the package has the Cauchy-product shape
 
 and `log_cauchy_rows` evaluates it for whole sequences at once: the factors
 are given as (log-magnitude, phase) arrays, each row is shifted by its own
-largest term before exponentiation, and rows are processed in blocks so no
-temporary exceeds about 4096 elements.  Real phases stay exactly real.
+largest term before exponentiation, and rows are processed in blocks.  Row
+n reads only A[0] .. A[n], so the rows n0 .. n1-1 of a block read a
+triangle inside (n1 - n0) x min(n1, len(A)) terms, and blocks are sized so
+that this rectangle, their temporary, holds at most 4096 terms (64 rows of
+64 terms make one block).  Real phases stay exactly real.
 `log_signed_values` exponentiates the result once, at the end.
+
+The sequences come as arrays for that kernel: `hermite_sequence_log` as
+(log-magnitude, phase) arrays, with real phases, exactly +-1, for a real
+argument, and `laguerre_half_sequence` as a complex128 array.  Each runs
+one plain recurrence, in float arithmetic for a real argument, and forms
+its arrays with numpy at the end.
 
 All functions are pure and use a fixed summation order, so results are
 deterministic and safe to call from concurrent code.
@@ -168,6 +177,43 @@ def _phases(ph) -> np.ndarray:
     return np.asarray(ph, dtype=float)
 
 
+def _log_signed(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain values as (log-magnitude, phase) arrays; zeros become (-inf, 0).
+
+    Real values give real phases, exactly +-1.  Complex values round as
+    Python's abs() and complex-by-float division do: the modulus by hypot
+    (numpy's complex abs may differ in the last bit) and the phase by
+    dividing the real and imaginary parts apart (numpy's complex division
+    multiplies by the reciprocal).
+    """
+    is_complex = np.iscomplexobj(values)
+    size = np.hypot(values.real, values.imag) if is_complex else np.abs(values)
+    zero = size == 0
+    size[zero] = 1.0
+    mag = np.log(size)
+    mag[zero] = -np.inf
+    if not is_complex:
+        return mag, values / size
+    ph = np.empty_like(values)
+    np.divide(values.real, size, out=ph.real)
+    np.divide(values.imag, size, out=ph.imag)
+    return mag, ph
+
+
+def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p * q, with complex products rounded as in Python.
+
+    numpy may fuse the complex multiply-add, and then the product of
+    conjugate phases keeps a roundoff imaginary part instead of an exact 0.
+    """
+    if not (np.iscomplexobj(p) and np.iscomplexobj(q)):
+        return p * q
+    out = np.empty(len(p), complex)
+    out.real = p.real * q.real - p.imag * q.imag
+    out.imag = p.real * q.imag + p.imag * q.real
+    return out
+
+
 def _log_row_sums(t_mag: np.ndarray, t_ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum each row of exp(t_mag) * t_ph after shifting it by its largest term.
 
@@ -181,9 +227,10 @@ def _log_row_sums(t_mag: np.ndarray, t_ph: np.ndarray) -> tuple[np.ndarray, np.n
     t_ph *= t_mag
     acc = t_ph.sum(axis=1)
     size = np.abs(acc)
-    with np.errstate(divide="ignore"):
-        mag = shift + np.log(size)
-    size[size == 0] = 1.0  # zero rows keep phase 0
+    zero = size == 0
+    size[zero] = 1.0  # zero rows keep phase 0
+    mag = shift + np.log(size)
+    mag[zero] = -np.inf
     return mag, acc / size
 
 
@@ -198,7 +245,7 @@ def log_cauchy_rows(a_mag, a_ph, b_mag, b_ph, n_rows: int | None = None):
     (``n_rows`` defaults to the full product, len(a) + len(b) - 1).  Each
     row is summed after shifting by its own largest term, so rows far
     outside the double range keep their relative precision.  Rows are
-    formed in blocks of at most about 4096 elements.  When both phase
+    formed in the blocks of :func:`_cauchy_blocks`.  When both phase
     arrays are real the arithmetic is real, so real phases stay exactly
     +-1; a zero row is returned as (-inf, 0).
     """
@@ -213,15 +260,18 @@ def log_cauchy_rows(a_mag, a_ph, b_mag, b_ph, n_rows: int | None = None):
     ph = np.zeros(n_rows, dtype=dtype)
     if not (na and nb and n_rows):
         return mag, ph
-    width = min(na, n_rows)
-    step = max(1, _CAUCHY_BLOCK // width)
-    # B reversed and padded with zeros, so that the factors B[n-k] of row n
-    # for ascending k form one contiguous window starting at nb - 1 - n + pad.
-    pad = step + width
-    rb_mag = np.concatenate([np.full(pad, -np.inf), b_mag[::-1], np.full(pad, -np.inf)])
-    rb_ph = np.concatenate([np.zeros(pad, dtype), b_ph[::-1], np.zeros(pad, dtype)])
-    for n0 in range(0, n_rows, step):
-        n1 = min(n0 + step, n_rows)
+    edges = _cauchy_blocks(n_rows, na)
+    # B reversed between zero pads, so that the factors B[n-k] of row n for
+    # ascending k form one contiguous window starting at nb - 1 - n + pad.
+    # Row n reads k <= n, so the right pad covers the tallest block, and
+    # rows past the product's end read the left pad.
+    pad = max(n_rows - nb, 0)
+    size = pad + nb + max(n1 - n0 for n0, n1 in zip(edges, edges[1:]))
+    rb_mag = np.full(size, -np.inf)
+    rb_mag[pad : pad + nb] = b_mag[::-1]
+    rb_ph = np.zeros(size, dtype)
+    rb_ph[pad : pad + nb] = b_ph[::-1]
+    for n0, n1 in zip(edges, edges[1:]):
         k0, k1 = max(0, n0 - nb + 1), min(n1, na)
         if k0 >= k1:
             continue  # every row of the block lies past the product's end
@@ -231,6 +281,26 @@ def log_cauchy_rows(a_mag, a_ph, b_mag, b_ph, n_rows: int | None = None):
         t_ph = _windows(rb_ph, start, shape) * a_ph[k0:k1]
         mag[n0:n1], ph[n0:n1] = _log_row_sums(t_mag, t_ph)
     return mag, ph
+
+
+def _cauchy_blocks(n_rows: int, na: int) -> list[int]:
+    """Row edges of the blocks of :func:`log_cauchy_rows`.
+
+    Rows n0 .. n1-1 read the factors A[k] with k < min(n1, na), so each
+    block is the tallest whose (n1 - n0) * min(n1, na) terms fit in
+    ``_CAUCHY_BLOCK``: n1 is the integer root of n1 (n1 - n0) = _CAUCHY_BLOCK
+    while n1 <= na, and n0 + _CAUCHY_BLOCK // na past it.  A row wider than
+    the block forms a block of its own.
+    """
+    edges = [0]
+    n0 = 0
+    while n0 < n_rows:
+        n1 = (n0 + math.isqrt(n0 * n0 + 4 * _CAUCHY_BLOCK)) // 2
+        if n1 > na:
+            n1 = n0 + _CAUCHY_BLOCK // na
+        n0 = min(max(n1, n0 + 1), n_rows)
+        edges.append(n0)
+    return edges
 
 
 def _windows(seq: np.ndarray, start: int, shape: tuple[int, int]) -> np.ndarray:
@@ -328,32 +398,42 @@ def hermite(n: int, z: complex) -> complex:
     return cur
 
 
-def hermite_sequence_log(z: complex, n_max: int) -> list[LogSigned]:
-    """All of H_0(z) .. H_{n_max}(z) as LogSigned, via a rescaled recurrence."""
+def hermite_sequence_log(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """H_0(z) .. H_{n_max}(z) as (log-magnitude, phase) arrays.
+
+    One recurrence stores plain values, in float arithmetic for a real z.
+    Once the newest value passes 1e250 in modulus, both carried values are
+    divided by that modulus, whose log is added back when the magnitudes are
+    formed, all at once at the end.  A real z gives real phases, exactly
+    +-1, and a zero value (odd degree at z = 0) comes out as (-inf, 0).
+    """
     if n_max < 0:
         raise DomainError("hermite degree must be nonnegative")
     z = complex(z)
-    out: list[LogSigned] = []
-    prev, cur = 0j, 1 + 0j
+    if z.imag == 0:
+        z = z.real
+    raw, shifts = [], []
+    prev, cur = 0 * z, 1 + 0 * z
+    two_z = 2 * z
     shift = 0.0
     for k in range(n_max + 1):
-        if cur == 0:
-            out.append(LogSigned.zero())
-        else:
-            a = abs(cur)
-            out.append(LogSigned(math.log(a) + shift, cur / a))
-        prev, cur = cur, 2 * z * cur - 2 * k * prev
-        peak = max(abs(cur), abs(prev))
+        raw.append(cur)
+        shifts.append(shift)
+        prev, cur = cur, two_z * cur - 2 * k * prev
+        # prev was checked last step, so abs(cur) is the larger of the two
+        peak = abs(cur)
         if peak > 1e250:
             prev /= peak
             cur /= peak
             shift += math.log(peak)
-    return out
+    mag, ph = _log_signed(np.array(raw))
+    return mag + shifts, ph
 
 
 def hermite_log(n: int, z: complex) -> LogSigned:
     """H_n(z) in log-signed form; never overflows."""
-    return hermite_sequence_log(z, n)[-1]
+    mag, ph = hermite_sequence_log(z, n)
+    return LogSigned(float(mag[-1]), complex(ph[-1]))
 
 
 def _roots(r) -> tuple[complex, complex, complex]:
@@ -391,10 +471,9 @@ def hermite_2d_factors(n_max: int, r, y1: complex, y2: complex):
         c = (-math.log(2) * np.arange(n_max + 1), np.ones(n_max + 1))
     else:
         a_mag, a_ph = log_powers(-2 * r12 / rho, n_max)
-        h1 = hermite_sequence_log((r11 * y1 + r12 * y2) / (2 * s1), n_max)
-        h2 = hermite_sequence_log((r12 * y1 + r22 * y2) / (2 * s2), n_max)
-        b_mag = np.array([u.log_magnitude + v.log_magnitude for u, v in zip(h1, h2)])
-        b_ph = np.array([u.sign_phase * v.sign_phase for u, v in zip(h1, h2)])
+        h1_mag, h1_ph = hermite_sequence_log((r11 * y1 + r12 * y2) / (2 * s1), n_max)
+        h2_mag, h2_ph = hermite_sequence_log((r12 * y1 + r22 * y2) / (2 * s2), n_max)
+        b_mag, b_ph = h1_mag + h2_mag, _product(h1_ph, h2_ph)
         c = log_powers(rho / 2, n_max)
     return (a_mag - log_fact, a_ph), (b_mag - 2 * log_fact, b_ph), c
 
@@ -432,26 +511,35 @@ def hermite_2d(n: int, r, y1: complex, y2: complex) -> complex:
     return hermite_2d_log(n, r, y1, y2).value()
 
 
-def laguerre_half_sequence(x: complex, n_max: int) -> list[complex]:
-    """L_0^{-1/2}(x) .. L_{n_max}^{-1/2}(x); complex-safe recurrence."""
+def laguerre_half_sequence(x: complex, n_max: int) -> np.ndarray:
+    """L_0^{-1/2}(x) .. L_{n_max}^{-1/2}(x) as a complex128 array.
+
+    The recurrence runs in float arithmetic for a real x.  Its terms from
+    degree 2 on are checked against the double range once, at the end.
+
+    Raises:
+        RangeOverflowError: a real or imaginary part passes 1e284.
+    """
     if n_max < 0:
         raise DomainError("laguerre degree must be nonnegative")
     x = complex(x)
-    out = [1 + 0j]
-    if n_max == 0:
-        return out
-    out.append(0.5 - x)
+    if x.imag == 0:
+        x = x.real
+    out = [1.0, 0.5 - x]
+    prev, cur = out
     for n in range(1, n_max):
-        nxt = ((2 * n + 0.5 - x) * out[n] - (n - 0.5) * out[n - 1]) / (n + 1)
-        if abs(nxt.real) > _PLAIN_LIMIT or abs(nxt.imag) > _PLAIN_LIMIT:
-            raise RangeOverflowError("laguerre recurrence left the double range")
-        out.append(nxt)
+        prev, cur = cur, ((2 * n + 0.5 - x) * cur - (n - 0.5) * prev) / (n + 1)
+        out.append(cur)
+    out = np.array(out[: n_max + 1], dtype=complex)
+    # a term past the limit stays in the array even if later ones turn nan
+    if (np.abs(out[2:].view(float)) > _PLAIN_LIMIT).any():
+        raise RangeOverflowError("laguerre recurrence left the double range")
     return out
 
 
 def laguerre_half(n: int, x: float) -> float:
     """Associated Laguerre polynomial L_n^{-1/2}(x) for real x."""
-    return laguerre_half_sequence(complex(x), n)[-1].real
+    return float(laguerre_half_sequence(x, n)[-1].real)
 
 
 def assoc_legendre(l: int, m: int, x: float) -> float:

@@ -190,6 +190,17 @@ class TestInequality:
         _, out_json, _ = run(capsys, "inequality", *argv, "--format", "json")
         assert json.loads(out_json)["form"] == "complex-blocked"
 
+    def test_subadditive_csv_cell_matches_entropy(self, capsys):
+        argv = ("--family", "poisson", "--alpha", "1")
+
+        def subadditive(command):
+            code, out, _ = run(capsys, command, *argv)
+            assert code == 0
+            header, row = out.splitlines()
+            return dict(zip(header.split(","), row.split(",")))["subadditive"]
+
+        assert subadditive("inequality") == subadditive("entropy") == "true"
+
 
 class TestViolation:
     def test_boundary_in_sweep(self, capsys):

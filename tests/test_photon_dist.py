@@ -11,7 +11,7 @@ from photonstat.errors import (
     ParityError,
     SingularDenominatorError,
 )
-from photonstat.gaussian_state import OneModeGaussianState, XYTState, from_tau
+from photonstat.gaussian_state import OneModeGaussianState, XYTState, from_tau, r_matrix
 from photonstat.photon_dist import (
     Classification,
     DeformationKind,
@@ -143,6 +143,15 @@ class TestHermiteRoute:
             assert math.fsum(v.real for v in dist.values) == pytest.approx(
                 1.0, abs=1e-9 + dist.tail_bound
             )
+
+    def test_conjugate_hermite_arguments_give_exactly_real_values(self):
+        # here R22 = conj(R11) and y2 = conj(y1) to the bit, so z2 = conj(z1)
+        # and each H_m(z1) H_m(z2) = |H_m(z1)|^2 must keep phase exactly 1
+        state = OneModeGaussianState(0.8, 0.4, 0.1, 0.3, -0.2)
+        rm = r_matrix(state)
+        assert rm.r22 == rm.r11.conjugate() and rm.y2 == rm.y1.conjugate()
+        for n_max in (None, 256):
+            assert not np.count_nonzero(pn_hermite(state, n_max).values.imag)
 
     def test_violation_state_is_complex(self):
         dist = pn_hermite(OneModeGaussianState(-0.75, 5.0, 0.0), 20)
@@ -644,6 +653,24 @@ class TestDeformedFamilies:
         )
         with pytest.raises(InvalidSpecError):
             deformed_pn(spec, 1)
+
+    def test_f_values_ending_after_convergence_are_accepted(self):
+        # f(n) = 1 + 0.1 n: 100 values end long after the terms fall below
+        # eps, though before they underflow; 120 values reach the underflow
+        def spec(alpha_mag2, count):
+            return DeformationSpec(
+                DeformationKind.F_COHERENT, alpha_mag2=alpha_mag2,
+                f_values=[1 + 0.1 * n for n in range(count)],
+            )
+
+        short = deformed_distribution(spec(0.64, 100))
+        full = deformed_distribution(spec(0.64, 120))
+        assert short.truncation == full.truncation
+        assert short.tail_bound == full.tail_bound
+        assert np.array_equal(short.values, full.values)
+        # at |alpha|^2 = 4 the 20th term is still far above eps
+        with pytest.raises(InvalidSpecError, match="exhausted"):
+            deformed_distribution(spec(4.0, 20))
 
     def test_zero_amplitude_is_deterministic(self):
         for kind in (DeformationKind.POISSON, DeformationKind.Q_COHERENT):

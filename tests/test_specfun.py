@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sps
@@ -8,12 +9,15 @@ from scipy import special as sps
 from photonstat.errors import DomainError, PoleError, RangeOverflowError
 from photonstat.gaussian_state import OneModeGaussianState, r_matrix
 from photonstat.specfun import (
+    _CAUCHY_BLOCK,
     LogSigned,
+    _cauchy_blocks,
     assoc_legendre,
     gauss_2f1_terminating,
     hermite,
     hermite_2d,
     hermite_log,
+    hermite_sequence_log,
     laguerre_half,
     laguerre_half_sequence,
     log_cauchy_rows,
@@ -81,6 +85,39 @@ class TestHermite:
         ls = hermite_log(800, 30.0)
         assert math.isfinite(ls.log_magnitude)
         assert abs(abs(ls.sign_phase) - 1) < 1e-12
+
+
+class TestHermiteSequenceLog:
+    @pytest.mark.parametrize(
+        "z, n_max", [(0, 60), (0.3, 60), (0.3 + 0.2j, 60), (2j, 60), (30.0, 800)]
+    )
+    def test_matches_mpmath(self, z, n_max):
+        # z = 30 passes the 1e250 rescale near n = 150; a log-magnitude near
+        # 3000 is compared relative to itself, a small one absolutely
+        mag, ph = hermite_sequence_log(z, n_max)
+        assert mag.shape == ph.shape == (n_max + 1,)
+        with mpmath.workdps(40):
+            for n in range(n_max + 1):
+                ref = mpmath.hermite(n, mpmath.mpmathify(z))
+                if ref == 0:
+                    assert mag[n] == -np.inf and ph[n] == 0
+                    continue
+                ref_mag = float(mpmath.log(abs(ref)))
+                assert abs(mag[n] - ref_mag) <= 1e-13 * max(1.0, abs(ref_mag))
+                assert abs(ph[n] - complex(ref / abs(ref))) <= 1e-13
+
+    @pytest.mark.parametrize("z", [0, 0.3, -1.7, 30.0, 2.5 + 0j])
+    def test_real_argument_gives_exact_real_phases(self, z):
+        mag, ph = hermite_sequence_log(z, 300)
+        assert ph.dtype == np.float64
+        assert set(np.unique(ph)) <= {-1.0, 0.0, 1.0}
+        assert np.array_equal(ph == 0, mag == -np.inf)
+
+    def test_log_form_matches_sequence_end(self):
+        mag, ph = hermite_sequence_log(0.4 - 1.1j, 50)
+        ls = hermite_log(50, 0.4 - 1.1j)
+        assert ls.log_magnitude == mag[-1] and ls.sign_phase == ph[-1]
+        assert hermite_log(7, 0.0) == LogSigned.zero()
 
 
 class TestHermite2d:
@@ -162,6 +199,21 @@ class TestLaguerreHalf:
         )
         rhs = (1 - z) ** -0.5 * math.exp(x * z / (z - 1))
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+    def test_returns_complex_array(self):
+        for x in (1.5, 0.2 - 0.7j):
+            seq = laguerre_half_sequence(x, 40)
+            assert isinstance(seq, np.ndarray) and seq.dtype == np.complex128
+            assert seq.shape == (41,)
+        assert not np.count_nonzero(laguerre_half_sequence(1.5, 40).imag)
+        assert laguerre_half_sequence(1.5, 0).tolist() == [1]
+        assert laguerre_half_sequence(1.5, 1).tolist() == [1, -1]
+
+    @pytest.mark.parametrize("x, n_max", [(1e6, 200), (-1e3, 400), (1e5j, 200)])
+    def test_overflow_raises(self, x, n_max):
+        with pytest.raises(RangeOverflowError, match="left the double range"):
+            laguerre_half_sequence(x, n_max)
 
 
 class TestAssocLegendre:
@@ -339,8 +391,9 @@ class TestLogCauchyRows:
         assert list(mag) == [0.0, -np.inf, -np.inf] and list(ph) == [1.0, 0.0, 0.0]
 
     def test_block_boundaries(self):
-        # 1000 terms: 4 rows per block, and 1999 rows is not a multiple of 4;
-        # 5000 terms are wider than one block and go one row at a time
+        # 1000 terms: blocks of 4 rows past the first 1000, and 1999 rows is
+        # not a multiple of 4; 5000 terms are wider than one block and go one
+        # row at a time past the first 4096 rows
         rng = np.random.default_rng(11)
         for na, nb in ((1000, 1000), (1000, 37), (5000, 3)):
             a = rng.uniform(0.5, 1.5, na) * rng.choice([-1.0, 1.0], na)
@@ -348,6 +401,48 @@ class TestLogCauchyRows:
             ref = np.convolve(a, b)
             got = _cauchy_values(a, b)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "na, nb",
+        [(64, 64), (65, 65), (256, 256), (257, 257), (4097, 4097),
+         (65, 3), (3, 65), (257, 40), (40, 257), (4097, 2)],
+    )
+    def test_matches_convolve_across_block_edges(self, na, nb):
+        rng = np.random.default_rng(na * 10_000 + nb)
+        a = rng.uniform(0.5, 1.5, na) * np.exp(1j * rng.uniform(0, 6, na))
+        b = rng.uniform(0.5, 1.5, nb) * rng.choice([-1.0, 1.0], nb)
+        ref = np.convolve(a, b)
+        got = _cauchy_values(a, b)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # leading rows only, as the one-mode routes ask for them
+        n_rows = min(na, nb)
+        assert np.max(np.abs(_cauchy_values(a, b, n_rows) - ref[:n_rows])) <= (
+            1e-13 * np.max(np.abs(ref[:n_rows]))
+        )
+
+    @pytest.mark.parametrize(
+        "n_rows, na",
+        [(1, 1), (33, 33), (64, 64), (65, 65), (129, 129), (257, 257),
+         (1025, 1025), (4097, 4097), (8193, 4097), (1999, 1000), (1036, 37),
+         (5002, 5000), (10, 10_000)],
+    )
+    def test_block_plan_fits_the_block(self, n_rows, na):
+        edges = _cauchy_blocks(n_rows, na)
+        assert edges[0] == 0 and edges[-1] == n_rows
+        for n0, n1 in zip(edges, edges[1:]):
+            assert n1 > n0
+            terms = (n1 - n0) * min(n1, na)
+            # only a single row may be wider than the block on its own
+            assert terms <= _CAUCHY_BLOCK or n1 - n0 == 1
+            # a block stops only where one more row would not fit
+            if n1 < n_rows:
+                assert (n1 + 1 - n0) * min(n1 + 1, na) > _CAUCHY_BLOCK
+
+    def test_block_counts(self):
+        # 64 rows of 64 terms fill one block; 257 rows of up to 257 terms
+        # take 10, the first of 64 rows, against 18 of 15 rows sized by width
+        assert len(_cauchy_blocks(64, 64)) - 1 == 1
+        assert len(_cauchy_blocks(257, 257)) - 1 == 10
 
     def test_rows_beyond_the_double_range(self):
         rng = np.random.default_rng(5)

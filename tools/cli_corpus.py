@@ -55,6 +55,12 @@ INVOCATIONS = (
         "dist --family poisson --alpha 1 --n-max 0",
         "entropy --family poisson --alpha 1 --partition 1",
         "violation --y 5 --partition 1",
+        # wide enough for several Cauchy-kernel blocks, and complex phases
+        "dist --family gaussian --state STATE --n-max 256",
+        "dist --family gaussian --state STATE --route laguerre --n-max 256",
+        "entropy --family gaussian --state STATE --n-max 1024",
+        "dist --family xyt --y 5 --tau 4 --n-max 256",
+        "dist --family squeezed-correlated --r 1.5 --mean-q 1",
     ]
 )
 
