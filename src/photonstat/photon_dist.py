@@ -19,11 +19,19 @@ Each series is a finite double sum "row n = e^{C[n]} sum_k A[k] B[n-k]";
 every route builds its own A, B and C and sums all rows at once with
 :func:`specfun.log_cauchy_rows`, in the log domain.
 
-Truncation is adaptive unless an explicit ``n_max`` is given: the cutoff
-starts at 32 and doubles until the estimated geometric tail drops below
-1e-12 or the cutoff reaches 4096.  The estimate ignores magnitudes below
-1e3 eps of the largest term, which are roundoff (the odd terms of a pure
-squeezed vacuum).  Sequences whose tail grows (the uncertainty-violating
+Truncation is adaptive unless an explicit ``n_max`` is given.  Every
+one-mode Gaussian series (the three routes, and the squeezed-vacuum and
+squeezed/correlated laws through their equivalent state) decays like q^n,
+with q the larger root modulus of its generating function, known in
+closed form from the covariance.  Where q < 1 the cutoff N is chosen once,
+before any term is computed, as the smallest N whose proven bound on the
+omitted mass (doubled, for headroom) is below 1e-12, capped at 4096; the
+series is evaluated once and that bound is its ``tail_bound``.  The other
+series (Poisson, f- and q-coherent, the two-mode law, the violation
+family, and Gaussian states with q >= 1) start at 32 and double until the
+estimated geometric tail drops below 1e-12 or the cutoff reaches 4096.
+That estimate ignores magnitudes below 1e3 eps of the largest term, which
+are roundoff.  Sequences whose tail grows (the uncertainty-violating
 families are asymptotic, not convergent) are trimmed at their smallest
 term and the residual is reported in ``tail_bound``.
 
@@ -302,13 +310,94 @@ def _finalize(values: np.ndarray, tail: float) -> PhotonDistribution:
     )
 
 
-def _build_distribution(series, n_max) -> PhotonDistribution:
-    """Run ``series(N) -> complex ndarray`` under the adaptive truncation policy."""
+# the Cauchy-estimate ratios rho = q + (1 - q) f tried for a displaced state
+_RHO_STEPS = tuple(2.0**-k for k in range(1, 13))
+
+
+def _generating_roots(state: OneModeGaussianState) -> tuple[float, float]:
+    """(a+, a-) = (1 - 4 det -+ 2h) / (4 det + 2 Tr + 1), h = sqrt(Tr^2 - 4 det)."""
+    x, y, t = state.sigma_pp, state.sigma_qq, state.sigma_pq
+    det = x * y - t * t
+    h = math.hypot(x - y, 2 * t)
+    c = 4 * det + 2 * (x + y) + 1
+    return (1 - 4 * det - 2 * h) / c, (1 - 4 * det + 2 * h) / c
+
+
+def _decay_cut(state: OneModeGaussianState) -> tuple[int, float] | None:
+    """(N, tail bound) of the state's photon-number series, or None where q >= 1.
+
+    The generating function of the distribution is (eigenvalues l+ >= l- of
+    Sigma, means d+, d- along their eigenvectors, h = l+ - l-)
+
+        sum_n P_n z^n = P0 ((1 + a+ z)(1 + a- z))^(-1/2)
+                        exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
+
+        a+- = (1 - 4 det -+ 2h) / (4 det + 2 Tr + 1),  c+- = 2 d+-^2 / (1 + Tr +- h)^2,
+
+    and q = max(|a+|, |a-|) = (|1 - 4 det| + 2h) / |4 det + 2 Tr + 1|.  For a
+    centered state |P_n| <= |P0| q^n: the coefficients of the square-root
+    factor are at most sum_k C(2k, k) C(2n-2k, n-k) q^n / 4^n = q^n.  For a
+    displaced one Cauchy's estimate on |z| = 1/rho, q < rho < 1, gives
+    |P_n| <= |P0| B rho^n with B = prod (1 - |a|/rho)^(-1/2) exp(c / (rho + a)),
+    the exponent's real part peaking at z = 1/rho.  Summing the bound past N
+    and doubling it gives the tail 2 |P0| B rho^(N+1) / (1 - rho).  N is the
+    smallest N >= 1 with tail <= 1e-12 for some rho = q + (1 - q) 2^-k,
+    k = 1..12, capped at 4096; the tail reported is the least over k at N.
+    """
+    x, y, t = state.sigma_pp, state.sigma_qq, state.sigma_pq
+    tr = x + y
+    h = math.hypot(x - y, 2 * t)
+    a_plus, a_minus = _generating_roots(state)
+    q = max(abs(a_plus), abs(a_minus))
+    if not q < 1:
+        return None
+    # floored so that a P0 below the double range still gives a finite cut
+    log_p0 = math.log(2 * max(abs(p0(state)), sys.float_info.min) / _TAIL_TARGET)
+    mp, mq = state.mean_p, state.mean_q
+    d2 = mp * mp + mq * mq
+    if d2 == 0:
+        if q == 0:  # the vacuum
+            return 1, 0.0
+        rho, log_b = [q], [0.0]
+    else:
+        d2_plus = d2 / 2
+        if h:
+            d2_plus += ((mp * mp - mq * mq) * (x - y) + 4 * mp * mq * t) / (2 * h)
+            d2_plus = min(max(d2_plus, 0.0), d2)
+        c_plus = 2 * d2_plus / (1 + tr + h) ** 2
+        c_minus = 2 * (d2 - d2_plus) / (1 + tr - h) ** 2
+        rho = [q + (1 - q) * f for f in _RHO_STEPS]
+        log_b = [
+            c_plus / (r + a_plus) + c_minus / (r + a_minus)
+            - 0.5 * (math.log1p(-abs(a_plus) / r) + math.log1p(-abs(a_minus) / r))
+            for r in rho
+        ]
+    # ln(tail / 1e-12) = front + (N + 1) ln rho for each candidate rho
+    fronts = [(log_p0 + b - math.log1p(-r), math.log(r)) for r, b in zip(rho, log_b)]
+    n = min(_ADAPTIVE_CAP, max(1, math.ceil(min(f / -lr for f, lr in fronts) - 1)))
+    return n, _TAIL_TARGET * math.exp(min(f + (n + 1) * lr for f, lr in fronts))
+
+
+def _build_distribution(series, n_max, *, state=None) -> PhotonDistribution:
+    """Run ``series(N) -> complex ndarray`` under the truncation policy.
+
+    An explicit ``n_max`` is evaluated as given.  Otherwise, where ``state``
+    (the one-mode Gaussian state whose photon statistics the series gives)
+    has q < 1, the series is evaluated once at the cutoff and with the tail
+    bound of :func:`_decay_cut`.  Every other series starts at N = 32 and
+    doubles until the sampled geometric tail estimate of
+    :func:`_tail_estimate` is below 1e-12, the series is trimmed as
+    divergent, or N reaches the 4096 cap.
+    """
     if n_max is not None:
         if n_max < 0:
             raise DomainError("n_max must be nonnegative")
         vals, mags, _ = _trim_divergent(series(n_max))
         return _finalize(vals, _tail_estimate(mags))
+    cut = None if state is None else _decay_cut(state)
+    if cut is not None:
+        n, tail = cut
+        return _finalize(series(n), tail)
     n = _ADAPTIVE_START
     best = None
     while True:
@@ -404,7 +493,9 @@ def pn_hermite(
         SingularDenominatorError: structural denominators of the R-matrix
             or P0 vanish.
     """
-    return _build_distribution(_gaussian_series(state, _hermite_ratio_seq), n_max)
+    return _build_distribution(
+        _gaussian_series(state, _hermite_ratio_seq), n_max, state=state
+    )
 
 
 def pn_laguerre(
@@ -415,7 +506,9 @@ def pn_laguerre(
     Independent of :func:`pn_hermite` except for the shared state
     parametrization; their termwise agreement is a package-level invariant.
     """
-    return _build_distribution(_gaussian_series(state, _laguerre_ratio_seq), n_max)
+    return _build_distribution(
+        _gaussian_series(state, _laguerre_ratio_seq), n_max, state=state
+    )
 
 
 def pn_centered_xyt(
@@ -461,7 +554,7 @@ def pn_centered_xyt(
             ph = ph * np.exp(-1j * (n + 0.5) * log_c.imag)
         return log_signed_values(mag, ph)
 
-    return _build_distribution(series, n_max)
+    return _build_distribution(series, n_max, state=state.to_state())
 
 
 def pn_violation(
@@ -848,7 +941,24 @@ def deformed_distribution(
     def series(n_cut: int) -> np.ndarray:
         return _deformed_weights(spec, np.arange(n_cut + 1)).astype(complex)
 
-    return _build_distribution(series, n_max)
+    return _build_distribution(series, n_max, state=_equivalent_state(spec))
+
+
+def _equivalent_state(spec: DeformationSpec) -> OneModeGaussianState | None:
+    """The one-mode Gaussian state whose photon statistics a squeezed law is.
+
+    None for the other families, for r = 0 (a Poisson law), and where tanh r
+    rounds to 1, so q would too (this also keeps e^(2r) finite).
+    """
+    if math.tanh(abs(spec.r)) == 1.0:
+        return None
+    if spec.kind is DeformationKind.SQUEEZED_VACUUM and spec.r:
+        return OneModeGaussianState.squeezed_vacuum(spec.r)
+    if spec.kind is DeformationKind.SQUEEZED_CORRELATED and spec.r > 0:
+        return OneModeGaussianState.squeezed_correlated(
+            spec.r, spec.theta, spec.mean_q, spec.mean_p
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -439,13 +439,17 @@ def hermite_log(n: int, z: complex) -> LogSigned:
 def _roots(r) -> tuple[complex, complex, complex]:
     """Principal sqrt(R11 R22) and roots of R11, R22 sharing its branch.
 
-    All three are 0 when R11 R22 = 0, the degenerate limit.
+    All three are 0 when R11 R22 = 0, the degenerate limit.  Where
+    R22 = conj(R11), as for every real covariance, the root of R22 is
+    conj(sqrt(R11)) exactly, so conjugate Hermite arguments stay conjugate
+    to the bit.
     """
-    rho = cmath.sqrt(complex(r.r11) * complex(r.r22))
+    r11, r22 = complex(r.r11), complex(r.r22)
+    rho = cmath.sqrt(r11 * r22)
     if rho == 0:
         return 0j, 0j, 0j
-    s1 = cmath.sqrt(complex(r.r11))
-    return rho, s1, rho / s1
+    s1 = cmath.sqrt(r11)
+    return rho, s1, s1.conjugate() if r22 == r11.conjugate() else rho / s1
 
 
 def hermite_2d_factors(n_max: int, r, y1: complex, y2: complex):

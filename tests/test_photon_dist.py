@@ -11,7 +11,8 @@ from photonstat.errors import (
     ParityError,
     SingularDenominatorError,
 )
-from photonstat.gaussian_state import OneModeGaussianState, XYTState, from_tau, r_matrix
+from photonstat import photon_dist
+from photonstat.gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, r_matrix
 from photonstat.photon_dist import (
     Classification,
     DeformationKind,
@@ -33,7 +34,7 @@ from photonstat.photon_dist import (
     two_mode_p2k_distribution,
     two_mode_p2k_sequence,
 )
-from photonstat.specfun import assoc_legendre, log_factorial
+from photonstat.specfun import _roots, assoc_legendre, log_factorial
 
 
 def squeezed_vacuum_law(r, n):
@@ -157,6 +158,16 @@ class TestHermiteRoute:
         dist = pn_hermite(OneModeGaussianState(-0.75, 5.0, 0.0), 20)
         assert dist.classification is Classification.COMPLEX
 
+    def test_conjugate_roots_are_exact(self):
+        # sqrt(R11 R22) / sqrt(R11) misses conj(sqrt(R11)) by an ulp for this
+        # state, which left imaginary roundoff up to 2.3e-18 in the values
+        state = OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7)
+        rm = r_matrix(state)
+        _, s1, s2 = _roots(rm)
+        assert s2 == s1.conjugate()
+        for n_max in (None, 256):
+            assert not np.count_nonzero(pn_hermite(state, n_max).values.imag)
+
 
 def squeezed_correlated_law_mp(r, theta, mq, mp, n_max, digits=50):
     """squeezed_correlated_law evaluated in mpmath at ``digits`` digits."""
@@ -230,6 +241,169 @@ class TestTailNoiseFloor:
         for n, v in enumerate(dist.values):
             e = deformed_pn(spec, n)
             assert abs(v - e) <= 1e-9 * abs(e) + 1e-14
+
+
+def random_states(seed, count, valid):
+    """Centered and displaced covariances, each clearing (valid) or
+    violating det Sigma >= 1/4; the violating ones include negative
+    variances and negative determinants."""
+    rng = np.random.default_rng(seed)
+    states = []
+    while len(states) < count:
+        x, y = rng.uniform(-1.0, 4.0, 2)
+        t = rng.uniform(-1.5, 1.5)
+        mq, mp = rng.uniform(-2.0, 2.0, 2) * (len(states) % 2)
+        state = OneModeGaussianState(float(x), float(y), float(t), float(mq), float(mp))
+        if (state.det >= 0.25) == valid and abs(4 * state.det + 2 * state.trace + 1) > 0.1:
+            states.append(state)
+    return states
+
+
+class TestDecayRatioTruncation:
+    """Gaussian series sized once from the decay ratio q of their
+    generating function, with a proven tail bound."""
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_q_is_the_larger_laguerre_base(self, valid):
+        for state in random_states(7, 40, valid):
+            rm = r_matrix(state)
+            rho = cmath.sqrt(rm.r11 * rm.r22)
+            ref = max(abs(rm.r12 - rho), abs(rm.r12 + rho))
+            q = max(map(abs, photon_dist._generating_roots(state)))
+            assert q == pytest.approx(ref, rel=1e-14)
+
+    def test_known_ratios(self):
+        for n_bar in (0.5, 1.0, 10.0):
+            q = max(map(abs, photon_dist._generating_roots(OneModeGaussianState.thermal(n_bar))))
+            assert q == pytest.approx(n_bar / (n_bar + 1), rel=1e-15)
+        for r in (0.1, 1.0, 3.0):
+            q = max(map(abs, photon_dist._generating_roots(OneModeGaussianState.squeezed_vacuum(r))))
+            assert q == pytest.approx(math.tanh(r), rel=1e-12)
+
+    def test_centered_terms_within_the_geometric_envelope(self):
+        states = [st.to_state() for st in centered_grid()[::4]] + [
+            OneModeGaussianState(0.3, 0.3, 0.0),  # SignedReal, q = 0.25
+            OneModeGaussianState(0.2, 0.6, 0.1),  # SignedReal, q = 0.48
+            OneModeGaussianState(0.9, -0.4, 0.3),  # SignedReal, q = 28
+            OneModeGaussianState(-0.75, 5.0, 0.0),  # Complex, q = 5
+            OneModeGaussianState(-1.0, 3.0, 0.2),  # Complex, q = 3.0
+        ]
+        seen = set()
+        for state in states:
+            q = max(map(abs, photon_dist._generating_roots(state)))
+            dist = pn_hermite(state, 120)
+            seen.add(dist.classification)
+            log_p0 = math.log(abs(p0(state)))
+            for n, v in enumerate(dist.values):
+                if v:
+                    assert math.log(abs(v)) <= log_p0 + n * math.log(q) + 1e-9
+        assert seen == set(Classification)
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    @pytest.mark.parametrize(
+        "case", ["thermal-1", "thermal-10", "squeezed-1", "squeezed-2", "displaced"]
+    )
+    def test_omitted_mass_within_tail_bound(self, route, case):
+        kind, _, arg = case.partition("-")
+        if kind == "thermal":
+            state = OneModeGaussianState.thermal(float(arg))
+        elif kind == "squeezed":
+            state = OneModeGaussianState.squeezed_vacuum(float(arg))
+        else:
+            state = OneModeGaussianState.squeezed_correlated(1.0, 0.7, 0.8, -0.5)
+        dist = route(state)
+        n = dist.truncation
+        with mpmath.workdps(50):
+            if kind == "thermal":
+                n_bar = mpmath.mpf(arg)
+                omitted = (n_bar / (n_bar + 1)) ** (n + 1)
+            elif kind == "squeezed":
+                omitted = 1 - mpmath.fsum(squeezed_vacuum_law_mp(float(arg), n, digits=50))
+            else:
+                omitted = 1 - mpmath.fsum(squeezed_correlated_law_mp(1.0, 0.7, 0.8, -0.5, n))
+            assert 0 < omitted <= dist.tail_bound <= 1e-12
+        assert dist.classification is Classification.PROBABILITY
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            OneModeGaussianState.thermal(1.0),
+            OneModeGaussianState.squeezed_vacuum(1.0),
+            OneModeGaussianState(0.8, 0.4, 0.1),
+            OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7),
+            OneModeGaussianState.squeezed_correlated(1.0, 0.0, 1.0, 0.5),
+        ],
+    )
+    def test_series_evaluated_once(self, monkeypatch, state):
+        calls = []
+        kernel = photon_dist.log_cauchy_rows
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(photon_dist, "log_cauchy_rows", counted)
+        routes = [(pn_hermite, state, 1), (pn_laguerre, state, 1)]
+        if state.is_centered:
+            # one kernel call per photon-number parity
+            xyt = XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq)
+            routes.append((pn_centered_xyt, xyt, 2))
+        n_cut = photon_dist._decay_cut(state)[0]
+        for route, arg, per_pass in routes:
+            calls.clear()
+            assert route(arg).truncation <= n_cut
+            assert len(calls) == per_pass
+
+    def test_equivalent_laws_share_the_cutoff(self):
+        for r, theta, mq, mp in [(0.7, 0.5, 0.3, -0.2), (1.0, 0.0, 1.0, 0.5), (0.2, 1.0, 0.0, 0.0)]:
+            spec = DeformationSpec(
+                DeformationKind.SQUEEZED_CORRELATED, r=r, theta=theta, mean_q=mq, mean_p=mp
+            )
+            law = deformed_distribution(spec)
+            dist = pn_hermite(OneModeGaussianState.squeezed_correlated(r, theta, mq, mp))
+            # the law's odd terms of a centered state are exact zeros, dropped
+            # from its end; the route's are roundoff
+            assert law.tail_bound == dist.tail_bound
+            assert 0 <= dist.truncation - law.truncation <= 1
+            for v, e in zip(dist.values, law.values):
+                assert abs(v - e) <= 1e-9 * abs(e) + 1e-15
+
+    def test_cap_reports_the_bound_it_reached(self):
+        dist = pn_hermite(OneModeGaussianState.squeezed_vacuum(3.0))
+        assert dist.truncation == 4096
+        assert 1e-12 < dist.tail_bound < 1e-6
+
+    def test_q_above_one_keeps_doubling(self):
+        assert photon_dist._decay_cut(OneModeGaussianState(-0.75, 5.0, 0.0)) is None
+
+
+class TestDisplacedSqueezedTails:
+    """The displaced squeezed/correlated law used to run on to n = 1476
+    with an infinite tail: the sampled decay ratio read the factor-2-4
+    steps between neighbouring terms as growth."""
+
+    def check(self, dist):
+        assert dist.classification is Classification.PROBABILITY
+        assert math.isfinite(dist.tail_bound) and dist.tail_bound <= 1e-12
+        assert len(dist) < 150
+
+    def test_deformed_law(self):
+        spec = DeformationSpec(
+            DeformationKind.SQUEEZED_CORRELATED, r=0.7, theta=0.5, mean_q=0.3, mean_p=-0.2
+        )
+        self.check(deformed_distribution(spec))
+
+    def test_hermite_route(self):
+        self.check(pn_hermite(OneModeGaussianState.squeezed_correlated(1.0, 0.0, 1.0, 0.5)))
+
+    def test_law_that_stopped_at_a_dip(self):
+        # stopped at a dip of the law, where it was a NormalizationError
+        spec = DeformationSpec(
+            DeformationKind.SQUEEZED_CORRELATED, r=0.7186721370352377,
+            theta=3.589372365483347, mean_q=-0.20798845555731993,
+            mean_p=-0.9328659728186599,
+        )
+        self.check(deformed_distribution(spec))
 
 
 class TestLaguerreRoute:

@@ -61,6 +61,10 @@ INVOCATIONS = (
         "entropy --family gaussian --state STATE --n-max 1024",
         "dist --family xyt --y 5 --tau 4 --n-max 256",
         "dist --family squeezed-correlated --r 1.5 --mean-q 1",
+        # a displaced law with a wavy tail, a cutoff at the cap, thermal(10)
+        "dist --family squeezed-correlated --r 0.7 --theta 0.5 --mean-q 0.3 --mean-p -0.2",
+        "dist --family squeezed-vacuum --r 3",
+        "dist --family xyt --x 10.5 --y 10.5",
     ]
 )
 
