@@ -70,7 +70,6 @@ from .entropy import (
     subadditivity_check,
 )
 from .oracle import (
-    OracleGridConfig,
     OracleVerdict,
     oracle_poisson_blocks,
     oracle_squeezed_vacuum,

@@ -46,7 +46,7 @@ from .errors import (
     SingularDenominatorError,
 )
 from .gaussian_state import OneModeGaussianState, XYTState, from_tau, uncertainty_check
-from .oracle import OracleGridConfig, run_suite, suite_passed, verdicts_to_json_lines
+from .oracle import run_suite, suite_passed, verdicts_to_json_lines
 from .photon_dist import (
     DeformationKind,
     DeformationSpec,
@@ -437,8 +437,7 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = OracleGridConfig() if not args.empty_grid else OracleGridConfig.empty()
-    verdicts = run_suite(cfg)
+    verdicts = run_suite()
     _emit(verdicts_to_json_lines(verdicts), args.out)
     return 0 if suite_passed(verdicts) else 1
 
@@ -526,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figures)
 
     p = subs.add_parser("oracle", help="run the independent cross-check suite")
-    p.add_argument("--empty-grid", action="store_true",
-                   help="run with empty grids (no checks)")
     _add_shared_options(p, "--out")
     p.set_defaults(func=_cmd_oracle)
 

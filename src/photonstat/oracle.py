@@ -46,7 +46,6 @@ from .specfun import log_factorial
 
 __all__ = [
     "OracleVerdict",
-    "OracleGridConfig",
     "oracle_thermal",
     "oracle_squeezed_vacuum",
     "oracle_poisson_blocks",
@@ -138,36 +137,22 @@ def oracle_poisson_blocks(x_bar: float, m: int, j: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleGridConfig:
-    """Grids driving the cross-check suite; empty grids skip their checks."""
-
-    centered_states: tuple[tuple[float, float, float], ...] = (
-        (0.5, 0.5, 0.0),
-        (1.0, 1.0, 0.0),
-        (0.7, 2.2, 0.3),
-        (1.5, 0.9, 0.3),
-        (3.0, 3.0, 0.4),
-        (2.4, 0.6, 0.2),
-    )
-    n_terms: int = 40
-    squeeze_rs: tuple[float, ...] = (0.5, 1.0, 2.0)
-    thermal_n_bars: tuple[float, ...] = (0.5, 1.0, 4.0)
-    s_fractions: tuple[float, ...] = (0.0, 0.25, 0.5, 0.8)
-    x_bars: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
-    tau_grid: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 5.0)
-    violation_y: float = 5.0
-
-    @classmethod
-    def empty(cls) -> "OracleGridConfig":
-        return cls(
-            centered_states=(),
-            squeeze_rs=(),
-            thermal_n_bars=(),
-            s_fractions=(),
-            x_bars=(),
-            tau_grid=(),
-        )
+# grids driving the cross-check suite
+_CENTERED_STATES = (
+    (0.5, 0.5, 0.0),
+    (1.0, 1.0, 0.0),
+    (0.7, 2.2, 0.3),
+    (1.5, 0.9, 0.3),
+    (3.0, 3.0, 0.4),
+    (2.4, 0.6, 0.2),
+)
+_N_TERMS = 40
+_SQUEEZE_RS = (0.5, 1.0, 2.0)
+_THERMAL_N_BARS = (0.5, 1.0, 4.0)
+_S_FRACTIONS = (0.0, 0.25, 0.5, 0.8)
+_X_BARS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+_TAU_GRID = (0.5, 1.0, 2.0, 4.0, 5.0)
+_VIOLATION_Y = 5.0
 
 
 def _closed_violation_terms(l_max: int) -> list[complex]:
@@ -188,30 +173,29 @@ def _closed_violation_terms(l_max: int) -> list[complex]:
     return out
 
 
-def run_suite(config: OracleGridConfig | None = None) -> list[OracleVerdict]:
-    """Run every cross-check on the configured grids.
+def _worst_rel(first, second) -> float:
+    """Largest termwise relative difference of two value sequences."""
+    return max(
+        abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(first, second)
+    )
+
+
+def run_suite() -> list[OracleVerdict]:
+    """Run every cross-check on the suite's fixed grids.
 
     Failures are verdicts, never exceptions.  ``report:`` verdicts record
     documented discrepancies and do not count toward the aggregate.
     """
-    cfg = config or OracleGridConfig()
     out: list[OracleVerdict] = []
     pair = PartitionScheme(2)
 
     # route agreement + normalization on centered states
-    for x, y, t in cfg.centered_states:
+    for x, y, t in _CENTERED_STATES:
         state = OneModeGaussianState(x, y, t)
-        n = cfg.n_terms
-        dh = pn_hermite(state, n)
-        dl = pn_laguerre(state, n)
-        dx = pn_centered_xyt(XYTState(x, y, t), n)
-        worst_hl = max(
-            abs(a - b) / max(abs(a), abs(b), 1e-300)
-            for a, b in zip(dh.values, dl.values)
-        )
-        worst_hx = max(
-            abs(a - b) / max(abs(a), abs(b), 1e-300)
-            for a, b in zip(dh.values, dx.values)
+        dh = pn_hermite(state, _N_TERMS)
+        worst_hl = _worst_rel(dh.values, pn_laguerre(state, _N_TERMS).values)
+        worst_hx = _worst_rel(
+            dh.values, pn_centered_xyt(XYTState(x, y, t), _N_TERMS).values
         )
         out.append(_verdict(f"routes:hermite-vs-laguerre[{x},{y},{t}]", 0, worst_hl, atol=1e-10))
         out.append(_verdict(f"routes:hermite-vs-xyt[{x},{y},{t}]", 0, worst_hx, atol=1e-10))
@@ -226,7 +210,7 @@ def run_suite(config: OracleGridConfig | None = None) -> list[OracleVerdict]:
         )
 
     # thermal law through the hermite route
-    for n_bar in cfg.thermal_n_bars:
+    for n_bar in _THERMAL_N_BARS:
         state = OneModeGaussianState.thermal(n_bar)
         dist = pn_hermite(state, 30)
         worst = max(
@@ -237,7 +221,7 @@ def run_suite(config: OracleGridConfig | None = None) -> list[OracleVerdict]:
 
     # squeezed-vacuum closed form through the hermite route,
     # and the two-mode law against it
-    for r in cfg.squeeze_rs:
+    for r in _SQUEEZE_RS:
         state = OneModeGaussianState.squeezed_vacuum(r)
         dist = pn_hermite(state, 60)
         worst = max(
@@ -254,8 +238,8 @@ def run_suite(config: OracleGridConfig | None = None) -> list[OracleVerdict]:
         out.append(_verdict(f"two-mode-vs-squeezed-vacuum[{r}]", 0, worst2, atol=1e-11))
 
     # two-mode marginal normalization
-    for s1 in cfg.s_fractions:
-        for s2 in cfg.s_fractions:
+    for s1 in _S_FRACTIONS:
+        for s2 in _S_FRACTIONS:
             total = math.fsum(two_mode_p2k_sequence(s1, s2, 399).tolist())
             out.append(
                 _verdict(f"two-mode-normalization[{s1},{s2}]", 1.0, total, atol=1e-10)
@@ -263,7 +247,7 @@ def run_suite(config: OracleGridConfig | None = None) -> list[OracleVerdict]:
 
     # Poisson block structure: closed parity form, roots-of-unity filter,
     # and the documented discrepancies of the quoted forms
-    for x_bar in cfg.x_bars:
+    for x_bar in _X_BARS:
         dist = deformed_distribution(
             DeformationSpec(DeformationKind.POISSON, alpha_mag2=x_bar), 256
         )
@@ -300,25 +284,24 @@ def run_suite(config: OracleGridConfig | None = None) -> list[OracleVerdict]:
         )
 
     # violation family
-    if cfg.tau_grid:
-        dist = pn_violation(4.0, 5.0, 0.0, 24)
-        closed = _closed_violation_terms(12)
-        worst = max(
-            abs(dist.values[2 * l] - closed[l]) / abs(closed[l]) for l in range(13)
-        )
-        out.append(_verdict("violation-closed-form[tau=4,y=5]", 0, worst, atol=1e-10))
-        mean = mean_photon_xyt(-0.75, 5.0)
-        out.append(_verdict("violation-mean-magnitude", 23 / 57, abs(mean), atol=1e-13))
-        out.append(_verdict("report:violation-mean-signed", -23 / 57, mean, atol=1e-13))
-        non_prob = 0
-        for tau in cfg.tau_grid:
-            xyt = from_tau(tau, cfg.violation_y, 0.0)
-            cell = pn_centered_xyt(xyt, 64)
-            if cell.classification is not Classification.PROBABILITY:
-                non_prob += 1
-        out.append(
-            _verdict("violation-grid-classification", len(cfg.tau_grid), non_prob, atol=0.0)
-        )
+    dist = pn_violation(4.0, 5.0, 0.0, 24)
+    closed = _closed_violation_terms(12)
+    worst = max(
+        abs(dist.values[2 * l] - closed[l]) / abs(closed[l]) for l in range(13)
+    )
+    out.append(_verdict("violation-closed-form[tau=4,y=5]", 0, worst, atol=1e-10))
+    mean = mean_photon_xyt(-0.75, 5.0)
+    out.append(_verdict("violation-mean-magnitude", 23 / 57, abs(mean), atol=1e-13))
+    out.append(_verdict("report:violation-mean-signed", -23 / 57, mean, atol=1e-13))
+    non_prob = 0
+    for tau in _TAU_GRID:
+        xyt = from_tau(tau, _VIOLATION_Y, 0.0)
+        cell = pn_centered_xyt(xyt, 64)
+        if cell.classification is not Classification.PROBABILITY:
+            non_prob += 1
+    out.append(
+        _verdict("violation-grid-classification", len(_TAU_GRID), non_prob, atol=0.0)
+    )
 
     return out
 

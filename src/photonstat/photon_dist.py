@@ -61,18 +61,16 @@ from .errors import (
     InvalidSpecError,
     NormalizationError,
     ParityError,
-    RangeOverflowError,
     SingularDenominatorError,
 )
 from .gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, r_matrix
 from .specfun import (
-    _log_signed,
+    _laguerre_half_log,
+    _legendre_scaled,
     _roots,
-    assoc_legendre,
     gauss_2f1_terminating,
     hermite_2d_factors,
     hermite_sequence_log,
-    laguerre_half_sequence,
     log_cauchy_rows,
     log_factorial,
     log_factorials,
@@ -381,38 +379,28 @@ def _decay_cut(state: OneModeGaussianState) -> tuple[int, float] | None:
 def _build_distribution(series, n_max, *, state=None) -> PhotonDistribution:
     """Run ``series(N) -> complex ndarray`` under the truncation policy.
 
-    An explicit ``n_max`` is evaluated as given.  Otherwise, where ``state``
-    (the one-mode Gaussian state whose photon statistics the series gives)
-    has q < 1, the series is evaluated once at the cutoff and with the tail
-    bound of :func:`_decay_cut`.  Every other series starts at N = 32 and
-    doubles until the sampled geometric tail estimate of
-    :func:`_tail_estimate` is below 1e-12, the series is trimmed as
-    divergent, or N reaches the 4096 cap.
+    Where ``state`` (the one-mode Gaussian state whose photon statistics
+    the series gives) has q < 1 and no ``n_max`` is given, the series is
+    evaluated once at the cutoff and with the tail bound of
+    :func:`_decay_cut`.  Every other series starts at N = 32 and doubles
+    until the sampled geometric tail estimate of :func:`_tail_estimate` is
+    below 1e-12, the series is trimmed as divergent, or N reaches the 4096
+    cap; an explicit ``n_max`` is the one pass of that loop.  A
+    ``RangeOverflowError`` from the series propagates.
     """
-    if n_max is not None:
-        if n_max < 0:
-            raise DomainError("n_max must be nonnegative")
-        vals, mags, _ = _trim_divergent(series(n_max))
-        return _finalize(vals, _tail_estimate(mags))
-    cut = None if state is None else _decay_cut(state)
+    if n_max is not None and n_max < 0:
+        raise DomainError("n_max must be nonnegative")
+    cut = None if n_max is not None or state is None else _decay_cut(state)
     if cut is not None:
         n, tail = cut
         return _finalize(series(n), tail)
-    n = _ADAPTIVE_START
-    best = None
+    n = _ADAPTIVE_START if n_max is None else n_max
     while True:
-        try:
-            vals, mags, trimmed = _trim_divergent(series(n))
-        except RangeOverflowError:
-            if best is None:
-                raise
-            return _finalize(*best)
+        vals, mags, trimmed = _trim_divergent(series(n))
         tail = _tail_estimate(mags)
-        best = vals, tail
-        if trimmed or tail < _TAIL_TARGET or n >= _ADAPTIVE_CAP:
-            return _finalize(vals, tail)
-        if not math.isfinite(tail) and (mags > 1e30).any():
-            # growing past any probability scale: divergent, stop extending
+        done = n_max is not None or trimmed or tail < _TAIL_TARGET or n >= _ADAPTIVE_CAP
+        # growing past any probability scale: divergent, stop extending
+        if done or (not math.isfinite(tail) and (mags > 1e30).any()):
             return _finalize(vals, tail)
         n *= 2
 
@@ -463,8 +451,8 @@ def _laguerre_ratio_seq(rm, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         x2 = 0.125 * (rm.r12 + rho) * (quad + skew)
     a_mag, a_ph = log_powers(rm.r12 - rho, n_max)
     b_mag, b_ph = log_powers(rm.r12 + rho, n_max)
-    l1_mag, l1_ph = _log_signed(laguerre_half_sequence(x1, n_max))
-    l2_mag, l2_ph = _log_signed(laguerre_half_sequence(x2, n_max))
+    l1_mag, l1_ph = _laguerre_half_log(x1, n_max)
+    l2_mag, l2_ph = _laguerre_half_log(x2, n_max)
     mag, ph = log_cauchy_rows(
         a_mag + l1_mag, a_ph * l1_ph, b_mag + l2_mag, b_ph * l2_ph, n_max + 1
     )
@@ -744,10 +732,10 @@ def two_mode_joint(params: LegendreParams, n1: int, n2: int) -> float:
         + ((n1 - n2) / 2) * math.log(params.f1)
         + ((n1 + n2) / 2) * math.log(params.f2)
     )
-    leg = assoc_legendre(l, m, params.f3)
+    leg, shift = _legendre_scaled(l, m, params.f3)
     if leg == 0.0:
         return 0.0
-    return params.n_factor * math.exp(log_t + 2 * math.log(abs(leg)))
+    return params.n_factor * math.exp(log_t + 2 * (math.log(abs(leg)) + shift))
 
 
 def two_mode_joint_distribution(

@@ -42,11 +42,14 @@ that this rectangle, their temporary, holds at most 4096 terms (64 rows of
 64 terms make one block).  Real phases stay exactly real.
 `log_signed_values` exponentiates the result once, at the end.
 
-The sequences come as arrays for that kernel: `hermite_sequence_log` as
-(log-magnitude, phase) arrays, with real phases, exactly +-1, for a real
-argument, and `laguerre_half_sequence` as a complex128 array.  Each runs
-one plain recurrence, in float arithmetic for a real argument, and forms
-its arrays with numpy at the end.
+The sequences come as (log-magnitude, phase) arrays for that kernel
+(`hermite_sequence_log`, and `_laguerre_half_log` for the Laguerre route),
+with real phases, exactly +-1, for a real argument.  The Hermite, Laguerre
+and Legendre recurrences run in float arithmetic for a real argument and
+share one rescale rule: once the newest value passes 1e250 in modulus,
+both carried values are divided by it and its log is added to a running
+shift.  Plain values (`hermite`, `laguerre_half_sequence`,
+`assoc_legendre`) raise RangeOverflowError only past the double range.
 
 All functions are pure and use a fixed summation order, so results are
 deterministic and safe to call from concurrent code.
@@ -84,9 +87,9 @@ __all__ = [
     "gauss_2f1_terminating",
 ]
 
-# Magnitude at which the plain Hermite recurrence defects to the scaled one;
-# leaves ~1e16 headroom below the double-precision ceiling.
-_PLAIN_LIMIT = 1e284
+# Modulus past which a recurrence divides its carried values by the newest
+# one and keeps the log of the divisor apart.
+_RESCALE_LIMIT = 1e250
 
 # Running total of the positive-term 2F1 series at which part of its
 # (1-z)^k prefactor is applied early.
@@ -378,33 +381,22 @@ def log_factorials(n_max: int) -> np.ndarray:
 
 
 def hermite(n: int, z: complex) -> complex:
-    """Physicists' Hermite polynomial H_n(z) by three-term recurrence.
+    """Physicists' Hermite polynomial H_n(z), the value of :func:`hermite_log`.
 
     Raises:
         DomainError: n < 0.
-        RangeOverflowError: the result (or an intermediate) exceeds the
-            double range; use :func:`hermite_log` instead.
+        RangeOverflowError: the result exceeds the double range; use
+            :func:`hermite_log` instead.
     """
-    if n < 0:
-        raise DomainError("hermite degree must be nonnegative")
-    z = complex(z)
-    prev, cur = 0j, 1 + 0j
-    for k in range(n):
-        prev, cur = cur, 2 * z * cur - 2 * k * prev
-        if abs(cur.real) > _PLAIN_LIMIT or abs(cur.imag) > _PLAIN_LIMIT:
-            return hermite_log(n, z).value()
-    if z.imag == 0:
-        return complex(cur.real, 0.0)
-    return cur
+    return hermite_log(n, z).value()
 
 
 def hermite_sequence_log(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """H_0(z) .. H_{n_max}(z) as (log-magnitude, phase) arrays.
 
-    One recurrence stores plain values, in float arithmetic for a real z.
-    Once the newest value passes 1e250 in modulus, both carried values are
-    divided by that modulus, whose log is added back when the magnitudes are
-    formed, all at once at the end.  A real z gives real phases, exactly
+    One recurrence stores plain values, in float arithmetic for a real z,
+    rescaled past 1e250 as the module docstring describes; the magnitudes
+    are formed all at once at the end.  A real z gives real phases, exactly
     +-1, and a zero value (odd degree at z = 0) comes out as (-inf, 0).
     """
     if n_max < 0:
@@ -422,7 +414,7 @@ def hermite_sequence_log(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray
         prev, cur = cur, two_z * cur - 2 * k * prev
         # prev was checked last step, so abs(cur) is the larger of the two
         peak = abs(cur)
-        if peak > 1e250:
+        if peak > _RESCALE_LIMIT:
             prev /= peak
             cur /= peak
             shift += math.log(peak)
@@ -515,35 +507,79 @@ def hermite_2d(n: int, r, y1: complex, y2: complex) -> complex:
     return hermite_2d_log(n, r, y1, y2).value()
 
 
-def laguerre_half_sequence(x: complex, n_max: int) -> np.ndarray:
-    """L_0^{-1/2}(x) .. L_{n_max}^{-1/2}(x) as a complex128 array.
+def _laguerre_half_log(x: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """L_0^{-1/2}(x) .. L_{n_max}^{-1/2}(x) as (log-magnitude, phase) arrays.
 
-    The recurrence runs in float arithmetic for a real x.  Its terms from
-    degree 2 on are checked against the double range once, at the end.
-
-    Raises:
-        RangeOverflowError: a real or imaginary part passes 1e284.
+    The recurrence runs in float arithmetic for a real x, which gives real
+    phases, and is rescaled past 1e250 as the module docstring describes.
     """
     if n_max < 0:
         raise DomainError("laguerre degree must be nonnegative")
     x = complex(x)
     if x.imag == 0:
         x = x.real
-    out = [1.0, 0.5 - x]
-    prev, cur = out
-    for n in range(1, n_max):
+    raw, shifts = [1.0], [0.0]
+    prev, cur = 1.0, 0.5 - x
+    shift = 0.0
+    for n in range(1, n_max + 1):
+        raw.append(cur)
+        shifts.append(shift)
         prev, cur = cur, ((2 * n + 0.5 - x) * cur - (n - 0.5) * prev) / (n + 1)
-        out.append(cur)
-    out = np.array(out[: n_max + 1], dtype=complex)
-    # a term past the limit stays in the array even if later ones turn nan
-    if (np.abs(out[2:].view(float)) > _PLAIN_LIMIT).any():
+        # prev was checked last step, so abs(cur) is the larger of the two
+        peak = abs(cur)
+        if peak > _RESCALE_LIMIT:
+            prev /= peak
+            cur /= peak
+            shift += math.log(peak)
+    mag, ph = _log_signed(np.array(raw))
+    return mag + shifts, ph
+
+
+def laguerre_half_sequence(x: complex, n_max: int) -> np.ndarray:
+    """L_0^{-1/2}(x) .. L_{n_max}^{-1/2}(x) as a complex128 array.
+
+    Raises:
+        RangeOverflowError: a value exceeds the double range.
+    """
+    mag, ph = _laguerre_half_log(x, n_max)
+    if not mag.max() <= _LOG_DBL_MAX:
         raise RangeOverflowError("laguerre recurrence left the double range")
-    return out
+    return (np.exp(mag) * ph).astype(complex, copy=False)
 
 
 def laguerre_half(n: int, x: float) -> float:
     """Associated Laguerre polynomial L_n^{-1/2}(x) for real x."""
     return float(laguerre_half_sequence(x, n)[-1].real)
+
+
+def _legendre_scaled(l: int, m: int, x: float) -> tuple[float, float]:
+    """(v, s) with P_l^m(x) = v e^s; s = 0.0 and v is the plain
+    recurrence's value where no carried value passed 1e250."""
+    if l < 0 or m < 0:
+        raise DomainError("legendre indices must be nonnegative")
+    if m > l:
+        raise DomainError(f"legendre order m={m} exceeds degree l={l}")
+    # seed P_m^m = (2m-1)!! |x^2-1|^{m/2}, then climb in degree at fixed order
+    cur, shift = 1.0, 0.0
+    if m > 0:
+        pref = abs(x * x - 1.0) ** 0.5
+        for i in range(1, m + 1):
+            cur *= (2 * i - 1) * pref
+            if cur > _RESCALE_LIMIT:
+                shift += math.log(cur)
+                cur = 1.0
+    prev = 0.0
+    for ll in range(m + 1, l + 1):
+        prev, cur = cur, ((2 * ll - 1) * x * cur - (ll + m - 1) * prev) / (ll - m)
+        # prev was checked last step, so abs(cur) is the larger of the two
+        peak = abs(cur)
+        if peak > _RESCALE_LIMIT:
+            prev /= peak
+            cur /= peak
+            shift += math.log(peak)
+    if not (math.isfinite(cur) and math.isfinite(shift)):
+        raise RangeOverflowError("legendre recurrence left the double range")
+    return cur, shift
 
 
 def assoc_legendre(l: int, m: int, x: float) -> float:
@@ -555,27 +591,15 @@ def assoc_legendre(l: int, m: int, x: float) -> float:
 
     Raises:
         DomainError: m > l or negative indices.
+        RangeOverflowError: the value exceeds the double range.
     """
-    if l < 0 or m < 0:
-        raise DomainError("legendre indices must be nonnegative")
-    if m > l:
-        raise DomainError(f"legendre order m={m} exceeds degree l={l}")
-    # seed P_m^m = (2m-1)!! |x^2-1|^{m/2}, then climb in degree at fixed order
-    pmm = 1.0
-    if m > 0:
-        pref = abs(x * x - 1.0) ** 0.5
-        for i in range(1, m + 1):
-            pmm *= (2 * i - 1) * pref
-    if l == m:
-        return pmm
-    pm1 = x * (2 * m + 1) * pmm
-    if l == m + 1:
-        return pm1
-    for ll in range(m + 2, l + 1):
-        pmm, pm1 = pm1, ((2 * ll - 1) * x * pm1 - (ll + m - 1) * pmm) / (ll - m)
-        if abs(pm1) > _PLAIN_LIMIT:
-            raise RangeOverflowError("legendre recurrence left the double range")
-    return pm1
+    value, shift = _legendre_scaled(l, m, x)
+    if not (shift and value):
+        return value
+    log_mag = math.log(abs(value)) + shift
+    if log_mag > _LOG_DBL_MAX:
+        raise RangeOverflowError("legendre recurrence left the double range")
+    return math.copysign(math.exp(log_mag), value)
 
 
 def gauss_2f1_terminating(k: int, b: float, c: float, z: float) -> float:

@@ -9,6 +9,7 @@ from photonstat.errors import (
     DomainError,
     InvalidSpecError,
     ParityError,
+    RangeOverflowError,
     SingularDenominatorError,
 )
 from photonstat import photon_dist
@@ -461,6 +462,19 @@ class TestLaguerreRoute:
         assert b.classification is Classification.PROBABILITY
         assert math.fsum(b.values.real) == pytest.approx(1.0, abs=b.tail_bound + 1e-14)
 
+    @pytest.mark.parametrize("mean_q, mean_p", [(20.0, 10.0), (30.0, 0.0)])
+    def test_matches_hermite_at_large_displacement(self, mean_q, mean_p):
+        # a Laguerre factor passes 1e284 at n = 424 for (20, 10) and at
+        # n = 217 for (30, 0), where it ends near 1e629, past the double
+        # range; the recurrence used to raise RangeOverflowError there
+        state = OneModeGaussianState(1.2, 0.8, 0.2, mean_q, mean_p)
+        a = pn_hermite(state)
+        b = pn_laguerre(state)
+        assert len(a) == len(b) > 400
+        for va, vb in zip(a.values, b.values):
+            assert rel_close(va, vb, 1e-9)
+        assert b.classification is Classification.PROBABILITY
+
 
 class TestCenteredXytRoute:
     def test_vacuum(self):
@@ -762,6 +776,18 @@ class TestTwoModeJoint:
         with pytest.raises(ParityError):
             two_mode_joint(self.params, 2, 1)
 
+    def test_legendre_factor_past_the_double_range(self):
+        # P_200^200(3) = 399!! 8^100 ~ 1e546 overflows as a double; the
+        # weight does not (it used to come back inf)
+        params = LegendreParams(n_factor=1e-100, f1=0.5, f2=0.5, f3=3.0)
+        with mpmath.workdps(30):
+            leg = mpmath.fac2(399) * mpmath.mpf(8) ** 100
+            ref = (
+                mpmath.mpf(1e-100) / mpmath.factorial(400)
+                * mpmath.mpf(0.25) ** 200 * leg**2
+            )
+        assert two_mode_joint(params, 400, 0) == pytest.approx(float(ref), rel=1e-11)
+
     def test_invariants(self):
         with pytest.raises(DomainError):
             LegendreParams(n_factor=1.0, f1=-0.1, f2=0.5, f3=0.0)
@@ -801,6 +827,24 @@ class TestDeformedFamilies:
             assert deformed_pn(spec, n) == pytest.approx(
                 squeezed_vacuum_law(0.9, n), rel=1e-12, abs=1e-300
             )
+
+    def test_squeezed_correlated_law_at_r0_is_poisson(self):
+        # coherent limit at |alpha|^2 = (q^2 + p^2) / 2, and continuous there
+        def law(r, n_max=None):
+            spec = DeformationSpec(
+                DeformationKind.SQUEEZED_CORRELATED, r=r, theta=0.3, mean_q=1.0, mean_p=-0.5
+            )
+            return deformed_distribution(spec, n_max)
+
+        def poisson(n_max=None):
+            spec = DeformationSpec(DeformationKind.POISSON, alpha_mag2=0.625)
+            return deformed_distribution(spec, n_max)
+
+        at_zero, ref = law(0.0), poisson()
+        assert np.array_equal(at_zero.values, ref.values)
+        assert at_zero.tail_bound == ref.tail_bound
+        assert at_zero.classification is Classification.PROBABILITY
+        assert np.max(np.abs(law(1e-6, 40).values - poisson(40).values)) < 1e-6
 
     def test_q_coherent_supergeometric_tail(self):
         # once n >> 1/lam the term ratio collapses; successive ratios shrink
@@ -908,6 +952,17 @@ class TestDeformedTables:
 
 
 class TestDistributionPlumbing:
+    def test_overflow_while_doubling_propagates(self):
+        # the N = 32 pass leaves a tail of ~1e-10, so the loop doubles
+        def series(n):
+            if n >= 64:
+                raise RangeOverflowError("series left the double range")
+            return 0.5 ** np.arange(1.0, n + 2) + 0j
+
+        with pytest.raises(RangeOverflowError):
+            photon_dist._build_distribution(series, None)
+        assert len(photon_dist._build_distribution(series, 32)) == 33
+
     def test_classification_cases(self):
         assert (
             distribution_from_values([0.5, 0.5]).classification

@@ -215,6 +215,14 @@ class TestLaguerreHalf:
         with pytest.raises(RangeOverflowError, match="left the double range"):
             laguerre_half_sequence(x, n_max)
 
+    def test_rescaled_values_within_the_double_range(self):
+        # the values pass 1e250 at n = 213 and end near 1.9e287
+        seq = laguerre_half_sequence(-1000.0, 260)
+        with mpmath.workdps(30):
+            for n in (200, 240, 260):
+                ref = mpmath.laguerre(n, -0.5, -1000)
+                assert seq[n].real == pytest.approx(float(ref), rel=1e-12)
+
 
 class TestAssocLegendre:
     def test_degree_zero(self):
@@ -243,6 +251,17 @@ class TestAssocLegendre:
         # P_m^m = (2m-1)!! |x^2-1|^{m/2}
         x = 3.0
         assert assoc_legendre(2, 2, x) == pytest.approx(3 * (x * x - 1), rel=1e-14)
+
+    def test_seed_past_the_double_range_raises(self):
+        # 259!! 8^65 ~ 2.2e316; it used to come back inf
+        with pytest.raises(RangeOverflowError, match="left the double range"):
+            assoc_legendre(130, 130, 3.0)
+
+    def test_rescaled_climb_within_the_double_range(self):
+        # P_380(3) ~ 2.4e289 passes 1e250 on the way
+        with mpmath.workdps(30):
+            ref = mpmath.legendre(380, 3)
+        assert assoc_legendre(380, 0, 3.0) == pytest.approx(float(ref), rel=1e-12)
 
 
 class TestGauss2F1:

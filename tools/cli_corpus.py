@@ -19,9 +19,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-# --state STATE is replaced by a displaced squeezed-state descriptor file
-STATE_DESCRIPTOR = {
-    "sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1, "mean_q": 0.3, "mean_p": -0.2
+# each token below is replaced by the path of a state descriptor file:
+# STATE a displaced squeezed state, FAR_STATE one far from the origin, whose
+# Laguerre factors pass 1e284
+DESCRIPTORS = {
+    "STATE": {
+        "sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1, "mean_q": 0.3, "mean_p": -0.2
+    },
+    "FAR_STATE": {
+        "sigma_pp": 1.2, "sigma_qq": 0.8, "sigma_pq": 0.2, "mean_q": 20.0, "mean_p": 10.0
+    },
 }
 
 FAMILIES = (
@@ -65,6 +72,8 @@ INVOCATIONS = (
         "dist --family squeezed-correlated --r 0.7 --theta 0.5 --mean-q 0.3 --mean-p -0.2",
         "dist --family squeezed-vacuum --r 3",
         "dist --family xyt --x 10.5 --y 10.5",
+        "dist --family gaussian --state FAR_STATE",
+        "dist --family gaussian --state FAR_STATE --route laguerre",
     ]
 )
 
@@ -87,10 +96,12 @@ def main() -> int:
         return 2
     checkout = Path(sys.argv[1]).resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        state = Path(tmp) / "state.json"
-        state.write_text(json.dumps(STATE_DESCRIPTOR))
+        paths = {}
+        for token, descriptor in DESCRIPTORS.items():
+            paths[token] = Path(tmp) / f"{token.lower()}.json"
+            paths[token].write_text(json.dumps(descriptor))
         for line in INVOCATIONS:
-            argv = [str(state) if tok == "STATE" else tok for tok in line.split()]
+            argv = [str(paths.get(tok, tok)) for tok in line.split()]
             print(f"{digest(checkout, argv)}  {line}", flush=True)
     return 0
 
