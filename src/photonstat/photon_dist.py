@@ -61,11 +61,13 @@ from .errors import (
     InvalidSpecError,
     NormalizationError,
     ParityError,
+    RangeOverflowError,
     SingularDenominatorError,
 )
 from .gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, r_matrix
 from .specfun import (
     _laguerre_half_log,
+    _legendre_columns,
     _legendre_scaled,
     _roots,
     gauss_2f1_terminating,
@@ -711,6 +713,39 @@ def two_mode_p2k_distribution(
     return _build_distribution(series, n_max)
 
 
+def _joint_weights(params: LegendreParams, n1, n2, leg, shift) -> np.ndarray:
+    """Weights of the cells (n1[i], n2[i]) with P_l^m(F3) = leg[i] e^shift[i].
+
+    The formula is written once, on arrays: :func:`two_mode_joint` reads one
+    cell and :func:`two_mode_joint_distribution` a whole table.  Logs and
+    exponentials are taken entry by entry with the math module, since
+    numpy's may differ from them in the last bit.
+
+    Raises:
+        RangeOverflowError: some weight, or its factor after N, exceeds the
+            double range.
+    """
+    n1, n2 = np.asarray(n1), np.asarray(n2)
+    leg, shift = np.asarray(leg, dtype=float), np.asarray(shift, dtype=float)
+    log_fact = log_factorials(int(max(n1.max(), n2.max())))
+    log_t = (
+        -abs(log_fact[n1] - log_fact[n2])
+        + ((n1 - n2) / 2) * math.log(params.f1)
+        + ((n1 + n2) / 2) * math.log(params.f2)
+    )
+    out = np.zeros(len(leg))
+    nz = leg != 0.0
+    log_leg = np.array(list(map(math.log, np.abs(leg[nz]).tolist())), dtype=float)
+    with np.errstate(over="ignore"):
+        try:
+            out[nz] = params.n_factor * _exp(log_t[nz] + 2 * (log_leg + shift[nz]))
+        except OverflowError:  # from math.exp
+            out[nz] = math.inf
+    if np.isinf(out).any():
+        raise RangeOverflowError("two-mode joint weight exceeds the double range")
+    return out
+
+
 def two_mode_joint(params: LegendreParams, n1: int, n2: int) -> float:
     """Joint weight of the Legendre representation:
 
@@ -720,22 +755,15 @@ def two_mode_joint(params: LegendreParams, n1: int, n2: int) -> float:
     Raises:
         ParityError: n1 + n2 odd (half-integer Legendre indices undefined).
         DomainError: negative indices.
+        RangeOverflowError: the weight, or its factor after N, exceeds the
+            double range.
     """
     if n1 < 0 or n2 < 0:
         raise DomainError("photon indices must be nonnegative")
     if (n1 + n2) % 2:
         raise ParityError(f"n1 + n2 must be even, got {n1} + {n2}")
-    l = (n1 + n2) // 2
-    m = abs(n1 - n2) // 2
-    log_t = (
-        -abs(log_factorial(n1) - log_factorial(n2))
-        + ((n1 - n2) / 2) * math.log(params.f1)
-        + ((n1 + n2) / 2) * math.log(params.f2)
-    )
-    leg, shift = _legendre_scaled(l, m, params.f3)
-    if leg == 0.0:
-        return 0.0
-    return params.n_factor * math.exp(log_t + 2 * (math.log(abs(leg)) + shift))
+    leg, shift = _legendre_scaled((n1 + n2) // 2, abs(n1 - n2) // 2, params.f3)
+    return float(_joint_weights(params, [n1], [n2], [leg], [shift])[0])
 
 
 def two_mode_joint_distribution(
@@ -743,15 +771,35 @@ def two_mode_joint_distribution(
 ) -> TwoModeJointDistribution:
     """Tabulate the joint weights on [0, n1_max] x [0, n2_max].
 
-    Odd-parity cells carry zero weight.  The caller chooses ``n_factor`` so
-    the table is (near-)normalized; the residual above the retained box is
-    reported as ``tail_bound``.
+    Odd-parity cells carry zero weight.  Each cell equals
+    :func:`two_mode_joint`, but the Legendre factors come from one climb in
+    degree per order m, O(N^2) steps for the whole table instead of one
+    recurrence per cell.  The caller chooses ``n_factor`` so the table is
+    (near-)normalized; the residual above the retained box is reported as
+    ``tail_bound``.
+
+    Raises:
+        DomainError: a negative maximum.
+        RangeOverflowError: as :func:`two_mode_joint`, for some cell.
     """
+    if n1_max < 0 or n2_max < 0:
+        raise DomainError("photon index maxima must be nonnegative")
+    # cell (n1, n2) reads P_l^m with l = (n1 + n2)/2 and m = |n1 - n2|/2, so
+    # column m climbs to the largest l of a cell with n1 - n2 = +-2m and no
+    # further: a value past the double range raises only where a cell reads it
+    tops = {
+        m: max(min(n1_max - m, n2_max + m), min(n2_max - m, n1_max + m))
+        for m in range(max(n1_max, n2_max) // 2 + 1)
+    }
+    columns = _legendre_columns(params.f3, tops)
+    flat = np.array([entry for column in columns.values() for entry in column])
+    start = np.cumsum([0] + [len(column) for column in columns.values()])
+    parity = np.add.outer(np.arange(n1_max + 1), np.arange(n2_max + 1)) % 2
+    n1, n2 = np.nonzero(parity == 0)
+    l, m = (n1 + n2) // 2, abs(n1 - n2) // 2
+    cell = start[m] + l - m
     table = np.zeros((n1_max + 1, n2_max + 1))
-    for n1 in range(n1_max + 1):
-        for n2 in range(n2_max + 1):
-            if (n1 + n2) % 2 == 0:
-                table[n1, n2] = two_mode_joint(params, n1, n2)
+    table[n1, n2] = _joint_weights(params, n1, n2, flat[cell, 0], flat[cell, 1])
     tail = max(0.0, 1.0 - float(table.sum()))
     return TwoModeJointDistribution(
         values=table, truncation=(n1_max, n2_max), tail_bound=tail
@@ -840,15 +888,9 @@ def _squeezed_correlated_amplitude(spec: DeformationSpec) -> tuple[float, comple
     return p0v, g
 
 
-def _log_fact(n: np.ndarray) -> np.ndarray:
-    # log_factorial entry by entry: log_factorials(n.max()) would cost O(n)
-    # for the single weight deformed_pn asks for
-    return np.array([log_factorial(k) for k in n.tolist()], dtype=float)
-
-
 def _exp(log_w: np.ndarray) -> np.ndarray:
     # math.exp entry by entry: np.exp differs from it in the last bit
-    return np.array([math.exp(v) for v in log_w.tolist()], dtype=float)
+    return np.array(list(map(math.exp, log_w.tolist())), dtype=float)
 
 
 def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
@@ -864,7 +906,7 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
         x_bar = spec.alpha_mag2
         if x_bar == 0:
             return (n == 0).astype(float)
-        return _exp(-x_bar + n * math.log(x_bar) - _log_fact(n))
+        return _exp(-x_bar + n * math.log(x_bar) - log_factorials(int(n.max()))[n])
     if kind is DeformationKind.SQUEEZED_VACUUM:
         out = np.zeros(len(n))
         even = n % 2 == 0
@@ -873,11 +915,12 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
         if t_half == 0:
             out[even] = m == 0
         else:
+            log_fact = log_factorials(int(n.max()))
             out[even] = _exp(
                 -math.log(math.cosh(spec.r))
                 + 2 * m * math.log(t_half)
-                + _log_fact(2 * m)
-                - 2 * _log_fact(m)
+                + log_fact[2 * m]
+                - 2 * log_fact[m]
             )
         return out
     if kind is DeformationKind.SQUEEZED_CORRELATED:
@@ -892,7 +935,9 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
         p0v, g = _squeezed_correlated_amplitude(spec)
         h_mag = hermite_sequence_log(g, int(n.max()))[0][n]
         return p0v * _exp(
-            n * math.log(math.tanh(spec.r) / 2) - _log_fact(n) + 2 * h_mag
+            n * math.log(math.tanh(spec.r) / 2)
+            - log_factorials(int(n.max()))[n]
+            + 2 * h_mag
         )
     if kind is DeformationKind.Q_COHERENT and spec.lam <= 0:
         raise InvalidSpecError("q-coherent family needs lam > 0")

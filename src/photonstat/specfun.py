@@ -51,8 +51,18 @@ both carried values are divided by it and its log is added to a running
 shift.  Plain values (`hermite`, `laguerre_half_sequence`,
 `assoc_legendre`) raise RangeOverflowError only past the double range.
 
-All functions are pure and use a fixed summation order, so results are
-deterministic and safe to call from concurrent code.
+The Legendre recurrence tabulates whole columns: one loop in m seeds
+P_m^m for every order at once, and one climb in degree gives the column
+P_m^m .. P_L^m, so a table of all l <= L costs O(L^2) steps
+(`_legendre_columns`; a single value is the last entry of its column).
+The log factorials come from one shared read-only table: the logs of
+exact integer factorials below 512, lgamma(k + 1) past it.
+`log_factorials` grows it on demand to at least twice its length, by
+replacing it with a longer table that holds the same values.
+
+All functions are pure apart from that growth, which a concurrent caller
+sees as either the old table or the new one, and use a fixed summation
+order, so results are deterministic and safe to call from concurrent code.
 """
 
 from __future__ import annotations
@@ -98,7 +108,8 @@ _SERIES_LIMIT = 1e250
 # log of the largest finite double; exponentiation beyond this must raise.
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 
-_LOG_FACT_TABLE_SIZE = 512
+# Factorials below this are exact integers before their log is taken.
+_LOG_FACT_EXACT = 512
 
 # Elements per temporary array in `log_cauchy_rows`.
 _CAUCHY_BLOCK = 4096
@@ -349,35 +360,61 @@ def log_powers(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return mag, np.exp(1j * cmath.phase(z) * k)
 
 
-def _build_log_fact_table(size: int) -> list[float]:
+def _exact_log_factorials(size: int) -> np.ndarray:
     table = [0.0]
     fact = 1
     for i in range(1, size):
         fact *= i
         table.append(math.log(fact))
-    return table
+    out = np.array(table)
+    out.flags.writeable = False
+    return out
 
 
-_LOG_FACT = _build_log_fact_table(_LOG_FACT_TABLE_SIZE)
-_LOG_FACT_ARRAY = np.array(_LOG_FACT)
+# ln(k!) for k below its length; see `log_factorials`
+_log_fact_table = _exact_log_factorials(_LOG_FACT_EXACT)
+
+
+def _grown_log_fact_table(n_max: int) -> np.ndarray:
+    """The shared table extended past n_max, to at least twice its length.
+
+    The new entries are lgamma(k + 1).  The table is replaced, never
+    written, so a concurrent reader holds either the old or the new one.
+    """
+    global _log_fact_table
+    table = _log_fact_table
+    size = max(n_max + 1, 2 * len(table))
+    tail = [math.lgamma(k + 1) for k in range(len(table), size)]
+    grown = np.concatenate([table, tail])
+    grown.flags.writeable = False
+    _log_fact_table = grown
+    return grown
 
 
 def log_factorial(n: int) -> float:
-    """ln(n!), exact-to-rounding from an integer table for small n, lgamma beyond."""
+    """ln(n!): entry n of the table of :func:`log_factorials`, or
+    lgamma(n + 1), the same value, past its end (which does not grow it)."""
     if n < 0:
         raise DomainError("factorial of a negative integer")
-    if n < _LOG_FACT_TABLE_SIZE:
-        return _LOG_FACT[n]
+    table = _log_fact_table
+    if n < len(table):
+        return float(table[n])
     return math.lgamma(n + 1)
 
 
 def log_factorials(n_max: int) -> np.ndarray:
-    """ln(k!) for k = 0 .. n_max, the values of :func:`log_factorial`."""
-    head = _LOG_FACT_ARRAY[: n_max + 1]
-    if n_max < _LOG_FACT_TABLE_SIZE:
-        return head.copy()
-    tail = [math.lgamma(k + 1) for k in range(_LOG_FACT_TABLE_SIZE, n_max + 1)]
-    return np.concatenate([head, tail])
+    """ln(k!) for k = 0 .. n_max, as a read-only view of one shared table.
+
+    Entries below 512 are the logs of exact integer factorials, the others
+    lgamma(k + 1).  The table grows on demand, so a run pays for each entry
+    once.
+    """
+    if n_max < 0:
+        raise DomainError("factorial of a negative integer")
+    table = _log_fact_table
+    if n_max >= len(table):
+        table = _grown_log_fact_table(n_max)
+    return table[: n_max + 1]
 
 
 def hermite(n: int, z: complex) -> complex:
@@ -552,34 +589,59 @@ def laguerre_half(n: int, x: float) -> float:
     return float(laguerre_half_sequence(x, n)[-1].real)
 
 
-def _legendre_scaled(l: int, m: int, x: float) -> tuple[float, float]:
-    """(v, s) with P_l^m(x) = v e^s; s = 0.0 and v is the plain
-    recurrence's value where no carried value passed 1e250."""
-    if l < 0 or m < 0:
-        raise DomainError("legendre indices must be nonnegative")
-    if m > l:
-        raise DomainError(f"legendre order m={m} exceeds degree l={l}")
-    # seed P_m^m = (2m-1)!! |x^2-1|^{m/2}, then climb in degree at fixed order
+def _legendre_columns(
+    x: float, tops: dict[int, int]
+) -> dict[int, list[tuple[float, float]]]:
+    """Columns of P_l^m(x) for the orders m in ``tops``: column m lists
+    (v, s) with P_l^m(x) = v e^s for l = m .. tops[m]; s = 0.0 and v is the
+    plain recurrence's value where no carried value passed 1e250.
+
+    One loop in m seeds every column, since the product for P_M^M passes
+    through each P_m^m with m <= M; each column is then one climb in degree.
+
+    Raises:
+        RangeOverflowError: some listed value exceeds the double range.
+    """
+    # seeds P_m^m = (2m-1)!! |x^2-1|^{m/2}
+    m_max = max(tops)
+    seeds = [(1.0, 0.0)]
     cur, shift = 1.0, 0.0
-    if m > 0:
+    if m_max > 0:
         pref = abs(x * x - 1.0) ** 0.5
-        for i in range(1, m + 1):
+        for i in range(1, m_max + 1):
             cur *= (2 * i - 1) * pref
             if cur > _RESCALE_LIMIT:
                 shift += math.log(cur)
                 cur = 1.0
-    prev = 0.0
-    for ll in range(m + 1, l + 1):
-        prev, cur = cur, ((2 * ll - 1) * x * cur - (ll + m - 1) * prev) / (ll - m)
-        # prev was checked last step, so abs(cur) is the larger of the two
-        peak = abs(cur)
-        if peak > _RESCALE_LIMIT:
-            prev /= peak
-            cur /= peak
-            shift += math.log(peak)
-    if not (math.isfinite(cur) and math.isfinite(shift)):
-        raise RangeOverflowError("legendre recurrence left the double range")
-    return cur, shift
+            seeds.append((cur, shift))
+    columns = {}
+    for m, l_top in tops.items():
+        cur, shift = seeds[m]
+        column = [(cur, shift)]
+        prev = 0.0
+        for ll in range(m + 1, l_top + 1):
+            prev, cur = cur, ((2 * ll - 1) * x * cur - (ll + m - 1) * prev) / (ll - m)
+            # prev was checked last step, so abs(cur) is the larger of the two
+            peak = abs(cur)
+            if peak > _RESCALE_LIMIT:
+                prev /= peak
+                cur /= peak
+                shift += math.log(peak)
+            column.append((cur, shift))
+        # a value past the double range leaves every later one non-finite
+        if not (math.isfinite(cur) and math.isfinite(shift)):
+            raise RangeOverflowError("legendre recurrence left the double range")
+        columns[m] = column
+    return columns
+
+
+def _legendre_scaled(l: int, m: int, x: float) -> tuple[float, float]:
+    """(v, s) with P_l^m(x) = v e^s, the last entry of :func:`_legendre_columns`."""
+    if l < 0 or m < 0:
+        raise DomainError("legendre indices must be nonnegative")
+    if m > l:
+        raise DomainError(f"legendre order m={m} exceeds degree l={l}")
+    return _legendre_columns(x, {m: l})[m][-1]
 
 
 def assoc_legendre(l: int, m: int, x: float) -> float:

@@ -35,7 +35,13 @@ from photonstat.photon_dist import (
     two_mode_p2k_distribution,
     two_mode_p2k_sequence,
 )
-from photonstat.specfun import _roots, assoc_legendre, log_factorial
+from photonstat.specfun import (
+    _legendre_columns,
+    _legendre_scaled,
+    _roots,
+    assoc_legendre,
+    log_factorial,
+)
 
 
 def squeezed_vacuum_law(r, n):
@@ -798,6 +804,62 @@ class TestTwoModeJoint:
         assert (joint.values >= 0).all()
         assert joint.values[1, 2] == 0.0  # odd parity cell
 
+    @staticmethod
+    def assert_table_is_cellwise(params, n1_max, n2_max):
+        table = two_mode_joint_distribution(params, n1_max, n2_max).values
+        assert table.shape == (n1_max + 1, n2_max + 1)
+        for n1 in range(n1_max + 1):
+            for n2 in range(n2_max + 1):
+                cell = two_mode_joint(params, n1, n2) if (n1 + n2) % 2 == 0 else 0.0
+                assert table[n1, n2] == cell, (n1, n2)
+
+    @pytest.mark.parametrize("f3", [0.0, 0.3, 1.0, -0.7, 3.0])
+    def test_table_cells_equal_the_scalar_weight(self, f3):
+        params = LegendreParams(n_factor=0.05, f1=0.8, f2=0.02, f3=f3)
+        self.assert_table_is_cellwise(params, 16, 29)
+        self.assert_table_is_cellwise(params, 29, 16)
+
+    def test_table_with_rescaled_climb_equals_the_scalar_weight(self):
+        # P_l^m(1e6) ~ (2e6)^l passes 1e250 near l = 40, so the columns rescale
+        params = LegendreParams(n_factor=0.5, f1=0.9, f2=1e-13, f3=1e6)
+        assert _legendre_scaled(48, 2, params.f3)[1] > 0
+        self.assert_table_is_cellwise(params, 50, 47)
+
+    def test_table_climbs_once_per_order(self, monkeypatch):
+        # every Legendre value of the table comes from one climb per order m
+        climbs = []
+
+        def scaled(l, m, x):
+            climbs.append(m)
+            return _legendre_scaled(l, m, x)
+
+        def columns(x, tops):
+            climbs.extend(tops)
+            return _legendre_columns(x, tops)
+
+        monkeypatch.setattr(photon_dist, "_legendre_scaled", scaled)
+        monkeypatch.setattr(photon_dist, "_legendre_columns", columns, raising=False)
+        two_mode_joint_distribution(self.params, 40, 24)
+        assert 0 < len(climbs) <= (40 + 24) // 2 + 1
+
+    def test_weight_past_the_double_range_raises(self):
+        # F2^300 |P_300(30)|^2 ~ 1e1067: math.exp overflowed with a bare
+        # OverflowError
+        params = LegendreParams(n_factor=1.0, f1=2.0, f2=2.0, f3=30.0)
+        with pytest.raises(RangeOverflowError):
+            two_mode_joint(params, 600, 0)
+        with pytest.raises(RangeOverflowError):
+            two_mode_joint_distribution(params, 600, 0)
+        # e^709 is finite, N e^709 is not (it came back inf)
+        params = LegendreParams(n_factor=10.0, f1=1.0, f2=math.exp(70.9), f3=1.0)
+        with pytest.raises(RangeOverflowError):
+            two_mode_joint(params, 10, 10)
+
+    @pytest.mark.parametrize("box", [(-2, 3), (-1, 3), (3, -1)])
+    def test_negative_maximum_rejected(self, box):
+        with pytest.raises(DomainError):
+            two_mode_joint_distribution(self.params, *box)
+
 
 class TestDeformedFamilies:
     def test_poisson_zero_count(self):
@@ -820,6 +882,14 @@ class TestDeformedFamilies:
         assert deformed_pn(spec, 4) == pytest.approx(
             squeezed_vacuum_law(1.3, 4), rel=1e-13
         )
+
+    def test_single_weight_equals_the_table_past_the_exact_factorials(self):
+        # both read the shared log-factorial table, grown past n = 511
+        spec = DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=2.9)
+        table = deformed_distribution(spec, 9000).values
+        for n in (510, 512, 1024, 4096, 9000):
+            assert deformed_pn(spec, n) == table[n].real
+        assert table[9000] > 0
 
     def test_squeezed_correlated_centered_reduces_to_vacuum_law(self):
         spec = DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=0.9, theta=0.0)

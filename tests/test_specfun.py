@@ -1,11 +1,14 @@
 import cmath
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special as sps
 
+from photonstat import specfun
 from photonstat.errors import DomainError, PoleError, RangeOverflowError
 from photonstat.gaussian_state import OneModeGaussianState, r_matrix
 from photonstat.specfun import (
@@ -325,6 +328,55 @@ class TestLogFactorial:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             log_factorial(-2)
+
+    def test_negative_table_end_rejected(self):
+        # the slice [: n_max + 1] used to return 509 entries for n_max = -3
+        with pytest.raises(DomainError):
+            log_factorials(-3)
+
+    def test_table_equals_scalar_before_and_after_growth(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_log_fact_table", specfun._log_fact_table[:512])
+        points = (511, 512, 513, 4096, 9000)
+        before = [log_factorial(n) for n in points]
+        table = log_factorials(9000)
+        assert len(specfun._log_fact_table) >= 9001
+        assert [float(table[n]) for n in points] == before
+        assert [log_factorial(n) for n in points] == before
+        assert before[1:] == [math.lgamma(n + 1) for n in points[1:]]
+        # a shorter request reads the grown table
+        assert log_factorials(600).tolist() == table[:601].tolist()
+
+    def test_table_is_read_only(self):
+        for n_max in (10, 2000):
+            table = log_factorials(n_max)
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_concurrent_growth_keeps_every_value(self, monkeypatch):
+        # growth replaces the shared table, so a reader racing it still gets
+        # the right values from whichever table it holds
+        monkeypatch.setattr(specfun, "_log_fact_table", specfun._log_fact_table[:512])
+        expected = [log_factorial(n) for n in range(6001)]
+        wrong = []
+
+        def reader(seed):
+            for i in range(40):
+                n_max = 500 + (seed * 997 + i * 613) % 5500
+                if log_factorials(n_max).tolist() != expected[: n_max + 1]:
+                    wrong.append(n_max)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestLogSigned:

@@ -74,6 +74,8 @@ INVOCATIONS = (
         "dist --family xyt --x 10.5 --y 10.5",
         "dist --family gaussian --state FAR_STATE",
         "dist --family gaussian --state FAR_STATE --route laguerre",
+        # past the 512 exact log factorials and the first doubled table end
+        "dist --family squeezed-vacuum --r 2.9 --n-max 9000",
     ]
 )
 
