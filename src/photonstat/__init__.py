@@ -30,8 +30,6 @@ from .specfun import (
     gauss_2f1_terminating,
     hermite,
     hermite_2d,
-    hermite_2d_log,
-    hermite_log,
     laguerre_half,
     log_factorial,
 )

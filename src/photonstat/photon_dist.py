@@ -66,13 +66,13 @@ from .errors import (
 )
 from .gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, r_matrix
 from .specfun import (
-    _laguerre_half_log,
     _legendre_columns,
     _legendre_scaled,
     _roots,
     gauss_2f1_terminating,
     hermite_2d_factors,
     hermite_sequence_log,
+    laguerre_half_sequence,
     log_cauchy_rows,
     log_factorial,
     log_factorials,
@@ -127,8 +127,11 @@ class PhotonDistribution:
 
     ``values[n]`` is the (possibly complex) weight of counting n photons,
     held as a read-only complex128 array; ``truncation`` is the largest
-    retained n; ``tail_bound`` estimates the omitted mass from the geometric
-    decay of the last retained terms.
+    retained n; ``tail_bound`` bounds the omitted mass.  Where a one-mode
+    Gaussian series with decay ratio q < 1 was sized from q (no explicit
+    ``n_max``), it is the proven bound of :func:`_decay_cut`; for every
+    other series it is estimated from the geometric decay of the last
+    retained terms, and is ``inf`` where they do not decay.
     """
 
     values: np.ndarray
@@ -163,6 +166,8 @@ class TwoModeJointDistribution:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 2:
             raise DomainError("joint table must be a 2-d array")
+        if not np.isfinite(arr).all():
+            raise DomainError("joint table entries must be finite")
         if (arr < -_TOL_NEG).any():
             raise DomainError("joint table entries must be nonnegative")
         if arr.sum() > 1 + _NORM_SLOP:
@@ -176,7 +181,9 @@ class LegendreParams:
 
     The overall scale ``n_factor`` and the three F parameters are consumed
     as given; the constants they are usually assembled from are outside the
-    scope of this package.
+    scope of this package.  ``n_factor``, ``f1`` and ``f2`` must be finite
+    and positive (the weights are N times real powers of F1 and F2), and
+    ``f3``, the Legendre argument, finite; anything else raises DomainError.
     """
 
     n_factor: float
@@ -185,8 +192,12 @@ class LegendreParams:
     f3: float
 
     def __post_init__(self):
-        if not (self.f1 > 0 and self.f2 > 0):
-            raise DomainError("f1 and f2 must be positive")
+        for name in ("n_factor", "f1", "f2"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        if not math.isfinite(self.f3):
+            raise DomainError(f"f3 must be finite, got {self.f3!r}")
 
 
 class DeformationKind(str, enum.Enum):
@@ -453,8 +464,8 @@ def _laguerre_ratio_seq(rm, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         x2 = 0.125 * (rm.r12 + rho) * (quad + skew)
     a_mag, a_ph = log_powers(rm.r12 - rho, n_max)
     b_mag, b_ph = log_powers(rm.r12 + rho, n_max)
-    l1_mag, l1_ph = _laguerre_half_log(x1, n_max)
-    l2_mag, l2_ph = _laguerre_half_log(x2, n_max)
+    l1_mag, l1_ph = laguerre_half_sequence(x1, n_max)
+    l2_mag, l2_ph = laguerre_half_sequence(x2, n_max)
     mag, ph = log_cauchy_rows(
         a_mag + l1_mag, a_ph * l1_ph, b_mag + l2_mag, b_ph * l2_ph, n_max + 1
     )

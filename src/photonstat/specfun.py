@@ -42,13 +42,14 @@ that this rectangle, their temporary, holds at most 4096 terms (64 rows of
 64 terms make one block).  Real phases stay exactly real.
 `log_signed_values` exponentiates the result once, at the end.
 
-The sequences come as (log-magnitude, phase) arrays for that kernel
-(`hermite_sequence_log`, and `_laguerre_half_log` for the Laguerre route),
-with real phases, exactly +-1, for a real argument.  The Hermite, Laguerre
-and Legendre recurrences run in float arithmetic for a real argument and
-share one rescale rule: once the newest value passes 1e250 in modulus,
-both carried values are divided by it and its log is added to a running
-shift.  Plain values (`hermite`, `laguerre_half_sequence`,
+Each polynomial family has one sequence and one plain scalar that reads
+its last entry.  The sequences come as (log-magnitude, phase) arrays for
+that kernel (`hermite_sequence_log`, `laguerre_half_sequence`), with real
+phases, exactly +-1, for a real argument.  The Hermite, Laguerre and
+Legendre recurrences run in float arithmetic for a real argument and share
+one rescale rule, `_rescaled`: once the newest value passes 1e250 in
+modulus, both carried values are divided by it and its log is added to a
+running shift.  The scalars (`hermite`, `hermite_2d`, `laguerre_half`,
 `assoc_legendre`) raise RangeOverflowError only past the double range.
 
 The Legendre recurrence tabulates whole columns: one loop in m seeds
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -86,10 +88,8 @@ __all__ = [
     "log_factorial",
     "log_factorials",
     "hermite",
-    "hermite_log",
     "hermite_sequence_log",
     "hermite_2d",
-    "hermite_2d_log",
     "hermite_2d_factors",
     "laguerre_half",
     "laguerre_half_sequence",
@@ -393,7 +393,13 @@ def _grown_log_fact_table(n_max: int) -> np.ndarray:
 
 def log_factorial(n: int) -> float:
     """ln(n!): entry n of the table of :func:`log_factorials`, or
-    lgamma(n + 1), the same value, past its end (which does not grow it)."""
+    lgamma(n + 1), the same value, past its end (which does not grow it).
+
+    Raises:
+        TypeError: n is not an integer.
+        DomainError: n < 0.
+    """
+    n = operator.index(n)
     if n < 0:
         raise DomainError("factorial of a negative integer")
     table = _log_fact_table
@@ -417,15 +423,24 @@ def log_factorials(n_max: int) -> np.ndarray:
     return table[: n_max + 1]
 
 
+def _rescaled(prev, cur, shift: float):
+    """The rescale rule: prev and cur divided by abs(cur), its log added to shift.
+
+    Callers test abs(cur) alone: prev passed the same test one step earlier.
+    """
+    peak = abs(cur)
+    return prev / peak, cur / peak, shift + math.log(peak)
+
+
 def hermite(n: int, z: complex) -> complex:
-    """Physicists' Hermite polynomial H_n(z), the value of :func:`hermite_log`.
+    """Physicists' Hermite H_n(z): the last entry of :func:`hermite_sequence_log`.
 
     Raises:
         DomainError: n < 0.
-        RangeOverflowError: the result exceeds the double range; use
-            :func:`hermite_log` instead.
+        RangeOverflowError: the result exceeds the double range.
     """
-    return hermite_log(n, z).value()
+    mag, ph = hermite_sequence_log(z, n)
+    return LogSigned(float(mag[-1]), complex(ph[-1])).value()
 
 
 def hermite_sequence_log(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -449,20 +464,10 @@ def hermite_sequence_log(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray
         raw.append(cur)
         shifts.append(shift)
         prev, cur = cur, two_z * cur - 2 * k * prev
-        # prev was checked last step, so abs(cur) is the larger of the two
-        peak = abs(cur)
-        if peak > _RESCALE_LIMIT:
-            prev /= peak
-            cur /= peak
-            shift += math.log(peak)
+        if abs(cur) > _RESCALE_LIMIT:
+            prev, cur, shift = _rescaled(prev, cur, shift)
     mag, ph = _log_signed(np.array(raw))
     return mag + shifts, ph
-
-
-def hermite_log(n: int, z: complex) -> LogSigned:
-    """H_n(z) in log-signed form; never overflows."""
-    mag, ph = hermite_sequence_log(z, n)
-    return LogSigned(float(mag[-1]), complex(ph[-1]))
 
 
 def _roots(r) -> tuple[complex, complex, complex]:
@@ -511,13 +516,17 @@ def hermite_2d_factors(n_max: int, r, y1: complex, y2: complex):
     return (a_mag - log_fact, a_ph), (b_mag - 2 * log_fact, b_ph), c
 
 
-def hermite_2d_log(n: int, r, y1: complex, y2: complex) -> LogSigned:
-    """Two-index Hermite polynomial H_nn^{R}(y1, y2) in log-signed form.
+def hermite_2d(n: int, r, y1: complex, y2: complex) -> complex:
+    """Two-index Hermite polynomial H_nn^{R}(y1, y2) as a plain complex value.
 
     ``r`` is any object with attributes ``r11``, ``r22``, ``r12`` (for
     example the R-matrix produced by the Gaussian-state module).  The y
     arguments are taken from the call, not from ``r``.  Only row n of
     :func:`hermite_2d_factors` is summed, in O(n).
+
+    Raises:
+        DomainError: n < 0.
+        RangeOverflowError: the value exceeds the double range.
     """
     if n < 0:
         raise DomainError("hermite_2d degree must be nonnegative")
@@ -526,25 +535,14 @@ def hermite_2d_log(n: int, r, y1: complex, y2: complex) -> LogSigned:
         (a_mag + b_mag[::-1])[None], (_phases(a_ph) * _phases(b_ph)[::-1])[None]
     )
     if row_mag[0] == -np.inf:
-        return LogSigned.zero()
+        return 0j
     return LogSigned(
         float(row_mag[0] + c_mag[n] + 2 * log_factorial(n)),
         complex(row_ph[0] * c_ph[n]),
-    )
+    ).value()
 
 
-def hermite_2d(n: int, r, y1: complex, y2: complex) -> complex:
-    """Two-index Hermite polynomial H_nn^{R}(y1, y2) as a plain complex value.
-
-    Raises:
-        DomainError: n < 0.
-        RangeOverflowError: the value exceeds the double range (use
-            :func:`hermite_2d_log`).
-    """
-    return hermite_2d_log(n, r, y1, y2).value()
-
-
-def _laguerre_half_log(x: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def laguerre_half_sequence(x: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """L_0^{-1/2}(x) .. L_{n_max}^{-1/2}(x) as (log-magnitude, phase) arrays.
 
     The recurrence runs in float arithmetic for a real x, which gives real
@@ -562,31 +560,25 @@ def _laguerre_half_log(x: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         raw.append(cur)
         shifts.append(shift)
         prev, cur = cur, ((2 * n + 0.5 - x) * cur - (n - 0.5) * prev) / (n + 1)
-        # prev was checked last step, so abs(cur) is the larger of the two
-        peak = abs(cur)
-        if peak > _RESCALE_LIMIT:
-            prev /= peak
-            cur /= peak
-            shift += math.log(peak)
+        if abs(cur) > _RESCALE_LIMIT:
+            prev, cur, shift = _rescaled(prev, cur, shift)
     mag, ph = _log_signed(np.array(raw))
     return mag + shifts, ph
 
 
-def laguerre_half_sequence(x: complex, n_max: int) -> np.ndarray:
-    """L_0^{-1/2}(x) .. L_{n_max}^{-1/2}(x) as a complex128 array.
+def laguerre_half(n: int, x: float) -> float:
+    """L_n^{-1/2}(x) for real x, the last entry of :func:`laguerre_half_sequence`.
 
     Raises:
-        RangeOverflowError: a value exceeds the double range.
+        DomainError: n < 0, or x is not real.
+        RangeOverflowError: some L_k^{-1/2}(x), k <= n, exceeds the double range.
     """
-    mag, ph = _laguerre_half_log(x, n_max)
-    if not mag.max() <= _LOG_DBL_MAX:
+    if complex(x).imag:
+        raise DomainError(f"laguerre_half takes a real argument, got {x!r}")
+    value = float(log_signed_values(*laguerre_half_sequence(x, n))[-1].real)
+    if math.isnan(value):  # a step of the recurrence overflowed
         raise RangeOverflowError("laguerre recurrence left the double range")
-    return (np.exp(mag) * ph).astype(complex, copy=False)
-
-
-def laguerre_half(n: int, x: float) -> float:
-    """Associated Laguerre polynomial L_n^{-1/2}(x) for real x."""
-    return float(laguerre_half_sequence(x, n)[-1].real)
+    return value
 
 
 def _legendre_columns(
@@ -606,14 +598,12 @@ def _legendre_columns(
     m_max = max(tops)
     seeds = [(1.0, 0.0)]
     cur, shift = 1.0, 0.0
-    if m_max > 0:
-        pref = abs(x * x - 1.0) ** 0.5
-        for i in range(1, m_max + 1):
-            cur *= (2 * i - 1) * pref
-            if cur > _RESCALE_LIMIT:
-                shift += math.log(cur)
-                cur = 1.0
-            seeds.append((cur, shift))
+    pref = abs(x * x - 1.0) ** 0.5
+    for i in range(1, m_max + 1):
+        cur *= (2 * i - 1) * pref
+        if cur > _RESCALE_LIMIT:
+            _, cur, shift = _rescaled(0.0, cur, shift)
+        seeds.append((cur, shift))
     columns = {}
     for m, l_top in tops.items():
         cur, shift = seeds[m]
@@ -621,12 +611,8 @@ def _legendre_columns(
         prev = 0.0
         for ll in range(m + 1, l_top + 1):
             prev, cur = cur, ((2 * ll - 1) * x * cur - (ll + m - 1) * prev) / (ll - m)
-            # prev was checked last step, so abs(cur) is the larger of the two
-            peak = abs(cur)
-            if peak > _RESCALE_LIMIT:
-                prev /= peak
-                cur /= peak
-                shift += math.log(peak)
+            if abs(cur) > _RESCALE_LIMIT:
+                prev, cur, shift = _rescaled(prev, cur, shift)
             column.append((cur, shift))
         # a value past the double range leaves every later one non-finite
         if not (math.isfinite(cur) and math.isfinite(shift)):
@@ -641,6 +627,8 @@ def _legendre_scaled(l: int, m: int, x: float) -> tuple[float, float]:
         raise DomainError("legendre indices must be nonnegative")
     if m > l:
         raise DomainError(f"legendre order m={m} exceeds degree l={l}")
+    if math.isnan(x):
+        raise DomainError("legendre argument is NaN")
     return _legendre_columns(x, {m: l})[m][-1]
 
 
@@ -652,7 +640,7 @@ def assoc_legendre(l: int, m: int, x: float) -> float:
     its square agrees with the textbook conventions.
 
     Raises:
-        DomainError: m > l or negative indices.
+        DomainError: m > l, negative indices, or a NaN x.
         RangeOverflowError: the value exceeds the double range.
     """
     value, shift = _legendre_scaled(l, m, x)

@@ -19,6 +19,7 @@ from photonstat.photon_dist import (
     DeformationKind,
     DeformationSpec,
     LegendreParams,
+    TwoModeJointDistribution,
     deformed_distribution,
     deformed_pn,
     distribution_from_values,
@@ -797,6 +798,35 @@ class TestTwoModeJoint:
     def test_invariants(self):
         with pytest.raises(DomainError):
             LegendreParams(n_factor=1.0, f1=-0.1, f2=0.5, f3=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_factor", math.nan),
+            ("n_factor", -1.0),
+            ("n_factor", 0.0),
+            ("n_factor", math.inf),
+            ("f1", math.inf),
+            ("f2", math.nan),
+            ("f3", math.nan),
+            ("f3", -math.inf),
+        ],
+    )
+    def test_parameters_must_be_finite_and_scales_positive(self, field, value):
+        # a NaN N gave a NaN table that passed as normalized, N = -1 made
+        # the (2, 0) weight -0.16, and a NaN F3 read as a range overflow
+        kwargs = {"n_factor": 0.05, "f1": 0.8, "f2": 0.5, "f3": 0.3, field: value}
+        with pytest.raises(DomainError, match=field):
+            LegendreParams(**kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_table_rejects_non_finite_entries(self, bad):
+        # a NaN entry passed the sign and mass checks, so its entropies
+        # came back NaN
+        values = np.full((2, 2), 0.1)
+        values[1, 0] = bad
+        with pytest.raises(DomainError, match="finite"):
+            TwoModeJointDistribution(values, (1, 1), 0.0)
 
     def test_table_builder(self):
         joint = two_mode_joint_distribution(self.params, 8, 8)

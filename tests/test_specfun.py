@@ -19,7 +19,6 @@ from photonstat.specfun import (
     gauss_2f1_terminating,
     hermite,
     hermite_2d,
-    hermite_log,
     hermite_sequence_log,
     laguerre_half,
     laguerre_half_sequence,
@@ -85,9 +84,9 @@ class TestHermite:
     def test_overflow_raises_and_log_path_survives(self):
         with pytest.raises(RangeOverflowError):
             hermite(800, 30.0)
-        ls = hermite_log(800, 30.0)
-        assert math.isfinite(ls.log_magnitude)
-        assert abs(abs(ls.sign_phase) - 1) < 1e-12
+        mag, ph = hermite_sequence_log(30.0, 800)
+        assert math.isfinite(mag[-1])
+        assert abs(abs(ph[-1]) - 1) < 1e-12
 
 
 class TestHermiteSequenceLog:
@@ -115,12 +114,6 @@ class TestHermiteSequenceLog:
         assert ph.dtype == np.float64
         assert set(np.unique(ph)) <= {-1.0, 0.0, 1.0}
         assert np.array_equal(ph == 0, mag == -np.inf)
-
-    def test_log_form_matches_sequence_end(self):
-        mag, ph = hermite_sequence_log(0.4 - 1.1j, 50)
-        ls = hermite_log(50, 0.4 - 1.1j)
-        assert ls.log_magnitude == mag[-1] and ls.sign_phase == ph[-1]
-        assert hermite_log(7, 0.0) == LogSigned.zero()
 
 
 class TestHermite2d:
@@ -197,30 +190,42 @@ class TestLaguerreHalf:
     @pytest.mark.parametrize("z", [0.25, -0.25, 0.5, -0.5])
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.5, 4.0])
     def test_generating_function(self, z, x):
-        lhs = math.fsum(
-            z**n * L.real for n, L in enumerate(laguerre_half_sequence(x, 60))
-        )
+        seq = log_signed_values(*laguerre_half_sequence(x, 60))
+        lhs = math.fsum(z**n * L.real for n, L in enumerate(seq))
         rhs = (1 - z) ** -0.5 * math.exp(x * z / (z - 1))
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
     def test_returns_complex_array(self):
         for x in (1.5, 0.2 - 0.7j):
-            seq = laguerre_half_sequence(x, 40)
+            seq = log_signed_values(*laguerre_half_sequence(x, 40))
             assert isinstance(seq, np.ndarray) and seq.dtype == np.complex128
             assert seq.shape == (41,)
-        assert not np.count_nonzero(laguerre_half_sequence(1.5, 40).imag)
-        assert laguerre_half_sequence(1.5, 0).tolist() == [1]
-        assert laguerre_half_sequence(1.5, 1).tolist() == [1, -1]
+        mag, ph = laguerre_half_sequence(1.5, 40)
+        assert ph.dtype == np.float64 and set(np.unique(ph)) <= {-1.0, 1.0}
+        assert not np.count_nonzero(log_signed_values(mag, ph).imag)
+        assert log_signed_values(*laguerre_half_sequence(1.5, 0)).tolist() == [1]
+        assert log_signed_values(*laguerre_half_sequence(1.5, 1)).tolist() == [1, -1]
 
     @pytest.mark.parametrize("x, n_max", [(1e6, 200), (-1e3, 400), (1e5j, 200)])
     def test_overflow_raises(self, x, n_max):
+        with pytest.raises(RangeOverflowError, match="exceeds the double range"):
+            log_signed_values(*laguerre_half_sequence(x, n_max))
+
+    def test_scalar_raises_where_a_step_overflows(self):
+        # L_2(1e300) ~ 5e599: the step to it overflows and leaves NaN behind
         with pytest.raises(RangeOverflowError, match="left the double range"):
-            laguerre_half_sequence(x, n_max)
+            laguerre_half(2, 1e300)
+
+    def test_non_real_argument_rejected(self):
+        # the imaginary part was dropped: L_2(1j) = -1/8 - 1.5i came back -0.125
+        with pytest.raises(DomainError, match="real argument"):
+            laguerre_half(2, 1j)
+        assert laguerre_half(2, 1 + 0j) == laguerre_half(2, 1.0)
 
     def test_rescaled_values_within_the_double_range(self):
         # the values pass 1e250 at n = 213 and end near 1.9e287
-        seq = laguerre_half_sequence(-1000.0, 260)
+        seq = log_signed_values(*laguerre_half_sequence(-1000.0, 260))
         with mpmath.workdps(30):
             for n in (200, 240, 260):
                 ref = mpmath.laguerre(n, -0.5, -1000)
@@ -259,6 +264,12 @@ class TestAssocLegendre:
         # 259!! 8^65 ~ 2.2e316; it used to come back inf
         with pytest.raises(RangeOverflowError, match="left the double range"):
             assoc_legendre(130, 130, 3.0)
+
+    def test_nan_argument_rejected(self):
+        # it used to raise RangeOverflowError, as if the value overflowed
+        for l, m in ((0, 0), (2, 0), (5, 3)):
+            with pytest.raises(DomainError, match="NaN"):
+                assoc_legendre(l, m, math.nan)
 
     def test_rescaled_climb_within_the_double_range(self):
         # P_380(3) ~ 2.4e289 passes 1e250 on the way
@@ -328,6 +339,16 @@ class TestLogFactorial:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             log_factorial(-2)
+
+    @pytest.mark.parametrize("n", [2.5, 600.5, 3.0, "3"])
+    def test_non_integer_rejected(self, n):
+        # 2.5 raised numpy's IndexError and 600.5 returned lgamma(601.5)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            log_factorial(n)
+
+    def test_integer_types_accepted(self):
+        for n in (7, 600):
+            assert log_factorial(np.int64(n)) == log_factorial(n)
 
     def test_negative_table_end_rejected(self):
         # the slice [: n_max + 1] used to return 509 entries for n_max = -3

@@ -76,6 +76,9 @@ INVOCATIONS = (
         "dist --family gaussian --state FAR_STATE --route laguerre",
         # past the 512 exact log factorials and the first doubled table end
         "dist --family squeezed-vacuum --r 2.9 --n-max 9000",
+        # an explicit f profile: long enough to converge, and too short
+        "dist --family f-coherent --alpha 0.8 --f-values 1,1.5,2,2.5,3,3.5,4,4.5,5,5.5,6,6.5",
+        "dist --family f-coherent --alpha 0.8 --f-values 1,1,1",
     ]
 )
 
