@@ -16,8 +16,10 @@ values, and every distribution carries a classification verdict:
 The two 1e-12 tolerances are fixed, so no caller can move a verdict.
 
 Each series is a finite double sum "row n = e^{C[n]} sum_k A[k] B[n-k]";
-every route builds its own A, B and C and sums all rows at once with
-:func:`specfun.log_cauchy_rows`, in the log domain.
+every route builds its own A, B and C as log-magnitudes and phases, and
+:func:`specfun.log_cauchy_rows` sums all rows at once by a tilted
+convolution, keeping each row's log-magnitude far outside the double
+range.
 
 Truncation is adaptive unless an explicit ``n_max`` is given.  Every
 one-mode Gaussian series (the three routes, and the squeezed-vacuum and

@@ -33,13 +33,23 @@ double sum of the package has the Cauchy-product shape
 
     row n = e^{C[n]} sum_k A[k] B[n-k],
 
-and `log_cauchy_rows` evaluates it for whole sequences at once: the factors
-are given as (log-magnitude, phase) arrays, each row is shifted by its own
-largest term before exponentiation, and rows are processed in blocks.  Row
-n reads only A[0] .. A[n], so the rows n0 .. n1-1 of a block read a
-triangle inside (n1 - n0) x min(n1, len(A)) terms, and blocks are sized so
-that this rectangle, their temporary, holds at most 4096 terms (64 rows of
-64 terms make one block).  Real phases stay exactly real.
+and `log_cauchy_rows` evaluates it for whole sequences at once, from
+factors given as (log-magnitude, phase) arrays.  For a span of rows it
+chooses a tilt lambda, forms A[k] e^{-lambda k - max} and B[m]
+e^{-lambda m - max} in plain arithmetic, each at most 1, takes one
+convolution of the two, and adds lambda n and both maxima back onto the
+log of row n.  lambda levels the largest terms of the span's first and
+last rows, which keeps the rows of a smooth series within a few hundred
+nats of 1.  A row is certified when no nonzero term of the span falls
+below e^-700 (nothing underflows), when the row itself reaches e^-600 (a
+term lost to underflow is below e^-708), or when every term has an exact
+zero factor.  A certified row carries the error bound of plain summation,
+gamma_n sum_k |A[k] B[n-k]|, the bound of the log-domain sum it replaces
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4).
+The rows left over are tilted again on the span they cover, halved where
+that certifies none of them, and a single row is summed on its own,
+shifted by its largest term.  A factor whose only nonzero entry is its
+first makes each row one exact term.  Real phases stay exactly real.
 `log_signed_values` exponentiates the result once, at the end.
 
 Each polynomial family has one sequence and one plain scalar that reads
@@ -110,10 +120,6 @@ _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 
 # Factorials below this are exact integers before their log is taken.
 _LOG_FACT_EXACT = 512
-
-# Elements per temporary array in `log_cauchy_rows`.
-_CAUCHY_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class LogSigned:
@@ -256,12 +262,19 @@ def log_cauchy_rows(a_mag, a_ph, b_mag, b_ph, n_rows: int | None = None):
 
         exp(mag[n]) ph[n] = sum_k A[k] B[n-k],    n = 0 .. n_rows - 1
 
-    (``n_rows`` defaults to the full product, len(a) + len(b) - 1).  Each
-    row is summed after shifting by its own largest term, so rows far
-    outside the double range keep their relative precision.  Rows are
-    formed in the blocks of :func:`_cauchy_blocks`.  When both phase
-    arrays are real the arithmetic is real, so real phases stay exactly
-    +-1; a zero row is returned as (-inf, 0).
+    (``n_rows`` defaults to the full product, len(a) + len(b) - 1).  A span
+    of rows is summed by one tilted convolution (:func:`_tilted_rows`), so
+    rows far outside the double range keep their relative precision.  The
+    rows that a tilt leaves uncertified are tilted again on the span they
+    cover, which is halved where that certifies none of them; a single row
+    is summed on its own, shifted by its largest term.  A factor whose only
+    nonzero entry is its first makes each row one exact term.  When both
+    phase arrays are real the arithmetic is real, so real phases stay
+    exactly +-1; a zero row is returned as (-inf, 0).
+
+    Raises:
+        RangeOverflowError: a log-magnitude that some row reads is NaN or
+            +inf, as a recurrence that left the double range leaves behind.
     """
     a_mag = np.asarray(a_mag, dtype=float)
     b_mag = np.asarray(b_mag, dtype=float)
@@ -270,72 +283,180 @@ def log_cauchy_rows(a_mag, a_ph, b_mag, b_ph, n_rows: int | None = None):
     if n_rows is None:
         n_rows = na + nb - 1 if na and nb else 0
     dtype = np.result_type(a_ph, b_ph)
-    mag = np.full(n_rows, -np.inf)
-    ph = np.zeros(n_rows, dtype=dtype)
     if not (na and nb and n_rows):
-        return mag, ph
-    edges = _cauchy_blocks(n_rows, na)
-    # B reversed between zero pads, so that the factors B[n-k] of row n for
-    # ascending k form one contiguous window starting at nb - 1 - n + pad.
-    # Row n reads k <= n, so the right pad covers the tallest block, and
-    # rows past the product's end read the left pad.
-    pad = max(n_rows - nb, 0)
-    size = pad + nb + max(n1 - n0 for n0, n1 in zip(edges, edges[1:]))
-    rb_mag = np.full(size, -np.inf)
-    rb_mag[pad : pad + nb] = b_mag[::-1]
-    rb_ph = np.zeros(size, dtype)
-    rb_ph[pad : pad + nb] = b_ph[::-1]
-    for n0, n1 in zip(edges, edges[1:]):
-        k0, k1 = max(0, n0 - nb + 1), min(n1, na)
-        if k0 >= k1:
-            continue  # every row of the block lies past the product's end
-        start = nb - 1 - n0 + k0 + pad
-        shape = (n1 - n0, k1 - k0)
-        t_mag = _windows(rb_mag, start, shape) + a_mag[k0:k1]
-        t_ph = _windows(rb_ph, start, shape) * a_ph[k0:k1]
-        mag[n0:n1], ph[n0:n1] = _log_row_sums(t_mag, t_ph)
+        return _zero_rows(n_rows, dtype)
+    # row n reads A[k] and B[n-k] for k <= n; rows past the product's end are zero
+    n = min(n_rows, na + nb - 1)
+    a_mag, a_ph, b_mag, b_ph = a_mag[:n], a_ph[:n], b_mag[:n], b_ph[:n]
+    if _only_first(a_mag):
+        return _single_term_rows(a_mag, a_ph, b_mag, b_ph, n_rows)
+    if _only_first(b_mag):
+        return _single_term_rows(b_mag, b_ph, a_mag, a_ph, n_rows)
+    mag = ph = done = None
+    spans = [(0, n)]
+    while spans:
+        n0, n1 = spans.pop()
+        if n1 - n0 == 1:
+            t_mag, t_ph = _row_terms(a_mag, a_ph, b_mag, b_ph, n0)
+            row_mag, row_ph = _log_row_sums(t_mag[None], t_ph[None])
+            ok = None
+        else:
+            row_mag, row_ph, ok = _tilted_rows(a_mag, a_ph, b_mag, b_ph, n0, n1)
+        if ok is None:  # every row certified
+            if n1 - n0 == n_rows:
+                return row_mag, row_ph
+            ok = np.ones(n1 - n0, dtype=bool)
+        if mag is None:
+            (mag, ph), done = _zero_rows(n_rows, dtype), np.zeros(n, dtype=bool)
+        mag[n0:n1][ok], ph[n0:n1][ok] = row_mag[ok], row_ph[ok]
+        done[n0:n1] |= ok
+        left = np.flatnonzero(~done[n0:n1]) + n0
+        if left.size:
+            f0, f1 = int(left[0]), int(left[-1]) + 1
+            if (f0, f1) != (n0, n1):
+                spans.append((f0, f1))  # tilted again on their own span
+            else:
+                mid = (n0 + n1) // 2
+                spans += [(n0, mid), (mid, n1)]
     return mag, ph
 
 
-def _cauchy_blocks(n_rows: int, na: int) -> list[int]:
-    """Row edges of the blocks of :func:`log_cauchy_rows`.
+def _zero_rows(n_rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """n_rows zero rows, (-inf, 0)."""
+    return np.full(n_rows, -np.inf), np.zeros(n_rows, dtype=dtype)
 
-    Rows n0 .. n1-1 read the factors A[k] with k < min(n1, na), so each
-    block is the tallest whose (n1 - n0) * min(n1, na) terms fit in
-    ``_CAUCHY_BLOCK``: n1 is the integer root of n1 (n1 - n0) = _CAUCHY_BLOCK
-    while n1 <= na, and n0 + _CAUCHY_BLOCK // na past it.  A row wider than
-    the block forms a block of its own.
+
+def _only_first(x_mag: np.ndarray) -> bool:
+    """Whether x[0] is the only entry that may be nonzero, as in the powers
+    of zero (tested on x[1] first, which is nonzero in almost every series)."""
+    return len(x_mag) < 2 or (x_mag[1] == -np.inf and _top(x_mag[1:]) == -np.inf)
+
+
+def _single_term_rows(a_mag, a_ph, b_mag, b_ph, n_rows: int):
+    """Rows where A[0] is A's only nonzero entry: row n is the single term
+    A[0] B[n], exact in the log domain."""
+    mag, ph = _zero_rows(n_rows, np.result_type(a_ph, b_ph))
+    n = min(n_rows, len(b_mag))
+    mag[:n] = a_mag[0] + b_mag[:n]
+    ph[:n] = a_ph[0] * b_ph[:n]
+    if not _top(mag) < np.inf:
+        raise RangeOverflowError(_NOT_FINITE)
+    return mag, ph
+
+
+# Certificates of a tilted span, where every factor is at most 1.  Where
+# no nonzero term falls below e^-700, nothing underflows or loses bits, so
+# each row keeps the error bound of plain summation, gamma_n times its sum
+# of term moduli (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., ch. 4), as the log-domain sum does.  Otherwise a row is
+# certified where its modulus reaches e^-600: a term lost to underflow is
+# below e^-708, and a few thousand of them stay below eps times the row.
+_SPAN_FLOOR = -700.0
+_CERTIFIED = math.exp(-600.0)
+
+# Tilts are rounded to multiples of 2^-20, so that lambda k is exact for
+# |lambda| < 2^20 and k < 2^13 and the tilt adds no rounding of its own.
+_TILT_QUANTUM = 2.0**-20
+
+_top, _bottom = np.maximum.reduce, np.minimum.reduce
+
+_NOT_FINITE = "a factor left the double range: log-magnitude NaN or inf"
+
+
+def _row_window(na: int, nb: int, n: int) -> tuple[slice, slice]:
+    """Slices of A and of B (to be reversed) that row n reads."""
+    k0, k1 = max(0, n - nb + 1), min(n + 1, na)
+    return slice(k0, k1), slice(n - k1 + 1, n - k0 + 1)
+
+
+def _row_terms(a_mag, a_ph, b_mag, b_ph, n: int):
+    """The terms A[k] B[n-k] of row n as (log-magnitude, phase) arrays."""
+    ka, kb = _row_window(len(a_mag), len(b_mag), n)
+    return a_mag[ka] + b_mag[kb][::-1], a_ph[ka] * b_ph[kb][::-1]
+
+
+def _row_top(a_mag, b_mag, n: int) -> float:
+    """Log-magnitude of the largest term of row n."""
+    if n == 0:
+        return float(a_mag[0] + b_mag[0])
+    ka, kb = _row_window(len(a_mag), len(b_mag), n)
+    return float(_top(a_mag[ka] + b_mag[kb][::-1]))
+
+
+def _level_tilt(a_mag, b_mag, n0: int, n1: int) -> float:
+    """The tilt lambda under which the largest terms of rows n0 and n1 - 1
+    come out level (0 where either row is an exact zero, or NaN)."""
+    tilt = (_row_top(a_mag, b_mag, n1 - 1) - _row_top(a_mag, b_mag, n0)) / (n1 - 1 - n0)
+    if not math.isfinite(tilt):
+        return 0.0
+    return round(tilt / _TILT_QUANTUM) * _TILT_QUANTUM
+
+
+def _tilted_rows(a_mag, a_ph, b_mag, b_ph, n0: int, n1: int):
+    """Rows n0 .. n1-1 of :func:`log_cauchy_rows` by one tilted convolution.
+
+    With lambda from :func:`_level_tilt`, the factors
+    A[k] e^{-lambda k - top_a} and B[m] e^{-lambda m - top_b} are formed
+    in plain arithmetic, each at most 1, one convolution sums every row,
+    and lambda n + top_a + top_b goes back onto the log of row n.  Returns
+    ``(mag, ph, certified)``, with ``certified`` None where every row is.
+    The certificates (see ``_CERTIFIED``) are tried cheapest first: every
+    row reaching e^-600, then the span's smallest nonzero term, then, row
+    by row, the modulus and the exact zero factors of every term.
     """
-    edges = [0]
-    n0 = 0
-    while n0 < n_rows:
-        n1 = (n0 + math.isqrt(n0 * n0 + 4 * _CAUCHY_BLOCK)) // 2
-        if n1 > na:
-            n1 = n0 + _CAUCHY_BLOCK // na
-        n0 = min(max(n1, n0 + 1), n_rows)
-        edges.append(n0)
-    return edges
+    ka, kb = min(n1, len(a_mag)), min(n1, len(b_mag))
+    ramp = _level_tilt(a_mag, b_mag, n0, n1) * np.arange(n1)
+    t_a, t_b = a_mag[:ka] - ramp[:ka], b_mag[:kb] - ramp[:kb]
+    top_a, top_b = _top(t_a), _top(t_b)
+    if not (top_a < np.inf and top_b < np.inf):
+        # checked on the first span, which reads every factor: a NaN row
+        # would certify under no tilt
+        raise RangeOverflowError(_NOT_FINITE)
+    if top_a == -np.inf or top_b == -np.inf:  # every term has a zero factor
+        return (*_zero_rows(n1 - n0, np.result_type(a_ph, b_ph)), None)
+    t_a -= top_a
+    t_b -= top_b
+    acc = _convolve_rows(np.exp(t_a) * a_ph[:ka], np.exp(t_b) * b_ph[:kb], n0, n1)
+    size = np.abs(acc)
+    shift = ramp[n0:n1] + (top_a + top_b)
+    if _bottom(size) >= _CERTIFIED:
+        return np.log(size) + shift, acc / size, None
+    nz_a, nz_b = t_a > -np.inf, t_b > -np.inf
+    if _bottom(t_a, where=nz_a, initial=0.0) + _bottom(t_b, where=nz_b, initial=0.0) >= _SPAN_FLOOR:
+        ok = None
+    else:
+        ok = size >= _CERTIFIED
+        ok |= ~_convolve_rows(nz_a, nz_b, n0, n1)  # no term has two nonzero factors
+        if ok.all():
+            ok = None
+    mag, ph = _log_signed(acc)  # zeros, and complex rows down to subnormals
+    return mag + shift, ph, ok
 
 
-def _windows(seq: np.ndarray, start: int, shape: tuple[int, int]) -> np.ndarray:
-    """Read-only view whose row i is seq[start - i : start - i + shape[1]]."""
-    step = seq.itemsize
-    view = np.ndarray(shape, seq.dtype, seq, start * step, (-step, step))
-    view.flags.writeable = False
-    return view
+def _convolve_rows(x: np.ndarray, y: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """Rows n0 .. n1-1 of the full convolution of x and y, which reaches n1."""
+    if n0 == 0:
+        return np.convolve(x, y)[:n1]
+    # y between zero pads, so that the rows n0 .. n1-1 are the valid windows
+    lo = n0 - len(x) + 1
+    z = np.zeros(n1 - lo, dtype=np.result_type(x, y))
+    z[max(lo, 0) - lo : min(n1, len(y)) - lo] = y[max(lo, 0) : n1]
+    return np.convolve(z, x, "valid")
 
 
 def log_signed_values(mag, ph) -> np.ndarray:
     """exp(mag) * ph as a complex128 array.
 
     Raises:
-        RangeOverflowError: some log-magnitude exceeds the double range.
+        RangeOverflowError: some log-magnitude exceeds the double range, or
+            is NaN, which a recurrence that left the double range leaves.
     """
     mag = np.asarray(mag, dtype=float)
-    if mag.size and mag.max() > _LOG_DBL_MAX:
-        raise RangeOverflowError(
-            f"log-magnitude {mag.max():.6g} exceeds the double range"
-        )
+    top = mag.max() if mag.size else -np.inf
+    if np.isnan(top):
+        raise RangeOverflowError("log-magnitude NaN: a value left the double range")
+    if top > _LOG_DBL_MAX:
+        raise RangeOverflowError(f"log-magnitude {top:.6g} exceeds the double range")
     return (np.exp(mag) * ph).astype(complex, copy=False)
 
 
@@ -575,10 +696,7 @@ def laguerre_half(n: int, x: float) -> float:
     """
     if complex(x).imag:
         raise DomainError(f"laguerre_half takes a real argument, got {x!r}")
-    value = float(log_signed_values(*laguerre_half_sequence(x, n))[-1].real)
-    if math.isnan(value):  # a step of the recurrence overflowed
-        raise RangeOverflowError("laguerre recurrence left the double range")
-    return value
+    return float(log_signed_values(*laguerre_half_sequence(x, n))[-1].real)
 
 
 def _legendre_columns(

@@ -12,7 +12,7 @@ from photonstat.errors import (
     RangeOverflowError,
     SingularDenominatorError,
 )
-from photonstat import photon_dist
+from photonstat import photon_dist, specfun
 from photonstat.gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, r_matrix
 from photonstat.photon_dist import (
     Classification,
@@ -229,6 +229,33 @@ class TestHighPrecisionReference:
                 assert self.rel_err(v, e) <= 1e-9
 
 
+class TestSqueezedVacuumAtTheCap:
+    """Both Gaussian routes of a squeezed vacuum at r = 3, N = 4096, against
+    the 50-digit closed form.  At r = 2.97 the float product
+    sigma_pp sigma_qq misses 1/4, R12 is roundoff instead of 0, and the
+    Hermite rows span about 27000 nats: they need several tilts."""
+
+    @pytest.mark.parametrize("r", [3.0, 2.97])
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    def test_matches_closed_form(self, monkeypatch, route, r):
+        spans = []
+        tilted = specfun._tilted_rows
+        monkeypatch.setattr(specfun, "_tilted_rows", lambda *a: spans.append(a) or tilted(*a))
+        dist = route(OneModeGaussianState.squeezed_vacuum(r))
+        assert dist.truncation == 4096
+        if route is pn_hermite and r == 2.97:
+            assert len(spans) > 1
+        ref = squeezed_vacuum_law_mp(r, 4096, digits=50)
+        with mpmath.workdps(50):
+            for n, (v, e) in enumerate(zip(dist.values.tolist(), ref)):
+                if n % 2:
+                    assert abs(v) <= 1e-15
+                elif e >= 1e-250:
+                    # the terms near n = 4096 are formed from log-magnitudes
+                    # near 2.7e4, whose rounding alone is 6e-12 relative
+                    assert abs(mpmath.mpc(v) - e) <= 5e-11 * e
+
+
 class TestTailNoiseFloor:
     """Roundoff-level odd terms of a pure squeezed vacuum do not drive
     adaptive truncation to the cap."""
@@ -362,6 +389,28 @@ class TestDecayRatioTruncation:
             assert route(arg).truncation <= n_cut
             assert len(calls) == per_pass
 
+    @pytest.mark.parametrize("n_max", [None, 256])
+    @pytest.mark.parametrize("means", [(0.0, 0.0), (0.6, -0.5)])
+    def test_one_convolution_per_kernel_call(self, monkeypatch, n_max, means):
+        # a squeezed thermal state of mean photon number 0.95, as routes_mixed draws
+        r, theta, nu = 0.3, 1.0, 2.9 / math.cosh(0.6)
+        ch, sh = math.cosh(2 * r), math.sinh(2 * r)
+        sigmas = (nu / 2 * (ch + math.cos(theta) * sh), nu / 2 * (ch - math.cos(theta) * sh),
+                  nu / 2 * math.sin(theta) * sh)
+        state = OneModeGaussianState(*sigmas, *means)
+        calls, convolutions = [], []
+        kernel, convolve = photon_dist.log_cauchy_rows, specfun._convolve_rows
+        monkeypatch.setattr(photon_dist, "log_cauchy_rows", lambda *a: calls.append(a) or kernel(*a))
+        monkeypatch.setattr(specfun, "_convolve_rows", lambda *a: convolutions.append(a) or convolve(*a))
+        routes = [(pn_hermite, state), (pn_laguerre, state)]
+        if state.is_centered:
+            routes.append((pn_centered_xyt, XYTState(*sigmas)))
+        for route, arg in routes:
+            calls.clear()
+            convolutions.clear()
+            assert route(arg, n_max).classification is Classification.PROBABILITY
+            assert calls and len(convolutions) == len(calls)
+
     def test_equivalent_laws_share_the_cutoff(self):
         for r, theta, mq, mp in [(0.7, 0.5, 0.3, -0.2), (1.0, 0.0, 1.0, 0.5), (0.2, 1.0, 0.0, 0.0)]:
             spec = DeformationSpec(
@@ -481,6 +530,19 @@ class TestLaguerreRoute:
         for va, vb in zip(a.values, b.values):
             assert rel_close(va, vb, 1e-9)
         assert b.classification is Classification.PROBABILITY
+
+
+@pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+@pytest.mark.parametrize(
+    "state",
+    [OneModeGaussianState(1.2, 0.8, 0.2, 1e100, 5e99), OneModeGaussianState(1e300, 1e300, 0, 0, 0)],
+)
+def test_recurrence_past_the_double_range_raises(route, state):
+    # a recurrence that overflows leaves NaN log-magnitudes; the Laguerre
+    # route summed them to a NormalizationError ("sums to nan"), and both
+    # routes did so for the second state
+    with pytest.raises(RangeOverflowError):
+        route(state, n_max=64)
 
 
 class TestCenteredXytRoute:

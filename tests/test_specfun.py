@@ -12,9 +12,8 @@ from photonstat import specfun
 from photonstat.errors import DomainError, PoleError, RangeOverflowError
 from photonstat.gaussian_state import OneModeGaussianState, r_matrix
 from photonstat.specfun import (
-    _CAUCHY_BLOCK,
     LogSigned,
-    _cauchy_blocks,
+    _log_row_sums,
     assoc_legendre,
     gauss_2f1_terminating,
     hermite,
@@ -438,7 +437,162 @@ def _cauchy_values(a, b, n_rows=None):
     return np.array(log_signed_values(mag, ph))
 
 
+def _mp_rows(a_mag, a_ph, b_mag, b_ph, n_rows):
+    """For each row at 30 digits: its sum sum_k A[k] B[n-k], the sum of its
+    term moduli |t|, and the sum of |t| |ln |t||."""
+    rows = []
+    with mpmath.workdps(30):
+        for n in range(n_rows):
+            acc, size, weighted = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
+            for k in range(max(0, n - len(b_mag) + 1), min(n + 1, len(a_mag))):
+                if a_mag[k] == -np.inf or b_mag[n - k] == -np.inf:
+                    continue
+                log_term = mpmath.mpf(a_mag[k]) + mpmath.mpf(b_mag[n - k])
+                term = mpmath.exp(log_term)
+                acc += term * mpmath.mpc(a_ph[k]) * mpmath.mpc(b_ph[n - k])
+                size += term
+                weighted += term * abs(log_term)
+            rows.append((acc, size, weighted))
+    return rows
+
+
+def _assert_matches_mp(a_mag, a_ph, b_mag, b_ph, n_rows=None, rel=1e-13):
+    """Each row of the kernel within rel times its sum of term moduli of the
+    30-digit sum, and rows whose every term has a zero factor exactly zero.
+
+    A term given by its log t carries the rounding of that log, about
+    eps |t| |ln |t||; 1e-14 of the weighted sum covers it.
+    """
+    mag, ph = log_cauchy_rows(a_mag, a_ph, b_mag, b_ph, n_rows)
+    for n, (acc, size, weighted) in enumerate(_mp_rows(a_mag, a_ph, b_mag, b_ph, len(mag))):
+        if size == 0:
+            assert mag[n] == -np.inf and ph[n] == 0, n
+            continue
+        with mpmath.workdps(30):
+            got = mpmath.exp(mag[n]) * mpmath.mpc(ph[n]) if mag[n] > -np.inf else 0
+            assert abs(got - acc) <= rel * (size + weighted / 10), n
+    return mag, ph
+
+
+def _gaussian_factor(rng, size, width, complex_phases=False):
+    """Log-magnitudes -k^2 / (2 width) with random phases."""
+    mag = -np.arange(size) ** 2 / (2.0 * width)
+    if complex_phases:
+        return mag, np.exp(1j * rng.uniform(0, 6, size))
+    return mag, rng.choice([-1.0, 1.0], size)
+
+
 class TestLogCauchyRows:
+    @pytest.mark.parametrize("na, nb", [(1, 1), (5, 9), (40, 25), (90, 120)])
+    def test_matches_mpmath(self, na, nb):
+        rng = np.random.default_rng(na * 1000 + nb)
+        a = rng.normal(size=na) + 1j * rng.normal(size=na)
+        b = rng.normal(size=nb) * np.exp(1j * rng.uniform(0, 6, nb))
+        _assert_matches_mp(*_log_signed(a), *_log_signed(b))
+        _assert_matches_mp(*_log_signed(a.real), *_log_signed(b.real), min(na, nb))
+
+    def test_rows_that_no_single_tilt_holds(self, monkeypatch):
+        # row maxima fall like -n^2 / 4, by about 5500 nats over 150 rows,
+        # and sag 1400 nats below the chord of the whole span: several tilts
+        # are needed
+        rng = np.random.default_rng(17)
+        spans = []
+        tilted = specfun._tilted_rows
+
+        def counted(*args):
+            spans.append(args[4:])
+            return tilted(*args)
+
+        monkeypatch.setattr(specfun, "_tilted_rows", counted)
+        for complex_phases in (False, True):
+            spans.clear()
+            a = _gaussian_factor(rng, 150, 1.0, complex_phases)
+            b = _gaussian_factor(rng, 150, 1.0)
+            mag, _ = _assert_matches_mp(*a, *b, 150)
+            assert mag[149] < mag[0] - 1500
+            assert len(spans) > 1
+
+    def test_exact_zero_rows_of_the_pure_vacuum_shape(self):
+        # A = 0^k and B zero at every odd m: each row is one term, or none
+        m = np.arange(40)
+        b_mag = np.where(m % 2, -np.inf, -2 * np.array([math.lgamma(k // 2 + 1) for k in m]))
+        b_ph = np.where(m % 2, 0.0, 1.0)
+        a_mag, a_ph = log_powers(0, 39)
+        mag, ph = _assert_matches_mp(a_mag, a_ph, b_mag, b_ph, 40, rel=0)
+        assert np.all(mag[1::2] == -np.inf) and np.all(ph[1::2] == 0)
+        assert np.array_equal(mag[::2], b_mag[::2]) and np.all(ph[::2] == 1.0)
+
+    def test_exact_zero_rows_in_a_tilted_span(self, monkeypatch):
+        # both factors vanish at odd indices and span thousands of nats, so
+        # the odd rows are zero by the zero factors of every term
+        rng = np.random.default_rng(23)
+        single = []
+        monkeypatch.setattr(
+            specfun, "_log_row_sums", lambda *a: single.append(a) or _log_row_sums(*a)
+        )
+        a_mag, a_ph = _gaussian_factor(rng, 120, 2.0)
+        b_mag, b_ph = _gaussian_factor(rng, 120, 3.0)
+        a_mag[1::2] = b_mag[1::2] = -np.inf
+        mag, ph = _assert_matches_mp(a_mag, a_ph, b_mag, b_ph, 120)
+        assert np.all(mag[1::2] == -np.inf) and np.all(ph[1::2] == 0)
+        assert np.all(mag[::2] > -np.inf)
+        assert not single  # no row was left to be summed on its own
+
+    def test_row_that_cancels_exactly(self, monkeypatch):
+        # row 1 of pn_violation(1.0, 1.5) is 1/4 - 1/4
+        from photonstat import photon_dist
+
+        calls = []
+        kernel = photon_dist.log_cauchy_rows
+        monkeypatch.setattr(
+            photon_dist, "log_cauchy_rows", lambda *a: calls.append(a) or kernel(*a)
+        )
+        photon_dist.pn_violation(1.0, 1.5)
+        a_mag, a_ph, b_mag, b_ph, n_rows = calls[0]
+        assert math.exp(a_mag[0] + b_mag[1]) == pytest.approx(0.25, rel=1e-15)
+        assert a_ph[0] * b_ph[1] == -a_ph[1] * b_ph[0]
+        mag, ph = _assert_matches_mp(a_mag, a_ph, b_mag, b_ph, n_rows)
+        assert math.exp(mag[1]) <= 1e-15
+
+    def test_rows_past_the_double_range_match_mpmath(self):
+        rng = np.random.default_rng(29)
+        a_mag, a_ph = _log_signed(rng.normal(size=60) + 1j * rng.normal(size=60))
+        b_mag, b_ph = _log_signed(rng.normal(size=50))
+        for shift in (-3000.0, 1000.0):
+            mag, _ = _assert_matches_mp(a_mag + shift, a_ph, b_mag + shift, b_ph)
+            assert np.all(np.abs(mag - 2 * shift) < 20)
+
+    def test_output_does_not_depend_on_memory_offsets(self):
+        # the convolution runs on BLAS dot kernels, which may treat aligned
+        # and unaligned data differently
+        rng = np.random.default_rng(31)
+        cases = [
+            (*_gaussian_factor(rng, 300, 4.0, True), *_gaussian_factor(rng, 300, 4.0)),
+            (*_log_signed(rng.normal(size=65)), *_log_signed(rng.normal(size=65))),
+        ]
+        for args in cases:
+            ref = log_cauchy_rows(*args)
+            for offset in range(1, 8):
+                moved = []
+                for x in args:
+                    buf = np.empty(len(x) + offset, dtype=x.dtype)
+                    buf[offset:] = x
+                    moved.append(buf[offset:])
+                got = log_cauchy_rows(*moved)
+                for g, r in zip(got, ref):
+                    assert g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_inf_factor_rejected(self, bad):
+        a_mag, a_ph = _log_signed(np.arange(1.0, 9.0))
+        for where in (0, 5):
+            mag = a_mag.copy()
+            mag[where] = bad
+            with pytest.raises(RangeOverflowError, match="left the double range"):
+                log_cauchy_rows(mag, a_ph, a_mag, a_ph)
+            with pytest.raises(RangeOverflowError, match="left the double range"):
+                log_cauchy_rows([0.0, -np.inf], [1.0, 0.0], mag, a_ph)
+
     def test_matches_convolve(self):
         rng = np.random.default_rng(7)
         for na, nb in ((1, 1), (5, 9), (40, 25), (200, 200)):
@@ -483,9 +637,8 @@ class TestLogCauchyRows:
         assert list(mag) == [0.0, -np.inf, -np.inf] and list(ph) == [1.0, 0.0, 0.0]
 
     def test_block_boundaries(self):
-        # 1000 terms: blocks of 4 rows past the first 1000, and 1999 rows is
-        # not a multiple of 4; 5000 terms are wider than one block and go one
-        # row at a time past the first 4096 rows
+        # long factors of unequal lengths: rows past the end of the shorter
+        # one read fewer terms than their index
         rng = np.random.default_rng(11)
         for na, nb in ((1000, 1000), (1000, 37), (5000, 3)):
             a = rng.uniform(0.5, 1.5, na) * rng.choice([-1.0, 1.0], na)
@@ -512,30 +665,6 @@ class TestLogCauchyRows:
             1e-13 * np.max(np.abs(ref[:n_rows]))
         )
 
-    @pytest.mark.parametrize(
-        "n_rows, na",
-        [(1, 1), (33, 33), (64, 64), (65, 65), (129, 129), (257, 257),
-         (1025, 1025), (4097, 4097), (8193, 4097), (1999, 1000), (1036, 37),
-         (5002, 5000), (10, 10_000)],
-    )
-    def test_block_plan_fits_the_block(self, n_rows, na):
-        edges = _cauchy_blocks(n_rows, na)
-        assert edges[0] == 0 and edges[-1] == n_rows
-        for n0, n1 in zip(edges, edges[1:]):
-            assert n1 > n0
-            terms = (n1 - n0) * min(n1, na)
-            # only a single row may be wider than the block on its own
-            assert terms <= _CAUCHY_BLOCK or n1 - n0 == 1
-            # a block stops only where one more row would not fit
-            if n1 < n_rows:
-                assert (n1 + 1 - n0) * min(n1 + 1, na) > _CAUCHY_BLOCK
-
-    def test_block_counts(self):
-        # 64 rows of 64 terms fill one block; 257 rows of up to 257 terms
-        # take 10, the first of 64 rows, against 18 of 15 rows sized by width
-        assert len(_cauchy_blocks(64, 64)) - 1 == 1
-        assert len(_cauchy_blocks(257, 257)) - 1 == 10
-
     def test_rows_beyond_the_double_range(self):
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=50), rng.normal(size=50)
@@ -549,6 +678,9 @@ class TestLogCauchyRows:
     def test_overflow_raises(self):
         with pytest.raises(RangeOverflowError):
             log_signed_values([0.0, 710.0], [1.0, -1.0])
+        # NaN, as an overflowing recurrence leaves behind, compares False
+        with pytest.raises(RangeOverflowError, match="left the double range"):
+            log_signed_values([0.0, np.nan, -np.inf], [1.0, 1.0, 0.0])
         values = log_signed_values([709.0, -np.inf], [-1.0, 0.0])
         assert values.dtype == np.complex128
         assert values.tolist() == [-math.exp(709.0), 0j]

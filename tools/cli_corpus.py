@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,13 +22,18 @@ from pathlib import Path
 
 # each token below is replaced by the path of a state descriptor file:
 # STATE a displaced squeezed state, FAR_STATE one far from the origin, whose
-# Laguerre factors pass 1e284
+# Laguerre factors pass 1e284, SQ3_STATE the squeezed vacuum at r = 3 as a
+# Gaussian state, whose Hermite factors span about 27000 nats at N = 4096
 DESCRIPTORS = {
     "STATE": {
         "sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1, "mean_q": 0.3, "mean_p": -0.2
     },
     "FAR_STATE": {
         "sigma_pp": 1.2, "sigma_qq": 0.8, "sigma_pq": 0.2, "mean_q": 20.0, "mean_p": 10.0
+    },
+    "SQ3_STATE": {
+        "sigma_pp": math.exp(6) / 2, "sigma_qq": math.exp(-6) / 2, "sigma_pq": 0.0,
+        "mean_q": 0.0, "mean_p": 0.0
     },
 }
 
@@ -74,6 +80,8 @@ INVOCATIONS = (
         "dist --family xyt --x 10.5 --y 10.5",
         "dist --family gaussian --state FAR_STATE",
         "dist --family gaussian --state FAR_STATE --route laguerre",
+        "dist --family gaussian --state SQ3_STATE",
+        "dist --family gaussian --state SQ3_STATE --route laguerre",
         # past the 512 exact log factorials and the first doubled table end
         "dist --family squeezed-vacuum --r 2.9 --n-max 9000",
         # an explicit f profile: long enough to converge, and too short
