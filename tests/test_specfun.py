@@ -665,6 +665,55 @@ class TestLogCauchyRows:
             1e-13 * np.max(np.abs(ref[:n_rows]))
         )
 
+    @staticmethod
+    def _span_plan(monkeypatch):
+        """Record the spans summed by a tilted convolution and the rows
+        summed on their own."""
+        spans, single = [], []
+        tilted = specfun._tilted_rows
+        monkeypatch.setattr(
+            specfun, "_tilted_rows", lambda *a: spans.append(a[4:]) or tilted(*a)
+        )
+        monkeypatch.setattr(
+            specfun, "_log_row_sums", lambda *a: single.append(a) or _log_row_sums(*a)
+        )
+        return spans, single
+
+    @pytest.mark.parametrize(
+        "n_rows, na",
+        [(1, 1), (33, 33), (64, 64), (65, 65), (129, 129), (257, 257),
+         (1025, 1025), (4097, 4097), (8193, 4097), (1999, 1000), (1036, 37),
+         (5002, 5000), (10, 10_000)],
+    )
+    def test_block_plan_fits_the_block(self, monkeypatch, n_rows, na):
+        # terms of one order of magnitude: the first span holds every row
+        # the product has, of whatever length, and no row is left over
+        spans, single = self._span_plan(monkeypatch)
+        nb = max(n_rows - na + 1, 2)
+        rng = np.random.default_rng(n_rows * 100_000 + na)
+        a = rng.uniform(0.5, 1.5, na) * rng.choice([-1.0, 1.0], na)
+        b = rng.uniform(0.5, 1.5, nb) * np.exp(1j * rng.uniform(0, 6, nb))
+        got = _cauchy_values(a, b, n_rows)
+        # (a single row is one term, summed without a convolution)
+        assert spans == ([(0, n_rows)] if n_rows > 1 else [])
+        assert not single
+        ref = np.convolve(a, b)[:n_rows]
+        assert got.shape == (n_rows,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_block_counts(self, monkeypatch):
+        spans, single = self._span_plan(monkeypatch)
+        rng = np.random.default_rng(13)
+        # 64 and 257 rows of like-sized terms take one convolution each
+        for n in (64, 257):
+            spans.clear()
+            _cauchy_values(rng.normal(size=n), rng.normal(size=n), n)
+            assert spans == [(0, n)]
+        # a factor that is zero past its first entry takes none
+        spans.clear()
+        log_cauchy_rows(*log_powers(0, 63), *_log_signed(rng.normal(size=64)))
+        assert not spans and not single
+
     def test_rows_beyond_the_double_range(self):
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=50), rng.normal(size=50)
