@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,12 @@ SUBADDITIVITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PartitionScheme:
-    """Block size m >= 2 of the relabeling n -> (floor(n/m), n mod m)."""
+    """Block size m >= 2, an integer, of the relabeling n -> (floor(n/m), n mod m)."""
 
     block_size: int = 2
 
     def __post_init__(self):
+        object.__setattr__(self, "block_size", operator.index(self.block_size))
         if self.block_size < 2:
             raise DomainError("block_size must be at least 2")
 
@@ -224,9 +226,11 @@ def complex_information(
     uses -(sum z)(ln sum|z| + i arg(sum z) + 2 pi i b).
 
     Raises:
+        TypeError: ``branch`` is not an integer.
         DivergentSeriesError: the sequence failed its tail ratio test
             (``tail_bound`` is not finite).
     """
+    branch = operator.index(branch)
     if reading not in ("blocked", "verbatim"):
         raise DomainError(f"unknown reading {reading!r}")
     if not math.isfinite(dist.tail_bound):

@@ -68,6 +68,7 @@ from .errors import (
 )
 from .gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, r_matrix
 from .specfun import (
+    _LOG_DBL_MAX,
     _legendre_columns,
     _legendre_scaled,
     _roots,
@@ -235,21 +236,19 @@ class DeformationSpec:
     f_convention: str = "sqrt-factorial"
 
     def __post_init__(self):
+        object.__setattr__(self, "f_values", tuple(float(v) for v in self.f_values))
+        for name in ("alpha_mag2", "lam", "r", "theta", "mean_q", "mean_p", "f_values"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidSpecError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.alpha_mag2 < 0:
             raise InvalidSpecError("alpha_mag2 must be nonnegative")
         if self.f_convention not in ("sqrt-factorial", "factorial"):
             raise InvalidSpecError(f"unknown f_convention {self.f_convention!r}")
-        object.__setattr__(self, "f_values", tuple(float(v) for v in self.f_values))
 
 
 # ---------------------------------------------------------------------------
 # truncation, tail estimation, classification
 # ---------------------------------------------------------------------------
-
-
-def _magnitudes(values: np.ndarray) -> np.ndarray:
-    # abs() of each value, bit for bit; np.abs of complex input is not
-    return np.hypot(values.real, values.imag)
 
 
 def _tail_estimate(mags: np.ndarray) -> float:
@@ -288,7 +287,7 @@ def _trim_divergent(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     divergence as data (classification handles them), whereas trimming is
     only meaningful past a genuinely decayed head.
     """
-    mags = _magnitudes(values)
+    mags = np.abs(values)
     nz = np.flatnonzero(mags > 0.0)
     if nz.size < 8 or not (np.diff(mags[nz[-5:]]) > 0).all():
         return values, mags, False
@@ -388,7 +387,10 @@ def _decay_cut(state: OneModeGaussianState) -> tuple[int, float] | None:
     # ln(tail / 1e-12) = front + (N + 1) ln rho for each candidate rho
     fronts = [(log_p0 + b - math.log1p(-r), math.log(r)) for r, b in zip(rho, log_b)]
     n = min(_ADAPTIVE_CAP, max(1, math.ceil(min(f / -lr for f, lr in fronts) - 1)))
-    return n, _TAIL_TARGET * math.exp(min(f + (n + 1) * lr for f, lr in fronts))
+    log_tail = min(f + (n + 1) * lr for f, lr in fronts)
+    if log_tail > _LOG_DBL_MAX:  # at the cap, for a displacement far past it
+        raise RangeOverflowError(f"tail bound at N = {n} exceeds the double range")
+    return n, _TAIL_TARGET * math.exp(log_tail)
 
 
 def _build_distribution(series, n_max, *, state=None) -> PhotonDistribution:
@@ -423,7 +425,7 @@ def _build_distribution(series, n_max, *, state=None) -> PhotonDistribution:
 def distribution_from_values(values) -> PhotonDistribution:
     """Wrap an explicit weight sequence in a classified distribution."""
     values = np.asarray(values, dtype=complex)
-    return _finalize(values, _tail_estimate(_magnitudes(values)))
+    return _finalize(values, _tail_estimate(np.abs(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +732,7 @@ def _joint_weights(params: LegendreParams, n1, n2, leg, shift) -> np.ndarray:
     """Weights of the cells (n1[i], n2[i]) with P_l^m(F3) = leg[i] e^shift[i].
 
     The formula is written once, on arrays: :func:`two_mode_joint` reads one
-    cell and :func:`two_mode_joint_distribution` a whole table.  Logs and
-    exponentials are taken entry by entry with the math module, since
-    numpy's may differ from them in the last bit.
+    cell and :func:`two_mode_joint_distribution` a whole table.
 
     Raises:
         RangeOverflowError: some weight, or its factor after N, exceeds the
@@ -746,14 +746,9 @@ def _joint_weights(params: LegendreParams, n1, n2, leg, shift) -> np.ndarray:
         + ((n1 - n2) / 2) * math.log(params.f1)
         + ((n1 + n2) / 2) * math.log(params.f2)
     )
-    out = np.zeros(len(leg))
-    nz = leg != 0.0
-    log_leg = np.array(list(map(math.log, np.abs(leg[nz]).tolist())), dtype=float)
-    with np.errstate(over="ignore"):
-        try:
-            out[nz] = params.n_factor * _exp(log_t[nz] + 2 * (log_leg + shift[nz]))
-        except OverflowError:  # from math.exp
-            out[nz] = math.inf
+    # a zero Legendre factor gives log 0 = -inf and the weight 0
+    with np.errstate(over="ignore", divide="ignore"):
+        out = params.n_factor * np.exp(log_t + 2 * (np.log(np.abs(leg)) + shift))
     if np.isinf(out).any():
         raise RangeOverflowError("two-mode joint weight exceeds the double range")
     return out
@@ -885,7 +880,8 @@ def _deformed_log_weights(spec: DeformationSpec) -> tuple[float, tuple[float, ..
 
 
 def _squeezed_correlated_amplitude(spec: DeformationSpec) -> tuple[float, complex]:
-    """(P0, Hermite argument g) of the squeezed/correlated family."""
+    """(ln P0, Hermite argument g) of the squeezed/correlated family; at
+    large displacement P0 underflows while the Hermite factors overflow."""
     r, th = spec.r, spec.theta
     q, p = spec.mean_q, spec.mean_p
     tanh_r = math.tanh(r)
@@ -894,16 +890,12 @@ def _squeezed_correlated_amplitude(spec: DeformationSpec) -> tuple[float, comple
         * math.sqrt(tanh_r)
         * (complex(q, -p) / 2 + cmath.exp(1j * th) / tanh_r * complex(q, p) / 2)
     )
-    p0v = (1 / math.cosh(r)) * math.exp(
-        -(p * p + q * q) / 2
+    log_p0 = (
+        -math.log(math.cosh(r))
+        - (p * p + q * q) / 2
         + (tanh_r / 2) * ((p * p - q * q) * math.cos(th) + 2 * p * q * math.sin(th))
     )
-    return p0v, g
-
-
-def _exp(log_w: np.ndarray) -> np.ndarray:
-    # math.exp entry by entry: np.exp differs from it in the last bit
-    return np.array(list(map(math.exp, log_w.tolist())), dtype=float)
+    return log_p0, g
 
 
 def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
@@ -919,7 +911,7 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
         x_bar = spec.alpha_mag2
         if x_bar == 0:
             return (n == 0).astype(float)
-        return _exp(-x_bar + n * math.log(x_bar) - log_factorials(int(n.max()))[n])
+        return np.exp(-x_bar + n * math.log(x_bar) - log_factorials(int(n.max()))[n])
     if kind is DeformationKind.SQUEEZED_VACUUM:
         out = np.zeros(len(n))
         even = n % 2 == 0
@@ -929,7 +921,7 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
             out[even] = m == 0
         else:
             log_fact = log_factorials(int(n.max()))
-            out[even] = _exp(
+            out[even] = np.exp(
                 -math.log(math.cosh(spec.r))
                 + 2 * m * math.log(t_half)
                 + log_fact[2 * m]
@@ -945,10 +937,11 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
             return _deformed_weights(
                 DeformationSpec(DeformationKind.POISSON, alpha_mag2=x_bar), n
             )
-        p0v, g = _squeezed_correlated_amplitude(spec)
+        log_p0, g = _squeezed_correlated_amplitude(spec)
         h_mag = hermite_sequence_log(g, int(n.max()))[0][n]
-        return p0v * _exp(
-            n * math.log(math.tanh(spec.r) / 2)
+        return np.exp(
+            log_p0
+            + n * math.log(math.tanh(spec.r) / 2)
             - log_factorials(int(n.max()))[n]
             + 2 * h_mag
         )
@@ -957,7 +950,7 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
     log_c0, logs = _deformed_log_weights(spec)
     out = np.zeros(len(n))
     inside = n < len(logs)
-    out[inside] = _exp(log_c0 + np.array(logs)[n[inside]])
+    out[inside] = np.exp(log_c0 + np.array(logs)[n[inside]])
     return out
 
 

@@ -302,6 +302,39 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert err.startswith("error: domain-error:")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--family", "q-coherent", "--alpha", "1", "--lambda", "nan"),
+            ("--family", "q-coherent", "--alpha", "inf", "--lambda", "1"),
+            ("--family", "f-coherent", "--alpha", "0.8",
+             "--f-values", "1,inf,2,3,4,5,6,7,8,9,10"),
+        ],
+    )
+    def test_non_finite_spec_is_single_line(self, capsys, flags):
+        code, out, err = run(capsys, "dist", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: invalid-spec:")
+
+    def test_large_displacement(self, capsys):
+        # P0 underflows while the weights' Hermite factors overflow
+        code, out, err = run(
+            capsys, "dist", "--family", "squeezed-correlated", "--r", "0.5", "--mean-q", "38"
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("# classification=Probability\n# truncation=1292\n")
+
+    def test_displacement_past_the_cap_is_single_line(self, capsys):
+        code, out, err = run(
+            capsys, "dist", "--family", "squeezed-correlated", "--r", "0.5", "--mean-q", "200"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: range-overflow:")
+
     def test_bad_state_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\"sigma_pp\": 0.5}")

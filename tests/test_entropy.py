@@ -94,6 +94,12 @@ class TestBlockEntropies:
         with pytest.raises(DomainError):
             PartitionScheme(1)
 
+    def test_block_size_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            PartitionScheme(3.0)
+        scheme = PartitionScheme(np.int64(3))
+        assert scheme.block_size == 3 and type(scheme.block_size) is int
+
 
 class TestRelabelingExactness:
     def test_joint_entropy_equals_flattened_table(self):
@@ -301,6 +307,12 @@ class TestComplexInformation:
         assert not math.isfinite(dist.tail_bound)
         with pytest.raises(DivergentSeriesError):
             complex_information(dist, PartitionScheme(2))
+
+    def test_branch_must_be_an_integer(self):
+        dist = deformed_distribution(DeformationSpec(DeformationKind.POISSON, alpha_mag2=1.0))
+        with pytest.raises(TypeError):
+            complex_information(dist, PartitionScheme(2), branch=0.5)
+        assert complex_information(dist, PartitionScheme(2), branch=np.int64(1)).branch_index == 1
 
     def test_unknown_reading_rejected(self):
         dist = distribution_from_values([0.5, 0.5])

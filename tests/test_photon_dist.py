@@ -463,6 +463,40 @@ class TestDisplacedSqueezedTails:
         self.check(deformed_distribution(spec))
 
 
+class TestLargeDisplacement:
+    """At |mean| of a few tens P0 underflows to 0.0 while the Hermite factors
+    of the law overflow; the law keeps P0 as its log.  Far past the 4096 cap
+    the cutoff's tail bound leaves the double range."""
+
+    @staticmethod
+    def spec(mean_q):
+        return DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=0.5, mean_q=mean_q)
+
+    def test_law_whose_p0_underflows_matches_mpmath(self):
+        dist = deformed_distribution(self.spec(38.0))
+        assert dist.classification is Classification.PROBABILITY
+        assert dist.truncation == 1292
+        assert math.fsum(dist.values.real.tolist()) == pytest.approx(1.0, abs=1e-12)
+        ref = squeezed_correlated_law_mp(0.5, 0.0, 38.0, 0.0, dist.truncation, digits=60)
+        top = max(ref)
+        for value, exact in zip(dist.values.tolist(), ref):
+            assert abs(mpmath.mpf(value.real) - exact) <= 3e-12 * top
+
+    def test_law_at_mean_q_60_classifies(self):
+        dist = deformed_distribution(self.spec(60.0))
+        assert dist.classification is Classification.PROBABILITY
+        assert math.fsum(dist.values.real.tolist()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_law_past_the_cap_raises(self):
+        with pytest.raises(RangeOverflowError):
+            deformed_distribution(self.spec(200.0))
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    def test_routes_past_the_cap_raise(self, route):
+        with pytest.raises(RangeOverflowError):
+            route(OneModeGaussianState.squeezed_correlated(0.5, 0.0, 100.0, 0.0))
+
+
 class TestLaguerreRoute:
     def test_vacuum(self):
         dist = pn_laguerre(OneModeGaussianState.vacuum())
@@ -1057,6 +1091,19 @@ class TestDeformedFamilies:
             spec = DeformationSpec(kind, alpha_mag2=0.0, lam=1.0)
             assert deformed_pn(spec, 0) == 1.0
             assert deformed_pn(spec, 5) == 0.0
+
+    @pytest.mark.parametrize("field", ["alpha_mag2", "lam", "r", "theta", "mean_q", "mean_p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(InvalidSpecError, match=field):
+            DeformationSpec(DeformationKind.Q_COHERENT, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_f_value_rejected(self, value):
+        with pytest.raises(InvalidSpecError, match="f_values"):
+            DeformationSpec(
+                DeformationKind.F_COHERENT, alpha_mag2=0.8, f_values=(1, value, *range(2, 11))
+            )
 
     def test_q_coherent_needs_positive_lambda(self):
         spec = DeformationSpec(DeformationKind.Q_COHERENT, alpha_mag2=1.0, lam=0.0)

@@ -87,6 +87,12 @@ class TestHermite:
         assert math.isfinite(mag[-1])
         assert abs(abs(ph[-1]) - 1) < 1e-12
 
+    @pytest.mark.parametrize("n, z", [(2, 1e200), (5, math.inf), (5, math.nan)])
+    def test_recurrence_past_the_double_range_raises(self, n, z):
+        # the recurrence leaves NaN behind, which used to come back as nan+nanj
+        with pytest.raises(RangeOverflowError):
+            hermite(n, z)
+
 
 class TestHermiteSequenceLog:
     @pytest.mark.parametrize(
@@ -164,6 +170,73 @@ class TestHermite2d:
             )
             got = hermite_2d(n, rm, y1, y2)
             assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_non_finite_argument_raises(self):
+        rm = r_matrix(OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7))
+        with pytest.raises(RangeOverflowError):
+            hermite_2d(4, rm, math.inf, 1)
+
+
+# displaced valid states; the first is the one whose sqrt(R11 R22) / sqrt(R11)
+# misses conj(sqrt(R11)) by an ulp
+_DISPLACED_STATES = [
+    OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7),
+    OneModeGaussianState(1.4, 0.7, 0.25, 0.6, -0.3),
+    OneModeGaussianState.squeezed_correlated(1.0, 0.7, 0.8, -0.5),
+    OneModeGaussianState(3.0, 0.4, -0.6, -4.0, 2.5),
+    OneModeGaussianState(0.9, 2.5, -0.4, 10.0, -6.0),
+]
+
+
+def _hermite_arguments(r, y1, y2):
+    _, s1, s2 = specfun._roots(r)
+    return (r.r11 * y1 + r.r12 * y2) / (2 * s1), (r.r12 * y1 + r.r22 * y2) / (2 * s2)
+
+
+def _counted_hermite_sequences(monkeypatch):
+    """Patch hermite_sequence_log to record its arguments; return the list
+    and the original function."""
+    calls, seq = [], specfun.hermite_sequence_log
+    monkeypatch.setattr(
+        specfun, "hermite_sequence_log", lambda z, n: calls.append(z) or seq(z, n)
+    )
+    return calls, seq
+
+
+class TestHermite2dFactors:
+    N = 200
+
+    @pytest.mark.parametrize("state", _DISPLACED_STATES)
+    def test_conjugate_arguments_take_one_recurrence(self, monkeypatch, state):
+        # the route's arguments: z2 = conj(z1), so B = |H_m(z1)|^2 / m!^2
+        rm = r_matrix(state)
+        y1, y2 = math.sqrt(2) * rm.y1, math.sqrt(2) * rm.y2
+        z1, z2 = _hermite_arguments(rm, y1, y2)
+        assert z2 == z1.conjugate() and z1.imag
+        calls, seq = _counted_hermite_sequences(monkeypatch)
+        _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(self.N, rm, y1, y2)
+        assert calls == [z1]
+        assert b_ph.dtype == np.float64
+        # the product of the two recurrences, rounded as written
+        h1_mag, h1_ph = seq(z1, self.N)
+        h2_mag, h2_ph = seq(z2, self.N)
+        assert np.iscomplexobj(h1_ph)
+        re = h1_ph.real * h2_ph.real - h1_ph.imag * h2_ph.imag
+        im = h1_ph.real * h2_ph.imag + h1_ph.imag * h2_ph.real
+        assert not im.any()
+        assert b_ph.tobytes() == re.tobytes()
+        assert b_mag.tobytes() == (h1_mag + h2_mag - 2 * log_factorials(self.N)).tobytes()
+
+    def test_other_arguments_take_two_recurrences(self, monkeypatch):
+        r = r_matrix(OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7))
+        y1, y2 = 0.4 + 0.3j, -0.2 + 0.5j
+        z1, z2 = _hermite_arguments(r, y1, y2)
+        calls, seq = _counted_hermite_sequences(monkeypatch)
+        _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(40, r, y1, y2)
+        assert calls == [z1, z2]
+        (h1_mag, h1_ph), (h2_mag, h2_ph) = seq(z1, 40), seq(z2, 40)
+        assert np.array_equal(b_ph, h1_ph * h2_ph)
+        assert np.array_equal(b_mag, h1_mag + h2_mag - 2 * log_factorials(40))
 
 
 class TestLaguerreHalf:
@@ -423,6 +496,15 @@ class TestLogSigned:
     def test_value_overflow_raises(self):
         with pytest.raises(RangeOverflowError):
             LogSigned(1e4, 1 + 0j).value()
+
+
+def test_log_signed_subnormal_complex_modulus_has_a_unit_phase():
+    # numpy's complex-by-float division takes the reciprocal of the modulus,
+    # inf here, and would return inf+infj
+    mag, ph = specfun._log_signed(np.array([3e-320 + 4e-320j]))
+    assert abs(abs(ph[0]) - 1) <= 1e-15
+    assert ph[0] == pytest.approx(0.6 + 0.8j, abs=1e-3)
+    assert mag[0] == pytest.approx(math.log(5e-320), rel=1e-4)
 
 
 def _log_signed(values):

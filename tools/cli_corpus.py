@@ -6,11 +6,13 @@ Runs each invocation below as ``python -m photonstat.cli ...`` with
 ``CHECKOUT/src`` on PYTHONPATH and prints one line per invocation: the
 sha256 of its stdout, stderr and exit code, then its arguments.  Running it
 on two checkouts and diffing the outputs shows which invocations changed
-their output.  Standard library only; not part of the test suite.
+their output; ``tools/corpus_diff.py`` runs the same invocations and says
+by how much.  Standard library only; not part of the test suite.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -87,18 +89,41 @@ INVOCATIONS = (
         # an explicit f profile: long enough to converge, and too short
         "dist --family f-coherent --alpha 0.8 --f-values 1,1.5,2,2.5,3,3.5,4,4.5,5,5.5,6,6.5",
         "dist --family f-coherent --alpha 0.8 --f-values 1,1,1",
+        # P0 underflows while the Hermite factors overflow; at 200 the
+        # cutoff's tail bound passes the double range at the cap
+        "dist --family squeezed-correlated --r 0.5 --mean-q 38",
+        "dist --family squeezed-correlated --r 0.5 --mean-q 60",
+        "dist --family squeezed-correlated --r 0.5 --mean-q 200",
     ]
 )
 
 
-def digest(checkout: Path, argv: list[str]) -> str:
+@contextlib.contextmanager
+def invocations():
+    """(line, argv) for each invocation, with the descriptor files written
+    to a temporary directory that lasts as long as the context."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for token, descriptor in DESCRIPTORS.items():
+            paths[token] = Path(tmp) / f"{token.lower()}.json"
+            paths[token].write_text(json.dumps(descriptor))
+        yield [(line, [str(paths.get(tok, tok)) for tok in line.split()]) for line in INVOCATIONS]
+
+
+def run(checkout: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
+    """(stdout, stderr, exit code) of the CLI of ``checkout`` on ``argv``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "photonstat.cli", *argv],
         capture_output=True, env=env, cwd=checkout,
     )
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def digest(checkout: Path, argv: list[str]) -> str:
+    stdout, stderr, code = run(checkout, argv)
     h = hashlib.sha256()
-    for part in (proc.stdout, proc.stderr, str(proc.returncode).encode()):
+    for part in (stdout, stderr, str(code).encode()):
         h.update(len(part).to_bytes(8, "little") + part)
     return h.hexdigest()
 
@@ -108,13 +133,8 @@ def main() -> int:
         sys.stderr.write(__doc__)
         return 2
     checkout = Path(sys.argv[1]).resolve()
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for token, descriptor in DESCRIPTORS.items():
-            paths[token] = Path(tmp) / f"{token.lower()}.json"
-            paths[token].write_text(json.dumps(descriptor))
-        for line in INVOCATIONS:
-            argv = [str(paths.get(tok, tok)) for tok in line.split()]
+    with invocations() as corpus:
+        for line, argv in corpus:
             print(f"{digest(checkout, argv)}  {line}", flush=True)
     return 0
 
