@@ -4,9 +4,11 @@ quadrature covariance matrix
     Sigma = [[sigma_pp, sigma_pq],
              [sigma_pq, sigma_qq]]
 
-and the means <q>, <p>.  The module derives the auxiliary R-matrix feeding
-the two-index Hermite representation of the photon-number distribution, the
-no-photon probability P0, and the quadrature-uncertainty verdict
+and the means <q>, <p>.  The module derives the generating record that
+the photon-number routes read (the R-matrix, the transformed displacement w
+and the roots and exponents of the generating function, computed once by
+`_generating_record`), the public R-matrix with its Hermite arguments y,
+the no-photon probability P0, and the quadrature-uncertainty verdict
 
     det Sigma = sigma_pp sigma_qq - sigma_pq^2 >= 1/4.
 
@@ -169,11 +171,65 @@ def _r_denominator(state: OneModeGaussianState) -> float:
     return state.trace + 2 * state.det + 0.5
 
 
+@dataclass(frozen=True)
+class _GeneratingRecord:
+    """What the photon-number routes read of a state, computed once.
+
+    With D = Tr Sigma + 2 det Sigma + 1/2, S = sigma_pp - sigma_qq
+    + 2i sigma_pq and z = <q> + i <p>:
+
+        R11 = conj(R22) = conj(S) / D,    R12 = (1/2 - 2 det Sigma) / D,
+        w = (conj(S) conj(z) + (Tr Sigma + 1) z) / D.
+
+    w is sqrt(2) (R11 y1 + R12 y2) for the y1, y2 = conj(y1) of
+    :func:`r_matrix`; the denominator of y, Tr - 2 det - 1/2 = -D a+ a-,
+    cancels, so w is finite wherever D != 0.  The generating function of
+    the photon-number distribution is
+
+        sum_n P_n z^n = P0 ((1 + a+ z)(1 + a- z))^(-1/2)
+                        exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
+
+        a+- = R12 -+ |R11|,  c+ = (Im v)^2 / 2,  c- = (Re v)^2 / 2,
+        v = w exp(-i arg(R11) / 2).
+    """
+
+    r11: complex
+    r22: complex
+    r12: float
+    w: complex
+    a_plus: float
+    a_minus: float
+    c_plus: float
+    c_minus: float
+
+
+def _generating_record(state: OneModeGaussianState) -> _GeneratingRecord:
+    """The :class:`_GeneratingRecord` of a state.  c+- are inf where the
+    squared displacement leaves the double range (means past about 1e154).
+
+    Raises:
+        SingularDenominatorError: D = Tr + 2 det + 1/2 vanishes.
+    """
+    den = _r_denominator(state)
+    if den == 0:
+        raise SingularDenominatorError("Tr + 2 det + 1/2 vanishes for this state")
+    s_bar = complex(state.sigma_pp - state.sigma_qq, -2 * state.sigma_pq)
+    r11, r12 = s_bar / den, (0.5 - 2 * state.det) / den
+    z = complex(state.mean_q, state.mean_p)
+    w = (s_bar * z.conjugate() + (state.trace + 1) * z) / den
+    v = w * cmath.exp(-0.5j * cmath.phase(r11))
+    m = abs(r11)
+    return _GeneratingRecord(
+        r11, r11.conjugate(), r12, w, r12 - m, r12 + m, v.imag * v.imag / 2, v.real * v.real / 2
+    )
+
+
 def r_matrix(state: OneModeGaussianState) -> RMatrix:
     """Derive the R-matrix and Hermite arguments of a state.
 
     R11 = conj(R22) = (sigma_pp - sigma_qq - 2i sigma_pq) / D,
-    R12 = (1/2 - 2 det Sigma) / D,  D = Tr Sigma + 2 det Sigma + 1/2.
+    R12 = (1/2 - 2 det Sigma) / D,  D = Tr Sigma + 2 det Sigma + 1/2,
+    the R of the generating record that the photon-number routes read.
 
     For centered states y1 = y2 = 0 identically.  Otherwise
 
@@ -181,14 +237,14 @@ def r_matrix(state: OneModeGaussianState) -> RMatrix:
                     / (Tr Sigma - 2 det Sigma - 1/2),
     <z> = (<q> + i <p>) / sqrt(2).
 
+    The routes do not read y: they read w = sqrt(2) (R11 y1 + R12 y2) from
+    the record, which stays finite where the y denominator vanishes (every
+    displaced coherent state, for one).
+
     Raises:
         SingularDenominatorError: either denominator vanishes.
     """
-    den = _r_denominator(state)
-    if den == 0:
-        raise SingularDenominatorError("Tr + 2 det + 1/2 vanishes for this state")
-    r11 = complex(state.sigma_pp - state.sigma_qq, -2 * state.sigma_pq) / den
-    r12 = (0.5 - 2 * state.det) / den
+    rec = _generating_record(state)
     if state.is_centered:
         y1 = 0j
     else:
@@ -200,7 +256,7 @@ def r_matrix(state: OneModeGaussianState) -> RMatrix:
             (state.trace - 1) * z_mean.conjugate()
             + complex(state.sigma_pp - state.sigma_qq, 2 * state.sigma_pq) * z_mean
         ) / y_den
-    return RMatrix(r11=r11, r22=r11.conjugate(), r12=r12, y1=y1, y2=y1.conjugate())
+    return RMatrix(r11=rec.r11, r22=rec.r22, r12=rec.r12, y1=y1, y2=y1.conjugate())
 
 
 def p0(state: OneModeGaussianState) -> float | complex:
@@ -223,8 +279,8 @@ def p0(state: OneModeGaussianState) -> float | complex:
     if radicand == 0 or den == 0:
         raise SingularDenominatorError("P0 radicand vanishes for this state")
     expo = (
-        -state.mean_p**2 * (state.sigma_qq + 0.5)
-        - state.mean_q**2 * (state.sigma_pp + 0.5)
+        -state.mean_p * state.mean_p * (state.sigma_qq + 0.5)
+        - state.mean_q * state.mean_q * (state.sigma_pp + 0.5)
         + 2 * state.sigma_pq * state.mean_q * state.mean_p
     ) / den
     if radicand > 0:

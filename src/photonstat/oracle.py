@@ -153,6 +153,9 @@ _S_FRACTIONS = (0.0, 0.25, 0.5, 0.8)
 _X_BARS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 _TAU_GRID = (0.5, 1.0, 2.0, 4.0, 5.0)
 _VIOLATION_Y = 5.0
+# displaced states (r, theta, <q>, <p>) of the squeezed/correlated family;
+# at r = 0, a coherent state, its law is the Poisson law
+_DISPLACED = ((0.0, 0.0, 1.0, 0.5), (0.7, 0.5, 0.3, -0.2))
 
 
 def _closed_violation_terms(l_max: int) -> list[complex]:
@@ -208,6 +211,19 @@ def run_suite() -> list[OracleVerdict]:
                 atol=full.tail_bound + 1e-10,
             )
         )
+
+    # displaced states through both routes against their closed laws: the
+    # routes share the state's generating record (R, w, a+-, c+-), which
+    # their agreement with each other cannot check
+    for r, theta, q, p in _DISPLACED:
+        spec = DeformationSpec(
+            DeformationKind.SQUEEZED_CORRELATED, r=r, theta=theta, mean_q=q, mean_p=p
+        )
+        law = deformed_distribution(spec, _N_TERMS).values
+        state = OneModeGaussianState.squeezed_correlated(r, theta, q, p)
+        for route, name in ((pn_hermite, "hermite"), (pn_laguerre, "laguerre")):
+            worst = _worst_rel(route(state, _N_TERMS).values, law)
+            out.append(_verdict(f"displaced:{name}[{r},{theta},{q},{p}]", 0, worst, atol=1e-10))
 
     # thermal law through the hermite route
     for n_bar in _THERMAL_N_BARS:

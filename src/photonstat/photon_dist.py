@@ -4,7 +4,12 @@ light and deformed-oscillator states.
 Three independently coded representations of the one-mode Gaussian
 distribution are provided (two-index Hermite, Laguerre, and the direct
 centered-covariance sum); on valid states they agree termwise, which is the
-central cross-check of this package.  For covariances violating the
+central cross-check of this package.  The Hermite and Laguerre routes
+read a state through one generating record
+(``gaussian_state._generating_record``: R, the transformed displacement w,
+and the roots a+- and exponents c+- of the generating function), never
+through the Hermite arguments y of ``r_matrix``, so both are finite
+wherever D = Tr + 2 det + 1/2 != 0.  For covariances violating the
 quadrature uncertainty relation the same formulas return negative or complex
 values, and every distribution carries a classification verdict:
 
@@ -24,9 +29,9 @@ range.
 Truncation is adaptive unless an explicit ``n_max`` is given.  Every
 one-mode Gaussian series (the three routes, and the squeezed-vacuum and
 squeezed/correlated laws through their equivalent state) decays like q^n,
-with q the larger root modulus of its generating function, known in
-closed form from the covariance.  Where q < 1 the cutoff N is chosen once,
-before any term is computed, as the smallest N whose proven bound on the
+with q = max(|a+|, |a-|) the larger root modulus of its generating
+function, read from the same record.  Where q < 1 the cutoff N is chosen
+once, before any term is computed, as the smallest N whose proven bound on the
 omitted mass (doubled, for headroom) is below 1e-12, capped at 4096; the
 series is evaluated once and that bound is its ``tail_bound``.  The other
 series (Poisson, f- and q-coherent, the two-mode law, the violation
@@ -66,12 +71,11 @@ from .errors import (
     RangeOverflowError,
     SingularDenominatorError,
 )
-from .gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, r_matrix
+from .gaussian_state import OneModeGaussianState, XYTState, _generating_record, from_tau, p0
 from .specfun import (
     _LOG_DBL_MAX,
     _legendre_columns,
     _legendre_scaled,
-    _roots,
     gauss_2f1_terminating,
     hermite_2d_factors,
     hermite_sequence_log,
@@ -114,8 +118,6 @@ _ADAPTIVE_START = 32
 _ADAPTIVE_CAP = 4096
 _NORM_SLOP = 1e-9
 _NOISE_FLOOR = 1e3 * sys.float_info.epsilon
-
-_SQRT2 = math.sqrt(2)
 
 
 class Classification(str, enum.Enum):
@@ -326,62 +328,47 @@ def _finalize(values: np.ndarray, tail: float) -> PhotonDistribution:
 _RHO_STEPS = tuple(2.0**-k for k in range(1, 13))
 
 
-def _generating_roots(state: OneModeGaussianState) -> tuple[float, float]:
-    """(a+, a-) = (1 - 4 det -+ 2h) / (4 det + 2 Tr + 1), h = sqrt(Tr^2 - 4 det)."""
-    x, y, t = state.sigma_pp, state.sigma_qq, state.sigma_pq
-    det = x * y - t * t
-    h = math.hypot(x - y, 2 * t)
-    c = 4 * det + 2 * (x + y) + 1
-    return (1 - 4 * det - 2 * h) / c, (1 - 4 * det + 2 * h) / c
-
-
 def _decay_cut(state: OneModeGaussianState) -> tuple[int, float] | None:
     """(N, tail bound) of the state's photon-number series, or None where q >= 1.
 
-    The generating function of the distribution is (eigenvalues l+ >= l- of
-    Sigma, means d+, d- along their eigenvectors, h = l+ - l-)
+    The generating function of the distribution is
 
         sum_n P_n z^n = P0 ((1 + a+ z)(1 + a- z))^(-1/2)
                         exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
 
-        a+- = (1 - 4 det -+ 2h) / (4 det + 2 Tr + 1),  c+- = 2 d+-^2 / (1 + Tr +- h)^2,
-
-    and q = max(|a+|, |a-|) = (|1 - 4 det| + 2h) / |4 det + 2 Tr + 1|.  For a
-    centered state |P_n| <= |P0| q^n: the coefficients of the square-root
-    factor are at most sum_k C(2k, k) C(2n-2k, n-k) q^n / 4^n = q^n.  For a
-    displaced one Cauchy's estimate on |z| = 1/rho, q < rho < 1, gives
+    with a+- = R12 -+ |R11| and c+- >= 0 read from the state's generating
+    record (:func:`gaussian_state._generating_record`), and
+    q = max(|a+|, |a-|).  For a centered state |P_n| <= |P0| q^n: the
+    coefficients of the square-root factor are at most
+    sum_k C(2k, k) C(2n-2k, n-k) q^n / 4^n = q^n.  For a displaced one
+    Cauchy's estimate on |z| = 1/rho, q < rho < 1, gives
     |P_n| <= |P0| B rho^n with B = prod (1 - |a|/rho)^(-1/2) exp(c / (rho + a)),
     the exponent's real part peaking at z = 1/rho.  Summing the bound past N
     and doubling it gives the tail 2 |P0| B rho^(N+1) / (1 - rho).  N is the
     smallest N >= 1 with tail <= 1e-12 for some rho = q + (1 - q) 2^-k,
     k = 1..12, capped at 4096; the tail reported is the least over k at N.
+
+    Raises:
+        RangeOverflowError: c+ + c-, a squared displacement, or the tail
+            bound at the cap leaves the double range.
     """
-    x, y, t = state.sigma_pp, state.sigma_qq, state.sigma_pq
-    tr = x + y
-    h = math.hypot(x - y, 2 * t)
-    a_plus, a_minus = _generating_roots(state)
-    q = max(abs(a_plus), abs(a_minus))
+    rec = _generating_record(state)
+    q = max(abs(rec.a_plus), abs(rec.a_minus))
     if not q < 1:
         return None
+    if not math.isfinite(rec.c_plus + rec.c_minus):
+        raise RangeOverflowError("squared displacement exceeds the double range")
     # floored so that a P0 below the double range still gives a finite cut
     log_p0 = math.log(2 * max(abs(p0(state)), sys.float_info.min) / _TAIL_TARGET)
-    mp, mq = state.mean_p, state.mean_q
-    d2 = mp * mp + mq * mq
-    if d2 == 0:
+    if state.is_centered:
         if q == 0:  # the vacuum
             return 1, 0.0
         rho, log_b = [q], [0.0]
     else:
-        d2_plus = d2 / 2
-        if h:
-            d2_plus += ((mp * mp - mq * mq) * (x - y) + 4 * mp * mq * t) / (2 * h)
-            d2_plus = min(max(d2_plus, 0.0), d2)
-        c_plus = 2 * d2_plus / (1 + tr + h) ** 2
-        c_minus = 2 * (d2 - d2_plus) / (1 + tr - h) ** 2
         rho = [q + (1 - q) * f for f in _RHO_STEPS]
         log_b = [
-            c_plus / (r + a_plus) + c_minus / (r + a_minus)
-            - 0.5 * (math.log1p(-abs(a_plus) / r) + math.log1p(-abs(a_minus) / r))
+            rec.c_plus / (r + rec.a_plus) + rec.c_minus / (r + rec.a_minus)
+            - 0.5 * (math.log1p(-abs(rec.a_plus) / r) + math.log1p(-abs(rec.a_minus) / r))
             for r in rho
         ]
     # ln(tail / 1e-12) = front + (N + 1) ln rho for each candidate rho
@@ -432,56 +419,37 @@ def distribution_from_values(values) -> PhotonDistribution:
 # one-mode Gaussian routes
 # ---------------------------------------------------------------------------
 
-# The chain linking the printed y1 to the Hermite/Laguerre arguments is off
-# by sqrt(2) relative to the closed squeezed/correlated form; rescaling the
-# y's here restores termwise agreement with that form and unit total mass
-# for displaced states.
-_Y_ARG_SCALE = _SQRT2
-
-
-def _hermite_ratio_seq(rm, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """log-signed P_n / P0 = H_nn^{R}(y1, y2) / n! for n = 0..n_max."""
-    a, b, (c_mag, c_ph) = hermite_2d_factors(
-        n_max, rm, _Y_ARG_SCALE * rm.y1, _Y_ARG_SCALE * rm.y2
-    )
+def _hermite_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """log-signed P_n / P0 = H_nn^{R}(y1, y2) / n! for n = 0..n_max, whose
+    arguments enter only through the record's w = R11 y1 + R12 y2 and its
+    conjugate R12 y1 + R22 y2."""
+    a, b, (c_mag, c_ph) = hermite_2d_factors(n_max, rec, rec.w, rec.w.conjugate())
     mag, ph = log_cauchy_rows(*a, *b, n_max + 1)
     return mag + c_mag + log_factorials(n_max), ph * c_ph
 
 
-def _laguerre_ratio_seq(rm, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _laguerre_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """log-signed P_n / P0 for n = 0..n_max through the Laguerre-product sum
 
-        P_n / P0 = (-1)^n sum_s (r12 - rho)^s L_s(x1) (r12 + rho)^(n-s) L_(n-s)(x2)
+        P_n / P0 = sum_s (-a+)^s L_s(c+ / a+) (-a-)^(n-s) L_(n-s)(c- / a-),
+
+    the Cauchy product of the two factors of the generating function
+    (1 + a z)^(-1/2) exp(c z / (1 + a z)) = sum_n (-a)^n L_n^{-1/2}(c / a) z^n,
+    each a :func:`laguerre_half_sequence` at x = -c, scale = -a.
     """
-    ys1 = _Y_ARG_SCALE * rm.y1
-    ys2 = _Y_ARG_SCALE * rm.y2
-    rho, s1, s2 = _roots(rm)
-    if rho == 0:
-        # both bases are r12, so only x1 + x2 enters (DLMF 18.18(iii)); in
-        # general x1 + x2 = (r12 quad + rho skew) / 4, and rho skew =
-        # R11 ys1^2 + R22 ys2^2 vanishes with R11 = R22 = 0
-        x1 = x2 = 0.25 * rm.r12 * ys1 * ys2
-    else:
-        quad = 2 * ys1 * ys2
-        skew = (s1 / s2) * ys1 * ys1 + (s2 / s1) * ys2 * ys2
-        x1 = 0.125 * (rm.r12 - rho) * (quad - skew)
-        x2 = 0.125 * (rm.r12 + rho) * (quad + skew)
-    a_mag, a_ph = log_powers(rm.r12 - rho, n_max)
-    b_mag, b_ph = log_powers(rm.r12 + rho, n_max)
-    l1_mag, l1_ph = laguerre_half_sequence(x1, n_max)
-    l2_mag, l2_ph = laguerre_half_sequence(x2, n_max)
-    mag, ph = log_cauchy_rows(
-        a_mag + l1_mag, a_ph * l1_ph, b_mag + l2_mag, b_ph * l2_ph, n_max + 1
+    return log_cauchy_rows(
+        *laguerre_half_sequence(-rec.c_plus, n_max, -rec.a_plus),
+        *laguerre_half_sequence(-rec.c_minus, n_max, -rec.a_minus),
+        n_max + 1,
     )
-    return mag, ph * log_powers(-1, n_max)[1]
 
 
 def _gaussian_series(state: OneModeGaussianState, ratio_fn):
-    rm = r_matrix(state)
+    rec = _generating_record(state)
     p0v = complex(p0(state))
 
     def series(n_max: int) -> np.ndarray:
-        return p0v * log_signed_values(*ratio_fn(rm, n_max))
+        return p0v * log_signed_values(*ratio_fn(rec, n_max))
 
     return series
 
@@ -492,11 +460,13 @@ def pn_hermite(
     """Photon-number distribution through the two-index Hermite representation.
 
     Works for any finite covariance, including uncertainty-violating ones
-    (the result then classifies as SignedReal or Complex).
+    (the result then classifies as SignedReal or Complex), and any
+    displacement: the Hermite arguments come from the transformed
+    displacement w of the state's generating record, not from y.
 
     Raises:
-        SingularDenominatorError: structural denominators of the R-matrix
-            or P0 vanish.
+        SingularDenominatorError: D = Tr + 2 det + 1/2, the denominator of
+            R and twice P0's radicand, vanishes.
     """
     return _build_distribution(
         _gaussian_series(state, _hermite_ratio_seq), n_max, state=state
@@ -509,7 +479,11 @@ def pn_laguerre(
     """Photon-number distribution through the Laguerre-product representation.
 
     Independent of :func:`pn_hermite` except for the shared state
-    parametrization; their termwise agreement is a package-level invariant.
+    parametrization, the generating record; their termwise agreement is a
+    package-level invariant.
+
+    Raises:
+        SingularDenominatorError: as :func:`pn_hermite`.
     """
     return _build_distribution(
         _gaussian_series(state, _laguerre_ratio_seq), n_max, state=state
@@ -824,6 +798,11 @@ def _log_sinh(t: float) -> float:
     return t - math.log(2) + math.log1p(-math.exp(-2 * t))
 
 
+def _log_cosh(r: float) -> float:
+    # overflow-free ln(cosh r)
+    return abs(r) + math.log1p(math.exp(-2 * abs(r))) - math.log(2)
+
+
 def _converged(logs: list[float]) -> bool:
     """Whether the log-terms so far end converged: the last three decrease
     and the last is below eps times the running sum."""
@@ -843,6 +822,7 @@ def _deformed_log_weights(spec: DeformationSpec) -> tuple[float, tuple[float, ..
     log_a2 = math.log(a2)
     logs: list[float] = []
     denom_acc = 0.0
+    top = -math.inf  # max(logs)
     n = 0
     while True:
         if spec.kind is DeformationKind.F_COHERENT:
@@ -863,18 +843,15 @@ def _deformed_log_weights(spec: DeformationSpec) -> tuple[float, tuple[float, ..
             if n >= 1:
                 denom_acc += _log_sinh(spec.lam * n) - _log_sinh(spec.lam)
             logs.append(n * log_a2 - denom_acc)
+        top = max(top, logs[-1])
         if n >= 8:
-            top = max(logs)
             if logs[-1] < top - 620:  # below double-precision underflow
                 break
             if n >= 20000:
                 raise DivergentSeriesError(
                     "normalization series failed the term-ratio test"
                 )
-            if n >= 40 and logs[-1] > logs[-2] > logs[-3] > top + 1:
-                raise DivergentSeriesError("normalization series diverges")
         n += 1
-    top = max(logs)
     log_norm = top + math.log(math.fsum(math.exp(v - top) for v in logs))
     return -log_norm, tuple(logs)
 
@@ -891,7 +868,7 @@ def _squeezed_correlated_amplitude(spec: DeformationSpec) -> tuple[float, comple
         * (complex(q, -p) / 2 + cmath.exp(1j * th) / tanh_r * complex(q, p) / 2)
     )
     log_p0 = (
-        -math.log(math.cosh(r))
+        -_log_cosh(r)
         - (p * p + q * q) / 2
         + (tanh_r / 2) * ((p * p - q * q) * math.cos(th) + 2 * p * q * math.sin(th))
     )
@@ -922,7 +899,7 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
         else:
             log_fact = log_factorials(int(n.max()))
             out[even] = np.exp(
-                -math.log(math.cosh(spec.r))
+                -_log_cosh(spec.r)
                 + 2 * m * math.log(t_half)
                 + log_fact[2 * m]
                 - 2 * log_fact[m]

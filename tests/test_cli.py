@@ -335,6 +335,24 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert err.startswith("error: range-overflow:")
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            # math.cosh(800) overflowed; every weight underflows to 0
+            (["--family", "squeezed-vacuum", "--r", "800"], "normalization-error"),
+            (["--family", "squeezed-correlated", "--r", "800", "--mean-q", "1"],
+             "normalization-error"),
+            # mean_q**2 overflowed in P0; the squared displacement leaves the range
+            (["--family", "squeezed-correlated", "--r", "0.5", "--mean-q", "1e155"],
+             "range-overflow"),
+        ],
+    )
+    def test_large_finite_flags_are_single_line(self, capsys, argv, reason):
+        code, out, err = run(capsys, "dist", *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {reason}:")
+
     def test_bad_state_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\"sigma_pp\": 0.5}")

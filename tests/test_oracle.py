@@ -96,6 +96,16 @@ class TestSuite:
         assert cell.passed
         assert cell.actual == cell.expected
 
+    def test_displaced_states_match_their_laws_on_both_routes(self, default_verdicts):
+        displaced = [v for v in default_verdicts if v.name.startswith("displaced:")]
+        assert [v.name for v in displaced] == [
+            "displaced:hermite[0.0,0.0,1.0,0.5]",
+            "displaced:laguerre[0.0,0.0,1.0,0.5]",
+            "displaced:hermite[0.7,0.5,0.3,-0.2]",
+            "displaced:laguerre[0.7,0.5,0.3,-0.2]",
+        ]
+        assert all(v.passed for v in displaced)
+
     def test_json_lines_roundtrip(self, default_verdicts):
         text = verdicts_to_json_lines(default_verdicts)
         rows = [json.loads(line) for line in text.strip().splitlines()]

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import mpmath
@@ -8,12 +9,20 @@ import pytest
 from photonstat.errors import (
     DomainError,
     InvalidSpecError,
+    NormalizationError,
     ParityError,
     RangeOverflowError,
     SingularDenominatorError,
 )
 from photonstat import photon_dist, specfun
-from photonstat.gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, r_matrix
+from photonstat.gaussian_state import (
+    OneModeGaussianState,
+    XYTState,
+    _generating_record,
+    from_tau,
+    p0,
+    r_matrix,
+)
 from photonstat.photon_dist import (
     Classification,
     DeformationKind,
@@ -294,6 +303,12 @@ def random_states(seed, count, valid):
     return states
 
 
+def decay_ratio(state):
+    """q = max(|a+|, |a-|) of the state's generating record."""
+    rec = _generating_record(state)
+    return max(abs(rec.a_plus), abs(rec.a_minus))
+
+
 class TestDecayRatioTruncation:
     """Gaussian series sized once from the decay ratio q of their
     generating function, with a proven tail bound."""
@@ -304,15 +319,15 @@ class TestDecayRatioTruncation:
             rm = r_matrix(state)
             rho = cmath.sqrt(rm.r11 * rm.r22)
             ref = max(abs(rm.r12 - rho), abs(rm.r12 + rho))
-            q = max(map(abs, photon_dist._generating_roots(state)))
+            q = decay_ratio(state)
             assert q == pytest.approx(ref, rel=1e-14)
 
     def test_known_ratios(self):
         for n_bar in (0.5, 1.0, 10.0):
-            q = max(map(abs, photon_dist._generating_roots(OneModeGaussianState.thermal(n_bar))))
+            q = decay_ratio(OneModeGaussianState.thermal(n_bar))
             assert q == pytest.approx(n_bar / (n_bar + 1), rel=1e-15)
         for r in (0.1, 1.0, 3.0):
-            q = max(map(abs, photon_dist._generating_roots(OneModeGaussianState.squeezed_vacuum(r))))
+            q = decay_ratio(OneModeGaussianState.squeezed_vacuum(r))
             assert q == pytest.approx(math.tanh(r), rel=1e-12)
 
     def test_centered_terms_within_the_geometric_envelope(self):
@@ -325,7 +340,7 @@ class TestDecayRatioTruncation:
         ]
         seen = set()
         for state in states:
-            q = max(map(abs, photon_dist._generating_roots(state)))
+            q = decay_ratio(state)
             dist = pn_hermite(state, 120)
             seen.add(dist.classification)
             log_p0 = math.log(abs(p0(state)))
@@ -463,6 +478,82 @@ class TestDisplacedSqueezedTails:
         self.check(deformed_distribution(spec))
 
 
+@functools.lru_cache(maxsize=None)
+def gaussian_law_mp(state, n_max, digits=50):
+    """P_0 .. P_n_max of a one-mode Gaussian state at ``digits`` digits.
+
+    Coded from Sigma = [[sigma_pp, sigma_pq], [sigma_pq, sigma_qq]] over
+    (p, q) and d = (<p>, <q>) alone, with no Hermite, Laguerre, R or w
+    code: the Taylor coefficients of the generating function
+
+        sum_n P_n z^n = 2/(1+z) det(I + 2s Sigma)^(-1/2)
+                        exp(-s d^T (I + 2s Sigma)^(-1) d),   s = (1-z)/(1+z).
+
+    det(I + 2s Sigma) (1+z)^2 is divided by its value 1 + 2 Tr + 4 det at
+    z = 0, so the principal square root is continuous near z = 0 on both
+    sides of the uncertainty boundary.
+    """
+    with mpmath.workdps(digits):
+        spp, sqq, spq, mq, mp = map(
+            mpmath.mpf,
+            (state.sigma_pp, state.sigma_qq, state.sigma_pq, state.mean_q, state.mean_p),
+        )
+        tr, det = spp + sqq, spp * sqq - spq * spq
+        g0 = 1 + 2 * tr + 4 * det
+
+        def gen(z):
+            s = (1 - z) / (1 + z)
+            g = 1 + 2 * s * tr + 4 * s * s * det  # det(I + 2s Sigma)
+            # d^T adj(I + 2s Sigma) d
+            quad = (
+                mp * mp * (1 + 2 * s * sqq)
+                + mq * mq * (1 + 2 * s * spp)
+                - 4 * s * spq * mp * mq
+            )
+            root = mpmath.sqrt(g0) * mpmath.sqrt(g * (1 + z) ** 2 / g0)
+            return 2 / root * mpmath.exp(-s * quad / g)
+
+        return tuple(mpmath.taylor(gen, 0, n_max))
+
+
+class TestGeneratingFunctionReference:
+    """Both routes against :func:`gaussian_law_mp`.  The states below sit
+    where the routes once read a y of vanishing denominator
+    Tr - 2 det - 1/2: coherent states and the state (0.51, 0.5, 0, 1, 0.5)
+    raised SingularDenominatorError, and the states near that surface lost
+    their normalization (0.5 + 1e-9 summed to 0.535) or precision."""
+
+    N = 40
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    @pytest.mark.parametrize(
+        "state",
+        [
+            OneModeGaussianState.coherent(1.0, 0.5),
+            OneModeGaussianState.coherent(3.0, -2.0),
+            OneModeGaussianState(0.51, 0.5, 0.0, 1.0, 0.5),
+            OneModeGaussianState(0.5 + 1e-9, 0.5, 0.0, 1.0, 0.5),
+            OneModeGaussianState(
+                1.4962646377019382, 0.6273416203605747, 0.3561784527721432,
+                -0.8877591285558021, -0.2948158276239994,
+            ),
+        ]
+        + [
+            OneModeGaussianState.squeezed_correlated(r, 0.3, 1.0, 0.5)
+            for r in (1e-2, 1e-3, 1e-4, 1e-5)
+        ],
+    )
+    def test_route_matches_the_reference(self, route, state):
+        ref = gaussian_law_mp(state, self.N)
+        dist = route(state, self.N)
+        assert dist.classification is Classification.PROBABILITY
+        values = list(dist.values.tolist()) + [0j] * (self.N + 1 - len(dist.values))
+        with mpmath.workdps(50):
+            top = max(abs(e) for e in ref)
+            worst = max(abs(mpmath.mpc(v) - e) for v, e in zip(values, ref))
+        assert worst <= 1e-13 * top
+
+
 class TestLargeDisplacement:
     """At |mean| of a few tens P0 underflows to 0.0 while the Hermite factors
     of the law overflow; the law keeps P0 as its log.  Far past the 4096 cap
@@ -495,6 +586,25 @@ class TestLargeDisplacement:
     def test_routes_past_the_cap_raise(self, route):
         with pytest.raises(RangeOverflowError):
             route(OneModeGaussianState.squeezed_correlated(0.5, 0.0, 100.0, 0.0))
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre, deformed_distribution])
+    def test_squared_displacement_past_the_double_range_raises(self, route):
+        # mean_q**2 raised a bare OverflowError in p0; P0 is now 0.0
+        state = OneModeGaussianState.squeezed_correlated(0.5, 0.0, 1e155, 0.0)
+        assert p0(state) == 0.0
+        arg = self.spec(1e155) if route is deformed_distribution else state
+        with pytest.raises(RangeOverflowError, match="squared displacement"):
+            route(arg)
+
+    @pytest.mark.parametrize(
+        "kind", [DeformationKind.SQUEEZED_VACUUM, DeformationKind.SQUEEZED_CORRELATED]
+    )
+    def test_squeeze_past_the_cosh_overflow(self, kind):
+        # math.cosh(800) raised a bare OverflowError; every weight underflows
+        spec = DeformationSpec(kind, r=800.0, mean_q=1.0)
+        assert deformed_pn(spec, 0) == 0.0
+        with pytest.raises(NormalizationError, match="sums to 0 "):
+            deformed_distribution(spec)
 
 
 class TestLaguerreRoute:

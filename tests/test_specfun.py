@@ -10,7 +10,7 @@ from scipy import special as sps
 
 from photonstat import specfun
 from photonstat.errors import DomainError, PoleError, RangeOverflowError
-from photonstat.gaussian_state import OneModeGaussianState, r_matrix
+from photonstat.gaussian_state import OneModeGaussianState, _generating_record, r_matrix
 from photonstat.specfun import (
     LogSigned,
     _log_row_sums,
@@ -188,9 +188,9 @@ _DISPLACED_STATES = [
 ]
 
 
-def _hermite_arguments(r, y1, y2):
+def _hermite_arguments(r, w1, w2):
     _, s1, s2 = specfun._roots(r)
-    return (r.r11 * y1 + r.r12 * y2) / (2 * s1), (r.r12 * y1 + r.r22 * y2) / (2 * s2)
+    return w1 / (2 * s1), w2 / (2 * s2)
 
 
 def _counted_hermite_sequences(monkeypatch):
@@ -209,12 +209,12 @@ class TestHermite2dFactors:
     @pytest.mark.parametrize("state", _DISPLACED_STATES)
     def test_conjugate_arguments_take_one_recurrence(self, monkeypatch, state):
         # the route's arguments: z2 = conj(z1), so B = |H_m(z1)|^2 / m!^2
-        rm = r_matrix(state)
-        y1, y2 = math.sqrt(2) * rm.y1, math.sqrt(2) * rm.y2
-        z1, z2 = _hermite_arguments(rm, y1, y2)
+        rec = _generating_record(state)
+        w1, w2 = rec.w, rec.w.conjugate()
+        z1, z2 = _hermite_arguments(rec, w1, w2)
         assert z2 == z1.conjugate() and z1.imag
         calls, seq = _counted_hermite_sequences(monkeypatch)
-        _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(self.N, rm, y1, y2)
+        _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(self.N, rec, w1, w2)
         assert calls == [z1]
         assert b_ph.dtype == np.float64
         # the product of the two recurrences, rounded as written
@@ -228,11 +228,11 @@ class TestHermite2dFactors:
         assert b_mag.tobytes() == (h1_mag + h2_mag - 2 * log_factorials(self.N)).tobytes()
 
     def test_other_arguments_take_two_recurrences(self, monkeypatch):
-        r = r_matrix(OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7))
-        y1, y2 = 0.4 + 0.3j, -0.2 + 0.5j
-        z1, z2 = _hermite_arguments(r, y1, y2)
+        r = _generating_record(OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7))
+        w1, w2 = 0.4 + 0.3j, -0.2 + 0.5j
+        z1, z2 = _hermite_arguments(r, w1, w2)
         calls, seq = _counted_hermite_sequences(monkeypatch)
-        _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(40, r, y1, y2)
+        _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(40, r, w1, w2)
         assert calls == [z1, z2]
         (h1_mag, h1_ph), (h2_mag, h2_ph) = seq(z1, 40), seq(z2, 40)
         assert np.array_equal(b_ph, h1_ph * h2_ph)
@@ -302,6 +302,47 @@ class TestLaguerreHalf:
             for n in (200, 240, 260):
                 ref = mpmath.laguerre(n, -0.5, -1000)
                 assert seq[n].real == pytest.approx(float(ref), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, scale",
+        [(0.0, 1.0), (0.7, 1.0), (3.5, 1.0), (-5.0, 1.0), (-0.3, 0.995), (-2.0, -0.5),
+         (-1.5, -0.6), (-0.05, -0.9), (-3.0, 0.1), (1.5 - 0.5j, 0.8)],
+    )
+    def test_scaled_sequence_matches_mpmath(self, x, scale):
+        # M_n = a^n L_n^{-1/2}(x / a), within 1e-14 of the largest |M_n|
+        n_max = 300
+        mag, ph = laguerre_half_sequence(x, n_max, scale)
+        if complex(x).imag == 0:
+            assert ph.dtype == np.float64
+        seq = log_signed_values(mag, ph)
+        with mpmath.workdps(40):
+            ref = [scale**n * mpmath.laguerre(n, -0.5, mpmath.mpmathify(x) / scale)
+                   for n in range(n_max + 1)]
+            top = max(abs(e) for e in ref)
+            assert max(abs(mpmath.mpc(v) - e) for v, e in zip(seq.tolist(), ref)) <= 1e-14 * top
+
+    @pytest.mark.parametrize("x", [1.5, -0.8, 0.3 + 0.4j])
+    def test_zero_scale_gives_the_exponential_series(self, x):
+        # M_n = (-x)^n / n!, where L_n(x / a) has no limit
+        seq = log_signed_values(*laguerre_half_sequence(x, 40, 0.0))
+        with mpmath.workdps(30):
+            for n, value in enumerate(seq.tolist()):
+                exact = (-mpmath.mpmathify(x)) ** n / mpmath.factorial(n)
+                assert abs(mpmath.mpc(value) - exact) <= 1e-13 * abs(exact)
+
+    def test_nearly_double_root_keeps_its_precision(self):
+        # the route's factors of the squeezed vacuum at r = 3, N = 4096:
+        # (n+1) M_{n+1} = (2n + 1/2) a M_n - (n - 1/2) a^2 M_{n-1} as written
+        # loses 2.2e-10 relative by n = 4096, the difference form 1e-13
+        a = math.tanh(3.0)
+        mag, ph = laguerre_half_sequence(0.0, 4096, a)
+        with mpmath.workdps(30):
+            exact, worst = mpmath.mpf(1), 0.0
+            for n in range(4097):
+                value = mpmath.exp(mpmath.mpf(mag[n])) * ph[n]
+                worst = max(worst, float(abs(value / exact - 1)))
+                exact *= a * (n + mpmath.mpf(0.5)) / (n + 1)
+        assert worst <= 1e-12
 
 
 class TestAssocLegendre:

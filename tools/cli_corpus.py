@@ -25,7 +25,10 @@ from pathlib import Path
 # each token below is replaced by the path of a state descriptor file:
 # STATE a displaced squeezed state, FAR_STATE one far from the origin, whose
 # Laguerre factors pass 1e284, SQ3_STATE the squeezed vacuum at r = 3 as a
-# Gaussian state, whose Hermite factors span about 27000 nats at N = 4096
+# Gaussian state, whose Hermite factors span about 27000 nats at N = 4096,
+# COHERENT_STATE a displaced vacuum and SURFACE_STATE a displaced state on
+# Tr - 2 det - 1/2 = 0, where the Hermite arguments y once had a vanishing
+# denominator
 DESCRIPTORS = {
     "STATE": {
         "sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1, "mean_q": 0.3, "mean_p": -0.2
@@ -36,6 +39,12 @@ DESCRIPTORS = {
     "SQ3_STATE": {
         "sigma_pp": math.exp(6) / 2, "sigma_qq": math.exp(-6) / 2, "sigma_pq": 0.0,
         "mean_q": 0.0, "mean_p": 0.0
+    },
+    "COHERENT_STATE": {
+        "sigma_pp": 0.5, "sigma_qq": 0.5, "sigma_pq": 0.0, "mean_q": 1.0, "mean_p": 0.5
+    },
+    "SURFACE_STATE": {
+        "sigma_pp": 0.51, "sigma_qq": 0.5, "sigma_pq": 0.0, "mean_q": 1.0, "mean_p": 0.5
     },
 }
 
@@ -94,6 +103,14 @@ INVOCATIONS = (
         "dist --family squeezed-correlated --r 0.5 --mean-q 38",
         "dist --family squeezed-correlated --r 0.5 --mean-q 60",
         "dist --family squeezed-correlated --r 0.5 --mean-q 200",
+        "dist --family gaussian --state COHERENT_STATE",
+        "dist --family gaussian --state COHERENT_STATE --route laguerre",
+        "dist --family gaussian --state SURFACE_STATE",
+        "dist --family gaussian --state SURFACE_STATE --route laguerre",
+        # large finite flags: cosh r and the squared displacement overflow
+        "dist --family squeezed-vacuum --r 800",
+        "dist --family squeezed-correlated --r 800 --mean-q 1",
+        "dist --family squeezed-correlated --r 0.5 --mean-q 1e155",
     ]
 )
 
