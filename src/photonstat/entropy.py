@@ -34,6 +34,7 @@ from .errors import (
     DivergentSeriesError,
     DomainError,
     NormalizationError,
+    RangeOverflowError,
 )
 from .gaussian_state import OneModeGaussianState, p0
 from .photon_dist import (
@@ -297,11 +298,17 @@ def hermite_inequality_margin(
 
     Raises:
         ClassificationError: the state's distribution is not a probability.
+        RangeOverflowError: some H_kk / k! exceeds the double range (P0
+            underflows, at |mean| of a few tens).
     """
     dist = pn_hermite(state, n_max)
     p = _probabilities(dist)
     scale = float(p0(state))
-    return _pairwise_margin_from_scaled(p / scale, scale)
+    with np.errstate(all="ignore"):
+        h_tilde = p / scale
+    if not np.isfinite(h_tilde).all():
+        raise RangeOverflowError("a Hermite term H_kk / k! exceeds the double range")
+    return _pairwise_margin_from_scaled(h_tilde, scale)
 
 
 def laguerre_inequality_margin(

@@ -5,10 +5,11 @@ quadrature covariance matrix
              [sigma_pq, sigma_qq]]
 
 and the means <q>, <p>.  The module derives the generating record that
-the photon-number routes read (the R-matrix, the transformed displacement w
-and the roots and exponents of the generating function, computed once by
-`_generating_record`), the public R-matrix with its Hermite arguments y,
-the no-photon probability P0, and the quadrature-uncertainty verdict
+the photon-number routes read (the R-matrix, the transformed displacement w,
+the roots and exponents of the generating function and ln P0, computed
+once by `_generating_record`), the public R-matrix with its Hermite
+arguments y, the no-photon probability P0, and the quadrature-uncertainty
+verdict
 
     det Sigma = sigma_pp sigma_qq - sigma_pq^2 >= 1/4.
 
@@ -26,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularDenominatorError
+from .errors import DomainError, RangeOverflowError, SingularDenominatorError
 
 __all__ = [
     "OneModeGaussianState",
@@ -67,7 +68,7 @@ class OneModeGaussianState:
 
     @property
     def det(self) -> float:
-        return self.sigma_pp * self.sigma_qq - self.sigma_pq**2
+        return self.sigma_pp * self.sigma_qq - self.sigma_pq * self.sigma_pq
 
     @property
     def is_centered(self) -> bool:
@@ -167,10 +168,6 @@ def uncertainty_check(state: OneModeGaussianState) -> UncertaintyVerdict:
     return UncertaintyVerdict(det_sigma=d, slack=slack, valid=slack >= 0)
 
 
-def _r_denominator(state: OneModeGaussianState) -> float:
-    return state.trace + 2 * state.det + 0.5
-
-
 @dataclass(frozen=True)
 class _GeneratingRecord:
     """What the photon-number routes read of a state, computed once.
@@ -190,7 +187,16 @@ class _GeneratingRecord:
                         exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
 
         a+- = R12 -+ |R11|,  c+ = (Im v)^2 / 2,  c- = (Re v)^2 / 2,
-        v = w exp(-i arg(R11) / 2).
+        v = w exp(-i arg(R11) / 2),
+
+    and its constant term is P0 = exp(log_p0), on the principal branch
+
+        log_p0 = E - log(D / 2) / 2,
+        E = (-<p>^2 (sigma_qq + 1/2) - <q>^2 (sigma_pp + 1/2)
+             + 2 sigma_pq <q> <p>) / D,
+
+    real where D > 0 and with imaginary part -pi/2 where D < 0.  Held as a
+    log, P0 stays exact where it underflows (|<q>| of a few tens).
     """
 
     r11: complex
@@ -201,26 +207,38 @@ class _GeneratingRecord:
     a_minus: float
     c_plus: float
     c_minus: float
+    log_p0: complex
 
 
 def _generating_record(state: OneModeGaussianState) -> _GeneratingRecord:
-    """The :class:`_GeneratingRecord` of a state.  c+- are inf where the
-    squared displacement leaves the double range (means past about 1e154).
+    """The :class:`_GeneratingRecord` of a state.  c+- are inf, and log_p0
+    is -inf or NaN, where the squared displacement leaves the double range
+    (means past about 1e154).
 
     Raises:
         SingularDenominatorError: D = Tr + 2 det + 1/2 vanishes.
+        RangeOverflowError: D leaves the double range (a covariance entry
+            past about 1e154).
     """
-    den = _r_denominator(state)
+    den = state.trace + 2 * state.det + 0.5
     if den == 0:
         raise SingularDenominatorError("Tr + 2 det + 1/2 vanishes for this state")
+    if not math.isfinite(den):
+        raise RangeOverflowError("Tr + 2 det + 1/2 exceeds the double range")
     s_bar = complex(state.sigma_pp - state.sigma_qq, -2 * state.sigma_pq)
     r11, r12 = s_bar / den, (0.5 - 2 * state.det) / den
-    z = complex(state.mean_q, state.mean_p)
+    q, p = state.mean_q, state.mean_p
+    z = complex(q, p)
     w = (s_bar * z.conjugate() + (state.trace + 1) * z) / den
     v = w * cmath.exp(-0.5j * cmath.phase(r11))
     m = abs(r11)
+    expo = (
+        -p * p * (state.sigma_qq + 0.5) - q * q * (state.sigma_pp + 0.5)
+        + 2 * state.sigma_pq * q * p
+    ) / den
     return _GeneratingRecord(
-        r11, r11.conjugate(), r12, w, r12 - m, r12 + m, v.imag * v.imag / 2, v.real * v.real / 2
+        r11, r11.conjugate(), r12, w, r12 - m, r12 + m, v.imag * v.imag / 2, v.real * v.real / 2,
+        expo - 0.5 * cmath.log(den / 2),
     )
 
 
@@ -260,32 +278,25 @@ def r_matrix(state: OneModeGaussianState) -> RMatrix:
 
 
 def p0(state: OneModeGaussianState) -> float | complex:
-    """Probability of counting zero photons.
+    """Probability of counting zero photons, exp(log_p0) of the state's
+    generating record:
 
-        P0 = (det Sigma + Tr Sigma / 2 + 1/4)^(-1/2)
+        P0 = (D / 2)^(-1/2)
              * exp[ (-<p>^2 (sigma_qq + 1/2) - <q>^2 (sigma_pp + 1/2)
-                     + 2 sigma_pq <q> <p>) / (Tr Sigma + 2 det Sigma + 1/2) ]
+                     + 2 sigma_pq <q> <p>) / D ],    D = Tr Sigma + 2 det Sigma + 1/2.
 
     For a centered state this reduces to 2 (2x - 4t^2 + 2y + 4xy + 1)^(-1/2).
-    When the radicand is negative (uncertainty-violating state) the complex
-    diagnostic value is returned instead of raising; the downstream
-    distribution then classifies as non-probability.
+    A float where D > 0; where D < 0 (an uncertainty-violating state) the
+    complex diagnostic value on the principal branch is returned instead of
+    raising, and the downstream distribution classifies as non-probability.
+    0.0 where P0 underflows.
 
     Raises:
-        SingularDenominatorError: the radicand (equivalently D/2) vanishes.
+        SingularDenominatorError: D vanishes.
+        RangeOverflowError: D leaves the double range.
     """
-    radicand = state.det + state.trace / 2 + 0.25
-    den = _r_denominator(state)
-    if radicand == 0 or den == 0:
-        raise SingularDenominatorError("P0 radicand vanishes for this state")
-    expo = (
-        -state.mean_p * state.mean_p * (state.sigma_qq + 0.5)
-        - state.mean_q * state.mean_q * (state.sigma_pp + 0.5)
-        + 2 * state.sigma_pq * state.mean_q * state.mean_p
-    ) / den
-    if radicand > 0:
-        return radicand**-0.5 * math.exp(expo)
-    return complex(radicand) ** -0.5 * cmath.exp(complex(expo))
+    log_p0 = _generating_record(state).log_p0
+    return cmath.exp(log_p0) if log_p0.imag else math.exp(log_p0.real)
 
 
 def from_tau(tau: float, y: float, t: float = 0.0) -> XYTState:

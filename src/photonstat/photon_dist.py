@@ -7,8 +7,8 @@ centered-covariance sum); on valid states they agree termwise, which is the
 central cross-check of this package.  The Hermite and Laguerre routes
 read a state through one generating record
 (``gaussian_state._generating_record``: R, the transformed displacement w,
-and the roots a+- and exponents c+- of the generating function), never
-through the Hermite arguments y of ``r_matrix``, so both are finite
+the roots a+- and exponents c+- of the generating function, and ln P0),
+never through the Hermite arguments y of ``r_matrix``, so both are finite
 wherever D = Tr + 2 det + 1/2 != 0.  For covariances violating the
 quadrature uncertainty relation the same formulas return negative or complex
 values, and every distribution carries a classification verdict:
@@ -33,14 +33,17 @@ with q = max(|a+|, |a-|) the larger root modulus of its generating
 function, read from the same record.  Where q < 1 the cutoff N is chosen
 once, before any term is computed, as the smallest N whose proven bound on the
 omitted mass (doubled, for headroom) is below 1e-12, capped at 4096; the
-series is evaluated once and that bound is its ``tail_bound``.  The other
+series is evaluated once and that bound is its ``tail_bound``.  A bound at
+the cap that is not below 1 raises ``RangeOverflowError``.  The other
 series (Poisson, f- and q-coherent, the two-mode law, the violation
 family, and Gaussian states with q >= 1) start at 32 and double until the
 estimated geometric tail drops below 1e-12 or the cutoff reaches 4096.
 That estimate ignores magnitudes below 1e3 eps of the largest term, which
 are roundoff.  Sequences whose tail grows (the uncertainty-violating
 families are asymptotic, not convergent) are trimmed at their smallest
-term and the residual is reported in ``tail_bound``.
+term and the residual is reported in ``tail_bound``.  A doubled series
+whose every term is still 0 (underflowed) at its last N raises
+``RangeOverflowError``.
 
 A distribution's ``values`` are one read-only complex128 array from the
 series through truncation and classification to the exporters.
@@ -71,9 +74,8 @@ from .errors import (
     RangeOverflowError,
     SingularDenominatorError,
 )
-from .gaussian_state import OneModeGaussianState, XYTState, _generating_record, from_tau, p0
+from .gaussian_state import OneModeGaussianState, XYTState, _generating_record, from_tau
 from .specfun import (
-    _LOG_DBL_MAX,
     _legendre_columns,
     _legendre_scaled,
     gauss_2f1_terminating,
@@ -344,22 +346,24 @@ def _decay_cut(state: OneModeGaussianState) -> tuple[int, float] | None:
     Cauchy's estimate on |z| = 1/rho, q < rho < 1, gives
     |P_n| <= |P0| B rho^n with B = prod (1 - |a|/rho)^(-1/2) exp(c / (rho + a)),
     the exponent's real part peaking at z = 1/rho.  Summing the bound past N
-    and doubling it gives the tail 2 |P0| B rho^(N+1) / (1 - rho).  N is the
-    smallest N >= 1 with tail <= 1e-12 for some rho = q + (1 - q) 2^-k,
-    k = 1..12, capped at 4096; the tail reported is the least over k at N.
+    and doubling it gives the tail 2 |P0| B rho^(N+1) / (1 - rho), with
+    ln |P0| the real part of the record's log_p0, so a P0 that underflows
+    still bounds the tail exactly.  N is the smallest N >= 1 with
+    tail <= 1e-12 for some rho = q + (1 - q) 2^-k, k = 1..12, capped at
+    4096; the tail reported is the least over k at N.
 
     Raises:
-        RangeOverflowError: c+ + c-, a squared displacement, or the tail
-            bound at the cap leaves the double range.
+        RangeOverflowError: a squared displacement leaves the double range
+            (c+ + c- or ln |P0| is not finite), or the tail bound at the cap
+            is not below 1 (the law lies past the cap).
     """
     rec = _generating_record(state)
     q = max(abs(rec.a_plus), abs(rec.a_minus))
     if not q < 1:
         return None
-    if not math.isfinite(rec.c_plus + rec.c_minus):
+    if not math.isfinite(rec.c_plus + rec.c_minus + rec.log_p0.real):
         raise RangeOverflowError("squared displacement exceeds the double range")
-    # floored so that a P0 below the double range still gives a finite cut
-    log_p0 = math.log(2 * max(abs(p0(state)), sys.float_info.min) / _TAIL_TARGET)
+    log_2p0 = rec.log_p0.real + math.log(2 / _TAIL_TARGET)
     if state.is_centered:
         if q == 0:  # the vacuum
             return 1, 0.0
@@ -372,11 +376,11 @@ def _decay_cut(state: OneModeGaussianState) -> tuple[int, float] | None:
             for r in rho
         ]
     # ln(tail / 1e-12) = front + (N + 1) ln rho for each candidate rho
-    fronts = [(log_p0 + b - math.log1p(-r), math.log(r)) for r, b in zip(rho, log_b)]
+    fronts = [(log_2p0 + b - math.log1p(-r), math.log(r)) for r, b in zip(rho, log_b)]
     n = min(_ADAPTIVE_CAP, max(1, math.ceil(min(f / -lr for f, lr in fronts) - 1)))
     log_tail = min(f + (n + 1) * lr for f, lr in fronts)
-    if log_tail > _LOG_DBL_MAX:  # at the cap, for a displacement far past it
-        raise RangeOverflowError(f"tail bound at N = {n} exceeds the double range")
+    if log_tail >= -math.log(_TAIL_TARGET):  # a tail of 1 or more, only at the cap
+        raise RangeOverflowError(f"tail bound at the N = {n} cap is not below 1")
     return n, _TAIL_TARGET * math.exp(log_tail)
 
 
@@ -389,7 +393,9 @@ def _build_distribution(series, n_max, *, state=None) -> PhotonDistribution:
     :func:`_decay_cut`.  Every other series starts at N = 32 and doubles
     until the sampled geometric tail estimate of :func:`_tail_estimate` is
     below 1e-12, the series is trimmed as divergent, or N reaches the 4096
-    cap; an explicit ``n_max`` is the one pass of that loop.  A
+    cap; an explicit ``n_max`` is the one pass of that loop.  A series
+    whose every term is 0 (underflowed) has not converged: it doubles on,
+    and raises ``RangeOverflowError`` if still all 0 at its last N.  A
     ``RangeOverflowError`` from the series propagates.
     """
     if n_max is not None and n_max < 0:
@@ -401,8 +407,11 @@ def _build_distribution(series, n_max, *, state=None) -> PhotonDistribution:
     n = _ADAPTIVE_START if n_max is None else n_max
     while True:
         vals, mags, trimmed = _trim_divergent(series(n))
-        tail = _tail_estimate(mags)
+        # a series whose every term underflowed to 0 has not converged
+        tail = _tail_estimate(mags) if mags.any() else math.inf
         done = n_max is not None or trimmed or tail < _TAIL_TARGET or n >= _ADAPTIVE_CAP
+        if done and not mags.any():
+            raise RangeOverflowError(f"every term up to N = {n} underflows to 0")
         # growing past any probability scale: divergent, stop extending
         if done or (not math.isfinite(tail) and (mags > 1e30).any()):
             return _finalize(vals, tail)
@@ -445,11 +454,15 @@ def _laguerre_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gaussian_series(state: OneModeGaussianState, ratio_fn):
+    """P_n = P0 (P_n / P0), with ln P0 added to the log-magnitudes of the
+    ratios before the one exponentiation: P0 may underflow where the ratios
+    overflow."""
     rec = _generating_record(state)
-    p0v = complex(p0(state))
+    p0_phase = cmath.exp(1j * rec.log_p0.imag) if rec.log_p0.imag else 1.0  # real stays real
 
     def series(n_max: int) -> np.ndarray:
-        return p0v * log_signed_values(*ratio_fn(rec, n_max))
+        mag, ph = ratio_fn(rec, n_max)
+        return log_signed_values(mag + rec.log_p0.real, ph * p0_phase)
 
     return series
 
@@ -467,6 +480,8 @@ def pn_hermite(
     Raises:
         SingularDenominatorError: D = Tr + 2 det + 1/2, the denominator of
             R and twice P0's radicand, vanishes.
+        RangeOverflowError: D or the squared displacement leaves the
+            double range, or the law lies past the 4096 cap.
     """
     return _build_distribution(
         _gaussian_series(state, _hermite_ratio_seq), n_max, state=state

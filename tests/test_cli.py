@@ -324,7 +324,7 @@ class TestErrorPaths:
             capsys, "dist", "--family", "squeezed-correlated", "--r", "0.5", "--mean-q", "38"
         )
         assert (code, err) == (0, "")
-        assert out.startswith("# classification=Probability\n# truncation=1292\n")
+        assert out.startswith("# classification=Probability\n# truncation=836\n")
 
     def test_displacement_past_the_cap_is_single_line(self, capsys):
         code, out, err = run(
@@ -339,11 +339,15 @@ class TestErrorPaths:
         "argv, reason",
         [
             # math.cosh(800) overflowed; every weight underflows to 0
-            (["--family", "squeezed-vacuum", "--r", "800"], "normalization-error"),
+            (["--family", "squeezed-vacuum", "--r", "800"], "range-overflow"),
             (["--family", "squeezed-correlated", "--r", "800", "--mean-q", "1"],
-             "normalization-error"),
+             "range-overflow"),
             # mean_q**2 overflowed in P0; the squared displacement leaves the range
             (["--family", "squeezed-correlated", "--r", "0.5", "--mean-q", "1e155"],
+             "range-overflow"),
+            # every weight underflows to 0
+            (["--family", "poisson", "--alpha", "1e5"], "range-overflow"),
+            (["--family", "q-coherent", "--alpha", "1e5", "--lambda", "1e-3"],
              "range-overflow"),
         ],
     )
@@ -352,6 +356,20 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert err.startswith(f"error: {reason}:")
+
+    def test_covariance_past_the_double_range(self, capsys, tmp_path):
+        # sigma_pq**2 raised a bare OverflowError in det
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps(
+                {"sigma_pp": 0.5, "sigma_qq": 0.5, "sigma_pq": 1e155,
+                 "mean_q": 0.0, "mean_p": 0.0}
+            )
+        )
+        code, out, err = run(capsys, "dist", "--family", "gaussian", "--state", str(path))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: range-overflow:")
 
     def test_bad_state_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

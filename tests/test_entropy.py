@@ -23,6 +23,7 @@ from photonstat.errors import (
     DivergentSeriesError,
     DomainError,
     NormalizationError,
+    RangeOverflowError,
 )
 from photonstat.gaussian_state import OneModeGaussianState
 from photonstat.oracle import oracle_poisson_blocks
@@ -336,6 +337,13 @@ class TestPolynomialFormMargins:
         ref = information(pn_hermite(state, 200), PartitionScheme(2))
         assert hermite_inequality_margin(state, 200) == pytest.approx(ref, abs=1e-10)
         assert laguerre_inequality_margin(state, 200) == pytest.approx(ref, abs=1e-10)
+
+    def test_hermite_margin_where_p0_underflows_raises(self):
+        # the Hermite route returns this law, but P_k / P0 divides by 0.0
+        state = OneModeGaussianState.squeezed_correlated(0.5, 0.0, 60.0, 0.0)
+        with pytest.raises(RangeOverflowError):
+            hermite_inequality_margin(state)
+        assert math.isfinite(laguerre_inequality_margin(state))
 
     def test_f_coherent_margins_nonnegative(self):
         for alpha in np.linspace(0.1, 2.0, 8):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from photonstat.errors import DomainError, SingularDenominatorError
+from photonstat.errors import DomainError, RangeOverflowError, SingularDenominatorError
 from photonstat.gaussian_state import (
     OneModeGaussianState,
     XYTState,
+    _generating_record,
     from_tau,
     p0,
     r_matrix,
@@ -129,10 +130,27 @@ class TestP0:
                 assert val < 1
 
     def test_singular_radicand(self):
-        # det + Tr/2 + 1/4 = 0 at x = -3/4, y = 5, t^2 = 15/8... pick the
-        # tau value that zeroes the radicand instead: radicand = D/2
+        # the radicand D / 2 = (Tr + 2 det + 1/2) / 2 = (2 - 5/2 + 1/2) / 2 vanishes
         with pytest.raises(SingularDenominatorError):
             p0(OneModeGaussianState(1.0, 1.0, 1.5))
+
+    def test_underflows_to_zero(self):
+        assert p0(OneModeGaussianState.coherent(40.0, 0.0)) == 0.0
+        rec = _generating_record(OneModeGaussianState.coherent(40.0, 0.0))
+        assert rec.log_p0 == pytest.approx(-800.0, rel=1e-15)
+
+    def test_violation_regime_is_on_the_principal_branch(self):
+        # D = -12 < 0: P0 = (D / 2)^(-1/2) = -i / sqrt(6)
+        state = OneModeGaussianState(-3.0, 1.0, 1.5)
+        assert state.trace + 2 * state.det + 0.5 == -12.0
+        assert p0(state) == pytest.approx(-1j / math.sqrt(6), rel=1e-15)
+
+    def test_covariance_past_the_double_range_raises(self):
+        # sigma_pq**2 raised a bare OverflowError in det
+        state = OneModeGaussianState(0.5, 0.5, 1e155)
+        assert state.det == -math.inf
+        with pytest.raises(RangeOverflowError):
+            p0(state)
 
 
 class TestFromTau:

@@ -556,8 +556,10 @@ class TestGeneratingFunctionReference:
 
 class TestLargeDisplacement:
     """At |mean| of a few tens P0 underflows to 0.0 while the Hermite factors
-    of the law overflow; the law keeps P0 as its log.  Far past the 4096 cap
-    the cutoff's tail bound leaves the double range."""
+    of the law overflow.  The law, both routes and the cutoff keep P0 as its
+    log (the routes and the cutoff read it from the generating record), so
+    the cutoff bounds the tail from the true P0.  Where the law lies past
+    the 4096 cap the tail bound there is not below 1, and the call raises."""
 
     @staticmethod
     def spec(mean_q):
@@ -566,7 +568,7 @@ class TestLargeDisplacement:
     def test_law_whose_p0_underflows_matches_mpmath(self):
         dist = deformed_distribution(self.spec(38.0))
         assert dist.classification is Classification.PROBABILITY
-        assert dist.truncation == 1292
+        assert dist.truncation == 836
         assert math.fsum(dist.values.real.tolist()) == pytest.approx(1.0, abs=1e-12)
         ref = squeezed_correlated_law_mp(0.5, 0.0, 38.0, 0.0, dist.truncation, digits=60)
         top = max(ref)
@@ -582,6 +584,27 @@ class TestLargeDisplacement:
         with pytest.raises(RangeOverflowError):
             deformed_distribution(self.spec(200.0))
 
+    @pytest.mark.parametrize("mean_q", [40.0, 60.0, 80.0])
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    def test_routes_whose_p0_underflows_match_mpmath(self, route, mean_q):
+        # P0 x (P_n / P0) overflowed in the ratio before P0 scaled it down
+        dist = route(OneModeGaussianState.squeezed_correlated(0.5, 0.0, mean_q, 0.0))
+        assert dist.classification is Classification.PROBABILITY
+        assert math.fsum(dist.values.real.tolist()) == pytest.approx(1.0, abs=1e-11)
+        ref = squeezed_correlated_law_mp(0.5, 0.0, mean_q, 0.0, dist.truncation)
+        top = max(ref)
+        for value, exact in zip(dist.values.tolist(), ref):
+            assert abs(mpmath.mpf(value.real) - exact) <= 1e-11 * top
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre, deformed_distribution])
+    def test_tail_bound_at_mean_q_60(self, route):
+        # the float floor on P0 left the cutoff a bound of 2.1e131 at N = 2943
+        arg = (
+            self.spec(60.0) if route is deformed_distribution
+            else OneModeGaussianState.squeezed_correlated(0.5, 0.0, 60.0, 0.0)
+        )
+        assert route(arg).tail_bound <= 1e-11
+
     @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
     def test_routes_past_the_cap_raise(self, route):
         with pytest.raises(RangeOverflowError):
@@ -589,7 +612,7 @@ class TestLargeDisplacement:
 
     @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre, deformed_distribution])
     def test_squared_displacement_past_the_double_range_raises(self, route):
-        # mean_q**2 raised a bare OverflowError in p0; P0 is now 0.0
+        # mean_q**2 raised a bare OverflowError in p0; ln P0 is now -inf
         state = OneModeGaussianState.squeezed_correlated(0.5, 0.0, 1e155, 0.0)
         assert p0(state) == 0.0
         arg = self.spec(1e155) if route is deformed_distribution else state
@@ -600,11 +623,58 @@ class TestLargeDisplacement:
         "kind", [DeformationKind.SQUEEZED_VACUUM, DeformationKind.SQUEEZED_CORRELATED]
     )
     def test_squeeze_past_the_cosh_overflow(self, kind):
-        # math.cosh(800) raised a bare OverflowError; every weight underflows
+        # math.cosh(800) raised a bare OverflowError; every weight underflows,
+        # which stopped at N = 32 as "sums to 0 against tail bound 0"
         spec = DeformationSpec(kind, r=800.0, mean_q=1.0)
         assert deformed_pn(spec, 0) == 0.0
-        with pytest.raises(NormalizationError, match="sums to 0 "):
+        with pytest.raises(RangeOverflowError, match="underflows to 0"):
             deformed_distribution(spec)
+
+
+class TestCapRule:
+    """Where the proven tail bound at the 4096 cap is not below 1, the law
+    lies past the cap: the squeezed vacuum at r = 4 came back Probability
+    with tail 6.99 and 1.9 % of its mass missing."""
+
+    @staticmethod
+    def call(route, r):
+        if route is deformed_distribution:
+            return route(DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=r))
+        return route(OneModeGaussianState.squeezed_vacuum(r))
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre, deformed_distribution])
+    def test_squeezed_vacuum_at_r_4_raises(self, route):
+        with pytest.raises(RangeOverflowError, match="cap is not below 1"):
+            self.call(route, 4.0)
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre, deformed_distribution])
+    def test_squeezed_vacuum_at_r_3_5_classifies(self, route):
+        dist = self.call(route, 3.5)
+        assert dist.truncation == 4096
+        assert 0.01 < dist.tail_bound < 1
+        assert dist.classification is Classification.PROBABILITY
+
+
+class TestAllZeroSeries:
+    """A series whose every term underflows has not converged; it stopped
+    at N = 32 with "sums to 0 against tail bound 0"."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DeformationSpec(DeformationKind.POISSON, alpha_mag2=1e10),
+            DeformationSpec(DeformationKind.Q_COHERENT, alpha_mag2=1e10, lam=1e-3),
+            DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=800.0),
+        ],
+    )
+    @pytest.mark.parametrize("n_max", [None, 64])
+    def test_raises(self, spec, n_max):
+        with pytest.raises(RangeOverflowError, match="underflows to 0"):
+            deformed_distribution(spec, n_max)
+
+    def test_explicit_values_are_unchanged(self):
+        with pytest.raises(NormalizationError, match="sums to 0 "):
+            distribution_from_values([0.0, 0.0, 0.0])
 
 
 class TestLaguerreRoute:

@@ -26,9 +26,11 @@ from pathlib import Path
 # STATE a displaced squeezed state, FAR_STATE one far from the origin, whose
 # Laguerre factors pass 1e284, SQ3_STATE the squeezed vacuum at r = 3 as a
 # Gaussian state, whose Hermite factors span about 27000 nats at N = 4096,
-# COHERENT_STATE a displaced vacuum and SURFACE_STATE a displaced state on
+# COHERENT_STATE a displaced vacuum, SURFACE_STATE a displaced state on
 # Tr - 2 det - 1/2 = 0, where the Hermite arguments y once had a vanishing
-# denominator
+# denominator, P0_UNDERFLOW_STATE the squeezed state r = 0.5 displaced to
+# <q> = 60, whose P0 underflows to 0.0, and WIDE_STATE a covariance whose
+# det leaves the double range
 DESCRIPTORS = {
     "STATE": {
         "sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1, "mean_q": 0.3, "mean_p": -0.2
@@ -45,6 +47,14 @@ DESCRIPTORS = {
     },
     "SURFACE_STATE": {
         "sigma_pp": 0.51, "sigma_qq": 0.5, "sigma_pq": 0.0, "mean_q": 1.0, "mean_p": 0.5
+    },
+    "P0_UNDERFLOW_STATE": {
+        "sigma_pp": 0.5 * (math.cosh(1) + math.sinh(1)),
+        "sigma_qq": 0.5 * (math.cosh(1) - math.sinh(1)),
+        "sigma_pq": 0.0, "mean_q": 60.0, "mean_p": 0.0
+    },
+    "WIDE_STATE": {
+        "sigma_pp": 0.5, "sigma_qq": 0.5, "sigma_pq": 1e155, "mean_q": 0.0, "mean_p": 0.0
     },
 }
 
@@ -99,7 +109,7 @@ INVOCATIONS = (
         "dist --family f-coherent --alpha 0.8 --f-values 1,1.5,2,2.5,3,3.5,4,4.5,5,5.5,6,6.5",
         "dist --family f-coherent --alpha 0.8 --f-values 1,1,1",
         # P0 underflows while the Hermite factors overflow; at 200 the
-        # cutoff's tail bound passes the double range at the cap
+        # cutoff's tail bound at the cap is not below 1
         "dist --family squeezed-correlated --r 0.5 --mean-q 38",
         "dist --family squeezed-correlated --r 0.5 --mean-q 60",
         "dist --family squeezed-correlated --r 0.5 --mean-q 200",
@@ -111,6 +121,13 @@ INVOCATIONS = (
         "dist --family squeezed-vacuum --r 800",
         "dist --family squeezed-correlated --r 800 --mean-q 1",
         "dist --family squeezed-correlated --r 0.5 --mean-q 1e155",
+        # both routes where P0 underflows; a law whose tail bound at the
+        # cap is not below 1; det and every weight past the double range
+        "dist --family gaussian --state P0_UNDERFLOW_STATE",
+        "dist --family gaussian --state P0_UNDERFLOW_STATE --route laguerre",
+        "dist --family squeezed-vacuum --r 4",
+        "dist --family gaussian --state WIDE_STATE",
+        "dist --family poisson --alpha 1e5",
     ]
 )
 
