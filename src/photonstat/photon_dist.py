@@ -34,16 +34,17 @@ function, read from the same record.  Where q < 1 the cutoff N is chosen
 once, before any term is computed, as the smallest N whose proven bound on the
 omitted mass (doubled, for headroom) is below 1e-12, capped at 4096; the
 series is evaluated once and that bound is its ``tail_bound``.  A bound at
-the cap that is not below 1 raises ``RangeOverflowError``.  The other
-series (Poisson, f- and q-coherent, the two-mode law, the violation
-family, and Gaussian states with q >= 1) start at 32 and double until the
-estimated geometric tail drops below 1e-12 or the cutoff reaches 4096.
-That estimate ignores magnitudes below 1e3 eps of the largest term, which
-are roundoff.  Sequences whose tail grows (the uncertainty-violating
-families are asymptotic, not convergent) are trimmed at their smallest
-term and the residual is reported in ``tail_bound``.  A doubled series
-whose every term is still 0 (underflowed) at its last N raises
-``RangeOverflowError``.
+the cap that is not below 1 raises ``RangeOverflowError``, and so does a q
+that rounds to 1 on a state satisfying the uncertainty relation (where
+q < 1 exactly).  The other series (Poisson, f- and q-coherent, the two-mode
+law, the violation family, and violating Gaussian states with q >= 1)
+start at 32 and double until the estimated geometric tail drops below
+1e-12 or the cutoff reaches 4096.  That estimate ignores magnitudes below
+1e3 eps of the largest term, which are roundoff.  Sequences whose tail
+grows (the uncertainty-violating families are asymptotic, not convergent)
+are trimmed at their smallest term and the residual is reported in
+``tail_bound``.  A doubled series whose every term is still 0
+(underflowed) at its last N raises ``RangeOverflowError``.
 
 A distribution's ``values`` are one read-only complex128 array from the
 series through truncation and classification to the exporters.
@@ -61,7 +62,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
+from itertools import chain, takewhile
 
 import numpy as np
 
@@ -74,8 +75,15 @@ from .errors import (
     RangeOverflowError,
     SingularDenominatorError,
 )
-from .gaussian_state import OneModeGaussianState, XYTState, _generating_record, from_tau
+from .gaussian_state import (
+    OneModeGaussianState,
+    XYTState,
+    _generating_record,
+    from_tau,
+    uncertainty_check,
+)
 from .specfun import (
+    _LOG_DBL_MAX,
     _legendre_columns,
     _legendre_scaled,
     gauss_2f1_terminating,
@@ -330,8 +338,9 @@ def _finalize(values: np.ndarray, tail: float) -> PhotonDistribution:
 _RHO_STEPS = tuple(2.0**-k for k in range(1, 13))
 
 
-def _decay_cut(state: OneModeGaussianState) -> tuple[int, float] | None:
-    """(N, tail bound) of the state's photon-number series, or None where q >= 1.
+def _decay_cut(state: OneModeGaussianState, rec=None) -> tuple[int, float] | None:
+    """(N, tail bound) of the state's photon-number series, or None where q >= 1
+    on a state that violates the uncertainty relation.
 
     The generating function of the distribution is
 
@@ -339,9 +348,10 @@ def _decay_cut(state: OneModeGaussianState) -> tuple[int, float] | None:
                         exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
 
     with a+- = R12 -+ |R11| and c+- >= 0 read from the state's generating
-    record (:func:`gaussian_state._generating_record`), and
-    q = max(|a+|, |a-|).  For a centered state |P_n| <= |P0| q^n: the
-    coefficients of the square-root factor are at most
+    record ``rec`` (:func:`gaussian_state._generating_record`, computed here
+    where the caller has none), and q = max(|a+|, |a-|).  For a centered
+    state |P_n| <= |P0| q^n: the coefficients of the square-root factor are
+    at most
     sum_k C(2k, k) C(2n-2k, n-k) q^n / 4^n = q^n.  For a displaced one
     Cauchy's estimate on |z| = 1/rho, q < rho < 1, gives
     |P_n| <= |P0| B rho^n with B = prod (1 - |a|/rho)^(-1/2) exp(c / (rho + a)),
@@ -352,14 +362,22 @@ def _decay_cut(state: OneModeGaussianState) -> tuple[int, float] | None:
     tail <= 1e-12 for some rho = q + (1 - q) 2^-k, k = 1..12, capped at
     4096; the tail reported is the least over k at N.
 
+    On a state that satisfies the uncertainty relation q < 1 holds exactly,
+    so a q that rounds to 1 (a squeezed vacuum from about r = 18.5) means
+    a law spread far past the cap, not a series to double.
+
     Raises:
         RangeOverflowError: a squared displacement leaves the double range
-            (c+ + c- or ln |P0| is not finite), or the tail bound at the cap
-            is not below 1 (the law lies past the cap).
+            (c+ + c- or ln |P0| is not finite), the tail bound at the cap
+            is not below 1, or q rounds to 1 on a valid state (the law lies
+            past the cap).
     """
-    rec = _generating_record(state)
+    if rec is None:
+        rec = _generating_record(state)
     q = max(abs(rec.a_plus), abs(rec.a_minus))
     if not q < 1:
+        if uncertainty_check(state).valid:
+            raise RangeOverflowError("decay ratio rounds to 1: the law lies past the cap")
         return None
     if not math.isfinite(rec.c_plus + rec.c_minus + rec.log_p0.real):
         raise RangeOverflowError("squared displacement exceeds the double range")
@@ -384,11 +402,12 @@ def _decay_cut(state: OneModeGaussianState) -> tuple[int, float] | None:
     return n, _TAIL_TARGET * math.exp(log_tail)
 
 
-def _build_distribution(series, n_max, *, state=None) -> PhotonDistribution:
+def _build_distribution(series, n_max, *, state=None, record=None) -> PhotonDistribution:
     """Run ``series(N) -> complex ndarray`` under the truncation policy.
 
     Where ``state`` (the one-mode Gaussian state whose photon statistics
-    the series gives) has q < 1 and no ``n_max`` is given, the series is
+    the series gives, with its generating ``record`` where the caller has
+    built it) has q < 1 and no ``n_max`` is given, the series is
     evaluated once at the cutoff and with the tail bound of
     :func:`_decay_cut`.  Every other series starts at N = 32 and doubles
     until the sampled geometric tail estimate of :func:`_tail_estimate` is
@@ -400,7 +419,7 @@ def _build_distribution(series, n_max, *, state=None) -> PhotonDistribution:
     """
     if n_max is not None and n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    cut = None if n_max is not None or state is None else _decay_cut(state)
+    cut = None if n_max is not None or state is None else _decay_cut(state, record)
     if cut is not None:
         n, tail = cut
         return _finalize(series(n), tail)
@@ -453,10 +472,10 @@ def _laguerre_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _gaussian_series(state: OneModeGaussianState, ratio_fn):
+def _gaussian_distribution(state: OneModeGaussianState, ratio_fn, n_max) -> PhotonDistribution:
     """P_n = P0 (P_n / P0), with ln P0 added to the log-magnitudes of the
     ratios before the one exponentiation: P0 may underflow where the ratios
-    overflow."""
+    overflow.  The series and the cutoff read one generating record."""
     rec = _generating_record(state)
     p0_phase = cmath.exp(1j * rec.log_p0.imag) if rec.log_p0.imag else 1.0  # real stays real
 
@@ -464,7 +483,7 @@ def _gaussian_series(state: OneModeGaussianState, ratio_fn):
         mag, ph = ratio_fn(rec, n_max)
         return log_signed_values(mag + rec.log_p0.real, ph * p0_phase)
 
-    return series
+    return _build_distribution(series, n_max, state=state, record=rec)
 
 
 def pn_hermite(
@@ -483,9 +502,7 @@ def pn_hermite(
         RangeOverflowError: D or the squared displacement leaves the
             double range, or the law lies past the 4096 cap.
     """
-    return _build_distribution(
-        _gaussian_series(state, _hermite_ratio_seq), n_max, state=state
-    )
+    return _gaussian_distribution(state, _hermite_ratio_seq, n_max)
 
 
 def pn_laguerre(
@@ -500,9 +517,7 @@ def pn_laguerre(
     Raises:
         SingularDenominatorError: as :func:`pn_hermite`.
     """
-    return _build_distribution(
-        _gaussian_series(state, _laguerre_ratio_seq), n_max, state=state
-    )
+    return _gaussian_distribution(state, _laguerre_ratio_seq, n_max)
 
 
 def pn_centered_xyt(
@@ -925,7 +940,9 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
             raise InvalidSpecError("squeeze modulus r must be nonnegative")
         if spec.r == 0:
             # unsqueezed limit: coherent statistics at |alpha|^2 = (q^2+p^2)/2
-            x_bar = (spec.mean_q**2 + spec.mean_p**2) / 2
+            x_bar = (spec.mean_q * spec.mean_q + spec.mean_p * spec.mean_p) / 2
+            if not math.isfinite(x_bar):
+                raise RangeOverflowError("squared displacement exceeds the double range")
             return _deformed_weights(
                 DeformationSpec(DeformationKind.POISSON, alpha_mag2=x_bar), n
             )
@@ -972,24 +989,35 @@ def deformed_distribution(
     def series(n_cut: int) -> np.ndarray:
         return _deformed_weights(spec, np.arange(n_cut + 1)).astype(complex)
 
-    return _build_distribution(series, n_max, state=_equivalent_state(spec))
+    state = None if n_max is not None else _equivalent_state(spec)
+    return _build_distribution(series, n_max, state=state)
 
 
 def _equivalent_state(spec: DeformationSpec) -> OneModeGaussianState | None:
     """The one-mode Gaussian state whose photon statistics a squeezed law is.
 
-    None for the other families, for r = 0 (a Poisson law), and where tanh r
-    rounds to 1, so q would too (this also keeps e^(2r) finite).
+    None for the other families, for r = 0 (a Poisson law), and where e^(2r)
+    leaves the double range (no such state is representable).
+
+    Raises:
+        RangeOverflowError: tanh r rounds to 1.  The law's decay ratio is
+            q = tanh r < 1, so its mass lies past the cap; the rounded
+            state need not even satisfy the uncertainty relation, so its
+            own q would not say so.
     """
-    if math.tanh(abs(spec.r)) == 1.0:
+    if spec.kind is DeformationKind.SQUEEZED_VACUUM:
+        r = abs(spec.r)
+    elif spec.kind is DeformationKind.SQUEEZED_CORRELATED and spec.r > 0:
+        r = spec.r
+    else:
         return None
-    if spec.kind is DeformationKind.SQUEEZED_VACUUM and spec.r:
+    if r == 0 or 2 * r > _LOG_DBL_MAX:
+        return None
+    if math.tanh(r) == 1.0:
+        raise RangeOverflowError("decay ratio tanh r rounds to 1: the law lies past the cap")
+    if spec.kind is DeformationKind.SQUEEZED_VACUUM:
         return OneModeGaussianState.squeezed_vacuum(spec.r)
-    if spec.kind is DeformationKind.SQUEEZED_CORRELATED and spec.r > 0:
-        return OneModeGaussianState.squeezed_correlated(
-            spec.r, spec.theta, spec.mean_q, spec.mean_p
-        )
-    return None
+    return OneModeGaussianState.squeezed_correlated(spec.r, spec.theta, spec.mean_q, spec.mean_p)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,16 +1030,25 @@ def _fmt(v: float) -> str:
 
 
 def distribution_to_csv(dist: PhotonDistribution) -> str:
-    """CSV export: metadata comment lines, then rows n, re, im."""
-    lines = [
-        f"# classification={dist.classification.value}",
-        f"# truncation={dist.truncation}",
-        f"# tail_bound={_fmt(dist.tail_bound)}",
-        "n,re,im",
-    ]
-    for n, v in enumerate(dist.values.tolist()):
-        lines.append(f"{n},{_fmt(v.real)},{_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
+    """CSV export: metadata comment lines, then rows n, re, im.
+
+    The rows are formatted by one %-format over the whole table; '%.17g' % x
+    is ``_fmt(x)``, character for character.  An imaginary column that is
+    +0.0 throughout is written as the literal ``0`` that _fmt gives it.
+    """
+    head = (
+        f"# classification={dist.classification.value}\n"
+        f"# truncation={dist.truncation}\n"
+        f"# tail_bound={_fmt(dist.tail_bound)}\n"
+        "n,re,im\n"
+    )
+    n = len(dist.values)
+    re, im = dist.values.real, dist.values.imag
+    if im.any() or np.signbit(im).any():
+        row, columns = "%d,%.17g,%.17g\n", (range(n), re.tolist(), im.tolist())
+    else:
+        row, columns = "%d,%.17g,0\n", (range(n), re.tolist())
+    return head + row * n % tuple(chain.from_iterable(zip(*columns)))
 
 
 def distribution_to_json(dist: PhotonDistribution) -> str:

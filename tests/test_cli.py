@@ -349,6 +349,11 @@ class TestErrorPaths:
             (["--family", "poisson", "--alpha", "1e5"], "range-overflow"),
             (["--family", "q-coherent", "--alpha", "1e5", "--lambda", "1e-3"],
              "range-overflow"),
+            # mean_q**2 overflowed in the r = 0 (coherent) branch
+            (["--family", "squeezed-correlated", "--r", "0", "--mean-q", "1e155"],
+             "range-overflow"),
+            # tanh r rounds to 1: the law lies past the cap
+            (["--family", "squeezed-vacuum", "--r", "20"], "range-overflow"),
         ],
     )
     def test_large_finite_flags_are_single_line(self, capsys, argv, reason):

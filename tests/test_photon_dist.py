@@ -28,6 +28,7 @@ from photonstat.photon_dist import (
     DeformationKind,
     DeformationSpec,
     LegendreParams,
+    PhotonDistribution,
     TwoModeJointDistribution,
     deformed_distribution,
     deformed_pn,
@@ -447,6 +448,34 @@ class TestDecayRatioTruncation:
 
     def test_q_above_one_keeps_doubling(self):
         assert photon_dist._decay_cut(OneModeGaussianState(-0.75, 5.0, 0.0)) is None
+
+    @pytest.mark.parametrize("r", [18.5, 20.0])
+    def test_q_rounding_to_one_on_a_valid_state_is_past_the_cap(self, r):
+        # tanh r, the state's q, rounds to 1 although det = 1/4: the law
+        # lies far past the cap, and the sampled doubling loop used to end
+        # in a normalization error
+        state = OneModeGaussianState.squeezed_vacuum(r)
+        assert state.det == 0.25
+        for route in (pn_hermite, pn_laguerre):
+            with pytest.raises(RangeOverflowError, match="past the cap"):
+                route(state)
+        for spec in (
+            DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=r),
+            DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=r, theta=0.3, mean_q=1.0),
+        ):
+            with pytest.raises(RangeOverflowError, match="past the cap"):
+                deformed_distribution(spec)
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    @pytest.mark.parametrize("n_max", [None, 16])
+    def test_one_generating_record_per_route_call(self, monkeypatch, route, n_max):
+        records = []
+        build = photon_dist._generating_record
+        monkeypatch.setattr(
+            photon_dist, "_generating_record", lambda s: records.append(s) or build(s)
+        )
+        route(OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7), n_max)
+        assert len(records) == 1
 
 
 class TestDisplacedSqueezedTails:
@@ -1374,6 +1403,32 @@ class TestDistributionPlumbing:
         assert lines[3] == "n,re,im"
         assert lines[4].startswith("0,0.75")
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.75, 0.25],
+            [0.5 + 0.25j, 0.3 - 1e-13j, 0.2],
+            [complex(0.5, -0.0), complex(0.5, -0.0)],
+            [complex(-0.0, -0.0), 0.1, complex(0.9, -0.0)],
+            [math.nan, complex(math.inf, -math.inf), -math.inf, complex(0.1, math.nan)],
+            [5e-324, complex(2.2250738585072014e-308, -4.9e-322), 1 - 1e-16],
+            [1.0],
+            np.random.default_rng(18).standard_normal(300) * 10.0 ** np.arange(-150, 150),
+        ],
+    )
+    def test_csv_rows_match_the_per_row_format(self, values):
+        values = np.asarray(values, dtype=complex)
+        dist = PhotonDistribution(values, len(values) - 1, 1e-13, Classification.COMPLEX)
+        lines = distribution_to_csv(dist).splitlines()
+        assert lines[:4] == [
+            "# classification=Complex", f"# truncation={len(values) - 1}",
+            f"# tail_bound={format(1e-13, '.17g')}", "n,re,im",
+        ]
+        assert lines[4:] == [
+            f"{n},{format(v.real, '.17g')},{format(v.imag, '.17g')}"
+            for n, v in enumerate(values.tolist())
+        ]
 
     def test_json_export_roundtrip(self):
         import json
