@@ -125,18 +125,18 @@ def _probabilities(dist: PhotonDistribution) -> np.ndarray:
     return np.maximum(dist.values.real, 0.0)
 
 
-def _marginals(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block sums and residue-class sums of p, read from one table: p
-    zero-filled to whole blocks of m, one block per row (at least one).
+def _blocks(p: np.ndarray, m: int) -> np.ndarray:
+    """p zero-filled to whole blocks of m, one block per row (at least one).
 
-    Both take the last partial sum, which adds in index order; np.sum adds
-    pairwise and would move the last digits of the information.
+    Its block sums are ``.cumsum(axis=1)[:, -1]`` and its residue-class sums
+    ``.cumsum(axis=0)[-1]``: the last partial sum adds in index order,
+    where np.sum adds pairwise and would move the last digits of the
+    information.
     """
     rows = max(1, -(-len(p) // m))
     flat = np.zeros(rows * m, dtype=p.dtype)
     flat[: len(p)] = p
-    table = flat.reshape(rows, m)
-    return table.cumsum(axis=1)[:, -1], table.cumsum(axis=0)[-1]
+    return flat.reshape(rows, m)
 
 
 def block_entropies(dist: PhotonDistribution, scheme: PartitionScheme) -> EntropyReport:
@@ -146,10 +146,10 @@ def block_entropies(dist: PhotonDistribution, scheme: PartitionScheme) -> Entrop
         ClassificationError: the distribution is not a probability sequence.
     """
     p = _probabilities(dist)
-    blocks, residues = _marginals(p, scheme.block_size)
+    table = _blocks(p, scheme.block_size)
     h_joint = _shannon(p)
-    h1 = _shannon(blocks)
-    h2 = _shannon(residues)
+    h1 = _shannon(table.cumsum(axis=1)[:, -1])
+    h2 = _shannon(table.cumsum(axis=0)[-1])
     info = h1 + h2 - h_joint
     return EntropyReport(
         h_joint=h_joint,
@@ -247,9 +247,9 @@ def complex_information(
     m = scheme.block_size
     h_joint = _complex_entropy(vals, branch)
     if reading == "blocked":
-        blocks, residues = _marginals(vals, m)
-        h1 = _complex_entropy(blocks, branch)
-        h2 = _complex_entropy(residues, branch)
+        table = _blocks(vals, m)
+        h1 = _complex_entropy(table.cumsum(axis=1)[:, -1], branch)
+        h2 = _complex_entropy(table.cumsum(axis=0)[-1], branch)
         info = h1 + h2 - h_joint
     else:
         h1 = h_joint
@@ -288,7 +288,7 @@ def _pairwise_margin_from_scaled(h_tilde: np.ndarray, scale: float) -> float:
     def term(v: float) -> float:
         return 0.0 if v <= 0 else v * math.log(scale * v)
 
-    blocks = _marginals(h_tilde, 2)[0].tolist()
+    blocks = _blocks(h_tilde, 2).cumsum(axis=1)[:, -1].tolist()
     lhs = -term(odd) - term(even) - math.fsum(map(term, blocks))
     rhs = -math.fsum(map(term, h_tilde.tolist()))
     return scale * (lhs - rhs)

@@ -83,7 +83,6 @@ from .gaussian_state import (
     uncertainty_check,
 )
 from .specfun import (
-    _LOG_DBL_MAX,
     _legendre_columns,
     _legendre_scaled,
     gauss_2f1_terminating,
@@ -338,7 +337,7 @@ def _finalize(values: np.ndarray, tail: float) -> PhotonDistribution:
 _RHO_STEPS = tuple(2.0**-k for k in range(1, 13))
 
 
-def _decay_cut(state: OneModeGaussianState, rec=None) -> tuple[int, float] | None:
+def _decay_cut(state: OneModeGaussianState, rec) -> tuple[int, float] | None:
     """(N, tail bound) of the state's photon-number series, or None where q >= 1
     on a state that violates the uncertainty relation.
 
@@ -348,8 +347,8 @@ def _decay_cut(state: OneModeGaussianState, rec=None) -> tuple[int, float] | Non
                         exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
 
     with a+- = R12 -+ |R11| and c+- >= 0 read from the state's generating
-    record ``rec`` (:func:`gaussian_state._generating_record`, computed here
-    where the caller has none), and q = max(|a+|, |a-|).  For a centered
+    record ``rec`` (:func:`gaussian_state._generating_record` of ``state``),
+    and q = max(|a+|, |a-|).  For a centered
     state |P_n| <= |P0| q^n: the coefficients of the square-root factor are
     at most
     sum_k C(2k, k) C(2n-2k, n-k) q^n / 4^n = q^n.  For a displaced one
@@ -372,8 +371,6 @@ def _decay_cut(state: OneModeGaussianState, rec=None) -> tuple[int, float] | Non
             is not below 1, or q rounds to 1 on a valid state (the law lies
             past the cap).
     """
-    if rec is None:
-        rec = _generating_record(state)
     q = max(abs(rec.a_plus), abs(rec.a_minus))
     if not q < 1:
         if uncertainty_check(state).valid:
@@ -402,14 +399,12 @@ def _decay_cut(state: OneModeGaussianState, rec=None) -> tuple[int, float] | Non
     return n, _TAIL_TARGET * math.exp(log_tail)
 
 
-def _build_distribution(series, n_max, *, state=None, record=None) -> PhotonDistribution:
+def _build_distribution(series, n_max, *, cut=None) -> PhotonDistribution:
     """Run ``series(N) -> complex ndarray`` under the truncation policy.
 
-    Where ``state`` (the one-mode Gaussian state whose photon statistics
-    the series gives, with its generating ``record`` where the caller has
-    built it) has q < 1 and no ``n_max`` is given, the series is
-    evaluated once at the cutoff and with the tail bound of
-    :func:`_decay_cut`.  Every other series starts at N = 32 and doubles
+    Where ``cut`` is given (the (N, tail bound) of :func:`_decay_cut`,
+    computed by the caller only where ``n_max`` is None), the series is
+    evaluated once at N and with that tail bound.  Every other series starts at N = 32 and doubles
     until the sampled geometric tail estimate of :func:`_tail_estimate` is
     below 1e-12, the series is trimmed as divergent, or N reaches the 4096
     cap; an explicit ``n_max`` is the one pass of that loop.  A series
@@ -419,7 +414,6 @@ def _build_distribution(series, n_max, *, state=None, record=None) -> PhotonDist
     """
     if n_max is not None and n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    cut = None if n_max is not None or state is None else _decay_cut(state, record)
     if cut is not None:
         n, tail = cut
         return _finalize(series(n), tail)
@@ -483,7 +477,8 @@ def _gaussian_distribution(state: OneModeGaussianState, ratio_fn, n_max) -> Phot
         mag, ph = ratio_fn(rec, n_max)
         return log_signed_values(mag + rec.log_p0.real, ph * p0_phase)
 
-    return _build_distribution(series, n_max, state=state, record=rec)
+    cut = None if n_max is not None else _decay_cut(state, rec)
+    return _build_distribution(series, n_max, cut=cut)
 
 
 def pn_hermite(
@@ -563,7 +558,9 @@ def pn_centered_xyt(
             ph = ph * np.exp(-1j * (n + 0.5) * log_c.imag)
         return log_signed_values(mag, ph)
 
-    return _build_distribution(series, n_max, state=state.to_state())
+    gaussian = state.to_state()
+    cut = None if n_max is not None else _decay_cut(gaussian, _generating_record(gaussian))
+    return _build_distribution(series, n_max, cut=cut)
 
 
 def pn_violation(
@@ -990,28 +987,27 @@ def deformed_distribution(
         return _deformed_weights(spec, np.arange(n_cut + 1)).astype(complex)
 
     state = None if n_max is not None else _equivalent_state(spec)
-    return _build_distribution(series, n_max, state=state)
+    cut = None if state is None else _decay_cut(state, _generating_record(state))
+    return _build_distribution(series, n_max, cut=cut)
 
 
 def _equivalent_state(spec: DeformationSpec) -> OneModeGaussianState | None:
     """The one-mode Gaussian state whose photon statistics a squeezed law is.
 
-    None for the other families, for r = 0 (a Poisson law), and where e^(2r)
-    leaves the double range (no such state is representable).
+    None for the other families and for r = 0 (a Poisson law).
 
     Raises:
-        RangeOverflowError: tanh r rounds to 1.  The law's decay ratio is
-            q = tanh r < 1, so its mass lies past the cap; the rounded
-            state need not even satisfy the uncertainty relation, so its
-            own q would not say so.
+        RangeOverflowError: tanh r rounds to 1 (r past about 18.7, which
+            covers every r whose e^(2r) leaves the double range).  The
+            law's decay ratio is q = tanh r < 1, so its mass lies past the
+            cap; the rounded state need not even satisfy the uncertainty
+            relation, so its own q would not say so.
     """
-    if spec.kind is DeformationKind.SQUEEZED_VACUUM:
+    if spec.kind is DeformationKind.SQUEEZED_VACUUM and spec.r:
         r = abs(spec.r)
     elif spec.kind is DeformationKind.SQUEEZED_CORRELATED and spec.r > 0:
         r = spec.r
     else:
-        return None
-    if r == 0 or 2 * r > _LOG_DBL_MAX:
         return None
     if math.tanh(r) == 1.0:
         raise RangeOverflowError("decay ratio tanh r rounds to 1: the law lies past the cap")
@@ -1033,8 +1029,7 @@ def distribution_to_csv(dist: PhotonDistribution) -> str:
     """CSV export: metadata comment lines, then rows n, re, im.
 
     The rows are formatted by one %-format over the whole table; '%.17g' % x
-    is ``_fmt(x)``, character for character.  An imaginary column that is
-    +0.0 throughout is written as the literal ``0`` that _fmt gives it.
+    is ``_fmt(x)``, character for character.
     """
     head = (
         f"# classification={dist.classification.value}\n"
@@ -1043,12 +1038,8 @@ def distribution_to_csv(dist: PhotonDistribution) -> str:
         "n,re,im\n"
     )
     n = len(dist.values)
-    re, im = dist.values.real, dist.values.imag
-    if im.any() or np.signbit(im).any():
-        row, columns = "%d,%.17g,%.17g\n", (range(n), re.tolist(), im.tolist())
-    else:
-        row, columns = "%d,%.17g,0\n", (range(n), re.tolist())
-    return head + row * n % tuple(chain.from_iterable(zip(*columns)))
+    rows = zip(range(n), dist.values.real.tolist(), dist.values.imag.tolist())
+    return head + "%d,%.17g,%.17g\n" * n % tuple(chain.from_iterable(rows))
 
 
 def distribution_to_json(dist: PhotonDistribution) -> str:

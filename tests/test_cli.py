@@ -338,7 +338,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv, reason",
         [
-            # math.cosh(800) overflowed; every weight underflows to 0
+            # math.cosh(800) overflowed; tanh r rounds to 1: past the cap
             (["--family", "squeezed-vacuum", "--r", "800"], "range-overflow"),
             (["--family", "squeezed-correlated", "--r", "800", "--mean-q", "1"],
              "range-overflow"),
@@ -354,6 +354,9 @@ class TestErrorPaths:
              "range-overflow"),
             # tanh r rounds to 1: the law lies past the cap
             (["--family", "squeezed-vacuum", "--r", "20"], "range-overflow"),
+            # also where e^(2r) leaves the double range and the weights do not
+            # all underflow (was normalization-error)
+            (["--family", "squeezed-vacuum", "--r", "400"], "range-overflow"),
         ],
     )
     def test_large_finite_flags_are_single_line(self, capsys, argv, reason):

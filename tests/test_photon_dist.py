@@ -399,7 +399,7 @@ class TestDecayRatioTruncation:
             # one kernel call per photon-number parity
             xyt = XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq)
             routes.append((pn_centered_xyt, xyt, 2))
-        n_cut = photon_dist._decay_cut(state)[0]
+        n_cut = photon_dist._decay_cut(state, photon_dist._generating_record(state))[0]
         for route, arg, per_pass in routes:
             calls.clear()
             assert route(arg).truncation <= n_cut
@@ -447,7 +447,8 @@ class TestDecayRatioTruncation:
         assert 1e-12 < dist.tail_bound < 1e-6
 
     def test_q_above_one_keeps_doubling(self):
-        assert photon_dist._decay_cut(OneModeGaussianState(-0.75, 5.0, 0.0)) is None
+        state = OneModeGaussianState(-0.75, 5.0, 0.0)
+        assert photon_dist._decay_cut(state, photon_dist._generating_record(state)) is None
 
     @pytest.mark.parametrize("r", [18.5, 20.0])
     def test_q_rounding_to_one_on_a_valid_state_is_past_the_cap(self, r):
@@ -464,6 +465,19 @@ class TestDecayRatioTruncation:
             DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=r, theta=0.3, mean_q=1.0),
         ):
             with pytest.raises(RangeOverflowError, match="past the cap"):
+                deformed_distribution(spec)
+
+    @pytest.mark.parametrize("r", [400.0, 700.0])
+    def test_closed_law_past_the_double_range_is_past_the_cap(self, r):
+        # e^(2r) leaves the double range, so no state is built, while the
+        # weights have not all underflowed: the doubling loop ended in a
+        # normalization error ("sums to 1.77e-173" at r = 400)
+        for spec in (
+            DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=r),
+            DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=r, mean_q=1.0),
+        ):
+            assert deformed_pn(spec, 0) > 0
+            with pytest.raises(RangeOverflowError, match="tanh r rounds to 1"):
                 deformed_distribution(spec)
 
     @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
@@ -653,10 +667,11 @@ class TestLargeDisplacement:
     )
     def test_squeeze_past_the_cosh_overflow(self, kind):
         # math.cosh(800) raised a bare OverflowError; every weight underflows,
-        # which stopped at N = 32 as "sums to 0 against tail bound 0"
+        # which stopped at N = 32 as "sums to 0 against tail bound 0".  tanh r
+        # rounds to 1, so the law lies past the cap before any term is formed
         spec = DeformationSpec(kind, r=800.0, mean_q=1.0)
         assert deformed_pn(spec, 0) == 0.0
-        with pytest.raises(RangeOverflowError, match="underflows to 0"):
+        with pytest.raises(RangeOverflowError, match="tanh r rounds to 1"):
             deformed_distribution(spec)
 
 
@@ -698,7 +713,11 @@ class TestAllZeroSeries:
     )
     @pytest.mark.parametrize("n_max", [None, 64])
     def test_raises(self, spec, n_max):
-        with pytest.raises(RangeOverflowError, match="underflows to 0"):
+        # without n_max the squeezed law stops before its series: tanh r
+        # rounds to 1, so it lies past the cap
+        past_cap = n_max is None and spec.kind is DeformationKind.SQUEEZED_VACUUM
+        message = "tanh r rounds to 1" if past_cap else "underflows to 0"
+        with pytest.raises(RangeOverflowError, match=message):
             deformed_distribution(spec, n_max)
 
     def test_explicit_values_are_unchanged(self):

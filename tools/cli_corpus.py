@@ -122,8 +122,10 @@ INVOCATIONS = (
         "dist --family squeezed-correlated --r 800 --mean-q 1",
         "dist --family squeezed-correlated --r 0.5 --mean-q 1e155",
         "dist --family squeezed-correlated --r 0 --mean-q 1e155",
-        # tanh r, the law's decay ratio, rounds to 1
+        # tanh r, the law's decay ratio, rounds to 1 (at r = 400 also e^(2r)
+        # leaves the double range while the weights do not all underflow)
         "dist --family squeezed-vacuum --r 20",
+        "dist --family squeezed-vacuum --r 400",
         # both routes where P0 underflows; a law whose tail bound at the
         # cap is not below 1; det and every weight past the double range
         "dist --family gaussian --state P0_UNDERFLOW_STATE",
