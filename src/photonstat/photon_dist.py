@@ -127,6 +127,9 @@ _ADAPTIVE_START = 32
 _ADAPTIVE_CAP = 4096
 _NORM_SLOP = 1e-9
 _NOISE_FLOOR = 1e3 * sys.float_info.epsilon
+# gamma_2 = 2u / (1 - 2u), u the unit roundoff: the relative error bound of
+# the float det sigma_pp sigma_qq - sigma_pq^2 (Higham, ch. 3)
+_GAMMA_2 = sys.float_info.epsilon / (1 - sys.float_info.epsilon)
 
 
 class Classification(str, enum.Enum):
@@ -363,7 +366,11 @@ def _decay_cut(state: OneModeGaussianState, rec) -> tuple[int, float] | None:
 
     On a state that satisfies the uncertainty relation q < 1 holds exactly,
     so a q that rounds to 1 (a squeezed vacuum from about r = 18.5) means
-    a law spread far past the cap, not a series to double.
+    a law spread far past the cap, not a series to double.  There the
+    state counts as valid when its slack det - 1/4 is within the rounding
+    error of the float det, gamma_2 (|sigma_pp sigma_qq| + sigma_pq^2):
+    the float det of a pure state can miss 1/4 by an ulp (0.24999999999999997
+    for the squeezed vacuum at r = 19.06 and 25).
 
     Raises:
         RangeOverflowError: a squared displacement leaves the double range
@@ -373,7 +380,10 @@ def _decay_cut(state: OneModeGaussianState, rec) -> tuple[int, float] | None:
     """
     q = max(abs(rec.a_plus), abs(rec.a_minus))
     if not q < 1:
-        if uncertainty_check(state).valid:
+        det_error = _GAMMA_2 * (
+            abs(state.sigma_pp * state.sigma_qq) + state.sigma_pq * state.sigma_pq
+        )
+        if uncertainty_check(state).slack >= -det_error:
             raise RangeOverflowError("decay ratio rounds to 1: the law lies past the cap")
         return None
     if not math.isfinite(rec.c_plus + rec.c_minus + rec.log_p0.real):

@@ -450,13 +450,28 @@ class TestDecayRatioTruncation:
         state = OneModeGaussianState(-0.75, 5.0, 0.0)
         assert photon_dist._decay_cut(state, photon_dist._generating_record(state)) is None
 
-    @pytest.mark.parametrize("r", [18.5, 20.0])
+    def test_q_of_one_on_a_clear_violation_keeps_doubling(self):
+        # q is exactly 1, and det = 0 misses 1/4 by far more than its
+        # rounding error
+        state = OneModeGaussianState(0.5, 0.0, 0.0)
+        rec = photon_dist._generating_record(state)
+        assert max(abs(rec.a_plus), abs(rec.a_minus)) == 1.0
+        assert photon_dist._decay_cut(state, rec) is None
+
+    @pytest.mark.parametrize("r", [18.5, 20.0, 19.06, 25.0])
     def test_q_rounding_to_one_on_a_valid_state_is_past_the_cap(self, r):
         # tanh r, the state's q, rounds to 1 although det = 1/4: the law
         # lies far past the cap, and the sampled doubling loop used to end
-        # in a normalization error
+        # in a normalization error.  At r = 19.06 and 25 the float det is
+        # 0.24999999999999997, one ulp short of 1/4 but within its rounding
+        # error, and read as a violation it ended in normalization-error
+        # ("sums to 5.39e-07 against tail bound 1.08e-06")
         state = OneModeGaussianState.squeezed_vacuum(r)
-        assert state.det == 0.25
+        if r in (18.5, 20.0):
+            assert state.det == 0.25
+        else:
+            assert state.det < 0.25
+            assert 0.25 - state.det <= photon_dist._GAMMA_2 * state.sigma_pp * state.sigma_qq
         for route in (pn_hermite, pn_laguerre):
             with pytest.raises(RangeOverflowError, match="past the cap"):
                 route(state)

@@ -306,7 +306,9 @@ class TestLaguerreHalf:
     @pytest.mark.parametrize(
         "x, scale",
         [(0.0, 1.0), (0.7, 1.0), (3.5, 1.0), (-5.0, 1.0), (-0.3, 0.995), (-2.0, -0.5),
-         (-1.5, -0.6), (-0.05, -0.9), (-3.0, 0.1), (1.5 - 0.5j, 0.8)],
+         (-1.5, -0.6), (-0.05, -0.9), (-3.0, 0.1), (1.5 - 0.5j, 0.8),
+         # x = 0, the closed form a^n (1/2)_n / n!
+         (0.0, math.tanh(3.0)), (0.0, -0.995), (0.0, 0.5), (0.0, -0.3), (0.0, 0.0)],
     )
     def test_scaled_sequence_matches_mpmath(self, x, scale):
         # M_n = a^n L_n^{-1/2}(x / a), within 1e-14 of the largest |M_n|
@@ -314,10 +316,16 @@ class TestLaguerreHalf:
         mag, ph = laguerre_half_sequence(x, n_max, scale)
         if complex(x).imag == 0:
             assert ph.dtype == np.float64
+            if scale:
+                assert set(np.unique(ph)) <= {-1.0, 1.0}
         seq = log_signed_values(mag, ph)
         with mpmath.workdps(40):
-            ref = [scale**n * mpmath.laguerre(n, -0.5, mpmath.mpmathify(x) / scale)
-                   for n in range(n_max + 1)]
+            if scale:
+                ref = [scale**n * mpmath.laguerre(n, -0.5, mpmath.mpmathify(x) / scale)
+                       for n in range(n_max + 1)]
+            else:
+                ref = [(-mpmath.mpmathify(x)) ** n / mpmath.factorial(n)
+                       for n in range(n_max + 1)]
             top = max(abs(e) for e in ref)
             assert max(abs(mpmath.mpc(v) - e) for v, e in zip(seq.tolist(), ref)) <= 1e-14 * top
 
@@ -331,18 +339,32 @@ class TestLaguerreHalf:
                 assert abs(mpmath.mpc(value) - exact) <= 1e-13 * abs(exact)
 
     def test_nearly_double_root_keeps_its_precision(self):
-        # the route's factors of the squeezed vacuum at r = 3, N = 4096:
-        # (n+1) M_{n+1} = (2n + 1/2) a M_n - (n - 1/2) a^2 M_{n-1} as written
-        # loses 2.2e-10 relative by n = 4096, the difference form 1e-13
+        # the route's factors of the squeezed vacuum at r = 3, N = 4096,
+        # and of a slightly displaced state: (n+1) M_{n+1} = ((2n + 1/2) a
+        # - x) M_n - (n - 1/2) a^2 M_{n-1} as written loses 3e-11 (x = 0)
+        # and 1.3e-10 (x = -1e-3) relative by n = 4096.  x = 0 takes the
+        # closed form (8.3e-15), x = -1e-3 the difference form (4.5e-15);
+        # the reference is that three-term recurrence at 30 digits
         a = math.tanh(3.0)
-        mag, ph = laguerre_half_sequence(0.0, 4096, a)
-        with mpmath.workdps(30):
-            exact, worst = mpmath.mpf(1), 0.0
-            for n in range(4097):
-                value = mpmath.exp(mpmath.mpf(mag[n])) * ph[n]
-                worst = max(worst, float(abs(value / exact - 1)))
-                exact *= a * (n + mpmath.mpf(0.5)) / (n + 1)
-        assert worst <= 1e-12
+        for x in (0.0, -1e-3):
+            mag, ph = laguerre_half_sequence(x, 4096, a)
+            with mpmath.workdps(30):
+                am, xm, half = mpmath.mpf(a), mpmath.mpf(x), mpmath.mpf(0.5)
+                prev, exact, worst = mpmath.mpf(0), mpmath.mpf(1), 0.0
+                for n in range(4097):
+                    value = mpmath.exp(mpmath.mpf(mag[n])) * ph[n]
+                    worst = max(worst, float(abs(value / exact - 1)))
+                    prev, exact = exact, (
+                        ((2 * n + half) * am - xm) * exact - (n - half) * am**2 * prev
+                    ) / (n + 1)
+            assert worst <= 1e-13, x
+
+    def test_zero_argument_at_zero_scale(self):
+        # the closed form at a = 0: M_0 = 1 and every other M_n = 0, as the
+        # recurrence gave
+        mag, ph = laguerre_half_sequence(0.0, 5, 0.0)
+        assert mag.tolist() == [0.0] + [-math.inf] * 5
+        assert ph.dtype == np.float64 and ph.tolist() == [1.0] + [0.0] * 5
 
 
 class TestAssocLegendre:

@@ -29,8 +29,10 @@ from pathlib import Path
 # COHERENT_STATE a displaced vacuum, SURFACE_STATE a displaced state on
 # Tr - 2 det - 1/2 = 0, where the Hermite arguments y once had a vanishing
 # denominator, P0_UNDERFLOW_STATE the squeezed state r = 0.5 displaced to
-# <q> = 60, whose P0 underflows to 0.0, and WIDE_STATE a covariance whose
-# det leaves the double range
+# <q> = 60, whose P0 underflows to 0.0, WIDE_STATE a covariance whose
+# det leaves the double range, and CENTERED_STATE a centered correlated
+# state, whose Laguerre factors take the closed form at x = 0 (like
+# SQ3_STATE, but with a+ != -a-)
 DESCRIPTORS = {
     "STATE": {
         "sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1, "mean_q": 0.3, "mean_p": -0.2
@@ -55,6 +57,9 @@ DESCRIPTORS = {
     },
     "WIDE_STATE": {
         "sigma_pp": 0.5, "sigma_qq": 0.5, "sigma_pq": 1e155, "mean_q": 0.0, "mean_p": 0.0
+    },
+    "CENTERED_STATE": {
+        "sigma_pp": 1.3, "sigma_qq": 0.7, "sigma_pq": 0.25, "mean_q": 0.0, "mean_p": 0.0
     },
 }
 
@@ -133,6 +138,9 @@ INVOCATIONS = (
         "dist --family squeezed-vacuum --r 4",
         "dist --family gaussian --state WIDE_STATE",
         "dist --family poisson --alpha 1e5",
+        # a centered correlated state at an explicit N, on both routes
+        "dist --family gaussian --state CENTERED_STATE --n-max 256",
+        "dist --family gaussian --state CENTERED_STATE --route laguerre --n-max 256",
     ]
 )
 
