@@ -28,7 +28,7 @@ Conventions
   form for M_n = a^n L_n(x/a), which is finite at a = 0, and on the
   differences M_n - a M_{n-1} (`laguerre_half_sequence`).  At x = 0 it
   has the closed form M_n = a^n (1/2)_n / n! (DLMF 18.6.1), taken from one
-  cumulative product instead.
+  cumulative product instead (`_log_half_rising`).
 * Associated Legendre: integer l >= m >= 0, real argument of any magnitude,
   defined here as |x^2 - 1|^{m/2} d^m/dx^m P_l(x) -- i.e. no Condon-Shortley
   phase and an absolute value under the half power so the result is real on
@@ -77,9 +77,11 @@ P_m^m .. P_L^m, so a table of all l <= L costs O(L^2) steps
 The log factorials come from one shared read-only table: the logs of
 exact integer factorials below 512, lgamma(k + 1) past it.
 `log_factorials` grows it on demand to at least twice its length, by
-replacing it with a longer table that holds the same values.
+replacing it with a longer table that holds the same values; the
+Laguerre closed form's ln((1/2)_k / k!) (`_log_half_rising`) grows the
+same way.
 
-All functions are pure apart from that growth, which a concurrent caller
+All functions are pure apart from those growths, which a concurrent caller
 sees as either the old table or the new one, and use a fixed summation
 order, so results are deterministic and safe to call from concurrent code.
 """
@@ -541,6 +543,28 @@ def log_factorials(n_max: int) -> np.ndarray:
     return table[: n_max + 1]
 
 
+# ln((1/2)_k / k!) for k below its length; see `_log_half_rising`
+_log_half_table = np.zeros(1)
+
+
+def _log_half_rising(n_max: int) -> np.ndarray:
+    """ln((1/2)_k / k!) = ln(cumprod((j - 1/2) / j, j = 1 .. k)) for
+    k = 0 .. n_max, as a read-only view of one shared table.
+
+    The table grows on demand to at least twice its length, by replacing
+    it with a longer one.  A product accumulates in order, so an entry does
+    not depend on the length the table was computed to.
+    """
+    global _log_half_table
+    table = _log_half_table
+    if n_max >= len(table):
+        j = np.arange(1, max(n_max + 1, 2 * len(table)))
+        table = np.concatenate([[0.0], np.log(np.cumprod((j - 0.5) / j))])
+        table.flags.writeable = False
+        _log_half_table = table
+    return table[: n_max + 1]
+
+
 def _rescaled(prev, cur, shift: float):
     """The rescale rule: prev and cur divided by abs(cur), its log added to shift.
 
@@ -692,11 +716,11 @@ def laguerre_half_sequence(
 
     At x = 0, where every centered state's factors lie, M_n has the closed
     form a^n (1/2)_n / n! (DLMF 18.6.1): the log-magnitudes are those of
-    :func:`log_powers` plus log(cumprod((k - 1/2) / k)), k = 1 .. n, and
-    the phases those of a^n.  The product lies in (0, 1] and decays like
-    1/sqrt(pi n), so it cannot underflow; its relative error is at most
-    about n eps, and k ln|a| adds k eps |ln|a|| (within 1e-14 of the
-    largest |M_n| up to n = 4096).
+    :func:`log_powers` plus ln(cumprod((k - 1/2) / k)), k = 1 .. n, read
+    from one shared table, and the phases those of a^n.  The product lies
+    in (0, 1] and decays like 1/sqrt(pi n), so it cannot underflow; its
+    relative error is at most about n eps, and k ln|a| adds k eps |ln|a||
+    (within 1e-14 of the largest |M_n| up to n = 4096).
     """
     if n_max < 0:
         raise DomainError("laguerre degree must be nonnegative")
@@ -705,9 +729,7 @@ def laguerre_half_sequence(
         x = x.real
     if x == 0:
         mag, ph = log_powers(scale, n_max)
-        k = np.arange(1, n_max + 1)
-        mag[1:] += np.log(np.cumprod((k - 0.5) / k))
-        return mag, ph
+        return mag + _log_half_rising(n_max), ph
     raw, shifts = [1.0], [0.0]
     cur, diff = 0.5 * scale - x, -0.5 * scale - x
     shift = 0.0

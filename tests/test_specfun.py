@@ -359,6 +359,14 @@ class TestLaguerreHalf:
                     ) / (n + 1)
             assert worst <= 1e-13, x
 
+    def test_closed_form_table_does_not_depend_on_its_growth(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_log_half_table", np.zeros(1))
+        for n in (3, 10, 700):
+            grown = specfun._log_half_rising(n)
+        monkeypatch.setattr(specfun, "_log_half_table", np.zeros(1))
+        assert np.array_equal(specfun._log_half_rising(700), grown)
+        assert not grown.flags.writeable
+
     def test_zero_argument_at_zero_scale(self):
         # the closed form at a = 0: M_0 = 1 and every other M_n = 0, as the
         # recurrence gave
