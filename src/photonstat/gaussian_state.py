@@ -18,7 +18,10 @@ a query (`uncertainty_check`), never an invariant of the type.  In the
 violation regime `p0` returns a complex diagnostic value instead of raising.
 
 All types are frozen and all functions pure, so concurrent use is
-unrestricted.
+unrestricted.  A state object keeps the generating record and the cutoff
+that the photon-number routes computed from it (in its instance dict,
+outside the dataclass fields, so ==, hash, repr and `to_dict` do not see
+them); both are functions of its fields alone.
 """
 
 from __future__ import annotations

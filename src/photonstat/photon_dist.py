@@ -49,8 +49,10 @@ are trimmed at their smallest term and the residual is reported in
 A distribution's ``values`` are one read-only complex128 array from the
 series through truncation and classification to the exporters.
 
-Everything here is pure and immutable after construction; grid sweeps over
-states are embarrassingly parallel with deterministic per-cell results.
+Everything here is pure and immutable after construction, apart from the
+generating record and cutoff that a one-mode state object keeps once
+computed (``_record_and_cut``); grid sweeps over states are embarrassingly
+parallel with deterministic per-cell results.
 """
 
 from __future__ import annotations
@@ -362,7 +364,9 @@ def _decay_cut(state: OneModeGaussianState, rec) -> tuple[int, float] | None:
     ln |P0| the real part of the record's log_p0, so a P0 that underflows
     still bounds the tail exactly.  N is the smallest N >= 1 with
     tail <= 1e-12 for some rho = q + (1 - q) 2^-k, k = 1..12, capped at
-    4096; the tail reported is the least over k at N.
+    4096; the tail reported is the least over k at N.  Only the rho that
+    stay strictly between q and 1 in floating point are tried: within a
+    few ulps of 1 the others round onto q (where rho + a+ is 0) or onto 1.
 
     On a state that satisfies the uncertainty relation q < 1 holds exactly,
     so a q that rounds to 1 (a squeezed vacuum from about r = 18.5) means
@@ -375,8 +379,8 @@ def _decay_cut(state: OneModeGaussianState, rec) -> tuple[int, float] | None:
     Raises:
         RangeOverflowError: a squared displacement leaves the double range
             (c+ + c- or ln |P0| is not finite), the tail bound at the cap
-            is not below 1, or q rounds to 1 on a valid state (the law lies
-            past the cap).
+            is not below 1, q rounds to 1 on a valid state, or no rho
+            lies strictly between q and 1 (the law lies past the cap).
     """
     q = max(abs(rec.a_plus), abs(rec.a_minus))
     if not q < 1:
@@ -394,7 +398,10 @@ def _decay_cut(state: OneModeGaussianState, rec) -> tuple[int, float] | None:
             return 1, 0.0
         rho, log_b = [q], [0.0]
     else:
-        rho = [q + (1 - q) * f for f in _RHO_STEPS]
+        # within a few ulps of 1, q + (1 - q) f rounds to q or to 1
+        rho = [r for r in (q + (1 - q) * f for f in _RHO_STEPS) if q < r < 1]
+        if not rho:
+            raise RangeOverflowError("decay ratio rounds to 1: the law lies past the cap")
         log_b = [
             rec.c_plus / (r + rec.a_plus) + rec.c_minus / (r + rec.a_minus)
             - 0.5 * (math.log1p(-abs(rec.a_plus) / r) + math.log1p(-abs(rec.a_minus) / r))
@@ -407,6 +414,28 @@ def _decay_cut(state: OneModeGaussianState, rec) -> tuple[int, float] | None:
     if log_tail >= -math.log(_TAIL_TARGET):  # a tail of 1 or more, only at the cap
         raise RangeOverflowError(f"tail bound at the N = {n} cap is not below 1")
     return n, _TAIL_TARGET * math.exp(log_tail)
+
+
+def _record_and_cut(state: OneModeGaussianState, n_max):
+    """The state's generating record and, where ``n_max`` is None, its
+    :func:`_decay_cut` (else None), each computed once per state object.
+
+    Both are kept in the object's instance dict, as
+    ``functools.cached_property`` keeps a value, so they are no dataclass
+    fields and ==, hash, repr and ``to_dict`` do not see them.  They are
+    kept per object, never by value: states that compare equal can differ
+    in the sign of a zero.  A computation that raises keeps nothing, so
+    the state raises again on the next call.
+    """
+    memo = vars(state)
+    rec = memo.get("_record")
+    if rec is None:
+        rec = memo["_record"] = _generating_record(state)
+    if n_max is not None:
+        return rec, None
+    if "_cut" not in memo:
+        memo["_cut"] = _decay_cut(state, rec)
+    return rec, memo["_cut"]
 
 
 def _build_distribution(series, n_max, *, cut=None) -> PhotonDistribution:
@@ -479,15 +508,15 @@ def _laguerre_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _gaussian_distribution(state: OneModeGaussianState, ratio_fn, n_max) -> PhotonDistribution:
     """P_n = P0 (P_n / P0), with ln P0 added to the log-magnitudes of the
     ratios before the one exponentiation: P0 may underflow where the ratios
-    overflow.  The series and the cutoff read one generating record."""
-    rec = _generating_record(state)
+    overflow.  The series and the cutoff read the one generating record of
+    the state object (:func:`_record_and_cut`)."""
+    rec, cut = _record_and_cut(state, n_max)
     p0_phase = cmath.exp(1j * rec.log_p0.imag) if rec.log_p0.imag else 1.0  # real stays real
 
     def series(n_max: int) -> np.ndarray:
         mag, ph = ratio_fn(rec, n_max)
         return log_signed_values(mag + rec.log_p0.real, ph * p0_phase)
 
-    cut = None if n_max is not None else _decay_cut(state, rec)
     return _build_distribution(series, n_max, cut=cut)
 
 
@@ -534,6 +563,10 @@ def pn_centered_xyt(
         P_n = 2 n! sum_k (-1)^k |H_{n-k}(0)|^2 / (k! ((n-k)!)^2)
               (1 - 4 det)^k (Tr^2 - 4 det)^{(n-k)/2} / (4 det + 2 Tr + 1)^{n+1/2}
 
+    |H_m(0)|^2 / m!^2 is 1 / (m/2)!^2 at even m and 0 at odd m, so every
+    row is one Cauchy product of (4 det - 1)^k / k! with a factor that is
+    (Tr^2 - 4 det)^j / j!^2 at 2j and 0 between.
+
     Valid on both sides of the uncertainty boundary; for det < -(2 Tr + 1)/4
     the half-integer power makes the values purely imaginary.
 
@@ -553,23 +586,17 @@ def pn_centered_xyt(
         n = np.arange(n_max + 1)
         log_fact = log_factorials(n_max)
         a_mag, a_ph = log_powers(-a, n_max)  # absorbs the (-1)^k alternation
-        b_mag, b_ph = log_powers(b, n_max // 2)
-        b_mag = b_mag - 2 * log_fact[: n_max // 2 + 1]
-        # odd-degree Hermite vanishes at 0: row n sums k = n mod 2, m = (n - k) / 2
-        mag = np.full(n_max + 1, -np.inf)
-        ph = np.zeros(n_max + 1)
-        for parity in (0, 1):
-            mag[parity::2], ph[parity::2] = log_cauchy_rows(
-                (a_mag - log_fact)[parity::2], a_ph[parity::2], b_mag, b_ph,
-                len(n[parity::2]),
-            )
+        # odd-degree Hermite vanishes at 0: B[2m] = b^m / m!^2, B[2m + 1] = 0
+        half_mag, half_ph = log_powers(b, n_max // 2)
+        b_mag, b_ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
+        b_mag[::2], b_ph[::2] = half_mag - 2 * log_fact[: n_max // 2 + 1], half_ph
+        mag, ph = log_cauchy_rows(a_mag - log_fact, a_ph, b_mag, b_ph, n_max + 1)
         mag += math.log(2) + log_fact - (n + 0.5) * log_c.real
         if log_c.imag:
             ph = ph * np.exp(-1j * (n + 0.5) * log_c.imag)
         return log_signed_values(mag, ph)
 
-    gaussian = state.to_state()
-    cut = None if n_max is not None else _decay_cut(gaussian, _generating_record(gaussian))
+    cut = None if n_max is not None else _record_and_cut(state.to_state(), None)[1]
     return _build_distribution(series, n_max, cut=cut)
 
 
@@ -997,7 +1024,7 @@ def deformed_distribution(
         return _deformed_weights(spec, np.arange(n_cut + 1)).astype(complex)
 
     state = None if n_max is not None else _equivalent_state(spec)
-    cut = None if state is None else _decay_cut(state, _generating_record(state))
+    cut = None if state is None else _record_and_cut(state, None)[1]
     return _build_distribution(series, n_max, cut=cut)
 
 

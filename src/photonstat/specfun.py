@@ -642,7 +642,11 @@ def hermite_2d_factors(n_max: int, r, w1: complex, w2: complex):
     limit rho = 0 they are A[k] = (-2 R12)^k / k!, B[m] = (w1 w2)^m / m!^2
     and e^{C[n]} = 2^-n.
 
-    Where z2 == conj(z1) (every state's R-matrix with w2 = conj(w1)) B
+    Where z1 = z2 = 0 (every centered state with rho != 0) B has the closed
+    form H_2j(0) = (-1)^j (2j)! / j!, H_2j+1(0) = 0 (DLMF Table 18.6.1):
+    B[2j] = 1 / j!^2 from the shared log-factorial table and B[2j+1] = 0,
+    with no recurrence and no difference of two large logs.  Where
+    z2 == conj(z1) otherwise (every state's R-matrix with w2 = conj(w1)) B
     comes from one recurrence, real, and equal to the exact conjugate
     product of two.
 
@@ -657,6 +661,10 @@ def hermite_2d_factors(n_max: int, r, w1: complex, w2: complex):
     else:
         a_mag, a_ph = log_powers(-2 * r12 / rho, n_max)
         z1, z2 = w1 / (2 * s1), w2 / (2 * s2)
+        if z1 == 0 and z2 == 0:
+            b_mag, b_ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
+            b_mag[::2], b_ph[::2] = -2 * log_fact[: n_max // 2 + 1], 1.0
+            return (a_mag - log_fact, a_ph), (b_mag, b_ph), log_powers(rho / 2, n_max)
         h1_mag, h1_ph = hermite_sequence_log(z1, n_max)
         if z2 == z1.conjugate():  # H_m(z2) = conj(H_m(z1)): B = |H_m(z1)|^2 / m!^2
             b_mag, b_ph = 2 * h1_mag, h1_ph.real * h1_ph.real + h1_ph.imag * h1_ph.imag

@@ -141,6 +141,12 @@ INVOCATIONS = (
         # a centered correlated state at an explicit N, on both routes
         "dist --family gaussian --state CENTERED_STATE --n-max 256",
         "dist --family gaussian --state CENTERED_STATE --route laguerre --n-max 256",
+        # q within a few ulps of 1 on a displaced state: the cutoff's ratios
+        # rho between q and 1 round onto q or 1 (all of them at r = 19)
+        "dist --family squeezed-correlated --r 16 --theta 0.3 --mean-q 1",
+        "dist --family squeezed-correlated --r 19 --theta 0.3 --mean-q 1",
+        # the xyt route at an explicit N on a valid state
+        "dist --family xyt --x 0.6 --y 0.7 --t 0.1 --n-max 256",
     ]
 )
 
