@@ -357,6 +357,10 @@ class TestErrorPaths:
             # also where e^(2r) leaves the double range and the weights do not
             # all underflow (was normalization-error)
             (["--family", "squeezed-vacuum", "--r", "400"], "range-overflow"),
+            # q within a few ulps of 1 on a displaced state: the cutoff's
+            # ratio rounded onto q = -a+ (a bare ZeroDivisionError)
+            (["--family", "squeezed-correlated", "--r", "16", "--theta", "0.3",
+              "--mean-q", "1"], "range-overflow"),
         ],
     )
     def test_large_finite_flags_are_single_line(self, capsys, argv, reason):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import math
 
@@ -481,6 +482,18 @@ class TestDecayRatioTruncation:
             with pytest.raises(RangeOverflowError, match="past the cap"):
                 deformed_distribution(spec)
 
+    @pytest.mark.parametrize(
+        "r, reason", [(16.0, "tail bound at the N = 4096 cap"), (19.0, "decay ratio rounds to 1")]
+    )
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    def test_ratios_rounding_onto_q_or_one_are_past_the_cap(self, route, r, reason):
+        # a displaced state with q within a few ulps of 1: rho = q + (1 - q) 2^-k
+        # rounds onto q = -a+ for some k (a bare ZeroDivisionError in
+        # c+ / (rho + a+)) or onto 1; at r = 19 every rho does
+        state = OneModeGaussianState.squeezed_correlated(r, 0.3, 1.0)
+        with pytest.raises(RangeOverflowError, match=reason):
+            route(state)
+
     @pytest.mark.parametrize("r", [400.0, 700.0])
     def test_closed_law_past_the_double_range_is_past_the_cap(self, r):
         # e^(2r) leaves the double range, so no state is built, while the
@@ -504,6 +517,82 @@ class TestDecayRatioTruncation:
         )
         route(OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7), n_max)
         assert len(records) == 1
+
+
+class TestOneRecordPerState:
+    """A state object keeps the generating record and the cutoff its first
+    route call computed, in its instance dict, and never by value."""
+
+    STATE = (1.2, 0.8, 0.2, 0.5, -0.7)
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"record": 0, "cut": 0}
+        record, cut = photon_dist._generating_record, photon_dist._decay_cut
+
+        def counted_record(state):
+            calls["record"] += 1
+            return record(state)
+
+        def counted_cut(state, rec):
+            calls["cut"] += 1
+            return cut(state, rec)
+
+        monkeypatch.setattr(photon_dist, "_generating_record", counted_record)
+        monkeypatch.setattr(photon_dist, "_decay_cut", counted_cut)
+        return calls
+
+    def test_routes_on_one_object_share_them(self, monkeypatch):
+        state = OneModeGaussianState(*self.STATE)
+        fresh = [pn_hermite(OneModeGaussianState(*self.STATE)),
+                 pn_laguerre(OneModeGaussianState(*self.STATE))]
+        calls = self.counted(monkeypatch)
+        shared = [pn_hermite(state), pn_laguerre(state), pn_hermite(state, 16)]
+        assert calls == {"record": 1, "cut": 1}
+        for a, b in zip(fresh, shared):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert (a.truncation, a.tail_bound) == (b.truncation, b.tail_bound)
+
+    def test_explicit_n_max_runs_no_cutoff(self, monkeypatch):
+        state = OneModeGaussianState(*self.STATE)
+        calls = self.counted(monkeypatch)
+        pn_hermite(state, 16)
+        pn_laguerre(state, 16)
+        assert calls == {"record": 1, "cut": 0}
+
+    def test_equal_state_computes_its_own(self, monkeypatch):
+        # equal under ==, but a zero of the other sign
+        first = OneModeGaussianState(1.2, 0.8, 0.2, 0.0, 0.0)
+        second = OneModeGaussianState(1.2, 0.8, 0.2, -0.0, 0.0)
+        assert first == second and hash(first) == hash(second)
+        pn_hermite(first)
+        calls = self.counted(monkeypatch)
+        pn_hermite(second)
+        assert calls == {"record": 1, "cut": 1}
+
+    def test_singular_state_raises_on_every_call(self, monkeypatch):
+        state = OneModeGaussianState(-0.5, -0.5, 0.0)  # D = Tr + 2 det + 1/2 = 0
+        calls = self.counted(monkeypatch)
+        for route in (pn_hermite, pn_laguerre, pn_hermite):
+            with pytest.raises(SingularDenominatorError):
+                route(state)
+        assert calls == {"record": 3, "cut": 0}
+
+    def test_cutoff_that_raises_is_not_kept(self, monkeypatch):
+        state = OneModeGaussianState.squeezed_correlated(19.0, 0.3, 1.0)
+        calls = self.counted(monkeypatch)
+        for route in (pn_hermite, pn_laguerre):
+            with pytest.raises(RangeOverflowError):
+                route(state)
+        assert calls == {"record": 1, "cut": 2}
+
+    def test_fields_equality_hash_and_descriptor_are_unchanged(self):
+        state, twin = OneModeGaussianState(*self.STATE), OneModeGaussianState(*self.STATE)
+        before = (repr(state), hash(state), state.to_dict())
+        pn_hermite(state)
+        assert state == twin
+        assert (repr(state), hash(state), state.to_dict()) == before
+        assert [f.name for f in dataclasses.fields(state)] == list(state.to_dict())
 
 
 class TestDisplacedSqueezedTails:
@@ -737,6 +826,81 @@ class TestAllZeroSeries:
     def test_explicit_values_are_unchanged(self):
         with pytest.raises(NormalizationError, match="sums to 0 "):
             distribution_from_values([0.0, 0.0, 0.0])
+
+
+def centered_law_mp(x, y, t, n_max, digits=40):
+    """P_0 .. P_n_max of the centered state with covariance (x, y, t) at
+    ``digits`` digits, coded from Tr and det alone (no Hermite, Laguerre, R
+    or root code).  At zero means the generating function of
+    :func:`gaussian_law_mp` is 2 (c0 + c1 z + c2 z^2)^(-1/2), with
+    c0 = 1 + 2 Tr + 4 det, c1 = 2 - 8 det and c2 = 1 - 2 Tr + 4 det, and the
+    coefficients f_n of its root obey
+
+        (n + 1) c0 f_(n+1) = -(n + 1/2) c1 f_n - n c2 f_(n-1),
+
+    from f_0 = c0^(-1/2) on the principal branch (complex where c0 < 0).
+    """
+    with mpmath.workdps(digits):
+        x, y, t = map(mpmath.mpf, (x, y, t))
+        tr, det = x + y, x * y - t * t
+        c0, c1, c2 = 1 + 2 * tr + 4 * det, 2 - 8 * det, 1 - 2 * tr + 4 * det
+        f = [0, 1 / mpmath.sqrt(mpmath.mpc(c0))]  # f_(-1) = 0, f_0
+        for n in range(n_max):
+            f.append((-(n + mpmath.mpf(0.5)) * c1 * f[-1] - n * c2 * f[-2]) / ((n + 1) * c0))
+        return [2 * v for v in f[1:]]
+
+
+def error_to_top(values, ref):
+    """Largest |value - reference| over the largest |reference|, with the
+    values zero-extended to the reference's length."""
+    values = list(values.tolist()) + [0j] * (len(ref) - len(values))
+    with mpmath.workdps(40):
+        top = max(abs(e) for e in ref)
+        return float(max(abs(mpmath.mpc(v) - e) for v, e in zip(values, ref)) / top)
+
+
+class TestCenteredReference:
+    """The centered Hermite route takes B[m] = |H_m(0)|^2 / m!^2 in closed
+    form (1 / j!^2 at m = 2j, 0 at odd m) instead of running the Hermite
+    recurrence at 0, and the xyt route sums both photon-number parities in
+    one Cauchy product; both against :func:`centered_law_mp`."""
+
+    @pytest.mark.parametrize(
+        "sigmas",
+        [(1.3, 0.7, 0.25), (0.8, 0.4, 0.1), (2.0, 0.5, 0.6), (1.5, 1.5, 1.2),
+         (0.6, 3.0, -0.3), (5.0, 0.2, 0.5)],
+    )
+    def test_hermite_route_of_correlated_states(self, sigmas):
+        ref = centered_law_mp(*sigmas, 256)
+        assert error_to_top(pn_hermite(OneModeGaussianState(*sigmas), 256).values, ref) <= 1e-14
+
+    def test_hermite_route_of_the_squeezed_vacuum_at_the_cap(self):
+        state = OneModeGaussianState.squeezed_vacuum(3.0)
+        ref = centered_law_mp(state.sigma_pp, state.sigma_qq, 0.0, 4096)
+        assert error_to_top(pn_hermite(state, 4096).values, ref) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "tau, y, verdict",
+        [
+            (1e-6, 0.7, Classification.SIGNED_REAL),
+            (1e-6, 2.0, Classification.SIGNED_REAL),
+            (0.5, 0.7, Classification.SIGNED_REAL),
+            (0.5, 2.0, Classification.SIGNED_REAL),
+            (2.0, 0.7, Classification.COMPLEX),
+            (2.0, 2.0, Classification.COMPLEX),
+        ],
+    )
+    def test_xyt_route_of_violating_states(self, tau, y, verdict):
+        xyt = from_tau(tau, y)
+        dist = pn_centered_xyt(xyt)
+        assert dist.classification is verdict
+        ref = centered_law_mp(xyt.x, xyt.y, xyt.t, dist.truncation, digits=30)
+        # two of these laws grow to their last term, e^113 at (0.5, 0.7) and
+        # e^81 at (2, 2), and a value held as its log carries the rounding
+        # of that log, eps |ln P|, relative
+        top = max(abs(v) for v in dist.values)
+        tol = max(1e-14, 2 * np.finfo(float).eps * math.log(top))
+        assert error_to_top(dist.values, ref) <= tol
 
 
 class TestLaguerreRoute:

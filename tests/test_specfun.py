@@ -227,6 +227,46 @@ class TestHermite2dFactors:
         assert b_ph.tobytes() == re.tobytes()
         assert b_mag.tobytes() == (h1_mag + h2_mag - 2 * log_factorials(self.N)).tobytes()
 
+    @pytest.mark.parametrize(
+        "state",
+        [OneModeGaussianState(1.3, 0.7, 0.25), OneModeGaussianState.squeezed_vacuum(3.0),
+         OneModeGaussianState(0.8, -0.4, 0.1)],
+    )
+    def test_centered_arguments_take_the_closed_form(self, monkeypatch, state):
+        # H_2j(0) = (-1)^j (2j)! / j! and H_2j+1(0) = 0: B[2j] = 1 / j!^2
+        rec = _generating_record(state)
+        assert rec.w == 0 and specfun._roots(rec)[0] != 0
+        calls, _ = _counted_hermite_sequences(monkeypatch)
+        for n in (0, 1, 7, 8, self.N):
+            _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(n, rec, 0j, 0j)
+            assert b_ph.dtype == np.float64 and len(b_mag) == len(b_ph) == n + 1
+            assert (b_mag[1::2] == -np.inf).all() and (b_ph[1::2] == 0).all()
+            assert b_mag[::2].tobytes() == (-2 * log_factorials(n // 2)).tobytes()
+            assert (b_ph[::2] == 1).all()
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "state",
+        [OneModeGaussianState(1.3, 0.7, 0.25), OneModeGaussianState(0.8, 0.4, 0.1),
+         OneModeGaussianState.squeezed_vacuum(0.8), OneModeGaussianState(0.8, -0.4, 0.1)],
+    )
+    def test_centered_value_matches_the_generating_function(self, state):
+        # H_nn^R(0, 0) / n!^2 is the coefficient of (t1 t2)^n in
+        # exp(-(R11 t1^2 + 2 R12 t1 t2 + R22 t2^2) / 2):
+        # sum over k = n mod 2 of (-R12)^k / k! (R11 R22 / 4)^i / i!^2, i = (n - k) / 2
+        rm = r_matrix(state)
+        with mpmath.workdps(40):
+            r11, r22 = mpmath.mpc(rm.r11), mpmath.mpc(rm.r22)
+            r12 = mpmath.mpf(rm.r12)
+            for n in (0, 1, 2, 5, 10, 41, 80):
+                ref = mpmath.factorial(n) ** 2 * mpmath.fsum(
+                    (-r12) ** k / mpmath.factorial(k)
+                    * (r11 * r22 / 4) ** ((n - k) // 2) / mpmath.factorial((n - k) // 2) ** 2
+                    for k in range(n % 2, n + 1, 2)
+                )
+                got = hermite_2d(n, rm, 0, 0)
+                assert abs(mpmath.mpc(got) - ref) <= 1e-13 * abs(ref) + 1e-300
+
     def test_other_arguments_take_two_recurrences(self, monkeypatch):
         r = _generating_record(OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7))
         w1, w2 = 0.4 + 0.3j, -0.2 + 0.5j
