@@ -23,6 +23,8 @@ Conventions
   in which only powers of R12 survive (see `hermite_2d_factors`).  A real
   covariance gives z2 = conj(z1) to the bit, so H_m(z1) H_m(z2) is
   |H_m(z1)|^2 (Dodonov, Man'ko & Man'ko, Phys. Rev. A 49, 2993 (1994)).
+  At z1 = z2 = 0, every centered state's, it has the closed form
+  H_2j(0)^2 / (2j)!^2 = 1 / j!^2, and 0 at odd m (DLMF Table 18.6.1).
 * Laguerre: order alpha = -1/2 only, recurrence
   (n+1) L_{n+1} = (2n + 1/2 - x) L_n - (n - 1/2) L_{n-1}, run in its scaled
   form for M_n = a^n L_n(x/a), which is finite at a = 0, and on the

@@ -2,6 +2,8 @@ import cmath
 import dataclasses
 import functools
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -585,6 +587,34 @@ class TestOneRecordPerState:
             with pytest.raises(RangeOverflowError):
                 route(state)
         assert calls == {"record": 1, "cut": 2}
+
+    def test_threads_sharing_one_object_get_one_law(self):
+        # a race on the first call may compute the record or the cutoff
+        # twice; both writes hold the same value
+        expected = [pn_hermite(OneModeGaussianState(*self.STATE)).values.tobytes(),
+                    pn_laguerre(OneModeGaussianState(*self.STATE)).values.tobytes()]
+        wrong = []
+
+        def worker(shared):
+            for i in range(20):
+                route = (pn_hermite, pn_laguerre)[i % 2]
+                if route(shared).values.tobytes() != expected[i % 2]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = OneModeGaussianState(*self.STATE)
+                threads = [threading.Thread(target=worker, args=(shared,)) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
     def test_fields_equality_hash_and_descriptor_are_unchanged(self):
         state, twin = OneModeGaussianState(*self.STATE), OneModeGaussianState(*self.STATE)
