@@ -400,7 +400,8 @@ class TestDecayRatioTruncation:
         routes = [(pn_hermite, state), (pn_laguerre, state)]
         if state.is_centered:
             # both photon-number parities in one kernel call
-            routes.append((pn_centered_xyt, XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq)))
+            xyt = XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq)
+            routes.append((pn_centered_xyt, xyt))
         n_cut = photon_dist._decay_cut(state, photon_dist._generating_record(state))[0]
         for route, arg in routes:
             calls.clear()
