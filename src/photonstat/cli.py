@@ -13,6 +13,13 @@ Output is byte-deterministic for identical configuration: floats are
 rendered with 17 significant digits and rows follow the grid order.  Every
 error path exits nonzero after printing a single machine-parsable line
 ``error: <reason-code>: <message>`` to stderr.
+
+The entropy and inequality reports print the fields of their report
+dataclass, in field order, through one encoder: JSON is one object, with
+a complex field as an object of keys re and im; CSV is a header line and
+one row, where a complex field k is the columns k_re and k_im,
+branch_index is named branch, and booleans are lowercase.  The real
+inequality CSV sorts its columns.
 """
 
 from __future__ import annotations
@@ -21,11 +28,10 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from decimal import Decimal
 
 from .entropy import (
-    ComplexEntropyReport,
-    EntropyReport,
     PartitionScheme,
     block_entropies,
     complex_information,
@@ -51,6 +57,7 @@ from .photon_dist import (
     DeformationKind,
     DeformationSpec,
     PhotonDistribution,
+    _complex_json,
     _fmt,
     deformed_distribution,
     distribution_to_csv,
@@ -206,97 +213,47 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _emit_report(args, payload: dict, rows: list[str]) -> None:
-    if args.format == "json":
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        _emit("\n".join(rows) + "\n", args.out)
-
-
-def _entropy_report_json(report: EntropyReport) -> dict:
-    return {
-        "h_joint": report.h_joint,
-        "h_sub1": report.h_sub1,
-        "h_sub2": report.h_sub2,
-        "information": report.information,
-        "subadditive": report.subadditive,
-    }
-
-
-def _complex_report_json(report: ComplexEntropyReport) -> dict:
-    def c(z: complex) -> dict:
-        return {"re": z.real, "im": z.imag}
-
-    return {
-        "h_joint": c(report.h_joint),
-        "h_sub1": c(report.h_sub1),
-        "h_sub2": c(report.h_sub2),
-        "information": c(report.information),
-        "branch_index": report.branch_index,
-        "reading": report.reading,
-    }
-
-
-def _complex_report(dist: PhotonDistribution, args) -> tuple[dict, list[str]]:
-    """Complex information of a non-probability distribution, as the JSON
-    payload and the CSV rows; a notice on stderr says why it replaced the
-    real report."""
-    sys.stderr.write(
-        f"notice: classification {dist.classification.value}; "
-        "reporting complex information\n"
-    )
+def _report_fields(dist: PhotonDistribution, args) -> dict:
+    """Fields of the block-entropy report of ``dist``; for a distribution
+    that is not a probability law, those of its complex information, with a
+    notice on stderr saying why it replaced the real report."""
     scheme = PartitionScheme(args.partition)
-    creport = complex_information(dist, scheme, branch=args.branch)
-    rows = [
-        "h_joint_re,h_joint_im,h_sub1_re,h_sub1_im,h_sub2_re,h_sub2_im,"
-        "information_re,information_im,branch,reading",
-        ",".join(
-            [
-                _fmt(creport.h_joint.real),
-                _fmt(creport.h_joint.imag),
-                _fmt(creport.h_sub1.real),
-                _fmt(creport.h_sub1.imag),
-                _fmt(creport.h_sub2.real),
-                _fmt(creport.h_sub2.imag),
-                _fmt(creport.information.real),
-                _fmt(creport.information.imag),
-                str(creport.branch_index),
-                creport.reading,
-            ]
-        ),
-    ]
-    return _complex_report_json(creport), rows
+    try:
+        return asdict(block_entropies(dist, scheme))
+    except ClassificationError:
+        sys.stderr.write(
+            f"notice: classification {dist.classification.value}; "
+            "reporting complex information\n"
+        )
+        return asdict(complex_information(dist, scheme, branch=args.branch))
+
+
+def _emit_report(args, fields: dict, sort_csv: bool = False) -> None:
+    """Print a report's fields as one JSON object, or as a CSV header line
+    and one row of the same fields: a complex field k becomes the columns
+    k_re and k_im, branch_index is named branch, and ``sort_csv`` sorts
+    the columns."""
+    if args.format == "json":
+        obj = {k: _complex_json(v) if isinstance(v, complex) else v for k, v in fields.items()}
+        _emit(json.dumps(obj) + "\n", args.out)
+        return
+    cells = {}
+    for key, value in fields.items():
+        if isinstance(value, complex):
+            cells[key + "_re"], cells[key + "_im"] = _fmt(value.real), _fmt(value.imag)
+        elif isinstance(value, bool):
+            cells[key] = str(value).lower()
+        else:
+            cells["branch" if key == "branch_index" else key] = (
+                _fmt(value) if isinstance(value, float) else str(value)
+            )
+    keys = sorted(cells) if sort_csv else list(cells)
+    _emit(",".join(keys) + "\n" + ",".join(cells[k] for k in keys) + "\n", args.out)
 
 
 def _cmd_entropy(args) -> int:
-    dist = _distribution_from_args(args)
-    try:
-        report = block_entropies(dist, PartitionScheme(args.partition))
-    except ClassificationError:
-        payload, rows = _complex_report(dist, args)
-    else:
-        payload = _entropy_report_json(report)
-        rows = [
-            "h_joint,h_sub1,h_sub2,information,subadditive",
-            ",".join(
-                [
-                    _fmt(report.h_joint),
-                    _fmt(report.h_sub1),
-                    _fmt(report.h_sub2),
-                    _fmt(report.information),
-                    str(report.subadditive).lower(),
-                ]
-            ),
-        ]
-    _emit_report(args, payload, rows)
+    _emit_report(args, _report_fields(_distribution_from_args(args), args))
     return 0
-
-
-def _csv_cell(v) -> str:
-    # booleans lowercase, as in the entropy report
-    if isinstance(v, bool):
-        return str(v).lower()
-    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 def _cmd_inequality(args) -> int:
@@ -307,37 +264,25 @@ def _cmd_inequality(args) -> int:
             raise DomainError("--family gaussian requires --state <json>")
         state = _load_state(args.state)
         if args.form == "hermite":
-            margin = hermite_inequality_margin(state, args.n_max)
-            form = "hermite-pair"
+            route, pair_margin = pn_hermite, hermite_inequality_margin
         else:
-            margin = laguerre_inequality_margin(state, args.n_max)
-            form = "laguerre-pair"
-        dist = pn_hermite(state, args.n_max)
+            route, pair_margin = pn_laguerre, laguerre_inequality_margin
+        margin = pair_margin(state, args.n_max)
+        form = args.form + "-pair"
+        dist = route(state, args.n_max)
     else:
         dist = _distribution_from_args(args)
-    try:
-        report = block_entropies(dist, PartitionScheme(args.partition))
-    except ClassificationError:
-        payload, (header, row) = _complex_report(dist, args)
-        payload["form"] = "complex-" + payload["reading"]
-        _emit_report(args, payload, [header + ",form", row + "," + payload["form"]])
+    fields = _report_fields(dist, args)
+    if "reading" in fields:  # the complex information replaced the real report
+        fields["form"] = "complex-" + fields["reading"]
+        _emit_report(args, fields)
         return 0
-    if margin is None:
-        margin = report.information
-    payload = _entropy_report_json(report)
-    payload["margin"] = margin
-    payload["form"] = form
+    fields["margin"] = fields["information"] if margin is None else margin
+    fields["form"] = form
     if args.family == "poisson":
         alpha = args.alpha if args.alpha is not None else 0.0
-        payload["parity_entropy_closed_form"] = poisson_parity_information(
-            alpha * alpha
-        )
-    keys = sorted(payload)
-    rows = [
-        ",".join(keys),
-        ",".join(_csv_cell(payload[k]) for k in keys),
-    ]
-    _emit_report(args, payload, rows)
+        fields["parity_entropy_closed_form"] = poisson_parity_information(alpha * alpha)
+    _emit_report(args, fields, sort_csv=True)
     return 0
 
 

@@ -621,6 +621,10 @@ def pn_violation(
     divergent tail; no classification applies there and a
     NormalizationError is raised -- the covariance route
     (:func:`pn_centered_xyt`) is the meaningful diagnostic in that corner.
+    The same error comes on the SignedReal side wherever the smallest-term
+    cut keeps only nonnegative terms that sum past 1 + 1e-9: at
+    tau = 0.5380340133488818, y = 1.6434924579041392 (t = 0) the cut keeps
+    two terms, summing to 4.55 against a tail bound of 17.1.
     Immediately above the boundary the optimal (smallest-term) truncation
     may keep so few terms that the values pass the probability window
     within their large tail uncertainty; boundary detection should always
@@ -629,7 +633,8 @@ def pn_violation(
     Raises:
         DomainError: tau < 0 (the family parameterizes violations only).
         SingularDenominatorError: y = 0 or the half-power base vanishes.
-        NormalizationError: positive divergent corner described above.
+        NormalizationError: the positive divergent corner, or a cut on the
+            SignedReal side that keeps only nonnegative terms (both above).
     """
     if tau < 0:
         raise DomainError("tau must be nonnegative")
@@ -1062,6 +1067,11 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _complex_json(z: complex) -> dict:
+    """The JSON form of a complex number, shared by every exporter."""
+    return {"re": z.real, "im": z.imag}
+
+
 def distribution_to_csv(dist: PhotonDistribution) -> str:
     """CSV export: metadata comment lines, then rows n, re, im.
 
@@ -1083,7 +1093,7 @@ def distribution_to_json(dist: PhotonDistribution) -> str:
     """JSON export mirroring the distribution fields."""
     return json.dumps(
         {
-            "values": [{"re": v.real, "im": v.imag} for v in dist.values.tolist()],
+            "values": [_complex_json(v) for v in dist.values.tolist()],
             "truncation": dist.truncation,
             "tail_bound": dist.tail_bound,
             "classification": dist.classification.value,

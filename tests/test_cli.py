@@ -4,6 +4,7 @@ import math
 import pytest
 
 from photonstat.cli import main
+from photonstat.photon_dist import _fmt
 
 
 @pytest.fixture
@@ -190,6 +191,22 @@ class TestInequality:
         _, out_json, _ = run(capsys, "inequality", *argv, "--format", "json")
         assert json.loads(out_json)["form"] == "complex-blocked"
 
+    @pytest.mark.parametrize("form", ["hermite", "laguerre"])
+    def test_pair_form_reports_the_entropies_of_its_route(self, capsys, tmp_path, form):
+        path = tmp_path / "state.json"
+        path.write_text(
+            json.dumps(
+                {"sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1,
+                 "mean_q": 0.3, "mean_p": -0.2}
+            )
+        )
+        argv = ("--family", "gaussian", "--state", str(path), "--format", "json")
+        _, out, _ = run(capsys, "inequality", *argv, "--form", form)
+        _, entropy_out, _ = run(capsys, "entropy", *argv, "--route", form)
+        data, entropy = json.loads(out), json.loads(entropy_out)
+        assert data["form"] == f"{form}-pair"
+        assert {k: data[k] for k in entropy} == entropy
+
     def test_subadditive_csv_cell_matches_entropy(self, capsys):
         argv = ("--family", "poisson", "--alpha", "1")
 
@@ -200,6 +217,52 @@ class TestInequality:
             return dict(zip(header.split(","), row.split(",")))["subadditive"]
 
         assert subadditive("inequality") == subadditive("entropy") == "true"
+
+
+def _flattened(data: dict) -> dict:
+    """A JSON report as CSV cells: a complex {"re", "im"} field k as k_re and
+    k_im, branch_index as branch, numbers by _fmt, booleans lowercase."""
+    cells = {}
+    for key, value in data.items():
+        if isinstance(value, dict):
+            cells[f"{key}_re"], cells[f"{key}_im"] = _fmt(value["re"]), _fmt(value["im"])
+        elif isinstance(value, bool):
+            cells[key] = str(value).lower()
+        else:
+            cells["branch" if key == "branch_index" else key] = (
+                _fmt(value) if isinstance(value, float) else str(value)
+            )
+    return cells
+
+
+class TestReportContract:
+    """The CSV of every entropy and inequality report is its JSON, flattened."""
+
+    @pytest.mark.parametrize(
+        "argv, complex_fields",
+        [
+            (("entropy", "--family", "poisson", "--alpha", "1.0"), False),
+            (("entropy", "--family", "xyt", "--y", "5", "--tau", "4", "--branch", "1"), True),
+            (("inequality", "--family", "poisson", "--alpha", "1.0"), False),
+            (("inequality", "--family", "squeezed-vacuum", "--r", "1.0", "--n-max", "600"),
+             False),
+            (("inequality", "--family", "xyt", "--y", "5", "--tau", "4"), True),
+        ],
+    )
+    def test_csv_is_the_flattened_json(self, capsys, argv, complex_fields):
+        code, out_json, err_json = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        code, out_csv, err_csv = run(capsys, *argv)
+        assert code == 0
+        assert err_csv == err_json
+        data = json.loads(out_json)
+        assert ("reading" in data) == complex_fields
+        cells = _flattened(data)
+        header, row = out_csv.splitlines()
+        # the real inequality report sorts its CSV columns
+        keys = sorted(cells) if argv[0] == "inequality" and not complex_fields else list(cells)
+        assert header.split(",") == keys
+        assert row.split(",") == [cells[k] for k in keys]
 
 
 class TestViolation:

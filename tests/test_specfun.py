@@ -667,6 +667,28 @@ def _assert_matches_mp(a_mag, a_ph, b_mag, b_ph, n_rows=None, rel=1e-13):
     return mag, ph
 
 
+def _assert_rugged_rows_match_mp(a_mag, a_ph, b_mag, b_ph, single):
+    """Each row of the kernel within its relative error bound of the 60-digit
+    sum.  A row summed on its own (listed in ``single``) rounds its log once
+    more, a few ulps of its |log-magnitude|, on top of the n eps sum|t| / |row|
+    of plain summation.  A tilted row also carries the rounding of its shift
+    back, a few ulps of the factors' log range in place of its own."""
+    mag, ph = log_cauchy_rows(a_mag, a_ph, b_mag, b_ph)
+    span = np.abs(a_mag).max() + np.abs(b_mag).max()
+    eps = np.finfo(float).eps
+    with mpmath.workdps(60):
+        for n in range(len(mag)):
+            acc, size = mpmath.mpf(0), mpmath.mpf(0)
+            ks = range(max(0, n - len(b_mag) + 1), min(n + 1, len(a_mag)))
+            for k in ks:
+                term = mpmath.exp(mpmath.mpf(a_mag[k]) + mpmath.mpf(b_mag[n - k]))
+                acc += term * a_ph[k] * b_ph[n - k]
+                size += term
+            got = mpmath.exp(mpmath.mpf(mag[n])) * ph[n]
+            log_err = 4 * math.ulp(abs(mag[n])) if n in single else 64 * math.ulp(span)
+            assert abs(got - acc) <= (log_err + len(ks) * eps * size / abs(acc)) * abs(acc), n
+
+
 def _gaussian_factor(rng, size, width, complex_phases=False):
     """Log-magnitudes -k^2 / (2 width) with random phases."""
     mag = -np.arange(size) ** 2 / (2.0 * width)
@@ -689,14 +711,17 @@ class TestLogCauchyRows:
         # and sag 1400 nats below the chord of the whole span: several tilts
         # are needed
         rng = np.random.default_rng(17)
-        spans = []
-        tilted = specfun._tilted_rows
+        spans, single = [], []
+        tilted, row_terms = specfun._tilted_rows, specfun._row_terms
 
         def counted(*args):
             spans.append(args[4:])
             return tilted(*args)
 
         monkeypatch.setattr(specfun, "_tilted_rows", counted)
+        monkeypatch.setattr(
+            specfun, "_row_terms", lambda *a: single.append(a[4]) or row_terms(*a)
+        )
         for complex_phases in (False, True):
             spans.clear()
             a = _gaussian_factor(rng, 150, 1.0, complex_phases)
@@ -704,6 +729,16 @@ class TestLogCauchyRows:
             mag, _ = _assert_matches_mp(*a, *b, 150)
             assert mag[149] < mag[0] - 1500
             assert len(spans) > 1
+        # rugged factors, log-magnitudes scattered over thousands of nats:
+        # tilts leave rows down to spans of one, each summed on its own
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            single.clear()
+            size, width = int(rng.integers(4, 41)), rng.uniform(400, 2000)
+            a_mag, b_mag = rng.normal(0, width, size), rng.normal(0, width, size)
+            a_ph, b_ph = rng.choice([-1.0, 1.0], size), rng.choice([-1.0, 1.0], size)
+            _assert_rugged_rows_match_mp(a_mag, a_ph, b_mag, b_ph, single)
+            assert single
 
     def test_exact_zero_rows_of_the_pure_vacuum_shape(self):
         # A = 0^k and B zero at every odd m: each row is one term, or none

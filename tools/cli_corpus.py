@@ -147,6 +147,11 @@ INVOCATIONS = (
         "dist --family squeezed-correlated --r 19 --theta 0.3 --mean-q 1",
         # the xyt route at an explicit N on a valid state
         "dist --family xyt --x 0.6 --y 0.7 --t 0.1 --n-max 256",
+        # report shapes: the complex entropy CSV on another branch, a pair
+        # form as CSV, and the sorted inequality CSV with the closed form
+        "entropy --family xyt --y 5 --tau 4 --branch 1",
+        "inequality --family gaussian --state CENTERED_STATE --form laguerre",
+        "inequality --family poisson --alpha 1.0",
     ]
 )
 
