@@ -33,10 +33,10 @@ from decimal import Decimal
 
 from .entropy import (
     PartitionScheme,
+    _hermite_margin,
+    _laguerre_margin,
     block_entropies,
     complex_information,
-    hermite_inequality_margin,
-    laguerre_inequality_margin,
     poisson_parity_information,
 )
 from .errors import (
@@ -264,12 +264,12 @@ def _cmd_inequality(args) -> int:
             raise DomainError("--family gaussian requires --state <json>")
         state = _load_state(args.state)
         if args.form == "hermite":
-            route, pair_margin = pn_hermite, hermite_inequality_margin
+            route, pair_margin = pn_hermite, _hermite_margin
         else:
-            route, pair_margin = pn_laguerre, laguerre_inequality_margin
-        margin = pair_margin(state, args.n_max)
-        form = args.form + "-pair"
+            route, pair_margin = pn_laguerre, _laguerre_margin
         dist = route(state, args.n_max)
+        margin = pair_margin(state, dist)
+        form = args.form + "-pair"
     else:
         dist = _distribution_from_args(args)
     fields = _report_fields(dist, args)

@@ -307,7 +307,12 @@ def hermite_inequality_margin(
         RangeOverflowError: some H_kk / k! exceeds the double range (P0
             underflows, at |mean| of a few tens).
     """
-    dist = pn_hermite(state, n_max)
+    return _hermite_margin(state, pn_hermite(state, n_max))
+
+
+def _hermite_margin(state: OneModeGaussianState, dist: PhotonDistribution) -> float:
+    """:func:`hermite_inequality_margin` of ``state`` from its Hermite-route
+    distribution ``dist``."""
     p = _probabilities(dist)
     scale = float(p0(state))
     with np.errstate(all="ignore"):
@@ -323,9 +328,13 @@ def laguerre_inequality_margin(
     """Margin of the m = 2 entropy inequality over the Laguerre-route terms
     (block sums of D(k, s) L_s(x1) L_{k-s}(x2)); the inner sums are the
     probabilities themselves, so the scale is one."""
-    dist = pn_laguerre(state, n_max)
-    p = _probabilities(dist)
-    return _pairwise_margin_from_scaled(p, 1.0)
+    return _laguerre_margin(state, pn_laguerre(state, n_max))
+
+
+def _laguerre_margin(state: OneModeGaussianState, dist: PhotonDistribution) -> float:
+    """:func:`laguerre_inequality_margin` of ``state`` from its Laguerre-route
+    distribution ``dist`` (the state itself is not read)."""
+    return _pairwise_margin_from_scaled(_probabilities(dist), 1.0)
 
 
 # ---------------------------------------------------------------------------

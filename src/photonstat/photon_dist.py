@@ -279,7 +279,7 @@ def _tail_estimate(mags: np.ndarray) -> float:
     zeros counts as finite support (tail 0); a lone entry with nothing
     after it is unbounded.
     """
-    nz = np.flatnonzero(mags > _NOISE_FLOOR * mags.max(initial=0.0))
+    nz = (mags > _NOISE_FLOOR * mags.max(initial=0.0)).nonzero()[0]
     if not nz.size:
         return 0.0
     trailing = len(mags) - 1 - int(nz[-1])
@@ -304,8 +304,11 @@ def _trim_divergent(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     only meaningful past a genuinely decayed head.
     """
     mags = np.abs(values)
-    nz = np.flatnonzero(mags > 0.0)
-    if nz.size < 8 or not (np.diff(mags[nz[-5:]]) > 0).all():
+    nz = (mags > 0.0).nonzero()[0]
+    if nz.size < 8:
+        return values, mags, False
+    last = mags[nz[-5:]]
+    if not (last[1:] > last[:-1]).all():
         return values, mags, False
     i_min = nz[np.argmin(mags[nz])]
     if i_min >= nz[-1] - 4 or mags[i_min] >= mags[nz[0]]:
@@ -314,11 +317,13 @@ def _trim_divergent(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def _classify(values: np.ndarray, tail_bound: float) -> Classification:
-    if (np.abs(values.imag) >= _TOL_IMAG).any():
+    imag = values.imag
+    if np.count_nonzero(imag) and np.count_nonzero(np.abs(imag) >= _TOL_IMAG):
         return Classification.COMPLEX
-    if (values.real < -_TOL_NEG).any():
+    real = values.real
+    if np.count_nonzero(real < -_TOL_NEG):
         return Classification.SIGNED_REAL
-    total = math.fsum(values.real.tolist())
+    total = math.fsum(real.tolist())
     if 1 - tail_bound - _NORM_SLOP <= total <= 1 + _NORM_SLOP:
         return Classification.PROBABILITY
     raise NormalizationError(
@@ -328,8 +333,9 @@ def _classify(values: np.ndarray, tail_bound: float) -> Classification:
 
 
 def _finalize(values: np.ndarray, tail: float) -> PhotonDistribution:
-    nonzero = np.flatnonzero(values[1:])  # trailing zeros are dropped, values[0] kept
-    values = values[: nonzero[-1] + 2 if nonzero.size else 1]
+    if len(values) > 1 and not values[-1]:  # trailing zeros are dropped, values[0] kept
+        nonzero = values[1:].nonzero()[0]
+        values = values[: nonzero[-1] + 2 if nonzero.size else 1]
     return PhotonDistribution(
         values=values,
         truncation=len(values) - 1,
@@ -460,9 +466,10 @@ def _build_distribution(series, n_max, *, cut=None) -> PhotonDistribution:
     while True:
         vals, mags, trimmed = _trim_divergent(series(n))
         # a series whose every term underflowed to 0 has not converged
-        tail = _tail_estimate(mags) if mags.any() else math.inf
+        nonzero = np.count_nonzero(mags)
+        tail = _tail_estimate(mags) if nonzero else math.inf
         done = n_max is not None or trimmed or tail < _TAIL_TARGET or n >= _ADAPTIVE_CAP
-        if done and not mags.any():
+        if done and not nonzero:
             raise RangeOverflowError(f"every term up to N = {n} underflows to 0")
         # growing past any probability scale: divergent, stop extending
         if done or (not math.isfinite(tail) and (mags > 1e30).any()):
@@ -486,7 +493,9 @@ def _hermite_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     conjugate R12 y1 + R22 y2."""
     a, b, (c_mag, c_ph) = hermite_2d_factors(n_max, rec, rec.w, rec.w.conjugate())
     mag, ph = log_cauchy_rows(*a, *b, n_max + 1)
-    return mag + c_mag + log_factorials(n_max), ph * c_ph
+    mag += c_mag
+    mag += log_factorials(n_max)
+    return mag, ph * c_ph
 
 
 def _laguerre_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -515,7 +524,8 @@ def _gaussian_distribution(state: OneModeGaussianState, ratio_fn, n_max) -> Phot
 
     def series(n_max: int) -> np.ndarray:
         mag, ph = ratio_fn(rec, n_max)
-        return log_signed_values(mag + rec.log_p0.real, ph * p0_phase)
+        mag += rec.log_p0.real
+        return log_signed_values(mag, ph * p0_phase if rec.log_p0.imag else ph)
 
     return _build_distribution(series, n_max, cut=cut)
 
@@ -1076,7 +1086,11 @@ def distribution_to_csv(dist: PhotonDistribution) -> str:
     """CSV export: metadata comment lines, then rows n, re, im.
 
     The rows are formatted by one %-format over the whole table; '%.17g' % x
-    is ``_fmt(x)``, character for character.
+    is ``_fmt(x)``, character for character.  Where every imaginary part is
+    +0.0, as in every real law, the im column is the literal ``0`` (which
+    is ``_fmt(0.0)``) and only n and the real parts are formatted; a table
+    with any other imaginary part, -0.0 and NaN among them, formats all
+    three columns.
     """
     head = (
         f"# classification={dist.classification.value}\n"
@@ -1084,9 +1098,16 @@ def distribution_to_csv(dist: PhotonDistribution) -> str:
         f"# tail_bound={_fmt(dist.tail_bound)}\n"
         "n,re,im\n"
     )
-    n = len(dist.values)
-    rows = zip(range(n), dist.values.real.tolist(), dist.values.imag.tolist())
-    return head + "%d,%.17g,%.17g\n" * n % tuple(chain.from_iterable(rows))
+    values = dist.values
+    n = len(values)
+    imag = values.imag
+    if np.count_nonzero(imag) or np.count_nonzero(np.signbit(imag)):
+        rows = zip(range(n), values.real.tolist(), imag.tolist())
+        return head + "%d,%.17g,%.17g\n" * n % tuple(chain.from_iterable(rows))
+    flat = [0] * (2 * n)
+    flat[::2] = range(n)
+    flat[1::2] = values.real.tolist()
+    return head + "%d,%.17g,0\n" * n % tuple(flat)
 
 
 def distribution_to_json(dist: PhotonDistribution) -> str:

@@ -69,7 +69,8 @@ phases, exactly +-1, for a real argument.  The Hermite, Laguerre and
 Legendre recurrences run in float arithmetic for a real argument and share
 one rescale rule, `_rescaled`: once the newest value passes 1e250 in
 modulus, both carried values are divided by it and its log is added to a
-running shift.  The scalars (`hermite`, `hermite_2d`, `laguerre_half`,
+running shift.  The sequences note where the shift changes and add it back
+onto the entries that carry it, after the loop (`_shifted`).  The scalars (`hermite`, `hermite_2d`, `laguerre_half`,
 `assoc_legendre`) raise RangeOverflowError only past the double range.
 
 The Legendre recurrence tabulates whole columns: one loop in m seeds
@@ -132,6 +133,10 @@ _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 
 # Factorials below this are exact integers before their log is taken.
 _LOG_FACT_EXACT = 512
+
+# float64: a phase array of this dtype is real and is used as it is
+_FLOAT = np.dtype(float)
+
 
 @dataclass(frozen=True)
 class LogSigned:
@@ -203,6 +208,8 @@ def logsigned_sum(terms: Iterable[LogSigned]) -> LogSigned:
 
 def _phases(ph) -> np.ndarray:
     """Phase array as float when every imaginary part is zero, else complex."""
+    if type(ph) is np.ndarray and ph.dtype is _FLOAT:
+        return ph
     ph = np.asarray(ph)
     if np.iscomplexobj(ph):
         return ph if np.count_nonzero(ph.imag) else ph.real
@@ -283,12 +290,14 @@ def log_cauchy_rows(a_mag, a_ph, b_mag, b_ph, n_rows: int | None = None):
     na, nb = len(a_mag), len(b_mag)
     if n_rows is None:
         n_rows = na + nb - 1 if na and nb else 0
-    dtype = np.result_type(a_ph, b_ph)
     if not (na and nb and n_rows):
-        return _zero_rows(n_rows, dtype)
+        return _zero_rows(n_rows, np.result_type(a_ph, b_ph))
     # row n reads A[k] and B[n-k] for k <= n; rows past the product's end are zero
     n = min(n_rows, na + nb - 1)
-    a_mag, a_ph, b_mag, b_ph = a_mag[:n], a_ph[:n], b_mag[:n], b_ph[:n]
+    if na > n:
+        a_mag, a_ph = a_mag[:n], a_ph[:n]
+    if nb > n:
+        b_mag, b_ph = b_mag[:n], b_ph[:n]
     if _only_first(a_mag):
         return _single_term_rows(a_mag, a_ph, b_mag, b_ph, n_rows)
     if _only_first(b_mag):
@@ -308,7 +317,8 @@ def log_cauchy_rows(a_mag, a_ph, b_mag, b_ph, n_rows: int | None = None):
                 return row_mag, row_ph
             ok = np.ones(n1 - n0, dtype=bool)
         if mag is None:
-            (mag, ph), done = _zero_rows(n_rows, dtype), np.zeros(n, dtype=bool)
+            mag, ph = _zero_rows(n_rows, np.result_type(a_ph, b_ph))
+            done = np.zeros(n, dtype=bool)
         mag[n0:n1][ok], ph[n0:n1][ok] = row_mag[ok], row_ph[ok]
         done[n0:n1] |= ok
         left = np.flatnonzero(~done[n0:n1]) + n0
@@ -406,7 +416,8 @@ def _tilted_rows(a_mag, a_ph, b_mag, b_ph, n0: int, n1: int):
     by row, the modulus and the exact zero factors of every term.
     """
     ka, kb = min(n1, len(a_mag)), min(n1, len(b_mag))
-    ramp = _level_tilt(a_mag, b_mag, n0, n1) * np.arange(n1)
+    ramp = np.arange(n1, dtype=float)
+    ramp *= _level_tilt(a_mag, b_mag, n0, n1)
     t_a, t_b = a_mag[:ka] - ramp[:ka], b_mag[:kb] - ramp[:kb]
     top_a, top_b = _top(t_a), _top(t_b)
     if not (top_a < np.inf and top_b < np.inf):
@@ -419,9 +430,13 @@ def _tilted_rows(a_mag, a_ph, b_mag, b_ph, n0: int, n1: int):
     t_b -= top_b
     acc = _convolve_rows(np.exp(t_a) * a_ph[:ka], np.exp(t_b) * b_ph[:kb], n0, n1)
     size = np.abs(acc)
-    shift = ramp[n0:n1] + (top_a + top_b)
+    shift = ramp[n0:n1]
+    shift += top_a + top_b
     if _bottom(size) >= _CERTIFIED:
-        return np.log(size) + shift, acc / size, None
+        np.divide(acc, size, out=acc)
+        np.log(size, out=size)
+        size += shift
+        return size, acc, None
     nz_a, nz_b = t_a > -np.inf, t_b > -np.inf
     if _bottom(t_a, where=nz_a, initial=0.0) + _bottom(t_b, where=nz_b, initial=0.0) >= _SPAN_FLOOR:
         ok = None
@@ -431,7 +446,8 @@ def _tilted_rows(a_mag, a_ph, b_mag, b_ph, n0: int, n1: int):
         if ok.all():
             ok = None
     mag, ph = _log_signed(acc)  # zeros, and complex rows down to subnormals
-    return mag + shift, ph, ok
+    mag += shift
+    return mag, ph, ok
 
 
 def _convolve_rows(x: np.ndarray, y: np.ndarray, n0: int, n1: int) -> np.ndarray:
@@ -453,12 +469,16 @@ def log_signed_values(mag, ph) -> np.ndarray:
             is NaN, which a recurrence that left the double range leaves.
     """
     mag = np.asarray(mag, dtype=float)
-    top = mag.max() if mag.size else -np.inf
-    if np.isnan(top):
-        raise RangeOverflowError("log-magnitude NaN: a value left the double range")
-    if top > _LOG_DBL_MAX:
+    top = _top(mag, initial=-np.inf)
+    if not top <= _LOG_DBL_MAX:
+        if math.isnan(top):
+            raise RangeOverflowError("log-magnitude NaN: a value left the double range")
         raise RangeOverflowError(f"log-magnitude {top:.6g} exceeds the double range")
-    return (np.exp(mag) * ph).astype(complex, copy=False)
+    values = np.exp(mag)
+    if isinstance(ph, np.ndarray) and ph.dtype is _FLOAT:
+        values *= ph
+        return values.astype(complex)
+    return (values * ph).astype(complex, copy=False)
 
 
 def log_powers(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -472,10 +492,11 @@ def log_powers(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         mag, ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
         mag[0], ph[0] = 0.0, 1.0
         return mag, ph
-    k = np.arange(n_max + 1)
+    k = np.arange(n_max + 1, dtype=float)
     mag = k * math.log(abs(z))
     if z.imag == 0:
-        ph = np.ones(n_max + 1)
+        ph = np.empty(n_max + 1)
+        ph.fill(1.0)
         if z.real < 0:
             ph[1::2] = -1.0
         return mag, ph
@@ -577,6 +598,17 @@ def _rescaled(prev, cur, shift: float):
     return prev / peak, cur / peak, shift + math.log(peak)
 
 
+def _shifted(mag: np.ndarray, marks: list[tuple[int, float]]) -> np.ndarray:
+    """Log-magnitudes of a rescaled recurrence with its shifts added back:
+    ``marks`` lists (i, shift) where entries from i on carry that running
+    shift, in increasing i.  Entries before the first rescale carry 0.0,
+    and log(x) + 0.0 is log(x), so they are left as they are."""
+    ends = [i for i, _ in marks[1:]] + [len(mag)]
+    for (i, shift), end in zip(marks, ends):
+        mag[i:end] += shift
+    return mag
+
+
 def hermite(n: int, z: complex) -> complex:
     """Physicists' Hermite H_n(z): the last entry of :func:`hermite_sequence_log`.
 
@@ -601,18 +633,19 @@ def hermite_sequence_log(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray
     z = complex(z)
     if z.imag == 0:
         z = z.real
-    raw, shifts = [], []
+    raw, marks = [], []
+    push = raw.append
     prev, cur = 0 * z, 1 + 0 * z
     two_z = 2 * z
     shift = 0.0
     for k in range(n_max + 1):
-        raw.append(cur)
-        shifts.append(shift)
+        push(cur)
         prev, cur = cur, two_z * cur - 2 * k * prev
         if abs(cur) > _RESCALE_LIMIT:
             prev, cur, shift = _rescaled(prev, cur, shift)
+            marks.append((k + 1, shift))
     mag, ph = _log_signed(np.array(raw))
-    return mag + shifts, ph
+    return _shifted(mag, marks), ph
 
 
 def _roots(r) -> tuple[complex, complex, complex]:
@@ -740,18 +773,19 @@ def laguerre_half_sequence(
     if x == 0:
         mag, ph = log_powers(scale, n_max)
         return mag + _log_half_rising(n_max), ph
-    raw, shifts = [1.0], [0.0]
+    raw, marks = [1.0], []
+    push = raw.append
     cur, diff = 0.5 * scale - x, -0.5 * scale - x
     shift = 0.0
     for n in range(1, n_max + 1):
-        raw.append(cur)
-        shifts.append(shift)
+        push(cur)
         diff = ((n - 0.5) * scale * diff - x * cur) / (n + 1)
         cur = scale * cur + diff
         if abs(cur) > _RESCALE_LIMIT:
             diff, cur, shift = _rescaled(diff, cur, shift)
+            marks.append((n + 1, shift))
     mag, ph = _log_signed(np.array(raw))
-    return mag + shifts, ph
+    return _shifted(mag, marks), ph
 
 
 def laguerre_half(n: int, x: float) -> float:

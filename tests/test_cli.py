@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from photonstat import cli, entropy, photon_dist
 from photonstat.cli import main
+from photonstat.gaussian_state import OneModeGaussianState
 from photonstat.photon_dist import _fmt
 
 
@@ -206,6 +208,26 @@ class TestInequality:
         data, entropy = json.loads(out), json.loads(entropy_out)
         assert data["form"] == f"{form}-pair"
         assert {k: data[k] for k in entropy} == entropy
+
+    @pytest.mark.parametrize("form", ["hermite", "laguerre"])
+    def test_pair_form_evaluates_its_route_once(self, capsys, monkeypatch, tmp_path, form):
+        path = tmp_path / "state.json"
+        sigmas = {"sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1}
+        path.write_text(json.dumps({**sigmas, "mean_q": 0.3, "mean_p": -0.2}))
+        name = f"pn_{form}"
+        route, calls = getattr(photon_dist, name), []
+        for module in (cli, entropy):
+            monkeypatch.setattr(module, name, lambda *a: calls.append(a) or route(*a))
+        _, out, _ = run(
+            capsys, "inequality", "--family", "gaussian", "--state", str(path),
+            "--form", form, "--format", "json",
+        )
+        assert len(calls) == 1
+        monkeypatch.undo()
+        margin = getattr(entropy, f"{form}_inequality_margin")(
+            OneModeGaussianState(**sigmas, mean_q=0.3, mean_p=-0.2)
+        )
+        assert json.loads(out)["margin"] == margin
 
     def test_subadditive_csv_cell_matches_entropy(self, capsys):
         argv = ("--family", "poisson", "--alpha", "1")

@@ -1597,6 +1597,21 @@ class TestDeformedTables:
                 assert deformed_pn(spec, n) == v, n
 
 
+def _real_law_with_signed_zeros_and_nans(size=300):
+    """A long real table whose real column holds -0.0 and NaN entries."""
+    values = np.random.default_rng(19).random(size) / size
+    values[[3, 150, size - 1]] = -0.0
+    values[[7, 200]] = math.nan
+    return values
+
+
+def _law_with_one_negative_zero_imag(size=400):
+    """A long complex table whose imaginary parts are +0.0 but for one -0.0."""
+    values = np.random.default_rng(20).random(size).astype(complex) / size
+    values[123] = complex(values[123].real, -0.0)
+    return values
+
+
 class TestDistributionPlumbing:
     def test_overflow_while_doubling_propagates(self):
         # the N = 32 pass leaves a tail of ~1e-10, so the loop doubles
@@ -1623,6 +1638,16 @@ class TestDistributionPlumbing:
             is Classification.COMPLEX
         )
 
+    @pytest.mark.parametrize(
+        "imag, verdict",
+        [(1e-12, Classification.COMPLEX), (-1e-12, Classification.COMPLEX),
+         (9.9e-13, Classification.PROBABILITY), (-9.9e-13, Classification.PROBABILITY),
+         (-0.0, Classification.PROBABILITY), (0.0, Classification.PROBABILITY)],
+    )
+    def test_imaginary_part_reaching_the_tolerance_is_complex(self, imag, verdict):
+        values = [0.25, complex(0.5, imag), 0.25]
+        assert distribution_from_values(values).classification is verdict
+
     def test_csv_export(self):
         dist = distribution_from_values([0.75, 0.25])
         text = distribution_to_csv(dist)
@@ -1643,6 +1668,10 @@ class TestDistributionPlumbing:
             [5e-324, complex(2.2250738585072014e-308, -4.9e-322), 1 - 1e-16],
             [1.0],
             np.random.default_rng(18).standard_normal(300) * 10.0 ** np.arange(-150, 150),
+            # a real table formats only n and re; -0.0 and NaN real parts among them
+            _real_law_with_signed_zeros_and_nans(),
+            # one -0.0 imaginary part sends a long table to the three-column format
+            _law_with_one_negative_zero_imag(),
         ],
     )
     def test_csv_rows_match_the_per_row_format(self, values):

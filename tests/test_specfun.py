@@ -415,6 +415,64 @@ class TestLaguerreHalf:
         assert ph.dtype == np.float64 and ph.tolist() == [1.0] + [0.0] * 5
 
 
+def _assert_log_signed_rows(mag, ph, ref):
+    """Every row of (mag, ph) against its mpmath value: the log-magnitude
+    within 1e-13 of itself (absolutely below 1), the phase within 1e-13."""
+    for n, exact in enumerate(ref):
+        ref_mag = float(mpmath.log(abs(exact)))
+        assert abs(mag[n] - ref_mag) <= 1e-13 * max(1.0, abs(ref_mag)), n
+        assert abs(ph[n] - complex(exact / abs(exact))) <= 1e-13, n
+
+
+class TestRescalePoints:
+    """The recurrences divide their carried values by the newest one once it
+    passes 1e250 and add the log of the divisor back onto every later
+    entry.  Each run below rescales several times; every row, those on
+    both sides of each rescale among them, is checked against the same
+    recurrence at 40 digits, so a shift added one row early or late, or
+    added twice, shows as an error of about 575 in a log-magnitude."""
+
+    @staticmethod
+    def _counted_rescales(monkeypatch):
+        calls = []
+        rescaled = specfun._rescaled
+        monkeypatch.setattr(
+            specfun, "_rescaled", lambda *a: calls.append(a) or rescaled(*a)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "x, scale, n_max, rescales",
+        [(-400.0, 0.9, 600, 1), (-5000.0, 0.9, 600, 3), (3000.0, -0.8, 600, 2),
+         (-3000.0 + 1000.0j, 0.7, 400, 2)],
+    )
+    def test_laguerre_rows_across_every_rescale(self, monkeypatch, x, scale, n_max, rescales):
+        calls = self._counted_rescales(monkeypatch)
+        mag, ph = laguerre_half_sequence(x, n_max, scale)
+        assert len(calls) >= rescales
+        with mpmath.workdps(40):
+            # L_n^{-1/2}(y) at y = x / a, then M_n = a^n L_n
+            y, a, half = mpmath.mpmathify(x) / scale, mpmath.mpf(scale), mpmath.mpf(0.5)
+            lag = [mpmath.mpf(1), half - y]
+            for n in range(1, n_max):
+                lag.append(((2 * n + half - y) * lag[n] - (n - half) * lag[n - 1]) / (n + 1))
+            _assert_log_signed_rows(mag, ph, [a**n * v for n, v in enumerate(lag)])
+
+    @pytest.mark.parametrize(
+        "z, n_max, rescales", [(40.0, 1000, 7), (-25.0, 1000, 6), (20.0 - 15.0j, 600, 4)]
+    )
+    def test_hermite_rows_across_every_rescale(self, monkeypatch, z, n_max, rescales):
+        calls = self._counted_rescales(monkeypatch)
+        mag, ph = hermite_sequence_log(z, n_max)
+        assert len(calls) >= rescales
+        with mpmath.workdps(40):
+            zm = mpmath.mpmathify(z)
+            her = [mpmath.mpf(1), 2 * zm]
+            for n in range(1, n_max):
+                her.append(2 * zm * her[n] - 2 * n * her[n - 1])
+            _assert_log_signed_rows(mag, ph, her)
+
+
 class TestAssocLegendre:
     def test_degree_zero(self):
         for x in (-3.0, 0.2, 7.0):
