@@ -33,8 +33,7 @@ from decimal import Decimal
 
 from .entropy import (
     PartitionScheme,
-    _hermite_margin,
-    _laguerre_margin,
+    _pair_margin,
     block_entropies,
     complex_information,
     poisson_parity_information,
@@ -51,7 +50,7 @@ from .errors import (
     RangeOverflowError,
     SingularDenominatorError,
 )
-from .gaussian_state import OneModeGaussianState, XYTState, from_tau, uncertainty_check
+from .gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, uncertainty_check
 from .oracle import run_suite, suite_passed, verdicts_to_json_lines
 from .photon_dist import (
     DeformationKind,
@@ -83,16 +82,7 @@ _REASON_CODES = (
     (PhotonStatError, "internal-error"),
 )
 
-_FAMILIES = (
-    "gaussian",
-    "xyt",
-    "two-mode",
-    "poisson",
-    "f-coherent",
-    "q-coherent",
-    "squeezed-vacuum",
-    "squeezed-correlated",
-)
+_FAMILIES = ("gaussian", "xyt", "two-mode", *(kind.value for kind in DeformationKind))
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
@@ -119,9 +109,12 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_state(path: str) -> OneModeGaussianState:
+def _gaussian_state(args) -> OneModeGaussianState:
+    """The state of ``--family gaussian``, read from its ``--state`` file."""
+    if not args.state:
+        raise DomainError("--family gaussian requires --state <json>")
     try:
-        with open(path) as fh:
+        with open(args.state) as fh:
             data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read state file: {exc}") from exc
@@ -142,56 +135,40 @@ def _f_values(raw: str | None) -> tuple[float, ...]:
 
 
 def _deformation_from_args(args) -> DeformationSpec:
-    alpha = args.alpha if args.alpha is not None else 0.0
-    common = dict(alpha_mag2=alpha * alpha)
-    if args.family == "poisson":
-        return DeformationSpec(DeformationKind.POISSON, **common)
-    if args.family == "f-coherent":
-        return DeformationSpec(
-            DeformationKind.F_COHERENT,
-            f_values=_f_values(args.f_values),
-            f_convention=args.f_convention,
-            **common,
-        )
-    if args.family == "q-coherent":
-        return DeformationSpec(DeformationKind.Q_COHERENT, lam=args.lam, **common)
-    if args.family == "squeezed-vacuum":
-        return DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=args.r)
-    if args.family == "squeezed-correlated":
-        return DeformationSpec(
-            DeformationKind.SQUEEZED_CORRELATED,
-            r=args.r,
-            theta=args.theta,
-            mean_q=args.mean_q,
-            mean_p=args.mean_p,
-        )
-    raise DomainError(f"family {args.family!r} is not a deformation family")
+    """The spec of a deformation family; its kind reads the fields it needs."""
+    return DeformationSpec(
+        DeformationKind(args.family),
+        alpha_mag2=args.alpha * args.alpha,
+        lam=args.lam,
+        r=args.r,
+        theta=args.theta,
+        f_values=_f_values(args.f_values),
+        mean_q=args.mean_q,
+        mean_p=args.mean_p,
+        f_convention=args.f_convention,
+    )
 
 
 def _distribution_from_args(args) -> PhotonDistribution:
     fam = args.family
     if fam == "gaussian":
-        if not args.state:
-            raise DomainError("--family gaussian requires --state <json>")
-        state = _load_state(args.state)
         route = pn_laguerre if args.route == "laguerre" else pn_hermite
-        return route(state, args.n_max)
+        return route(_gaussian_state(args), args.n_max)
     if fam == "xyt":
         if args.y is None:
             raise DomainError("--family xyt requires --y")
-        t = args.t if args.t is not None else 0.0
         if args.tau is not None:
             if args.x is not None:
-                implied = (0.25 - args.tau + t * t) / args.y
+                implied = from_tau(args.tau, args.y, args.t).x
                 if abs(args.x - implied) > 1e-9 * max(1.0, abs(implied)):
                     raise DomainError(
                         f"--x {args.x} inconsistent with --tau {args.tau} "
                         f"(implied x = {implied})"
                     )
-            return pn_violation(args.tau, args.y, t, args.n_max)
+            return pn_violation(args.tau, args.y, args.t, args.n_max)
         if args.x is None:
             raise DomainError("--family xyt requires --x or --tau")
-        return pn_centered_xyt(XYTState(args.x, args.y, t), args.n_max)
+        return pn_centered_xyt(XYTState(args.x, args.y, args.t), args.n_max)
     if fam == "two-mode":
         if args.s1 is None or args.s2 is None:
             raise DomainError("--family two-mode requires --s1 and --s2")
@@ -257,31 +234,27 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_inequality(args) -> int:
-    form = "block-partition"
-    margin = None
-    if args.family == "gaussian" and args.form in ("hermite", "laguerre"):
-        if not args.state:
-            raise DomainError("--family gaussian requires --state <json>")
-        state = _load_state(args.state)
-        if args.form == "hermite":
-            route, pair_margin = pn_hermite, _hermite_margin
-        else:
-            route, pair_margin = pn_laguerre, _laguerre_margin
-        dist = route(state, args.n_max)
-        margin = pair_margin(state, dist)
-        form = args.form + "-pair"
-    else:
+    """The entropy report plus the margin of ``--form``: the information for
+    the block partition, the pair form's margin over the law of its route."""
+    if args.form == "block":
         dist = _distribution_from_args(args)
+    elif args.family != "gaussian" or args.partition != 2:
+        raise DomainError(f"--form {args.form} takes --family gaussian and --partition 2 only")
+    else:
+        state = _gaussian_state(args)
+        dist = (pn_laguerre if args.form == "laguerre" else pn_hermite)(state, args.n_max)
     fields = _report_fields(dist, args)
     if "reading" in fields:  # the complex information replaced the real report
         fields["form"] = "complex-" + fields["reading"]
         _emit_report(args, fields)
         return 0
-    fields["margin"] = fields["information"] if margin is None else margin
-    fields["form"] = form
+    if args.form == "block":
+        fields["margin"], fields["form"] = fields["information"], "block-partition"
+    else:
+        scale = float(p0(state)) if args.form == "hermite" else 1.0
+        fields["margin"], fields["form"] = _pair_margin(dist, scale), args.form + "-pair"
     if args.family == "poisson":
-        alpha = args.alpha if args.alpha is not None else 0.0
-        fields["parity_entropy_closed_form"] = poisson_parity_information(alpha * alpha)
+        fields["parity_entropy_closed_form"] = poisson_parity_information(args.alpha * args.alpha)
     _emit_report(args, fields, sort_csv=True)
     return 0
 
@@ -354,17 +327,11 @@ def _figure_value(fig: int, value: float) -> float:
             DeformationSpec(DeformationKind.Q_COHERENT, alpha_mag2=value * value, lam=2.0)
         )
         return block_entropies(dist, PartitionScheme(2)).information
-    if fig == 4:
-        dist = deformed_distribution(
-            DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=value), 6000
-        )
-        return block_entropies(dist, PartitionScheme(3)).information
-    raise DomainError(f"unknown figure id {fig}")
+    dist = deformed_distribution(DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=value), 6000)
+    return block_entropies(dist, PartitionScheme(3)).information
 
 
 def _cmd_figures(args) -> int:
-    if args.fig not in _FIGURE_DEFAULTS:
-        raise DomainError(f"unknown figure id {args.fig}")
     name, start, stop, step = _FIGURE_DEFAULTS[args.fig]
     if args.param_min is not None:
         start = args.param_min
@@ -405,7 +372,7 @@ def _add_family_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--s2", type=float)
     sub.add_argument("--r", type=float, default=0.0)
     sub.add_argument("--theta", type=float, default=0.0)
-    sub.add_argument("--alpha", type=float)
+    sub.add_argument("--alpha", type=float, default=0.0)
     sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sub.add_argument("--f-values", help="comma-separated f(0),f(1),... (empty = all ones)")
     sub.add_argument("--f-convention", choices=("sqrt-factorial", "factorial"),
@@ -462,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_violation)
 
     p = subs.add_parser("figures", help="two-column CSV information sweeps")
-    p.add_argument("--fig", type=int, required=True, choices=(1, 2, 3, 4))
+    p.add_argument("--fig", type=int, required=True, choices=tuple(_FIGURE_DEFAULTS))
     p.add_argument("--param-min", type=float)
     p.add_argument("--param-max", type=float)
     p.add_argument("--param-step", type=float)
@@ -486,11 +453,7 @@ def main(argv: list[str] | None = None) -> int:
             raise DomainError("--partition must be at least 2")
         return args.func(args)
     except PhotonStatError as exc:
-        for etype, code in _REASON_CODES:
-            if isinstance(exc, etype):
-                break
-        else:
-            code = "internal-error"
+        code = next(code for etype, code in _REASON_CODES if isinstance(exc, etype))
         sys.stderr.write(f"error: {code}: {exc}\n")
         return 1
 

@@ -277,11 +277,21 @@ def complex_information(
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_margin_from_scaled(h_tilde: np.ndarray, scale: float) -> float:
-    """Margin of the m = 2 inequality written over h_tilde = p / scale,
-    with the scale reinstated inside every logarithm as the inequality is
-    stated; the returned value is scale * (lhs - rhs), which coincides with
-    the plain information margin since scale > 0."""
+def _pair_margin(dist: PhotonDistribution, scale: float) -> float:
+    """Margin of the m = 2 inequality written over the terms p / scale of
+    the probability law ``dist``, with the scale reinstated inside every
+    logarithm as the inequality is stated; the returned value is
+    scale * (lhs - rhs), which coincides with the plain information margin
+    since scale > 0.
+
+    Raises:
+        ClassificationError: ``dist`` is not a probability.
+        RangeOverflowError: some p / scale exceeds the double range.
+    """
+    with np.errstate(all="ignore"):
+        h_tilde = _probabilities(dist) / scale
+    if not np.isfinite(h_tilde).all():
+        raise RangeOverflowError("a Hermite term H_kk / k! exceeds the double range")
     odd = math.fsum(h_tilde[1::2])
     even = math.fsum(h_tilde[0::2])
 
@@ -307,19 +317,9 @@ def hermite_inequality_margin(
         RangeOverflowError: some H_kk / k! exceeds the double range (P0
             underflows, at |mean| of a few tens).
     """
-    return _hermite_margin(state, pn_hermite(state, n_max))
-
-
-def _hermite_margin(state: OneModeGaussianState, dist: PhotonDistribution) -> float:
-    """:func:`hermite_inequality_margin` of ``state`` from its Hermite-route
-    distribution ``dist``."""
-    p = _probabilities(dist)
-    scale = float(p0(state))
-    with np.errstate(all="ignore"):
-        h_tilde = p / scale
-    if not np.isfinite(h_tilde).all():
-        raise RangeOverflowError("a Hermite term H_kk / k! exceeds the double range")
-    return _pairwise_margin_from_scaled(h_tilde, scale)
+    # P0 is complex only where the law is not a probability, which
+    # _pair_margin rejects before it divides by the scale
+    return _pair_margin(pn_hermite(state, n_max), p0(state).real)
 
 
 def laguerre_inequality_margin(
@@ -328,13 +328,7 @@ def laguerre_inequality_margin(
     """Margin of the m = 2 entropy inequality over the Laguerre-route terms
     (block sums of D(k, s) L_s(x1) L_{k-s}(x2)); the inner sums are the
     probabilities themselves, so the scale is one."""
-    return _laguerre_margin(state, pn_laguerre(state, n_max))
-
-
-def _laguerre_margin(state: OneModeGaussianState, dist: PhotonDistribution) -> float:
-    """:func:`laguerre_inequality_margin` of ``state`` from its Laguerre-route
-    distribution ``dist`` (the state itself is not read)."""
-    return _pairwise_margin_from_scaled(_probabilities(dist), 1.0)
+    return _pair_margin(pn_laguerre(state, n_max), 1.0)
 
 
 # ---------------------------------------------------------------------------

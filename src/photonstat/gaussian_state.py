@@ -117,7 +117,15 @@ class OneModeGaussianState:
         missing = [k for k in _STATE_FIELDS if k not in data]
         if missing:
             raise DomainError(f"state descriptor missing fields: {', '.join(missing)}")
-        return cls(*(float(data[k]) for k in _STATE_FIELDS))
+        values = []
+        for k in _STATE_FIELDS:
+            try:
+                values.append(float(data[k]))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DomainError(
+                    f"state descriptor field {k} must be a number, got {data[k]!r}"
+                ) from exc
+        return cls(*values)
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in _STATE_FIELDS}

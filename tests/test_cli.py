@@ -1,12 +1,27 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from photonstat import cli, entropy, photon_dist
 from photonstat.cli import main
-from photonstat.gaussian_state import OneModeGaussianState
-from photonstat.photon_dist import _fmt
+from photonstat.entropy import PartitionScheme, block_entropies
+from photonstat.gaussian_state import OneModeGaussianState, XYTState
+from photonstat.photon_dist import (
+    DeformationKind,
+    DeformationSpec,
+    _fmt,
+    deformed_distribution,
+    distribution_to_csv,
+    pn_centered_xyt,
+)
+
+# a centered state with det Sigma < 1/4, whose law is a signed real sequence
+VIOLATING_STATE = {
+    "sigma_pp": 0.3, "sigma_qq": 0.6, "sigma_pq": 0.1, "mean_q": 0.0, "mean_p": 0.0
+}
 
 
 @pytest.fixture
@@ -67,6 +82,21 @@ class TestDist:
         )
         assert code == 1
         assert err.startswith("error: domain-error:")
+
+    def test_x_with_tau_at_zero_y_is_single_line(self, capsys):
+        # the implied x once divided by y = 0 in a bare ZeroDivisionError
+        code, out, err = run(
+            capsys, "dist", "--family", "xyt", "--x", "1", "--y", "0", "--tau", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: singular-denominator: y must be nonzero to solve for x\n"
+
+    def test_centered_xyt_family(self, capsys):
+        code, out, err = run(
+            capsys, "dist", "--family", "xyt", "--x", "0.6", "--y", "0.7", "--t", "0.1"
+        )
+        assert (code, err) == (0, "")
+        assert out == distribution_to_csv(pn_centered_xyt(XYTState(0.6, 0.7, 0.1)))
 
     def test_two_mode_family(self, capsys):
         code, out, _ = run(
@@ -229,6 +259,41 @@ class TestInequality:
         )
         assert json.loads(out)["margin"] == margin
 
+    @pytest.mark.parametrize("form", ["hermite", "laguerre"])
+    def test_pair_form_on_a_violating_state_is_the_complex_report(
+        self, capsys, tmp_path, form
+    ):
+        path = tmp_path / "violating.json"
+        path.write_text(json.dumps(VIOLATING_STATE))
+        argv = ("--family", "gaussian", "--state", str(path), "--format", "json")
+        code, out, err = run(capsys, "inequality", *argv, "--form", form)
+        assert code == 0
+        assert err == "notice: classification SignedReal; reporting complex information\n"
+        _, entropy_out, _ = run(capsys, "entropy", *argv, "--route", form)
+        assert json.loads(out) == {**json.loads(entropy_out), "form": "complex-blocked"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "gaussian", "--state", "STATE", "--form", "hermite",
+             "--partition", "3"),
+            ("--family", "gaussian", "--state", "STATE", "--form", "laguerre",
+             "--partition", "3"),
+            ("--family", "poisson", "--alpha", "1.0", "--form", "hermite"),
+            ("--family", "squeezed-vacuum", "--r", "1.0", "--form", "laguerre"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_pair_form_outside_gaussian_pairs_is_domain_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**VIOLATING_STATE, "sigma_pp": 0.8}))
+        code, out, err = run(
+            capsys, "inequality", *(str(path) if a == "STATE" else a for a in argv)
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: domain-error: --form ")
+
     def test_subadditive_csv_cell_matches_entropy(self, capsys):
         argv = ("--family", "poisson", "--alpha", "1")
 
@@ -357,6 +422,28 @@ class TestFigures:
         value = float(out.strip().splitlines()[1].split(",")[1])
         assert value == pytest.approx(math.log(2), abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "fig, spec, m",
+        [
+            (2, lambda v: DeformationSpec(DeformationKind.POISSON, alpha_mag2=v), 3),
+            (3, lambda v: DeformationSpec(DeformationKind.Q_COHERENT, alpha_mag2=v * v,
+                                          lam=2.0), 2),
+        ],
+    )
+    def test_deformed_sweeps_are_block_information(self, capsys, fig, spec, m):
+        code, out, _ = run(capsys, "figures", "--fig", str(fig), "--param-max", "0.1")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == f"{'x_bar' if fig == 2 else 'alpha'},information"
+        assert len(rows) == (3 if fig == 2 else 5)
+        for row in rows:
+            value = float(row.split(",")[0])
+            n_max = 256 if fig == 2 else None
+            info = block_entropies(
+                deformed_distribution(spec(value), n_max), PartitionScheme(m)
+            ).information
+            assert row == f"{_fmt(value)},{_fmt(info)}"
+
     def test_squeezed_vacuum_triadic_start(self, capsys):
         code, out, _ = run(
             capsys, "figures", "--fig", "4",
@@ -394,6 +481,8 @@ class TestErrorPaths:
             ("--family", "q-coherent", "--alpha", "inf", "--lambda", "1"),
             ("--family", "f-coherent", "--alpha", "0.8",
              "--f-values", "1,inf,2,3,4,5,6,7,8,9,10"),
+            # a flag the family does not read still has to make a valid spec
+            ("--family", "poisson", "--alpha", "1", "--theta", "nan"),
         ],
     )
     def test_non_finite_spec_is_single_line(self, capsys, flags):
@@ -475,6 +564,58 @@ class TestErrorPaths:
         assert code == 1
         assert "missing fields" in err
 
+    @pytest.mark.parametrize("value", ["abc", None, [0.5]])
+    def test_non_numeric_descriptor_field(self, capsys, tmp_path, value):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**VIOLATING_STATE, "sigma_qq": value}))
+        code, out, err = run(capsys, "dist", "--family", "gaussian", "--state", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: domain-error: state descriptor field sigma_qq must be a number, "
+            f"got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["violation", "--y", "5", "--tau-step", "0"], "--tau-step must be positive"),
+            (["figures", "--fig", "1", "--param-step", "0"], "--param-step must be positive"),
+            (["dist", "--family", "gaussian"], "--family gaussian requires --state"),
+            (["inequality", "--family", "gaussian"], "--family gaussian requires --state"),
+            (["inequality", "--family", "gaussian", "--form", "hermite"],
+             "--family gaussian requires --state"),
+            (["dist", "--family", "two-mode", "--s1", "0.5"],
+             "--family two-mode requires --s1 and --s2"),
+            (["dist", "--family", "xyt", "--y", "1"], "--family xyt requires --x or --tau"),
+            (["dist", "--family", "f-coherent", "--alpha", "0.8", "--f-values", "1,x"],
+             "--f-values must be comma-separated floats"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_missing_or_bad_flag_is_single_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: domain-error: {message}")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read state file"),
+            ("{\"sigma_pp\": ", "state file is not valid JSON"),
+            ("[0.5, 0.5, 0, 0, 0]", "state descriptor must be a JSON object"),
+        ],
+        ids=["missing", "not-json", "not-an-object"],
+    )
+    def test_unreadable_state_file(self, capsys, tmp_path, content, message):
+        path = tmp_path / "state.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run(capsys, "dist", "--family", "gaussian", "--state", str(path))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: domain-error: {message}")
+
     def test_singular_state(self, capsys, tmp_path):
         path = tmp_path / "singular.json"
         path.write_text(
@@ -538,3 +679,22 @@ class TestOptionSurface:
         assert code == 1
         assert out == ""
         assert err == f"error: domain-error: {message}\n"
+
+
+def _corpus_module():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
+    spec = importlib.util.spec_from_file_location("cli_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCorpus:
+    def test_every_invocation_parses(self, capsys):
+        # a renamed or dropped flag would turn corpus lines into usage errors
+        parser = cli.build_parser()
+        for line in _corpus_module().INVOCATIONS:
+            try:
+                parser.parse_args(line.split())
+            except SystemExit:
+                pytest.fail(f"usage error on corpus line {line!r}: {capsys.readouterr().err}")

@@ -191,3 +191,9 @@ class TestStateDescriptor:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             OneModeGaussianState(math.nan, 0.5, 0.0)
+
+    @pytest.mark.parametrize("value", ["abc", None, {}, 10**400])
+    def test_non_numeric_field_rejected(self, value):
+        data = {**OneModeGaussianState.vacuum().to_dict(), "mean_p": value}
+        with pytest.raises(DomainError, match="field mean_p must be a number"):
+            OneModeGaussianState.from_dict(data)

@@ -32,7 +32,9 @@ from pathlib import Path
 # <q> = 60, whose P0 underflows to 0.0, WIDE_STATE a covariance whose
 # det leaves the double range, and CENTERED_STATE a centered correlated
 # state, whose Laguerre factors take the closed form at x = 0 (like
-# SQ3_STATE, but with a+ != -a-)
+# SQ3_STATE, but with a+ != -a-), VIOLATING_STATE a centered state with
+# det Sigma < 1/4, whose law is a signed real sequence, and
+# NON_NUMERIC_STATE a descriptor with a field that is not a number
 DESCRIPTORS = {
     "STATE": {
         "sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1, "mean_q": 0.3, "mean_p": -0.2
@@ -60,6 +62,12 @@ DESCRIPTORS = {
     },
     "CENTERED_STATE": {
         "sigma_pp": 1.3, "sigma_qq": 0.7, "sigma_pq": 0.25, "mean_q": 0.0, "mean_p": 0.0
+    },
+    "VIOLATING_STATE": {
+        "sigma_pp": 0.3, "sigma_qq": 0.6, "sigma_pq": 0.1, "mean_q": 0.0, "mean_p": 0.0
+    },
+    "NON_NUMERIC_STATE": {
+        "sigma_pp": "abc", "sigma_qq": 0.5, "sigma_pq": 0.0, "mean_q": 0.0, "mean_p": 0.0
     },
 }
 
@@ -152,6 +160,13 @@ INVOCATIONS = (
         "entropy --family xyt --y 5 --tau 4 --branch 1",
         "inequality --family gaussian --state CENTERED_STATE --form laguerre",
         "inequality --family poisson --alpha 1.0",
+        # a pair form on a law that is not a probability, past m = 2 and on
+        # a family other than gaussian; a descriptor field that is not a number
+        "inequality --family gaussian --state VIOLATING_STATE --form hermite",
+        "inequality --family gaussian --state VIOLATING_STATE --form laguerre --format json",
+        "inequality --family gaussian --state STATE --form hermite --partition 3",
+        "inequality --family poisson --alpha 1.0 --form laguerre",
+        "dist --family gaussian --state NON_NUMERIC_STATE",
     ]
 )
 
