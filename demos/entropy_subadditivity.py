@@ -76,15 +76,17 @@ print("\n  Only even counts occur, so the parity label is deterministic.")
 
 print()
 print("=" * 72)
-print("4. The polynomial-form margins equal the plain information")
+print("4. Each polynomial-form margin is the pair information of its route's law")
 print("=" * 72)
 state = OneModeGaussianState(1.5, 0.9, 0.3)
-from photonstat import information, pn_hermite  # noqa: E402
+from photonstat import information, pn_hermite, pn_laguerre  # noqa: E402
 
-ref = information(pn_hermite(state, 200), PartitionScheme(2))
-print(f"\n  pair information          : {ref:.12f}")
+pair = PartitionScheme(2)
+print(f"\n  Hermite-route information : {information(pn_hermite(state, 200), pair):.12f}")
 print(f"  two-index Hermite margin  : {hermite_inequality_margin(state, 200):.12f}")
+print(f"  Laguerre-route information: {information(pn_laguerre(state, 200), pair):.12f}")
 print(f"  Laguerre-product margin   : {laguerre_inequality_margin(state, 200):.12f}")
+print("\n  P0, which the Hermite terms H_kk / k! divide out, cancels from the margin.")
 
 print()
 print("=" * 72)

@@ -33,7 +33,6 @@ from decimal import Decimal
 
 from .entropy import (
     PartitionScheme,
-    _pair_margin,
     block_entropies,
     complex_information,
     poisson_parity_information,
@@ -50,7 +49,7 @@ from .errors import (
     RangeOverflowError,
     SingularDenominatorError,
 )
-from .gaussian_state import OneModeGaussianState, XYTState, from_tau, p0, uncertainty_check
+from .gaussian_state import OneModeGaussianState, XYTState, from_tau, uncertainty_check
 from .oracle import run_suite, suite_passed, verdicts_to_json_lines
 from .photon_dist import (
     DeformationKind,
@@ -234,25 +233,19 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_inequality(args) -> int:
-    """The entropy report plus the margin of ``--form``: the information for
-    the block partition, the pair form's margin over the law of its route."""
-    if args.form == "block":
-        dist = _distribution_from_args(args)
-    elif args.family != "gaussian" or args.partition != 2:
-        raise DomainError(f"--form {args.form} takes --family gaussian and --partition 2 only")
-    else:
-        state = _gaussian_state(args)
-        dist = (pn_laguerre if args.form == "laguerre" else pn_hermite)(state, args.n_max)
-    fields = _report_fields(dist, args)
+    """The entropy report plus its information as the margin of ``--form``;
+    a pair form takes m = 2 over a Gaussian state and picks the route."""
+    if args.form != "block":
+        if args.family != "gaussian" or args.partition != 2:
+            raise DomainError(f"--form {args.form} takes --family gaussian and --partition 2 only")
+        args.route = args.form
+    fields = _report_fields(_distribution_from_args(args), args)
     if "reading" in fields:  # the complex information replaced the real report
         fields["form"] = "complex-" + fields["reading"]
         _emit_report(args, fields)
         return 0
-    if args.form == "block":
-        fields["margin"], fields["form"] = fields["information"], "block-partition"
-    else:
-        scale = float(p0(state)) if args.form == "hermite" else 1.0
-        fields["margin"], fields["form"] = _pair_margin(dist, scale), args.form + "-pair"
+    fields["margin"] = fields["information"]
+    fields["form"] = "block-partition" if args.form == "block" else args.form + "-pair"
     if args.family == "poisson":
         fields["parity_entropy_closed_form"] = poisson_parity_information(args.alpha * args.alpha)
     _emit_report(args, fields, sort_csv=True)
@@ -298,7 +291,7 @@ def _cmd_violation(args) -> int:
             try:
                 rep = complex_information(dist_i, scheme, args.branch, reading)
                 cols += [_fmt(rep.information.real), _fmt(rep.information.imag)]
-            except (DivergentSeriesError, ClassificationError):
+            except DivergentSeriesError:
                 cols += ["nan", "nan"]
         lines.append(",".join(cols))
     _emit("\n".join(lines) + "\n", args.out)

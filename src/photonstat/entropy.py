@@ -34,9 +34,8 @@ from .errors import (
     DivergentSeriesError,
     DomainError,
     NormalizationError,
-    RangeOverflowError,
 )
-from .gaussian_state import OneModeGaussianState, p0
+from .gaussian_state import OneModeGaussianState
 from .photon_dist import (
     Classification,
     PhotonDistribution,
@@ -126,17 +125,24 @@ def _probabilities(dist: PhotonDistribution) -> np.ndarray:
 
 
 def _blocks(p: np.ndarray, m: int) -> np.ndarray:
-    """p zero-filled to whole blocks of m, one block per row (at least one).
-
-    Its block sums are ``.cumsum(axis=1)[:, -1]`` and its residue-class sums
-    ``.cumsum(axis=0)[-1]``: the last partial sum adds in index order,
-    where np.sum adds pairwise and would move the last digits of the
-    information.
-    """
+    """p zero-filled to whole blocks of m, one block per row (at least one):
+    its row sums are the block sums, its column sums the residue-class sums."""
     rows = max(1, -(-len(p) // m))
     flat = np.zeros(rows * m, dtype=p.dtype)
     flat[: len(p)] = p
     return flat.reshape(rows, m)
+
+
+def _table_report(table: np.ndarray) -> EntropyReport:
+    """Entropies of a 2-d table of masses: joint, row sums, column sums,
+    and their information.  Each marginal is the last partial sum of a
+    cumsum, which adds in index order, where np.sum adds pairwise and
+    would move the last digits of the information."""
+    h_joint = _shannon(table.ravel())
+    h1 = _shannon(table.cumsum(axis=1)[:, -1])
+    h2 = _shannon(table.cumsum(axis=0)[-1])
+    info = h1 + h2 - h_joint
+    return EntropyReport(h_joint, h1, h2, info, info >= -SUBADDITIVITY_TOL)
 
 
 def block_entropies(dist: PhotonDistribution, scheme: PartitionScheme) -> EntropyReport:
@@ -145,19 +151,7 @@ def block_entropies(dist: PhotonDistribution, scheme: PartitionScheme) -> Entrop
     Raises:
         ClassificationError: the distribution is not a probability sequence.
     """
-    p = _probabilities(dist)
-    table = _blocks(p, scheme.block_size)
-    h_joint = _shannon(p)
-    h1 = _shannon(table.cumsum(axis=1)[:, -1])
-    h2 = _shannon(table.cumsum(axis=0)[-1])
-    info = h1 + h2 - h_joint
-    return EntropyReport(
-        h_joint=h_joint,
-        h_sub1=h1,
-        h_sub2=h2,
-        information=info,
-        subadditive=info >= -SUBADDITIVITY_TOL,
-    )
+    return _table_report(_blocks(_probabilities(dist), scheme.block_size))
 
 
 def information(dist: PhotonDistribution, scheme: PartitionScheme) -> float:
@@ -187,11 +181,7 @@ def joint_entropy_report(joint: TwoModeJointDistribution) -> EntropyReport:
             f"joint table mass {total:.12g} outside tolerance "
             f"(tail_bound {joint.tail_bound:.3g})"
         )
-    h_joint = _shannon(table.ravel())
-    h1 = _shannon(table.sum(axis=1))
-    h2 = _shannon(table.sum(axis=0))
-    info = h1 + h2 - h_joint
-    return EntropyReport(h_joint, h1, h2, info, info >= -SUBADDITIVITY_TOL)
+    return _table_report(table)
 
 
 # ---------------------------------------------------------------------------
@@ -277,49 +267,18 @@ def complex_information(
 # ---------------------------------------------------------------------------
 
 
-def _pair_margin(dist: PhotonDistribution, scale: float) -> float:
-    """Margin of the m = 2 inequality written over the terms p / scale of
-    the probability law ``dist``, with the scale reinstated inside every
-    logarithm as the inequality is stated; the returned value is
-    scale * (lhs - rhs), which coincides with the plain information margin
-    since scale > 0.
-
-    Raises:
-        ClassificationError: ``dist`` is not a probability.
-        RangeOverflowError: some p / scale exceeds the double range.
-    """
-    with np.errstate(all="ignore"):
-        h_tilde = _probabilities(dist) / scale
-    if not np.isfinite(h_tilde).all():
-        raise RangeOverflowError("a Hermite term H_kk / k! exceeds the double range")
-    odd = math.fsum(h_tilde[1::2])
-    even = math.fsum(h_tilde[0::2])
-
-    def term(v: float) -> float:
-        return 0.0 if v <= 0 else v * math.log(scale * v)
-
-    blocks = _blocks(h_tilde, 2).cumsum(axis=1)[:, -1].tolist()
-    lhs = -term(odd) - term(even) - math.fsum(map(term, blocks))
-    rhs = -math.fsum(map(term, h_tilde.tolist()))
-    return scale * (lhs - rhs)
-
-
 def hermite_inequality_margin(
     state: OneModeGaussianState, n_max: int | None = None
 ) -> float:
     """Margin of the m = 2 entropy inequality written over the two-index
     Hermite terms H_kk / k! (the distribution with its zero-photon weight
-    divided out).  Equals the information of the Hermite-route distribution
-    under the pair partition.
+    divided out).  P0 cancels from the margin, which is the information of
+    the Hermite-route distribution under the pair partition.
 
     Raises:
         ClassificationError: the state's distribution is not a probability.
-        RangeOverflowError: some H_kk / k! exceeds the double range (P0
-            underflows, at |mean| of a few tens).
     """
-    # P0 is complex only where the law is not a probability, which
-    # _pair_margin rejects before it divides by the scale
-    return _pair_margin(pn_hermite(state, n_max), p0(state).real)
+    return information(pn_hermite(state, n_max), PartitionScheme(2))
 
 
 def laguerre_inequality_margin(
@@ -327,8 +286,13 @@ def laguerre_inequality_margin(
 ) -> float:
     """Margin of the m = 2 entropy inequality over the Laguerre-route terms
     (block sums of D(k, s) L_s(x1) L_{k-s}(x2)); the inner sums are the
-    probabilities themselves, so the scale is one."""
-    return _pair_margin(pn_laguerre(state, n_max), 1.0)
+    probabilities themselves, so the margin is the information of the
+    Laguerre-route distribution under the pair partition.
+
+    Raises:
+        ClassificationError: the state's distribution is not a probability.
+    """
+    return information(pn_laguerre(state, n_max), PartitionScheme(2))
 
 
 # ---------------------------------------------------------------------------

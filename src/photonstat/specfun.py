@@ -424,8 +424,6 @@ def _tilted_rows(a_mag, a_ph, b_mag, b_ph, n0: int, n1: int):
         # checked on the first span, which reads every factor: a NaN row
         # would certify under no tilt
         raise RangeOverflowError(_NOT_FINITE)
-    if top_a == -np.inf or top_b == -np.inf:  # every term has a zero factor
-        return (*_zero_rows(n1 - n0, np.result_type(a_ph, b_ph)), None)
     t_a -= top_a
     t_b -= top_b
     acc = _convolve_rows(np.exp(t_a) * a_ph[:ka], np.exp(t_b) * b_ph[:kb], n0, n1)

@@ -208,7 +208,52 @@ class TestInequality:
         assert code == 0
         data = json.loads(out)
         assert data["form"] == "hermite-pair"
-        assert data["margin"] == pytest.approx(data["information"], abs=1e-10)
+        assert data["margin"] == data["information"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "gaussian", "--state", "STATE", "--form", "hermite"),
+            ("--family", "gaussian", "--state", "STATE", "--form", "laguerre"),
+            ("--family", "gaussian", "--state", "STATE", "--route", "laguerre"),
+            ("--family", "poisson", "--alpha", "1.0", "--partition", "3"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_margin_is_the_printed_information(self, capsys, tmp_path, argv):
+        path = tmp_path / "state.json"
+        path.write_text(
+            json.dumps(
+                {"sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1,
+                 "mean_q": 0.3, "mean_p": -0.2}
+            )
+        )
+        argv = [str(path) if a == "STATE" else a for a in argv]
+        for fmt in ("json", "csv"):
+            code, out, _ = run(capsys, "inequality", *argv, "--format", fmt)
+            assert code == 0
+            if fmt == "json":
+                data = json.loads(out)
+            else:
+                data = dict(zip(*(line.split(",") for line in out.splitlines())))
+            assert data["margin"] == data["information"]
+
+    def test_hermite_form_where_p0_underflows(self, capsys, tmp_path):
+        # <q> = 60: P0 underflows to 0.0, and the pair form reports the law anyway
+        path = tmp_path / "p0_underflow.json"
+        path.write_text(
+            json.dumps(
+                {"sigma_pp": 0.5 * math.exp(1), "sigma_qq": 0.5 * math.exp(-1),
+                 "sigma_pq": 0.0, "mean_q": 60.0, "mean_p": 0.0}
+            )
+        )
+        argv = ("inequality", "--family", "gaussian", "--state", str(path), "--format", "json")
+        code, out, err = run(capsys, *argv, "--form", "hermite")
+        assert (code, err) == (0, "")
+        _, block_out, _ = run(capsys, *argv, "--form", "block")
+        data, block = json.loads(out), json.loads(block_out)
+        assert data["information"] == block["information"] > 0
+        assert data["margin"] == data["information"]
 
     def test_non_probability_csv_matches_entropy_plus_form(self, capsys):
         argv = ("--family", "xyt", "--y", "5", "--tau", "4")
@@ -681,9 +726,9 @@ class TestOptionSurface:
         assert err == f"error: domain-error: {message}\n"
 
 
-def _corpus_module():
-    path = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
-    spec = importlib.util.spec_from_file_location("cli_corpus", path)
+def _tool_module(name="cli_corpus"):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -693,8 +738,23 @@ class TestCorpus:
     def test_every_invocation_parses(self, capsys):
         # a renamed or dropped flag would turn corpus lines into usage errors
         parser = cli.build_parser()
-        for line in _corpus_module().INVOCATIONS:
+        for line in _tool_module().INVOCATIONS:
             try:
                 parser.parse_args(line.split())
             except SystemExit:
                 pytest.fail(f"usage error on corpus line {line!r}: {capsys.readouterr().err}")
+
+    @pytest.mark.parametrize(
+        "old, new, summary",
+        [
+            ("n,p\n0,0.25\n", "n,p\n0,0.25\n", "0 of 2 numbers changed"),
+            ("0.5,2\n", "0.25,2\n",
+             "1 of 2 numbers changed, largest absolute 0.25, relative 0.5"),
+            ("0,-0,1\n", "0,0,1\n", "1 of 3 numbers changed, largest absolute 0, relative 0"),
+            ("nan,1\n", "nan,1\n", "0 of 2 numbers changed"),
+            ("1,2\n", "1\n", "numbers 2 -> 1, not compared"),
+        ],
+        ids=["equal", "one-moved", "sign-of-zero", "nan-both-sides", "unequal-counts"],
+    )
+    def test_corpus_diff_changes(self, old, new, summary):
+        assert _tool_module("corpus_diff").changes(old, new) == summary

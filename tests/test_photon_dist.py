@@ -1624,6 +1624,13 @@ class TestDistributionPlumbing:
             photon_dist._build_distribution(series, None)
         assert len(photon_dist._build_distribution(series, 32)) == 33
 
+    def test_value_is_zero_extended(self):
+        dist = distribution_from_values([0.75, 0.25])
+        with pytest.raises(DomainError):
+            dist.value(-1)
+        assert dist.value(1) == dist.values[1] == 0.25
+        assert dist.value(2) == 0j and dist.value(10**6) == 0j
+
     def test_classification_cases(self):
         assert (
             distribution_from_values([0.5, 0.5]).classification

@@ -167,6 +167,9 @@ INVOCATIONS = (
         "inequality --family gaussian --state STATE --form hermite --partition 3",
         "inequality --family poisson --alpha 1.0 --form laguerre",
         "dist --family gaussian --state NON_NUMERIC_STATE",
+        # both pair forms where P0 underflows to 0.0
+        "inequality --family gaussian --state P0_UNDERFLOW_STATE --form hermite",
+        "inequality --family gaussian --state P0_UNDERFLOW_STATE --form laguerre --format json",
     ]
 )
 

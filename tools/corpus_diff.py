@@ -15,6 +15,7 @@ suite.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from pathlib import Path
@@ -35,17 +36,24 @@ def numbers(text: str) -> tuple[list[float], str]:
     return values, NUMBER.sub("#", text)
 
 
+def same(x: float, y: float) -> bool:
+    """Whether x and y are one number: equal with the same sign, so that
+    0.0 and -0.0 differ (they print differently), or both NaN."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y) or x != x and y != y
+
+
 def changes(old: str, new: str) -> str:
     """How the numbers of ``new`` differ from those of ``old``."""
     (a, text_a), (b, text_b) = numbers(old), numbers(new)
     if len(a) != len(b):
         return f"numbers {len(a)} -> {len(b)}, not compared"
-    moved = [(x, y) for x, y in zip(a, b) if not (x == y or x != x and y != y)]
+    moved = [(x, y) for x, y in zip(a, b) if not same(x, y)]
     note = "" if text_a == text_b else ", text around them differs"
     if not moved:
         return f"0 of {len(a)} numbers changed{note}"
     abs_change = max(abs(y - x) for x, y in moved)
-    rel_change = max(abs(y - x) / max(abs(x), abs(y)) for x, y in moved)
+    # a zero that only flipped its sign moved by 0, relatively too
+    rel_change = max(abs(y - x) / max(abs(x), abs(y)) if x or y else 0.0 for x, y in moved)
     return (
         f"{len(moved)} of {len(a)} numbers changed, largest absolute "
         f"{abs_change:.3g}, relative {rel_change:.3g}{note}"
