@@ -18,16 +18,18 @@ a query (`uncertainty_check`), never an invariant of the type.  In the
 violation regime `p0` returns a complex diagnostic value instead of raising.
 
 All types are frozen and all functions pure, so concurrent use is
-unrestricted.  A state object keeps the generating record and the cutoff
-that the photon-number routes computed from it (in its instance dict,
-outside the dataclass fields, so ==, hash, repr and `to_dict` do not see
-them); both are functions of its fields alone.
+unrestricted.  A state object keeps the generating record that the
+photon-number routes computed from it, and the adaptive cutoff read from
+that record (in its instance dict, outside the dataclass fields, so ==,
+hash, repr and `to_dict` do not see them); both are functions of its
+fields alone.  A cutoff at an explicit N is computed on each call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeOverflowError, SingularDenominatorError
@@ -44,6 +46,14 @@ __all__ = [
 ]
 
 _STATE_FIELDS = ("sigma_pp", "sigma_qq", "sigma_pq", "mean_q", "mean_p")
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _check_squeeze(r: float) -> None:
+    """Raise RangeOverflowError where e^(2|r|), the scale of a squeezed
+    covariance, leaves the double range (|r| past about 354.89)."""
+    if 2 * abs(r) > _LOG_MAX:
+        raise RangeOverflowError(f"e^(2|r|) exceeds the double range at r = {r!r}")
 
 
 @dataclass(frozen=True)
@@ -91,12 +101,14 @@ class OneModeGaussianState:
 
     @classmethod
     def squeezed_vacuum(cls, r: float) -> "OneModeGaussianState":
+        _check_squeeze(r)
         return cls(math.exp(2 * r) / 2, math.exp(-2 * r) / 2, 0.0)
 
     @classmethod
     def squeezed_correlated(
         cls, r: float, theta: float, mean_q: float = 0.0, mean_p: float = 0.0
     ) -> "OneModeGaussianState":
+        _check_squeeze(r)
         ch, sh = math.cosh(2 * r), math.sinh(2 * r)
         return cls(
             0.5 * (ch + math.cos(theta) * sh),

@@ -27,32 +27,38 @@ convolution, keeping each row's log-magnitude far outside the double
 range.
 
 Truncation is adaptive unless an explicit ``n_max`` is given.  Every
-one-mode Gaussian series (the three routes, and the squeezed-vacuum and
-squeezed/correlated laws through their equivalent state) decays like q^n,
-with q = max(|a+|, |a-|) the larger root modulus of its generating
-function, read from the same record.  Where q < 1 the cutoff N is chosen
-once, before any term is computed, as the smallest N whose proven bound on the
-omitted mass (doubled, for headroom) is below 1e-12, capped at 4096; the
-series is evaluated once and that bound is its ``tail_bound``.  A bound at
-the cap that is not below 1 raises ``RangeOverflowError``, and so does a q
-that rounds to 1 on a state satisfying the uncertainty relation (where
-q < 1 exactly).  The other series (Poisson, f- and q-coherent, the two-mode
-law, the violation family, and violating Gaussian states with q >= 1)
-start at 32 and double until the estimated geometric tail drops below
-1e-12 or the cutoff reaches 4096.  That estimate ignores magnitudes below
-1e3 eps of the largest term, which are roundoff.  Sequences whose tail
-grows (the uncertainty-violating families are asymptotic, not convergent)
-are trimmed at their smallest term and the residual is reported in
-``tail_bound``.  A doubled series whose every term is still 0
-(underflowed) at its last N raises ``RangeOverflowError``.
+one-mode Gaussian series (the Hermite and Laguerre routes, the xyt route and
+the closed squeezed-vacuum and squeezed/correlated laws) has the generating
+function P0 prod+- (1 + a+- z)^(-1/2) exp(c+- z / (1 + a+- z)) and decays
+like q^n, with q = max(|a+|, |a-|).  Each law hands its own a+-, c+- and
+ln |P0| to one cutoff rule, :func:`_decay_cut`: the routes read them from
+the generating record, the xyt route from its covariance invariants, the
+closed laws from tanh r and their Hermite argument.  Where q < 1 the
+cutoff N is chosen once, before any term is computed, as the smallest N
+whose proven bound on the omitted mass (doubled, for headroom) is below
+1e-12, capped at 4096; the series is evaluated once and that bound is its
+``tail_bound``.  At an explicit ``n_max`` the tail is the same bound
+evaluated there, so every printed tail of a law with q < 1 is a proof.  A
+bound at the cap that is not below 1 raises ``RangeOverflowError``, and so
+does a q that rounds to 1 on a state satisfying the uncertainty relation
+(where q < 1 exactly), at any N.  The other series (Poisson, f- and
+q-coherent, the two-mode law, the violation family, and violating Gaussian
+states with q >= 1) start at 32 and double until the estimated geometric
+tail drops below 1e-12 or the cutoff reaches 4096.  That estimate ignores
+magnitudes below 1e3 eps of the largest term, which are roundoff.
+Sequences whose tail grows (the uncertainty-violating families are
+asymptotic, not convergent) are trimmed at their smallest term and the
+residual is reported in ``tail_bound``.  A series whose every term is 0
+(underflowed) at its last N, or at an explicit N, raises
+``RangeOverflowError``.
 
 A distribution's ``values`` are one read-only complex128 array from the
 series through truncation and classification to the exporters.
 
 Everything here is pure and immutable after construction, apart from the
-generating record and cutoff that a one-mode state object keeps once
-computed (``_record_and_cut``); grid sweeps over states are embarrassingly
-parallel with deterministic per-cell results.
+generating record and adaptive cutoff that a one-mode state object keeps
+once computed (``_gaussian_distribution``); grid sweeps over states are
+embarrassingly parallel with deterministic per-cell results.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, takewhile
 
 import numpy as np
@@ -82,7 +88,6 @@ from .gaussian_state import (
     XYTState,
     _generating_record,
     from_tau,
-    uncertainty_check,
 )
 from .specfun import (
     _legendre_columns,
@@ -132,6 +137,7 @@ _NOISE_FLOOR = 1e3 * sys.float_info.epsilon
 # gamma_2 = 2u / (1 - 2u), u the unit roundoff: the relative error bound of
 # the float det sigma_pp sigma_qq - sigma_pq^2 (Higham, ch. 3)
 _GAMMA_2 = sys.float_info.epsilon / (1 - sys.float_info.epsilon)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class Classification(str, enum.Enum):
@@ -146,9 +152,10 @@ class PhotonDistribution:
 
     ``values[n]`` is the (possibly complex) weight of counting n photons,
     held as a read-only complex128 array; ``truncation`` is the largest
-    retained n; ``tail_bound`` bounds the omitted mass.  Where a one-mode
-    Gaussian series with decay ratio q < 1 was sized from q (no explicit
-    ``n_max``), it is the proven bound of :func:`_decay_cut`; for every
+    retained n; ``tail_bound`` bounds the omitted mass.  For a one-mode
+    Gaussian law with decay ratio q < 1 it is the proven bound of
+    :func:`_decay_cut`, at an explicit ``n_max`` as at the adaptive N, and
+    is ``inf`` only where that bound leaves the double range; for every
     other series it is estimated from the geometric decay of the last
     retained terms, and is ``inf`` where they do not decay.
     """
@@ -348,60 +355,64 @@ def _finalize(values: np.ndarray, tail: float) -> PhotonDistribution:
 _RHO_STEPS = tuple(2.0**-k for k in range(1, 13))
 
 
-def _decay_cut(state: OneModeGaussianState, rec) -> tuple[int, float] | None:
-    """(N, tail bound) of the state's photon-number series, or None where q >= 1
-    on a state that violates the uncertainty relation.
-
-    The generating function of the distribution is
+def _decay_cut(
+    a_plus, a_minus, c_plus, c_minus, log_p0, sigma, n_max
+) -> tuple[int, float] | None:
+    """(N, tail bound) of a one-mode law from the numbers of its generating
+    function
 
         sum_n P_n z^n = P0 ((1 + a+ z)(1 + a- z))^(-1/2)
                         exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
 
-    with a+- = R12 -+ |R11| and c+- >= 0 read from the state's generating
-    record ``rec`` (:func:`gaussian_state._generating_record` of ``state``),
-    and q = max(|a+|, |a-|).  For a centered
-    state |P_n| <= |P0| q^n: the coefficients of the square-root factor are
-    at most
-    sum_k C(2k, k) C(2n-2k, n-k) q^n / 4^n = q^n.  For a displaced one
-    Cauchy's estimate on |z| = 1/rho, q < rho < 1, gives
+    with c+- >= 0 and ``log_p0`` = ln |P0|, so a P0 that underflows still
+    bounds the tail exactly; or None where q = max(|a+|, |a-|) >= 1 on a
+    covariance ``sigma`` = (sigma_pp, sigma_qq, sigma_pq) that violates the
+    uncertainty relation.  N is ``n_max`` where given, else adaptive.
+
+    Where c+ = c- = 0 (a centered law) |P_n| <= |P0| q^n: the coefficients
+    of the square-root factor are at most
+    sum_k C(2k, k) C(2n-2k, n-k) q^n / 4^n = q^n.  Otherwise Cauchy's
+    estimate on |z| = 1/rho, q < rho < 1, gives
     |P_n| <= |P0| B rho^n with B = prod (1 - |a|/rho)^(-1/2) exp(c / (rho + a)),
     the exponent's real part peaking at z = 1/rho.  Summing the bound past N
-    and doubling it gives the tail 2 |P0| B rho^(N+1) / (1 - rho), with
-    ln |P0| the real part of the record's log_p0, so a P0 that underflows
-    still bounds the tail exactly.  N is the smallest N >= 1 with
-    tail <= 1e-12 for some rho = q + (1 - q) 2^-k, k = 1..12, capped at
-    4096; the tail reported is the least over k at N.  Only the rho that
-    stay strictly between q and 1 in floating point are tried: within a
-    few ulps of 1 the others round onto q (where rho + a+ is 0) or onto 1.
+    and doubling it gives the tail 2 |P0| B rho^(N+1) / (1 - rho).  The
+    adaptive N is the smallest N >= 1 with tail <= 1e-12 for some
+    rho = q + (1 - q) 2^-k, k = 1..12, capped at 4096; the tail reported is
+    the least over k at N, and at an explicit N it is the same bound there
+    (inf past about 1e296).  It ignores the n^(-1/2) of the terms, so
+    at small N it is loose: 2.40 for the squeezed vacuum at r = 1, N = 2,
+    where 0.164 is omitted.  Only the rho that stay strictly between q and
+    1 in floating point are tried: within a few ulps of 1 the others round
+    onto q (where rho + a+ is 0) or onto 1.
 
     On a state that satisfies the uncertainty relation q < 1 holds exactly,
     so a q that rounds to 1 (a squeezed vacuum from about r = 18.5) means
-    a law spread far past the cap, not a series to double.  There the
-    state counts as valid when its slack det - 1/4 is within the rounding
-    error of the float det, gamma_2 (|sigma_pp sigma_qq| + sigma_pq^2):
-    the float det of a pure state can miss 1/4 by an ulp (0.24999999999999997
-    for the squeezed vacuum at r = 19.06 and 25).
+    a law spread far past the cap, not a series to double.  A law given
+    without ``sigma`` is of a valid state; otherwise the covariance counts
+    as valid when its slack det - 1/4 is within the rounding error of the
+    float det, gamma_2 (|sigma_pp sigma_qq| + sigma_pq^2): the float det of a
+    pure state can miss 1/4 by an ulp (0.24999999999999997 for the
+    squeezed vacuum at r = 19.06 and 25).
 
     Raises:
         RangeOverflowError: a squared displacement leaves the double range
-            (c+ + c- or ln |P0| is not finite), the tail bound at the cap
-            is not below 1, q rounds to 1 on a valid state, or no rho
-            lies strictly between q and 1 (the law lies past the cap).
+            (c+ + c- or ln |P0| is not finite), the adaptive tail bound at
+            the cap is not below 1, q rounds to 1 on a valid state, or no
+            rho lies strictly between q and 1 (the law lies past the cap).
     """
-    q = max(abs(rec.a_plus), abs(rec.a_minus))
+    q = max(abs(a_plus), abs(a_minus))
     if not q < 1:
-        det_error = _GAMMA_2 * (
-            abs(state.sigma_pp * state.sigma_qq) + state.sigma_pq * state.sigma_pq
-        )
-        if uncertainty_check(state).slack >= -det_error:
-            raise RangeOverflowError("decay ratio rounds to 1: the law lies past the cap")
-        return None
-    if not math.isfinite(rec.c_plus + rec.c_minus + rec.log_p0.real):
+        if sigma is not None:
+            pp, qq, pq = sigma
+            if pp * qq - pq * pq - 0.25 < -_GAMMA_2 * (abs(pp * qq) + pq * pq):
+                return None
+        raise RangeOverflowError("decay ratio rounds to 1: the law lies past the cap")
+    if not math.isfinite(c_plus + c_minus + log_p0):
         raise RangeOverflowError("squared displacement exceeds the double range")
-    log_2p0 = rec.log_p0.real + math.log(2 / _TAIL_TARGET)
-    if state.is_centered:
+    log_2p0 = log_p0 + math.log(2 / _TAIL_TARGET)
+    if not (c_plus or c_minus):
         if q == 0:  # the vacuum
-            return 1, 0.0
+            return (1 if n_max is None else n_max), 0.0
         rho, log_b = [q], [0.0]
     else:
         # within a few ulps of 1, q + (1 - q) f rounds to q or to 1
@@ -409,59 +420,48 @@ def _decay_cut(state: OneModeGaussianState, rec) -> tuple[int, float] | None:
         if not rho:
             raise RangeOverflowError("decay ratio rounds to 1: the law lies past the cap")
         log_b = [
-            rec.c_plus / (r + rec.a_plus) + rec.c_minus / (r + rec.a_minus)
-            - 0.5 * (math.log1p(-abs(rec.a_plus) / r) + math.log1p(-abs(rec.a_minus) / r))
+            c_plus / (r + a_plus) + c_minus / (r + a_minus)
+            - 0.5 * (math.log1p(-abs(a_plus) / r) + math.log1p(-abs(a_minus) / r))
             for r in rho
         ]
     # ln(tail / 1e-12) = front + (N + 1) ln rho for each candidate rho
     fronts = [(log_2p0 + b - math.log1p(-r), math.log(r)) for r, b in zip(rho, log_b)]
-    n = min(_ADAPTIVE_CAP, max(1, math.ceil(min(f / -lr for f, lr in fronts) - 1)))
+    n = n_max
+    if n is None:
+        n = min(_ADAPTIVE_CAP, max(1, math.ceil(min(f / -lr for f, lr in fronts) - 1)))
     log_tail = min(f + (n + 1) * lr for f, lr in fronts)
-    if log_tail >= -math.log(_TAIL_TARGET):  # a tail of 1 or more, only at the cap
-        raise RangeOverflowError(f"tail bound at the N = {n} cap is not below 1")
-    return n, _TAIL_TARGET * math.exp(log_tail)
+    if n_max is None and log_tail >= -math.log(_TAIL_TARGET):  # only at the cap
+        raise RangeOverflowError(
+            f"tail bound at the N = {n} cap is not below 1: the law lies past the cap"
+        )
+    return n, _TAIL_TARGET * math.exp(log_tail) if log_tail < _LOG_MAX else math.inf
 
 
-def _record_and_cut(state: OneModeGaussianState, n_max):
-    """The state's generating record and, where ``n_max`` is None, its
-    :func:`_decay_cut` (else None), each computed once per state object.
-
-    Both are kept in the object's instance dict, as
-    ``functools.cached_property`` keeps a value, so they are no dataclass
-    fields and ==, hash, repr and ``to_dict`` do not see them.  They are
-    kept per object, never by value: states that compare equal can differ
-    in the sign of a zero.  A computation that raises keeps nothing, so
-    the state raises again on the next call.
-    """
-    memo = vars(state)
-    rec = memo.get("_record")
-    if rec is None:
-        rec = memo["_record"] = _generating_record(state)
-    if n_max is not None:
-        return rec, None
-    if "_cut" not in memo:
-        memo["_cut"] = _decay_cut(state, rec)
-    return rec, memo["_cut"]
-
-
-def _build_distribution(series, n_max, *, cut=None) -> PhotonDistribution:
+def _build_distribution(series, n_max, cut=None) -> PhotonDistribution:
     """Run ``series(N) -> complex ndarray`` under the truncation policy.
 
-    Where ``cut`` is given (the (N, tail bound) of :func:`_decay_cut`,
-    computed by the caller only where ``n_max`` is None), the series is
-    evaluated once at N and with that tail bound.  Every other series starts at N = 32 and doubles
-    until the sampled geometric tail estimate of :func:`_tail_estimate` is
-    below 1e-12, the series is trimmed as divergent, or N reaches the 4096
-    cap; an explicit ``n_max`` is the one pass of that loop.  A series
-    whose every term is 0 (underflowed) has not converged: it doubles on,
-    and raises ``RangeOverflowError`` if still all 0 at its last N.  A
+    ``cut(n_max)``, where given, is the law's :func:`_decay_cut`: where it
+    is not None the series is evaluated once at its N (``n_max`` itself
+    where given) and with its proven tail bound.  Every other series starts
+    at N = 32 and doubles until the sampled geometric tail estimate of
+    :func:`_tail_estimate` is below 1e-12, the series is trimmed as
+    divergent, or N reaches the 4096 cap; an explicit ``n_max`` is the one
+    pass of that loop.  A series whose every term is 0 (underflowed) has
+    not converged: it doubles on, and raises ``RangeOverflowError`` if
+    still all 0 at its last N or at an explicit N.  A
     ``RangeOverflowError`` from the series propagates.
     """
     if n_max is not None and n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    if cut is not None:
-        n, tail = cut
-        return _finalize(series(n), tail)
+    found = cut(n_max) if cut else None
+    if found is not None:
+        n, tail = found
+        values = series(n)
+        # an adaptive N keeps all but its tail bound, below 1, of the mass;
+        # only an explicit N can keep none
+        if n_max is not None and not np.count_nonzero(values):
+            raise RangeOverflowError(f"every term up to N = {n} underflows to 0")
+        return _finalize(values, tail)
     n = _ADAPTIVE_START if n_max is None else n_max
     while True:
         vals, mags, trimmed = _trim_divergent(series(n))
@@ -517,9 +517,20 @@ def _laguerre_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _gaussian_distribution(state: OneModeGaussianState, ratio_fn, n_max) -> PhotonDistribution:
     """P_n = P0 (P_n / P0), with ln P0 added to the log-magnitudes of the
     ratios before the one exponentiation: P0 may underflow where the ratios
-    overflow.  The series and the cutoff read the one generating record of
-    the state object (:func:`_record_and_cut`)."""
-    rec, cut = _record_and_cut(state, n_max)
+    overflow.  The series and the cutoff read the state's generating record.
+
+    The state object keeps the record and its adaptive cutoff once
+    computed, in its instance dict, as ``functools.cached_property`` keeps
+    a value, so they are no dataclass fields and ==, hash, repr and
+    ``to_dict`` do not see them.  They are kept per object, never by value:
+    states that compare equal can differ in the sign of a zero.  A
+    computation that raises keeps nothing, so the state raises again on
+    the next call.
+    """
+    memo = vars(state)
+    rec = memo.get("_record")
+    if rec is None:
+        rec = memo["_record"] = _generating_record(state)
     p0_phase = cmath.exp(1j * rec.log_p0.imag) if rec.log_p0.imag else 1.0  # real stays real
 
     def series(n_max: int) -> np.ndarray:
@@ -527,7 +538,19 @@ def _gaussian_distribution(state: OneModeGaussianState, ratio_fn, n_max) -> Phot
         mag += rec.log_p0.real
         return log_signed_values(mag, ph * p0_phase if rec.log_p0.imag else ph)
 
-    return _build_distribution(series, n_max, cut=cut)
+    bound = partial(
+        _decay_cut, rec.a_plus, rec.a_minus, rec.c_plus, rec.c_minus, rec.log_p0.real,
+        (state.sigma_pp, state.sigma_qq, state.sigma_pq),
+    )
+
+    def cut(n_max):
+        if n_max is not None:
+            return bound(n_max)
+        if "_cut" not in memo:
+            memo["_cut"] = bound(None)
+        return memo["_cut"]
+
+    return _build_distribution(series, n_max, cut)
 
 
 def pn_hermite(
@@ -582,6 +605,8 @@ def pn_centered_xyt(
 
     Raises:
         SingularDenominatorError: 4 det + 2 Tr + 1 = 0.
+        RangeOverflowError: 4 det + 2 Tr + 1 leaves the double range, or
+            the law lies past the 4096 cap.
     """
     tr = state.x + state.y
     det = state.x * state.y - state.t * state.t
@@ -590,6 +615,8 @@ def pn_centered_xyt(
     c = 4 * det + 2 * tr + 1
     if c == 0:
         raise SingularDenominatorError("4 det + 2 Tr + 1 vanishes for this state")
+    if not math.isfinite(c):
+        raise RangeOverflowError("4 det + 2 Tr + 1 exceeds the double range")
     log_c = cmath.log(complex(c))
 
     def series(n_max: int) -> np.ndarray:
@@ -606,8 +633,13 @@ def pn_centered_xyt(
             ph = ph * np.exp(-1j * (n + 0.5) * log_c.imag)
         return log_signed_values(mag, ph)
 
-    cut = None if n_max is not None else _record_and_cut(state.to_state(), None)[1]
-    return _build_distribution(series, n_max, cut=cut)
+    # a+- = R12 -+ |R11| and P0 = 2 c^(-1/2), from these invariants alone
+    root_b = 2 * math.sqrt(abs(b))  # b < 0 only by rounding
+    cut = partial(
+        _decay_cut, (a - root_b) / c, (a + root_b) / c, 0.0, 0.0,
+        math.log(2) - 0.5 * log_c.real, (state.x, state.y, state.t),
+    )
+    return _build_distribution(series, n_max, cut)
 
 
 def pn_violation(
@@ -1038,34 +1070,29 @@ def deformed_distribution(
     def series(n_cut: int) -> np.ndarray:
         return _deformed_weights(spec, np.arange(n_cut + 1)).astype(complex)
 
-    state = None if n_max is not None else _equivalent_state(spec)
-    cut = None if state is None else _record_and_cut(state, None)[1]
-    return _build_distribution(series, n_max, cut=cut)
+    return _build_distribution(series, n_max, _closed_law_cut(spec))
 
 
-def _equivalent_state(spec: DeformationSpec) -> OneModeGaussianState | None:
-    """The one-mode Gaussian state whose photon statistics a squeezed law is.
+def _closed_law_cut(spec: DeformationSpec):
+    """The :func:`_decay_cut` of a squeezed law as a function of ``n_max``,
+    read from the law's own numbers; None for the other families and for
+    r = 0 (a Poisson law).
 
-    None for the other families and for r = 0 (a Poisson law).
-
-    Raises:
-        RangeOverflowError: tanh r rounds to 1 (r past about 18.7, which
-            covers every r whose e^(2r) leaves the double range).  The
-            law's decay ratio is q = tanh r < 1, so its mass lies past the
-            cap; the rounded state need not even satisfy the uncertainty
-            relation, so its own q would not say so.
+    With t = tanh |r| the law P_n = P0 (t/2)^n |H_n(g)|^2 / n! has
+    a+- = -+t, and by Mehler's formula (DLMF section 18.18) c+ = 2 t (Im g)^2
+    and c- = 2 t (Re g)^2; the squeezed vacuum has g = 0.  Both are laws of
+    valid states, so a t that rounds to 1 puts the law past the cap.
     """
     if spec.kind is DeformationKind.SQUEEZED_VACUUM and spec.r:
-        r = abs(spec.r)
+        t, log_p0, c_plus, c_minus = math.tanh(abs(spec.r)), -_log_cosh(spec.r), 0.0, 0.0
     elif spec.kind is DeformationKind.SQUEEZED_CORRELATED and spec.r > 0:
-        r = spec.r
+        log_p0, g = _squeezed_correlated_amplitude(spec)
+        t = math.tanh(spec.r)
+        # g * g, not g ** 2: ** raises OverflowError past 1e154
+        c_plus, c_minus = 2 * t * g.imag * g.imag, 2 * t * g.real * g.real
     else:
         return None
-    if math.tanh(r) == 1.0:
-        raise RangeOverflowError("decay ratio tanh r rounds to 1: the law lies past the cap")
-    if spec.kind is DeformationKind.SQUEEZED_VACUUM:
-        return OneModeGaussianState.squeezed_vacuum(spec.r)
-    return OneModeGaussianState.squeezed_correlated(spec.r, spec.theta, spec.mean_q, spec.mean_p)
+    return partial(_decay_cut, -t, t, c_plus, c_minus, log_p0, None)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,18 @@ class TestViolation:
         assert row[3] == "Complex"
         assert float(row[5]) == pytest.approx(23 / 57, abs=1e-12)  # |mean|
 
+    def test_singular_row(self, capsys):
+        # x = -0.5 makes 4 det + 2 Tr + 1 exactly 0: the covariance route
+        # has no law, while the tau family still reports its information
+        code, out, err = run(
+            capsys, "violation", "--y", "1", "--tau-min", "0.75", "--tau-max", "0.75",
+            "--tau-step", "0.1",
+        )
+        assert (code, err) == (0, "")
+        row = out.strip().splitlines()[1].split(",")
+        assert row[:6] == ["0.75", "-0.5", "-0.75", "Singular", "0.5", "0.5"]
+        assert all(math.isfinite(float(v)) for v in row[6:])
+
 
 class TestFigures:
     def test_parity_information_endpoints(self, capsys):
@@ -758,3 +770,24 @@ class TestCorpus:
     )
     def test_corpus_diff_changes(self, old, new, summary):
         assert _tool_module("corpus_diff").changes(old, new) == summary
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    source = '''"""Module docstring,
+on two lines."""
+
+import math  # a trailing comment keeps its line
+
+
+class A:
+    """Class docstring."""
+
+    # a comment line
+    def f(self, x):
+        """Function docstring."""
+        text = """a string that
+        spans two lines"""
+        return math.sqrt(x), text; y = 1
+'''
+    # import, class, def, the two lines of text and the return line
+    assert _tool_module("code_lines").code_lines(source) == 6

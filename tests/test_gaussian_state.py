@@ -30,6 +30,29 @@ def random_valid_states(rng, count):
     return out
 
 
+class TestSqueezedConstructors:
+    """Past |r| = 354.89, e^(2|r|) leaves the double range: squeezed_vacuum
+    raised a bare OverflowError there, and squeezed_correlated either that
+    (cosh 2r overflowing, from r = 355.25) or a DomainError on sigma_pp."""
+
+    @pytest.mark.parametrize("r", [354.9, -354.9, 355.2, 355.3, 1e4])
+    @pytest.mark.parametrize(
+        "build", [OneModeGaussianState.squeezed_vacuum,
+                  lambda r: OneModeGaussianState.squeezed_correlated(r, 0.3)],
+        ids=["vacuum", "correlated"],
+    )
+    def test_past_the_double_range_raises(self, build, r):
+        with pytest.raises(RangeOverflowError, match=r"e\^\(2\|r\|\) exceeds"):
+            build(r)
+
+    @pytest.mark.parametrize("r", [354.89, -354.89])
+    def test_edge_builds(self, r):
+        state = OneModeGaussianState.squeezed_vacuum(r)
+        assert max(state.sigma_pp, state.sigma_qq) == math.exp(2 * abs(r)) / 2
+        state = OneModeGaussianState.squeezed_correlated(r, 0.3)
+        assert math.isfinite(state.sigma_pp + state.sigma_qq + state.sigma_pq)
+
+
 class TestUncertaintyCheck:
     def test_vacuum_sits_on_the_boundary(self):
         v = uncertainty_check(OneModeGaussianState.vacuum())

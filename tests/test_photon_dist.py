@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from photonstat.errors import (
+    DivergentSeriesError,
     DomainError,
     InvalidSpecError,
     NormalizationError,
@@ -313,6 +314,15 @@ def decay_ratio(state):
     return max(abs(rec.a_plus), abs(rec.a_minus))
 
 
+def state_cut(state, n_max=None):
+    """:func:`photon_dist._decay_cut` of a state, read from its record."""
+    rec = _generating_record(state)
+    return photon_dist._decay_cut(
+        rec.a_plus, rec.a_minus, rec.c_plus, rec.c_minus, rec.log_p0.real,
+        (state.sigma_pp, state.sigma_qq, state.sigma_pq), n_max,
+    )
+
+
 class TestDecayRatioTruncation:
     """Gaussian series sized once from the decay ratio q of their
     generating function, with a proven tail bound."""
@@ -402,7 +412,7 @@ class TestDecayRatioTruncation:
             # both photon-number parities in one kernel call
             xyt = XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq)
             routes.append((pn_centered_xyt, xyt))
-        n_cut = photon_dist._decay_cut(state, photon_dist._generating_record(state))[0]
+        n_cut = state_cut(state)[0]
         for route, arg in routes:
             calls.clear()
             assert route(arg).truncation <= n_cut
@@ -437,9 +447,11 @@ class TestDecayRatioTruncation:
             )
             law = deformed_distribution(spec)
             dist = pn_hermite(OneModeGaussianState.squeezed_correlated(r, theta, mq, mp))
-            # the law's odd terms of a centered state are exact zeros, dropped
-            # from its end; the route's are roundoff
-            assert law.tail_bound == dist.tail_bound
+            # the law reads its cutoff from tanh r and g, the route from its
+            # record: one bound, rounded two ways.  The law's odd terms of a
+            # centered state are exact zeros, dropped from its end; the
+            # route's are roundoff
+            assert law.tail_bound == pytest.approx(dist.tail_bound, rel=1e-12)
             assert 0 <= dist.truncation - law.truncation <= 1
             for v, e in zip(dist.values, law.values):
                 assert abs(v - e) <= 1e-9 * abs(e) + 1e-15
@@ -450,8 +462,7 @@ class TestDecayRatioTruncation:
         assert 1e-12 < dist.tail_bound < 1e-6
 
     def test_q_above_one_keeps_doubling(self):
-        state = OneModeGaussianState(-0.75, 5.0, 0.0)
-        assert photon_dist._decay_cut(state, photon_dist._generating_record(state)) is None
+        assert state_cut(OneModeGaussianState(-0.75, 5.0, 0.0)) is None
 
     def test_q_of_one_on_a_clear_violation_keeps_doubling(self):
         # q is exactly 1, and det = 0 misses 1/4 by far more than its
@@ -459,7 +470,7 @@ class TestDecayRatioTruncation:
         state = OneModeGaussianState(0.5, 0.0, 0.0)
         rec = photon_dist._generating_record(state)
         assert max(abs(rec.a_plus), abs(rec.a_minus)) == 1.0
-        assert photon_dist._decay_cut(state, rec) is None
+        assert state_cut(state) is None
 
     @pytest.mark.parametrize("r", [18.5, 20.0, 19.06, 25.0])
     def test_q_rounding_to_one_on_a_valid_state_is_past_the_cap(self, r):
@@ -507,7 +518,7 @@ class TestDecayRatioTruncation:
             DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=r, mean_q=1.0),
         ):
             assert deformed_pn(spec, 0) > 0
-            with pytest.raises(RangeOverflowError, match="tanh r rounds to 1"):
+            with pytest.raises(RangeOverflowError, match="decay ratio rounds to 1"):
                 deformed_distribution(spec)
 
     @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
@@ -537,9 +548,9 @@ class TestOneRecordPerState:
             calls["record"] += 1
             return record(state)
 
-        def counted_cut(state, rec):
+        def counted_cut(*args):
             calls["cut"] += 1
-            return cut(state, rec)
+            return cut(*args)
 
         monkeypatch.setattr(photon_dist, "_generating_record", counted_record)
         monkeypatch.setattr(photon_dist, "_decay_cut", counted_cut)
@@ -551,17 +562,19 @@ class TestOneRecordPerState:
                  pn_laguerre(OneModeGaussianState(*self.STATE))]
         calls = self.counted(monkeypatch)
         shared = [pn_hermite(state), pn_laguerre(state), pn_hermite(state, 16)]
-        assert calls == {"record": 1, "cut": 1}
+        # the adaptive cutoff is kept; the one at an explicit N is not
+        assert calls == {"record": 1, "cut": 2}
         for a, b in zip(fresh, shared):
             assert a.values.tobytes() == b.values.tobytes()
             assert (a.truncation, a.tail_bound) == (b.truncation, b.tail_bound)
 
-    def test_explicit_n_max_runs_no_cutoff(self, monkeypatch):
-        state = OneModeGaussianState(*self.STATE)
-        calls = self.counted(monkeypatch)
-        pn_hermite(state, 16)
-        pn_laguerre(state, 16)
-        assert calls == {"record": 1, "cut": 0}
+    @pytest.mark.parametrize("state", [STATE, (1.3, 0.7, 0.25)])
+    def test_explicit_and_adaptive_calls_read_one_bound(self, state):
+        # an explicit N used to swap the proven bound for the sampled estimate
+        n_cut, tail = state_cut(OneModeGaussianState(*state))
+        for route in (pn_hermite, pn_laguerre):
+            assert route(OneModeGaussianState(*state)).tail_bound == tail
+            assert route(OneModeGaussianState(*state), n_cut).tail_bound == tail
 
     def test_equal_state_computes_its_own(self, monkeypatch):
         # equal under ==, but a zero of the other sign
@@ -731,6 +744,108 @@ class TestGeneratingFunctionReference:
         assert worst <= 1e-13 * top
 
 
+class TestOneCutoffRule:
+    """Every one-mode law with q < 1, the xyt route and the closed squeezed
+    laws included, is cut by :func:`photon_dist._decay_cut` from its own
+    generating numbers, at an explicit N as well as an adaptive one."""
+
+    LAWS = {
+        "xyt": lambda n_max: pn_centered_xyt(XYTState(1.3, 0.7, 0.25), n_max),
+        "vacuum": lambda n_max: deformed_distribution(
+            DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=1.0), n_max
+        ),
+        "correlated": lambda n_max: deformed_distribution(
+            DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=0.7, theta=0.5,
+                            mean_q=0.3, mean_p=-0.2), n_max
+        ),
+    }
+
+    @pytest.mark.parametrize("n_max", [None, 16])
+    def test_no_law_builds_a_record(self, monkeypatch, n_max):
+        # the xyt route cut itself through a second record of its state, and
+        # the closed laws through a stand-in state
+        records = []
+        build = photon_dist._generating_record
+        monkeypatch.setattr(
+            photon_dist, "_generating_record", lambda s: records.append(s) or build(s)
+        )
+        for law in self.LAWS.values():
+            law(n_max)
+        assert records == []
+
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_explicit_and_adaptive_calls_read_one_bound(self, monkeypatch, name):
+        cuts = []
+        cut = photon_dist._decay_cut
+        monkeypatch.setattr(photon_dist, "_decay_cut", lambda *a: cuts.append(cut(*a)) or cuts[-1])
+        adaptive = self.LAWS[name](None)
+        explicit = self.LAWS[name](cuts[0][0])
+        assert cuts[1] == cuts[0]
+        assert explicit.tail_bound == adaptive.tail_bound
+
+    def test_xyt_cutoff_matches_the_routes(self):
+        for state in random_states(3, 60, True)[::2] + random_states(3, 60, False)[::2]:
+            xyt = XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq)
+            try:
+                own = pn_centered_xyt(xyt)
+            except RangeOverflowError:
+                with pytest.raises(RangeOverflowError):
+                    pn_hermite(state)
+                continue
+            route = pn_hermite(state)
+            if route.tail_bound < 1e-12 or own.tail_bound < 1e-12:
+                assert abs(own.truncation - route.truncation) <= 1
+                assert own.tail_bound == pytest.approx(route.tail_bound, rel=1e-9)
+
+    def test_closed_laws_print_no_infinite_tail(self):
+        # the stand-in state's sigmas lose det to cancellation from r ~ 8: at
+        # r = 10, <q> = 1 the law came back Probability at N = 4096 with tail
+        # inf, keeping 0.0046 of its mass; elsewhere a normalization error
+        for r in np.arange(3.0, 20.01, 0.25):
+            for theta in (0.0, 1.0):
+                for mean_q in (0.0, 1.0):
+                    spec = DeformationSpec(
+                        DeformationKind.SQUEEZED_CORRELATED, r=float(r), theta=theta, mean_q=mean_q
+                    )
+                    try:
+                        dist = deformed_distribution(spec)
+                    except RangeOverflowError as exc:
+                        assert "past the cap" in str(exc)
+                        continue
+                    assert dist.tail_bound < 1
+                    assert math.fsum(dist.values.real) >= 1 - dist.tail_bound - 1e-9
+
+    @pytest.mark.parametrize("r, n_max, omitted", [(1.0, 2, 0.1640), (5.0, 100, 0.8920)])
+    @pytest.mark.parametrize("route", ["law", pn_hermite, pn_laguerre, pn_centered_xyt])
+    def test_explicit_tail_covers_the_omitted_mass(self, route, r, n_max, omitted):
+        # the sampled estimates, 0.154 and 0.207, fell short of the omitted
+        # mass: a normalization error.  The bound at N is loose (2.40 at r = 1)
+        state = OneModeGaussianState.squeezed_vacuum(r)
+        if route == "law":
+            dist = deformed_distribution(DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=r), n_max)
+        elif route is pn_centered_xyt:
+            dist = route(XYTState(state.sigma_pp, state.sigma_qq), n_max)
+        else:
+            dist = route(state, n_max)
+        missing = 1 - math.fsum(dist.values.real)
+        assert missing == pytest.approx(omitted, abs=1e-4)
+        assert dist.tail_bound >= missing
+        assert dist.classification is Classification.PROBABILITY
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    def test_explicit_n_keeping_no_mass_raises(self, route):
+        # P0 underflows, and every term up to N = 16 with it; the bound at
+        # N is inf, which would pass an all-zero table as a probability
+        state = OneModeGaussianState.squeezed_correlated(0.5, 0.0, 60.0, 0.0)
+        with pytest.raises(RangeOverflowError, match="every term up to N = 16 underflows to 0"):
+            route(state, 16)
+
+    @pytest.mark.parametrize("n_max", [None, 16])
+    def test_xyt_covariance_past_the_double_range_raises(self, n_max):
+        with pytest.raises(RangeOverflowError, match="4 det"):
+            pn_centered_xyt(XYTState(1e155, 1e155), n_max)
+
+
 class TestLargeDisplacement:
     """At |mean| of a few tens P0 underflows to 0.0 while the Hermite factors
     of the law overflow.  The law, both routes and the cutoff keep P0 as its
@@ -805,7 +920,7 @@ class TestLargeDisplacement:
         # rounds to 1, so the law lies past the cap before any term is formed
         spec = DeformationSpec(kind, r=800.0, mean_q=1.0)
         assert deformed_pn(spec, 0) == 0.0
-        with pytest.raises(RangeOverflowError, match="tanh r rounds to 1"):
+        with pytest.raises(RangeOverflowError, match="decay ratio rounds to 1"):
             deformed_distribution(spec)
 
 
@@ -847,10 +962,10 @@ class TestAllZeroSeries:
     )
     @pytest.mark.parametrize("n_max", [None, 64])
     def test_raises(self, spec, n_max):
-        # without n_max the squeezed law stops before its series: tanh r
-        # rounds to 1, so it lies past the cap
-        past_cap = n_max is None and spec.kind is DeformationKind.SQUEEZED_VACUUM
-        message = "tanh r rounds to 1" if past_cap else "underflows to 0"
+        # the squeezed law stops before its series, at any N: tanh r, its
+        # decay ratio, rounds to 1, so it lies past the cap
+        past_cap = spec.kind is DeformationKind.SQUEEZED_VACUUM
+        message = "decay ratio rounds to 1" if past_cap else "underflows to 0"
         with pytest.raises(RangeOverflowError, match=message):
             deformed_distribution(spec, n_max)
 
@@ -1742,3 +1857,56 @@ class TestValuesFormat:
         assert weights.flags.writeable
         weights[0] = 0.0
         assert dist.values[0] == 0.75
+
+
+_SQ20 = OneModeGaussianState.squeezed_vacuum(20.0)  # its cutoff raises
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DeformationSpec(DeformationKind.POISSON, alpha_mag2=-1.0),
+         InvalidSpecError, "alpha_mag2 must be nonnegative"),
+        (lambda: DeformationSpec(DeformationKind.F_COHERENT, f_convention="double"),
+         InvalidSpecError, "unknown f_convention"),
+        (lambda: TwoModeJointDistribution(np.zeros(3), (2, 0), 0.0), DomainError, "2-d"),
+        (lambda: TwoModeJointDistribution(np.array([[0.5, -0.1]]), (0, 1), 0.0),
+         DomainError, "nonnegative"),
+        (lambda: TwoModeJointDistribution(np.array([[0.7, 0.4]]), (0, 1), 0.0),
+         NormalizationError, "exceeds one"),
+        (lambda: deformed_pn(DeformationSpec(DeformationKind.POISSON, alpha_mag2=1.0), -1),
+         DomainError, "nonnegative"),
+        (lambda: deformed_distribution(
+            DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=-0.5, mean_q=1.0)),
+         InvalidSpecError, "r must be nonnegative"),
+        (lambda: deformed_pn(DeformationSpec(
+            DeformationKind.F_COHERENT, alpha_mag2=0.8, f_values=(1.0, 0.0, 2.0)), 0),
+         InvalidSpecError, r"f\(1\) is zero"),
+        (lambda: deformed_pn(
+            DeformationSpec(DeformationKind.Q_COHERENT, alpha_mag2=1e5, lam=1e-9), 0),
+         DivergentSeriesError, "term-ratio test"),
+        (lambda: two_mode_joint(LegendreParams(1.0, 0.5, 0.5, 0.3), -1, 0),
+         DomainError, "nonnegative"),
+        (lambda: pn_violation(0.45, 1.0), SingularDenominatorError, "4 tau vanishes"),
+        (lambda: specfun.hermite_2d(-1, None, 0j, 0j), DomainError, "nonnegative"),
+        (lambda: specfun.laguerre_half_sequence(0.5, -1), DomainError, "nonnegative"),
+        (lambda: specfun.gauss_2f1_terminating(-1, 0.5, 1.5, 0.3), DomainError, "nonnegative"),
+        (lambda: OneModeGaussianState.thermal(-1.0), DomainError, "nonnegative"),
+        (lambda: XYTState(math.nan, 0.5), DomainError, "x must be finite"),
+        # n_max is checked before the cutoff, which raises on these states
+        (lambda: pn_hermite(_SQ20, -1), DomainError, "n_max must be nonnegative"),
+        (lambda: pn_laguerre(_SQ20, -1), DomainError, "n_max must be nonnegative"),
+        (lambda: pn_centered_xyt(XYTState(_SQ20.sigma_pp, _SQ20.sigma_qq), -1),
+         DomainError, "n_max must be nonnegative"),
+    ],
+    ids=[
+        "negative-alpha", "unknown-convention", "joint-1d", "joint-negative", "joint-mass",
+        "deformed-negative-n", "correlated-negative-r", "f-profile-zero", "q-coherent-divergent",
+        "joint-negative-index", "violation-singular", "hermite-negative-degree",
+        "laguerre-negative-degree", "2f1-negative-order", "thermal-negative", "xyt-nan",
+        "hermite-negative-n-max", "laguerre-negative-n-max", "xyt-negative-n-max",
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

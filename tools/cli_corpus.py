@@ -170,6 +170,16 @@ INVOCATIONS = (
         # both pair forms where P0 underflows to 0.0
         "inequality --family gaussian --state P0_UNDERFLOW_STATE --form hermite",
         "inequality --family gaussian --state P0_UNDERFLOW_STATE --form laguerre --format json",
+        # explicit N on the squeezed vacuum: the kept terms miss 0.892 and
+        # 0.164 of the mass, which the tail at that N must cover
+        "dist --family squeezed-vacuum --r 5 --n-max 100",
+        "dist --family squeezed-vacuum --r 1 --n-max 2",
+        # a closed law whose equivalent covariance loses det to cancellation
+        "dist --family squeezed-correlated --r 10 --mean-q 1",
+        # x = -0.5 makes 4 det + 2 Tr + 1 exactly 0: a Singular sweep row
+        "violation --y 1 --tau-min 0.75 --tau-max 0.75 --tau-step 0.1",
+        # the conventional n! weight of the f-coherent series
+        "dist --family f-coherent --alpha 0.8 --f-convention factorial",
     ]
 )
 
