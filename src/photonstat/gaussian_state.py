@@ -5,13 +5,13 @@ quadrature covariance matrix
              [sigma_pq, sigma_qq]]
 
 and the means <q>, <p>.  The module derives the generating record that
-the photon-number routes read (the R-matrix, the transformed displacement w,
-the roots and exponents of the generating function and ln P0, computed
-once by `_generating_record`), the public R-matrix with its Hermite
-arguments y, the no-photon probability P0, and the quadrature-uncertainty
-verdict
+the photon-number routes read (the R-matrix, the transformed displacement w
+and the state's generating-law value `_Law`: the roots and exponents of
+the generating function, ln P0 and the covariance, computed once by
+`_generating_record`), the public R-matrix with its Hermite arguments y,
+the no-photon probability P0, and the quadrature-uncertainty verdict
 
-    det Sigma = sigma_pp sigma_qq - sigma_pq^2 >= 1/4.
+    det Sigma = sigma_pp sigma_qq - sigma_pq^2 >= 1/4,  Sigma > 0.
 
 States violating the inequality are deliberately representable: validity is
 a query (`uncertainty_check`), never an invariant of the type.  In the
@@ -20,7 +20,7 @@ violation regime `p0` returns a complex diagnostic value instead of raising.
 All types are frozen and all functions pure, so concurrent use is
 unrestricted.  A state object keeps the generating record that the
 photon-number routes computed from it, and the adaptive cutoff read from
-that record (in its instance dict, outside the dataclass fields, so ==,
+that record's law (in its instance dict, outside the dataclass fields, so ==,
 hash, repr and `to_dict` do not see them); both are functions of its
 fields alone.  A cutoff at an explicit N is computed on each call.
 """
@@ -185,10 +185,39 @@ class UncertaintyVerdict:
 
 
 def uncertainty_check(state: OneModeGaussianState) -> UncertaintyVerdict:
-    """Evaluate the quadrature uncertainty relation det Sigma >= 1/4."""
+    """Evaluate the quadrature uncertainty relation det Sigma >= 1/4.
+
+    ``valid`` also requires Sigma > 0, which given det >= 1/4 means
+    sigma_pp > 0: a negative-definite covariance such as (-1, -1, 0) clears
+    det >= 1/4 but describes no state and has no photon-number law.
+    """
     d = state.det
     slack = d - 0.25
-    return UncertaintyVerdict(det_sigma=d, slack=slack, valid=slack >= 0)
+    return UncertaintyVerdict(det_sigma=d, slack=slack, valid=slack >= 0 and state.sigma_pp > 0)
+
+
+@dataclass(frozen=True)
+class _Law:
+    """The numbers of a one-mode generating function
+
+        sum_n P_n z^n = P0 ((1 + a+ z)(1 + a- z))^(-1/2)
+                        exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
+
+    with c+- >= 0 and ``log_p0`` = ln P0 (complex where P0 is; its real
+    part stays exact where P0 underflows).  ``sigma`` is the covariance
+    (sigma_pp, sigma_qq, sigma_pq) of a law that may violate the
+    uncertainty relation, None for a law of a valid state.  Each law
+    builds its own value from its own numbers: the generating record, the
+    xyt route's covariance invariants, the closed squeezed laws' tanh r and
+    Hermite argument.
+    """
+
+    a_plus: float
+    a_minus: float
+    c_plus: float
+    c_minus: float
+    log_p0: complex
+    sigma: tuple[float, float, float] | None
 
 
 @dataclass(frozen=True)
@@ -203,16 +232,14 @@ class _GeneratingRecord:
 
     w is sqrt(2) (R11 y1 + R12 y2) for the y1, y2 = conj(y1) of
     :func:`r_matrix`; the denominator of y, Tr - 2 det - 1/2 = -D a+ a-,
-    cancels, so w is finite wherever D != 0.  The generating function of
-    the photon-number distribution is
-
-        sum_n P_n z^n = P0 ((1 + a+ z)(1 + a- z))^(-1/2)
-                        exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
+    cancels, so w is finite wherever D != 0.  ``law`` is the state's
+    :class:`_Law`, with
 
         a+- = R12 -+ |R11|,  c+ = (Im v)^2 / 2,  c- = (Re v)^2 / 2,
         v = w exp(-i arg(R11) / 2),
 
-    and its constant term is P0 = exp(log_p0), on the principal branch
+    the state's covariance as ``sigma``, and P0 = exp(log_p0) on the
+    principal branch
 
         log_p0 = E - log(D / 2) / 2,
         E = (-<p>^2 (sigma_qq + 1/2) - <q>^2 (sigma_pp + 1/2)
@@ -226,17 +253,13 @@ class _GeneratingRecord:
     r22: complex
     r12: float
     w: complex
-    a_plus: float
-    a_minus: float
-    c_plus: float
-    c_minus: float
-    log_p0: complex
+    law: _Law
 
 
 def _generating_record(state: OneModeGaussianState) -> _GeneratingRecord:
-    """The :class:`_GeneratingRecord` of a state.  c+- are inf, and log_p0
-    is -inf or NaN, where the squared displacement leaves the double range
-    (means past about 1e154).
+    """The :class:`_GeneratingRecord` of a state.  Its law's c+- are inf,
+    and log_p0 is -inf or NaN, where the squared displacement leaves the
+    double range (means past about 1e154).
 
     Raises:
         SingularDenominatorError: D = Tr + 2 det + 1/2 vanishes.
@@ -259,10 +282,11 @@ def _generating_record(state: OneModeGaussianState) -> _GeneratingRecord:
         -p * p * (state.sigma_qq + 0.5) - q * q * (state.sigma_pp + 0.5)
         + 2 * state.sigma_pq * q * p
     ) / den
-    return _GeneratingRecord(
-        r11, r11.conjugate(), r12, w, r12 - m, r12 + m, v.imag * v.imag / 2, v.real * v.real / 2,
-        expo - 0.5 * cmath.log(den / 2),
+    law = _Law(
+        r12 - m, r12 + m, v.imag * v.imag / 2, v.real * v.real / 2,
+        expo - 0.5 * cmath.log(den / 2), (state.sigma_pp, state.sigma_qq, state.sigma_pq),
     )
+    return _GeneratingRecord(r11, r11.conjugate(), r12, w, law)
 
 
 def r_matrix(state: OneModeGaussianState) -> RMatrix:
@@ -318,7 +342,7 @@ def p0(state: OneModeGaussianState) -> float | complex:
         SingularDenominatorError: D vanishes.
         RangeOverflowError: D leaves the double range.
     """
-    log_p0 = _generating_record(state).log_p0
+    log_p0 = _generating_record(state).law.log_p0
     return cmath.exp(log_p0) if log_p0.imag else math.exp(log_p0.real)
 
 

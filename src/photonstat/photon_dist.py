@@ -7,8 +7,9 @@ centered-covariance sum); on valid states they agree termwise, which is the
 central cross-check of this package.  The Hermite and Laguerre routes
 read a state through one generating record
 (``gaussian_state._generating_record``: R, the transformed displacement w,
-the roots a+- and exponents c+- of the generating function, and ln P0),
-never through the Hermite arguments y of ``r_matrix``, so both are finite
+and the state's generating-law value, which holds the roots a+- and
+exponents c+- of the generating function, ln P0 and the covariance), never
+through the Hermite arguments y of ``r_matrix``, so both are finite
 wherever D = Tr + 2 det + 1/2 != 0.  For covariances violating the
 quadrature uncertainty relation the same formulas return negative or complex
 values, and every distribution carries a classification verdict:
@@ -17,6 +18,10 @@ values, and every distribution carries a classification verdict:
   within the truncation tail bound.
 * ``SIGNED_REAL``: real but with at least one entry below -1e-12.
 * ``COMPLEX``: at least one entry whose imaginary part reaches 1e-12.
+
+Where the tail bound is proven a SignedReal or Complex table must sum to
+one within it too; a table that does not is not the law's values, and
+raises ``NormalizationError``.
 
 The two 1e-12 tolerances are fixed, so no caller can move a verdict.
 
@@ -30,18 +35,22 @@ Truncation is adaptive unless an explicit ``n_max`` is given.  Every
 one-mode Gaussian series (the Hermite and Laguerre routes, the xyt route and
 the closed squeezed-vacuum and squeezed/correlated laws) has the generating
 function P0 prod+- (1 + a+- z)^(-1/2) exp(c+- z / (1 + a+- z)) and decays
-like q^n, with q = max(|a+|, |a-|).  Each law hands its own a+-, c+- and
-ln |P0| to one cutoff rule, :func:`_decay_cut`: the routes read them from
-the generating record, the xyt route from its covariance invariants, the
-closed laws from tanh r and their Hermite argument.  Where q < 1 the
-cutoff N is chosen once, before any term is computed, as the smallest N
-whose proven bound on the omitted mass (doubled, for headroom) is below
-1e-12, capped at 4096; the series is evaluated once and that bound is its
-``tail_bound``.  At an explicit ``n_max`` the tail is the same bound
-evaluated there, so every printed tail of a law with q < 1 is a proof.  A
-bound at the cap that is not below 1 raises ``RangeOverflowError``, and so
-does a q that rounds to 1 on a state satisfying the uncertainty relation
-(where q < 1 exactly), at any N.  The other series (Poisson, f- and
+like q^n, with q = max(|a+|, |a-|).  Each law builds one generating-law
+value (``gaussian_state._Law``: a+-, c+-, ln P0 and, where the law may
+violate the uncertainty relation, its covariance) from its own numbers,
+and one cutoff rule, :func:`_decay_cut`, reads it: the routes take the
+value from the generating record, the xyt route builds it from its
+covariance invariants, the closed laws from tanh r and their Hermite
+argument.  Where q < 1 the cutoff N is chosen once, before any term is
+computed, as the smallest N whose proven bound on the omitted mass
+(doubled, for headroom) is below 1e-12, capped at 4096; the series is
+evaluated once and that bound is its ``tail_bound``.  At an explicit
+``n_max`` the tail is the same bound evaluated there, so every printed
+tail of a law with q < 1 is a proof.  A bound at the cap that is not below
+1 raises ``RangeOverflowError``, and so does a q that rounds to 1 on a
+state satisfying the uncertainty relation (where q < 1 exactly), at any
+N; a negative-definite covariance with det >= 1/4 has q > 1 and no law,
+and raises ``DivergentSeriesError``.  The other series (Poisson, f- and
 q-coherent, the two-mode law, the violation family, and violating Gaussian
 states with q >= 1) start at 32 and double until the estimated geometric
 tail drops below 1e-12 or the cutoff reaches 4096.  That estimate ignores
@@ -69,7 +78,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, takewhile
 
 import numpy as np
@@ -87,6 +96,7 @@ from .gaussian_state import (
     OneModeGaussianState,
     XYTState,
     _generating_record,
+    _Law,
     from_tau,
 )
 from .specfun import (
@@ -323,23 +333,38 @@ def _trim_divergent(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     return values[: i_min + 1], mags[: i_min + 1], True
 
 
-def _classify(values: np.ndarray, tail_bound: float) -> Classification:
-    imag = values.imag
+def _classify(values: np.ndarray, tail_bound: float, proven: bool = False) -> Classification:
+    """The verdict of a table; a nonnegative one must sum to within
+    [1 - tail - 1e-9, 1 + 1e-9].  A ``proven`` tail bound is a proof, so
+    a SignedReal or Complex table must sum to 1 within it too: it raises
+    where |fsum(Re P) - 1| exceeds tail + 1e-9 by more than the rounding
+    of the values' sum, (N + 1) eps sum |Re P_n|.
+    """
+    imag, real = values.imag, values.real
     if np.count_nonzero(imag) and np.count_nonzero(np.abs(imag) >= _TOL_IMAG):
-        return Classification.COMPLEX
-    real = values.real
-    if np.count_nonzero(real < -_TOL_NEG):
-        return Classification.SIGNED_REAL
-    total = math.fsum(real.tolist())
-    if 1 - tail_bound - _NORM_SLOP <= total <= 1 + _NORM_SLOP:
-        return Classification.PROBABILITY
-    raise NormalizationError(
-        f"nonnegative weight sequence sums to {total:.12g} against tail bound "
-        f"{tail_bound:.3g}: the formal series fits no classification"
-    )
+        verdict = Classification.COMPLEX
+    elif np.count_nonzero(real < -_TOL_NEG):
+        verdict = Classification.SIGNED_REAL
+    else:
+        total = math.fsum(real.tolist())
+        if 1 - tail_bound - _NORM_SLOP <= total <= 1 + _NORM_SLOP:
+            return Classification.PROBABILITY
+        raise NormalizationError(
+            f"nonnegative weight sequence sums to {total:.12g} against tail bound "
+            f"{tail_bound:.3g}: the formal series fits no classification"
+        )
+    if proven:
+        total = math.fsum(real.tolist())
+        excess = abs(total - 1) - tail_bound - _NORM_SLOP
+        if excess > 0 and excess > len(values) * sys.float_info.epsilon * np.abs(real).sum():
+            raise NormalizationError(
+                f"{verdict.value} sequence sums to {total:.12g} against proven tail bound "
+                f"{tail_bound:.3g}: the values are not the law's"
+            )
+    return verdict
 
 
-def _finalize(values: np.ndarray, tail: float) -> PhotonDistribution:
+def _finalize(values: np.ndarray, tail: float, proven: bool = False) -> PhotonDistribution:
     if len(values) > 1 and not values[-1]:  # trailing zeros are dropped, values[0] kept
         nonzero = values[1:].nonzero()[0]
         values = values[: nonzero[-1] + 2 if nonzero.size else 1]
@@ -347,7 +372,7 @@ def _finalize(values: np.ndarray, tail: float) -> PhotonDistribution:
         values=values,
         truncation=len(values) - 1,
         tail_bound=tail,
-        classification=_classify(values, tail),
+        classification=_classify(values, tail, proven),
     )
 
 
@@ -355,19 +380,12 @@ def _finalize(values: np.ndarray, tail: float) -> PhotonDistribution:
 _RHO_STEPS = tuple(2.0**-k for k in range(1, 13))
 
 
-def _decay_cut(
-    a_plus, a_minus, c_plus, c_minus, log_p0, sigma, n_max
-) -> tuple[int, float] | None:
-    """(N, tail bound) of a one-mode law from the numbers of its generating
-    function
-
-        sum_n P_n z^n = P0 ((1 + a+ z)(1 + a- z))^(-1/2)
-                        exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
-
-    with c+- >= 0 and ``log_p0`` = ln |P0|, so a P0 that underflows still
-    bounds the tail exactly; or None where q = max(|a+|, |a-|) >= 1 on a
-    covariance ``sigma`` = (sigma_pp, sigma_qq, sigma_pq) that violates the
-    uncertainty relation.  N is ``n_max`` where given, else adaptive.
+def _decay_cut(law: _Law, n_max) -> tuple[int, float] | None:
+    """(N, tail bound) of a one-mode law from its generating-law value
+    (:class:`gaussian_state._Law`: a+-, c+- and ln P0, of whose real part
+    a P0 that underflows still bounds the tail exactly); or None where
+    q = max(|a+|, |a-|) >= 1 on a covariance ``law.sigma`` that violates
+    the uncertainty relation.  N is ``n_max`` where given, else adaptive.
 
     Where c+ = c- = 0 (a centered law) |P_n| <= |P0| q^n: the coefficients
     of the square-root factor are at most
@@ -387,29 +405,37 @@ def _decay_cut(
 
     On a state that satisfies the uncertainty relation q < 1 holds exactly,
     so a q that rounds to 1 (a squeezed vacuum from about r = 18.5) means
-    a law spread far past the cap, not a series to double.  A law given
-    without ``sigma`` is of a valid state; otherwise the covariance counts
-    as valid when its slack det - 1/4 is within the rounding error of the
+    a law spread far past the cap, not a series to double.  A law without
+    ``sigma`` is of a valid state; otherwise the covariance counts as
+    valid when its slack det - 1/4 is within the rounding error of the
     float det, gamma_2 (|sigma_pp sigma_qq| + sigma_pq^2): the float det of a
     pure state can miss 1/4 by an ulp (0.24999999999999997 for the
-    squeezed vacuum at r = 19.06 and 25).
+    squeezed vacuum at r = 19.06 and 25).  A covariance with det >= 1/4 and
+    sigma_pp < 0 is negative definite: its q exceeds 1 and no law exists.
 
     Raises:
+        DomainError: ``n_max`` is negative.
+        DivergentSeriesError: q >= 1 on a negative-definite covariance.
         RangeOverflowError: a squared displacement leaves the double range
             (c+ + c- or ln |P0| is not finite), the adaptive tail bound at
             the cap is not below 1, q rounds to 1 on a valid state, or no
             rho lies strictly between q and 1 (the law lies past the cap).
     """
+    if n_max is not None and n_max < 0:
+        raise DomainError("n_max must be nonnegative")
+    a_plus, a_minus, c_plus, c_minus = law.a_plus, law.a_minus, law.c_plus, law.c_minus
     q = max(abs(a_plus), abs(a_minus))
     if not q < 1:
-        if sigma is not None:
-            pp, qq, pq = sigma
+        if law.sigma is not None:
+            pp, qq, pq = law.sigma
             if pp * qq - pq * pq - 0.25 < -_GAMMA_2 * (abs(pp * qq) + pq * pq):
                 return None
+            if pp < 0:
+                raise DivergentSeriesError("negative-definite covariance: no law exists")
         raise RangeOverflowError("decay ratio rounds to 1: the law lies past the cap")
-    if not math.isfinite(c_plus + c_minus + log_p0):
+    if not math.isfinite(c_plus + c_minus + law.log_p0.real):
         raise RangeOverflowError("squared displacement exceeds the double range")
-    log_2p0 = log_p0 + math.log(2 / _TAIL_TARGET)
+    log_2p0 = law.log_p0.real + math.log(2 / _TAIL_TARGET)
     if not (c_plus or c_minus):
         if q == 0:  # the vacuum
             return (1 if n_max is None else n_max), 0.0
@@ -440,28 +466,27 @@ def _decay_cut(
 def _build_distribution(series, n_max, cut=None) -> PhotonDistribution:
     """Run ``series(N) -> complex ndarray`` under the truncation policy.
 
-    ``cut(n_max)``, where given, is the law's :func:`_decay_cut`: where it
-    is not None the series is evaluated once at its N (``n_max`` itself
-    where given) and with its proven tail bound.  Every other series starts
-    at N = 32 and doubles until the sampled geometric tail estimate of
-    :func:`_tail_estimate` is below 1e-12, the series is trimmed as
-    divergent, or N reaches the 4096 cap; an explicit ``n_max`` is the one
-    pass of that loop.  A series whose every term is 0 (underflowed) has
+    ``cut``, where not None, is the law's (N, tail) from :func:`_decay_cut`
+    at ``n_max``: the series is evaluated once at that N and with its
+    proven tail bound, which also checks the table's mass.  Every other
+    series starts at N = 32 and doubles until the sampled geometric tail
+    estimate of :func:`_tail_estimate` is below 1e-12, the series is
+    trimmed as divergent, or N reaches the 4096 cap; an explicit ``n_max``
+    is the one pass of that loop.  A series whose every term is 0 (underflowed) has
     not converged: it doubles on, and raises ``RangeOverflowError`` if
     still all 0 at its last N or at an explicit N.  A
     ``RangeOverflowError`` from the series propagates.
     """
     if n_max is not None and n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    found = cut(n_max) if cut else None
-    if found is not None:
-        n, tail = found
+    if cut is not None:
+        n, tail = cut
         values = series(n)
         # an adaptive N keeps all but its tail bound, below 1, of the mass;
         # only an explicit N can keep none
         if n_max is not None and not np.count_nonzero(values):
             raise RangeOverflowError(f"every term up to N = {n} underflows to 0")
-        return _finalize(values, tail)
+        return _finalize(values, tail, True)
     n = _ADAPTIVE_START if n_max is None else n_max
     while True:
         vals, mags, trimmed = _trim_divergent(series(n))
@@ -508,8 +533,8 @@ def _laguerre_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     each a :func:`laguerre_half_sequence` at x = -c, scale = -a.
     """
     return log_cauchy_rows(
-        *laguerre_half_sequence(-rec.c_plus, n_max, -rec.a_plus),
-        *laguerre_half_sequence(-rec.c_minus, n_max, -rec.a_minus),
+        *laguerre_half_sequence(-rec.law.c_plus, n_max, -rec.law.a_plus),
+        *laguerre_half_sequence(-rec.law.c_minus, n_max, -rec.law.a_minus),
         n_max + 1,
     )
 
@@ -517,7 +542,8 @@ def _laguerre_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _gaussian_distribution(state: OneModeGaussianState, ratio_fn, n_max) -> PhotonDistribution:
     """P_n = P0 (P_n / P0), with ln P0 added to the log-magnitudes of the
     ratios before the one exponentiation: P0 may underflow where the ratios
-    overflow.  The series and the cutoff read the state's generating record.
+    overflow.  The series and the cutoff read the state's generating record
+    and its law.
 
     The state object keeps the record and its adaptive cutoff once
     computed, in its instance dict, as ``functools.cached_property`` keeps
@@ -531,26 +557,19 @@ def _gaussian_distribution(state: OneModeGaussianState, ratio_fn, n_max) -> Phot
     rec = memo.get("_record")
     if rec is None:
         rec = memo["_record"] = _generating_record(state)
-    p0_phase = cmath.exp(1j * rec.log_p0.imag) if rec.log_p0.imag else 1.0  # real stays real
+    log_p0 = rec.law.log_p0
 
     def series(n_max: int) -> np.ndarray:
         mag, ph = ratio_fn(rec, n_max)
-        mag += rec.log_p0.real
-        return log_signed_values(mag, ph * p0_phase if rec.log_p0.imag else ph)
+        mag += log_p0.real
+        # a real P0 keeps a real law real
+        return log_signed_values(mag, ph * cmath.exp(1j * log_p0.imag) if log_p0.imag else ph)
 
-    bound = partial(
-        _decay_cut, rec.a_plus, rec.a_minus, rec.c_plus, rec.c_minus, rec.log_p0.real,
-        (state.sigma_pp, state.sigma_qq, state.sigma_pq),
-    )
-
-    def cut(n_max):
-        if n_max is not None:
-            return bound(n_max)
-        if "_cut" not in memo:
-            memo["_cut"] = bound(None)
-        return memo["_cut"]
-
-    return _build_distribution(series, n_max, cut)
+    if n_max is not None:
+        return _build_distribution(series, n_max, _decay_cut(rec.law, n_max))
+    if "_cut" not in memo:
+        memo["_cut"] = _decay_cut(rec.law, None)
+    return _build_distribution(series, None, memo["_cut"])
 
 
 def pn_hermite(
@@ -635,11 +654,9 @@ def pn_centered_xyt(
 
     # a+- = R12 -+ |R11| and P0 = 2 c^(-1/2), from these invariants alone
     root_b = 2 * math.sqrt(abs(b))  # b < 0 only by rounding
-    cut = partial(
-        _decay_cut, (a - root_b) / c, (a + root_b) / c, 0.0, 0.0,
-        math.log(2) - 0.5 * log_c.real, (state.x, state.y, state.t),
-    )
-    return _build_distribution(series, n_max, cut)
+    law = _Law((a - root_b) / c, (a + root_b) / c, 0.0, 0.0, math.log(2) - 0.5 * log_c.real,
+               (state.x, state.y, state.t))
+    return _build_distribution(series, n_max, _decay_cut(law, n_max))
 
 
 def pn_violation(
@@ -967,16 +984,27 @@ def _deformed_log_weights(spec: DeformationSpec) -> tuple[float, tuple[float, ..
     return -log_norm, tuple(logs)
 
 
+def _unsqueezed(r: float) -> bool:
+    """Whether the squeezed/correlated law at modulus r is read as the
+    coherent (r = 0) law: r <= 0, or 1 / tanh r overflows (r below about
+    5.6e-309), where the Hermite argument g is not finite and the law
+    differs from the coherent one by O(r)."""
+    t = math.tanh(r)
+    return not (t > 0 and 1 / t < math.inf)
+
+
 def _squeezed_correlated_amplitude(spec: DeformationSpec) -> tuple[float, complex]:
     """(ln P0, Hermite argument g) of the squeezed/correlated family; at
     large displacement P0 underflows while the Hermite factors overflow."""
     r, th = spec.r, spec.theta
     q, p = spec.mean_q, spec.mean_p
     tanh_r = math.tanh(r)
+    # z / 2 before the product: e^(i th) / tanh r nears the double range
+    # where 1 / tanh r barely stays finite
     g = (
         cmath.exp(-1j * th / 2)
         * math.sqrt(tanh_r)
-        * (complex(q, -p) / 2 + cmath.exp(1j * th) / tanh_r * complex(q, p) / 2)
+        * (complex(q, -p) / 2 + cmath.exp(1j * th) / tanh_r * (complex(q, p) / 2))
     )
     log_p0 = (
         -_log_cosh(r)
@@ -1019,7 +1047,7 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
     if kind is DeformationKind.SQUEEZED_CORRELATED:
         if spec.r < 0:
             raise InvalidSpecError("squeeze modulus r must be nonnegative")
-        if spec.r == 0:
+        if _unsqueezed(spec.r):
             # unsqueezed limit: coherent statistics at |alpha|^2 = (q^2+p^2)/2
             x_bar = (spec.mean_q * spec.mean_q + spec.mean_p * spec.mean_p) / 2
             if not math.isfinite(x_bar):
@@ -1070,13 +1098,15 @@ def deformed_distribution(
     def series(n_cut: int) -> np.ndarray:
         return _deformed_weights(spec, np.arange(n_cut + 1)).astype(complex)
 
-    return _build_distribution(series, n_max, _closed_law_cut(spec))
+    law = _closed_law(spec)
+    return _build_distribution(series, n_max, law and _decay_cut(law, n_max))
 
 
-def _closed_law_cut(spec: DeformationSpec):
-    """The :func:`_decay_cut` of a squeezed law as a function of ``n_max``,
-    read from the law's own numbers; None for the other families and for
-    r = 0 (a Poisson law).
+def _closed_law(spec: DeformationSpec) -> _Law | None:
+    """The :class:`gaussian_state._Law` of a squeezed law, read from the
+    law's own numbers; None for the other families, the squeezed vacuum
+    at r = 0 and a squeezed/correlated law that :func:`_unsqueezed` reads
+    as a Poisson law.
 
     With t = tanh |r| the law P_n = P0 (t/2)^n |H_n(g)|^2 / n! has
     a+- = -+t, and by Mehler's formula (DLMF section 18.18) c+ = 2 t (Im g)^2
@@ -1085,14 +1115,14 @@ def _closed_law_cut(spec: DeformationSpec):
     """
     if spec.kind is DeformationKind.SQUEEZED_VACUUM and spec.r:
         t, log_p0, c_plus, c_minus = math.tanh(abs(spec.r)), -_log_cosh(spec.r), 0.0, 0.0
-    elif spec.kind is DeformationKind.SQUEEZED_CORRELATED and spec.r > 0:
+    elif spec.kind is DeformationKind.SQUEEZED_CORRELATED and not _unsqueezed(spec.r):
         log_p0, g = _squeezed_correlated_amplitude(spec)
         t = math.tanh(spec.r)
         # g * g, not g ** 2: ** raises OverflowError past 1e154
         c_plus, c_minus = 2 * t * g.imag * g.imag, 2 * t * g.real * g.real
     else:
         return None
-    return partial(_decay_cut, -t, t, c_plus, c_minus, log_p0, None)
+    return _Law(-t, t, c_plus, c_minus, log_p0, None)
 
 
 # ---------------------------------------------------------------------------

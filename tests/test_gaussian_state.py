@@ -68,6 +68,11 @@ class TestUncertaintyCheck:
         assert v.slack == pytest.approx(2.0, abs=1e-14)
         assert v.valid
 
+    def test_negative_definite_covariance_is_not_valid(self):
+        # det = 1 clears 1/4, but Sigma < 0 describes no state
+        v = uncertainty_check(OneModeGaussianState(-1.0, -1.0, 0.0))
+        assert (v.det_sigma, v.slack, v.valid) == (1.0, 0.75, False)
+
 
 class TestRMatrix:
     def test_vacuum(self):
@@ -160,7 +165,7 @@ class TestP0:
     def test_underflows_to_zero(self):
         assert p0(OneModeGaussianState.coherent(40.0, 0.0)) == 0.0
         rec = _generating_record(OneModeGaussianState.coherent(40.0, 0.0))
-        assert rec.log_p0 == pytest.approx(-800.0, rel=1e-15)
+        assert rec.law.log_p0 == pytest.approx(-800.0, rel=1e-15)
 
     def test_violation_regime_is_on_the_principal_branch(self):
         # D = -12 < 0: P0 = (D / 2)^(-1/2) = -i / sqrt(6)

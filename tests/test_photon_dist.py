@@ -18,7 +18,7 @@ from photonstat.errors import (
     RangeOverflowError,
     SingularDenominatorError,
 )
-from photonstat import photon_dist, specfun
+from photonstat import gaussian_state, photon_dist, specfun
 from photonstat.gaussian_state import (
     OneModeGaussianState,
     XYTState,
@@ -309,18 +309,14 @@ def random_states(seed, count, valid):
 
 
 def decay_ratio(state):
-    """q = max(|a+|, |a-|) of the state's generating record."""
-    rec = _generating_record(state)
-    return max(abs(rec.a_plus), abs(rec.a_minus))
+    """q = max(|a+|, |a-|) of the law of the state's generating record."""
+    law = _generating_record(state).law
+    return max(abs(law.a_plus), abs(law.a_minus))
 
 
 def state_cut(state, n_max=None):
-    """:func:`photon_dist._decay_cut` of a state, read from its record."""
-    rec = _generating_record(state)
-    return photon_dist._decay_cut(
-        rec.a_plus, rec.a_minus, rec.c_plus, rec.c_minus, rec.log_p0.real,
-        (state.sigma_pp, state.sigma_qq, state.sigma_pq), n_max,
-    )
+    """:func:`photon_dist._decay_cut` of a state, read from its record's law."""
+    return photon_dist._decay_cut(_generating_record(state).law, n_max)
 
 
 class TestDecayRatioTruncation:
@@ -468,8 +464,7 @@ class TestDecayRatioTruncation:
         # q is exactly 1, and det = 0 misses 1/4 by far more than its
         # rounding error
         state = OneModeGaussianState(0.5, 0.0, 0.0)
-        rec = photon_dist._generating_record(state)
-        assert max(abs(rec.a_plus), abs(rec.a_minus)) == 1.0
+        assert decay_ratio(state) == 1.0
         assert state_cut(state) is None
 
     @pytest.mark.parametrize("r", [18.5, 20.0, 19.06, 25.0])
@@ -548,9 +543,9 @@ class TestOneRecordPerState:
             calls["record"] += 1
             return record(state)
 
-        def counted_cut(*args):
+        def counted_cut(law, n_max):
             calls["cut"] += 1
-            return cut(*args)
+            return cut(law, n_max)
 
         monkeypatch.setattr(photon_dist, "_generating_record", counted_record)
         monkeypatch.setattr(photon_dist, "_decay_cut", counted_cut)
@@ -777,7 +772,9 @@ class TestOneCutoffRule:
     def test_explicit_and_adaptive_calls_read_one_bound(self, monkeypatch, name):
         cuts = []
         cut = photon_dist._decay_cut
-        monkeypatch.setattr(photon_dist, "_decay_cut", lambda *a: cuts.append(cut(*a)) or cuts[-1])
+        monkeypatch.setattr(
+            photon_dist, "_decay_cut", lambda law, n_max: cuts.append(cut(law, n_max)) or cuts[-1]
+        )
         adaptive = self.LAWS[name](None)
         explicit = self.LAWS[name](cuts[0][0])
         assert cuts[1] == cuts[0]
@@ -844,6 +841,118 @@ class TestOneCutoffRule:
     def test_xyt_covariance_past_the_double_range_raises(self, n_max):
         with pytest.raises(RangeOverflowError, match="4 det"):
             pn_centered_xyt(XYTState(1e155, 1e155), n_max)
+
+
+class TestLawValue:
+    """Every one-mode law builds one generating-law value from its own
+    numbers; the cutoff reads it, and a proven tail checks its mass."""
+
+    STATE = (1.2, 0.8, 0.2, 0.5, -0.7)
+    LAWS = {
+        **TestOneCutoffRule.LAWS,
+        "hermite": lambda n_max: pn_hermite(OneModeGaussianState(*TestLawValue.STATE), n_max),
+        "laguerre": lambda n_max: pn_laguerre(OneModeGaussianState(*TestLawValue.STATE), n_max),
+    }
+    # displaced positive-definite covariances with det < 1/4, where q < 1:
+    # the Hermite route loses their tables to cancellation
+    DISPLACED_VIOLATING = [
+        OneModeGaussianState(0.18167952100237902, 0.017483699616411906, 0.028158037131206473,
+                             -0.6564138200562226, -1.914582857884865),
+        OneModeGaussianState(0.28614344862676727, 0.187617130212788, -0.19693965340309813,
+                             2.753804003116569, -3.4644889429695773),
+    ]
+
+    @pytest.mark.parametrize("n_max", [None, 16])
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_each_law_builds_one_value_per_call(self, monkeypatch, name, n_max):
+        built = []
+        law = gaussian_state._Law
+        monkeypatch.setattr(gaussian_state, "_Law", lambda *a: built.append(a) or law(*a))
+        monkeypatch.setattr(photon_dist, "_Law", lambda *a: built.append(a) or law(*a))
+        self.LAWS[name](n_max)
+        assert len(built) == 1
+
+    def test_routes_on_one_object_share_its_value(self, monkeypatch):
+        state = OneModeGaussianState(*self.STATE)
+        built = []
+        law = gaussian_state._Law
+        monkeypatch.setattr(gaussian_state, "_Law", lambda *a: built.append(a) or law(*a))
+        pn_hermite(state)
+        pn_laguerre(state, 16)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("state", DISPLACED_VIOLATING, ids=["det-0.0024", "det-0.015"])
+    def test_hermite_table_that_lost_its_mass_raises(self, state):
+        # both came back SignedReal, summing to 1.7e17 (N = 711, mean 1.2e20)
+        # and to 9.6e12
+        with pytest.raises(NormalizationError, match="against proven tail bound"):
+            pn_hermite(state)
+
+    @pytest.mark.parametrize("state", DISPLACED_VIOLATING, ids=["det-0.0024", "det-0.015"])
+    def test_laguerre_keeps_the_mass_and_matches_the_reference(self, state):
+        dist = pn_laguerre(state)
+        assert abs(math.fsum(dist.values.real.tolist()) - 1) <= dist.tail_bound + 1e-9
+        ref = gaussian_law_mp(state, 40)
+        with mpmath.workdps(50):
+            top = max(abs(e) for e in ref)
+            worst = max(abs(mpmath.mpc(v) - e) for v, e in zip(dist.values[:41].tolist(), ref))
+        assert worst <= 1e-12 * top
+
+    def test_only_a_proven_tail_checks_a_signed_or_complex_mass(self):
+        for values in ([1.5, -0.1], [1.5 + 0.1j, -0.1]):
+            table = np.array(values, dtype=complex)
+            verdict = photon_dist._classify(table, 0.0)
+            assert verdict is not Classification.PROBABILITY
+            with pytest.raises(NormalizationError, match=f"{verdict.value} sequence sums to 1.4"):
+                photon_dist._classify(table, 0.0, True)
+            assert photon_dist._classify(table, 0.4, True) is verdict
+
+    NEGATIVE_DEFINITE = {
+        "hermite": lambda n_max: pn_hermite(OneModeGaussianState(-1.0, -1.0), n_max),
+        "laguerre": lambda n_max: pn_laguerre(OneModeGaussianState(-1.0, -1.0), n_max),
+        "xyt": lambda n_max: pn_centered_xyt(XYTState(-1.0, -1.0), n_max),
+    }
+
+    @pytest.mark.parametrize("n_max", [None, 16])
+    @pytest.mark.parametrize("name", list(NEGATIVE_DEFINITE))
+    def test_negative_definite_covariance_has_no_law(self, name, n_max):
+        # det = 1 read as valid and q = 3 as a q that rounds to 1: "decay
+        # ratio rounds to 1: the law lies past the cap"
+        with pytest.raises(DivergentSeriesError, match="negative-definite"):
+            self.NEGATIVE_DEFINITE[name](n_max)
+
+    def test_negative_definite_violation_keeps_doubling(self):
+        # det = 0.09 < 1/4: the violation branch, before any definiteness test
+        assert state_cut(OneModeGaussianState(-0.3, -0.3, 0.0)) is None
+
+    def correlated(r):
+        return DeformationSpec(
+            DeformationKind.SQUEEZED_CORRELATED, r=r, theta=0.3, mean_q=1.0, mean_p=-0.5
+        )
+
+    @pytest.mark.parametrize("r", [1e-320, 5e-324, 5.5e-309])
+    def test_r_whose_tanh_inverts_to_inf_is_the_coherent_law(self, r):
+        # 1 / tanh r is inf, so g was NaN: range-overflow at r = 1e-320
+        assert photon_dist._unsqueezed(r)
+        spec, coherent = TestLawValue.correlated(r), TestLawValue.correlated(0.0)
+        assert photon_dist._closed_law(spec) is None
+        tiny, zero = deformed_distribution(spec), deformed_distribution(coherent)
+        assert tiny.values.tobytes() == zero.values.tobytes()
+        assert (tiny.truncation, tiny.tail_bound, tiny.classification) == (
+            zero.truncation, zero.tail_bound, zero.classification)
+        assert deformed_pn(spec, 3) == deformed_pn(coherent, 3)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=5.6e-309, mean_q=1.0),
+         correlated(1e-300)],
+        ids=["5.6e-309", "1e-300"],
+    )
+    def test_r_whose_tanh_inverts_to_a_double_keeps_the_squeezed_law(self, spec):
+        assert not photon_dist._unsqueezed(spec.r)
+        assert photon_dist._closed_law(spec) is not None
+        dist = deformed_distribution(spec)
+        assert dist.classification is Classification.PROBABILITY and dist.tail_bound <= 1e-12
 
 
 class TestLargeDisplacement:

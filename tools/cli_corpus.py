@@ -33,8 +33,10 @@ from pathlib import Path
 # det leaves the double range, and CENTERED_STATE a centered correlated
 # state, whose Laguerre factors take the closed form at x = 0 (like
 # SQ3_STATE, but with a+ != -a-), VIOLATING_STATE a centered state with
-# det Sigma < 1/4, whose law is a signed real sequence, and
-# NON_NUMERIC_STATE a descriptor with a field that is not a number
+# det Sigma < 1/4, whose law is a signed real sequence,
+# DISPLACED_VIOLATING_STATE a displaced positive-definite Sigma with
+# det Sigma = 0.0024, whose Hermite table loses its mass to cancellation,
+# and NON_NUMERIC_STATE a descriptor with a field that is not a number
 DESCRIPTORS = {
     "STATE": {
         "sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1, "mean_q": 0.3, "mean_p": -0.2
@@ -65,6 +67,11 @@ DESCRIPTORS = {
     },
     "VIOLATING_STATE": {
         "sigma_pp": 0.3, "sigma_qq": 0.6, "sigma_pq": 0.1, "mean_q": 0.0, "mean_p": 0.0
+    },
+    "DISPLACED_VIOLATING_STATE": {
+        "sigma_pp": 0.18167952100237902, "sigma_qq": 0.017483699616411906,
+        "sigma_pq": 0.028158037131206473, "mean_q": -0.6564138200562226,
+        "mean_p": -1.914582857884865
     },
     "NON_NUMERIC_STATE": {
         "sigma_pp": "abc", "sigma_qq": 0.5, "sigma_pq": 0.0, "mean_q": 0.0, "mean_p": 0.0
@@ -180,6 +187,14 @@ INVOCATIONS = (
         "violation --y 1 --tau-min 0.75 --tau-max 0.75 --tau-step 0.1",
         # the conventional n! weight of the f-coherent series
         "dist --family f-coherent --alpha 0.8 --f-convention factorial",
+        # a proven tail checks the mass of a signed law: the Hermite table
+        # sums to 1.7e17, the Laguerre one to 1
+        "dist --family gaussian --state DISPLACED_VIOLATING_STATE --route hermite",
+        "dist --family gaussian --state DISPLACED_VIOLATING_STATE --route laguerre",
+        # a negative-definite covariance with det = 1: no law exists
+        "dist --family xyt --x -1 --y -1",
+        # 1 / tanh r overflows: the law is read as the coherent one
+        "dist --family squeezed-correlated --r 1e-320 --mean-q 1",
     ]
 )
 
