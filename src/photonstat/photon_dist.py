@@ -49,12 +49,14 @@ evaluated once and that bound is its ``tail_bound``.  At an explicit
 tail of a law with q < 1 is a proof.  A bound at the cap that is not below
 1 raises ``RangeOverflowError``, and so does a q that rounds to 1 on a
 state satisfying the uncertainty relation (where q < 1 exactly), at any
-N; a negative-definite covariance with det >= 1/4 has q > 1 and no law,
-and raises ``DivergentSeriesError``.  The other series (Poisson, f- and
-q-coherent, the two-mode law, the violation family, and violating Gaussian
-states with q >= 1) start at 32 and double until the estimated geometric
-tail drops below 1e-12 or the cutoff reaches 4096.  That estimate ignores
-magnitudes below 1e3 eps of the largest term, which are roundoff.
+N; a negative-definite covariance with q >= 1 has no law, and raises
+``DivergentSeriesError``.  The two-mode total law is cut by the same rule
+in its pair index.  The other series (Poisson, f- and q-coherent, the
+violation family, and violating Gaussian states with an indefinite
+covariance and q >= 1) start at 32 and double until the estimated
+geometric tail drops below 1e-12 or the cutoff reaches 4096.  That
+estimate ignores magnitudes below 1e3 eps of the largest term, which are
+roundoff.
 Sequences whose tail grows (the uncertainty-violating families are
 asymptotic, not convergent) are trimmed at their smallest term and the
 residual is reported in ``tail_bound``.  A series whose every term is 0
@@ -143,6 +145,9 @@ _TAIL_TARGET = 1e-12
 _ADAPTIVE_START = 32
 _ADAPTIVE_CAP = 4096
 _NORM_SLOP = 1e-9
+# tables this long sum their mass in numpy first; on shorter ones fsum
+# costs less than numpy's two sums
+_NUMPY_SUM_FROM = 128
 _NOISE_FLOOR = 1e3 * sys.float_info.epsilon
 # gamma_2 = 2u / (1 - 2u), u the unit roundoff: the relative error bound of
 # the float det sigma_pp sigma_qq - sigma_pq^2 (Higham, ch. 3)
@@ -338,7 +343,17 @@ def _classify(values: np.ndarray, tail_bound: float, proven: bool = False) -> Cl
     [1 - tail - 1e-9, 1 + 1e-9].  A ``proven`` tail bound is a proof, so
     a SignedReal or Complex table must sum to 1 within it too: it raises
     where |fsum(Re P) - 1| exceeds tail + 1e-9 by more than the rounding
-    of the values' sum, (N + 1) eps sum |Re P_n|.
+    of the values' sum, slack = (N + 1) eps sum |Re P_n|.
+
+    ``math.fsum``, the correctly rounded sum, is the judge of both rules,
+    and quotes the sum in every message.  On a table of 128 terms or more
+    it runs only where numpy's sum s does not settle the verdict: in any
+    summation order N + 1 terms miss the exact sum by at most
+    gamma_N sum |Re P_n|, gamma_N = N u / (1 - N u) with u = eps/2
+    (Higham, ch. 4), and fsum misses it by at most u times the same, so
+    fsum lies inside [s - slack, s + slack] with half of slack to spare
+    for the rounding of both ends.  Where both ends pass, so does fsum;
+    anything else (NaN and inf included) falls through to fsum.
     """
     imag, real = values.imag, values.real
     if np.count_nonzero(imag) and np.count_nonzero(np.abs(imag) >= _TOL_IMAG):
@@ -346,21 +361,33 @@ def _classify(values: np.ndarray, tail_bound: float, proven: bool = False) -> Cl
     elif np.count_nonzero(real < -_TOL_NEG):
         verdict = Classification.SIGNED_REAL
     else:
-        total = math.fsum(real.tolist())
-        if 1 - tail_bound - _NORM_SLOP <= total <= 1 + _NORM_SLOP:
-            return Classification.PROBABILITY
+        verdict = Classification.PROBABILITY
+    if not (proven or verdict is Classification.PROBABILITY):
+        return verdict
+    low, high = 1 - tail_bound - _NORM_SLOP, 1 + _NORM_SLOP
+    if len(values) >= _NUMPY_SUM_FROM:
+        slack = len(values) * sys.float_info.epsilon * np.abs(real).sum()
+        total = real.sum()
+        ends = total - slack, total + slack
+        if verdict is Classification.PROBABILITY:
+            if low <= ends[0] and ends[1] <= high:
+                return verdict
+        elif all(abs(end - 1) - tail_bound - _NORM_SLOP <= slack for end in ends):
+            return verdict
+    total = math.fsum(real.tolist())
+    if verdict is Classification.PROBABILITY:
+        if low <= total <= high:
+            return verdict
         raise NormalizationError(
             f"nonnegative weight sequence sums to {total:.12g} against tail bound "
             f"{tail_bound:.3g}: the formal series fits no classification"
         )
-    if proven:
-        total = math.fsum(real.tolist())
-        excess = abs(total - 1) - tail_bound - _NORM_SLOP
-        if excess > 0 and excess > len(values) * sys.float_info.epsilon * np.abs(real).sum():
-            raise NormalizationError(
-                f"{verdict.value} sequence sums to {total:.12g} against proven tail bound "
-                f"{tail_bound:.3g}: the values are not the law's"
-            )
+    excess = abs(total - 1) - tail_bound - _NORM_SLOP
+    if excess > 0 and excess > len(values) * sys.float_info.epsilon * np.abs(real).sum():
+        raise NormalizationError(
+            f"{verdict.value} sequence sums to {total:.12g} against proven tail bound "
+            f"{tail_bound:.3g}: the values are not the law's"
+        )
     return verdict
 
 
@@ -380,12 +407,18 @@ def _finalize(values: np.ndarray, tail: float, proven: bool = False) -> PhotonDi
 _RHO_STEPS = tuple(2.0**-k for k in range(1, 13))
 
 
-def _decay_cut(law: _Law, n_max) -> tuple[int, float] | None:
+def _decay_cut(law: _Law, n_max, step: int = 1) -> tuple[int, float] | None:
     """(N, tail bound) of a one-mode law from its generating-law value
     (:class:`gaussian_state._Law`: a+-, c+- and ln P0, of whose real part
     a P0 that underflows still bounds the tail exactly); or None where
     q = max(|a+|, |a-|) >= 1 on a covariance ``law.sigma`` that violates
     the uncertainty relation.  N is ``n_max`` where given, else adaptive.
+
+    The law's index may count photons in steps of ``step``: the two-mode
+    total law is such a law in its pair index k = n / 2.  Everything below
+    is then in that index, capped at 4096 photons (k = 2048 for the
+    two-mode law): the adaptive N is ``step`` times the index found, and
+    an explicit ``n_max`` reads the bound at index n_max // step.
 
     Where c+ = c- = 0 (a centered law) |P_n| <= |P0| q^n: the coefficients
     of the square-root factor are at most
@@ -410,8 +443,10 @@ def _decay_cut(law: _Law, n_max) -> tuple[int, float] | None:
     valid when its slack det - 1/4 is within the rounding error of the
     float det, gamma_2 (|sigma_pp sigma_qq| + sigma_pq^2): the float det of a
     pure state can miss 1/4 by an ulp (0.24999999999999997 for the
-    squeezed vacuum at r = 19.06 and 25).  A covariance with det >= 1/4 and
-    sigma_pp < 0 is negative definite: its q exceeds 1 and no law exists.
+    squeezed vacuum at r = 19.06 and 25).  A covariance with det > 0 and
+    sigma_pp < 0 is negative definite, valid or not: where its q is not
+    below 1 no law exists, and it is not doubled.  An indefinite
+    covariance (det < 0) with q >= 1 is doubled.
 
     Raises:
         DomainError: ``n_max`` is negative.
@@ -428,17 +463,17 @@ def _decay_cut(law: _Law, n_max) -> tuple[int, float] | None:
     if not q < 1:
         if law.sigma is not None:
             pp, qq, pq = law.sigma
+            if pp < 0 and pp * qq - pq * pq > 0:
+                raise DivergentSeriesError("negative-definite covariance: no law exists")
             if pp * qq - pq * pq - 0.25 < -_GAMMA_2 * (abs(pp * qq) + pq * pq):
                 return None
-            if pp < 0:
-                raise DivergentSeriesError("negative-definite covariance: no law exists")
         raise RangeOverflowError("decay ratio rounds to 1: the law lies past the cap")
     if not math.isfinite(c_plus + c_minus + law.log_p0.real):
         raise RangeOverflowError("squared displacement exceeds the double range")
     log_2p0 = law.log_p0.real + math.log(2 / _TAIL_TARGET)
     if not (c_plus or c_minus):
         if q == 0:  # the vacuum
-            return (1 if n_max is None else n_max), 0.0
+            return (step if n_max is None else n_max), 0.0
         rho, log_b = [q], [0.0]
     else:
         # within a few ulps of 1, q + (1 - q) f rounds to q or to 1
@@ -452,15 +487,17 @@ def _decay_cut(law: _Law, n_max) -> tuple[int, float] | None:
         ]
     # ln(tail / 1e-12) = front + (N + 1) ln rho for each candidate rho
     fronts = [(log_2p0 + b - math.log1p(-r), math.log(r)) for r, b in zip(rho, log_b)]
-    n = n_max
-    if n is None:
-        n = min(_ADAPTIVE_CAP, max(1, math.ceil(min(f / -lr for f, lr in fronts) - 1)))
+    if n_max is None:
+        n = min(_ADAPTIVE_CAP // step, max(1, math.ceil(min(f / -lr for f, lr in fronts) - 1)))
+    else:
+        n = n_max // step
     log_tail = min(f + (n + 1) * lr for f, lr in fronts)
     if n_max is None and log_tail >= -math.log(_TAIL_TARGET):  # only at the cap
         raise RangeOverflowError(
-            f"tail bound at the N = {n} cap is not below 1: the law lies past the cap"
+            f"tail bound at the N = {n * step} cap is not below 1: the law lies past the cap"
         )
-    return n, _TAIL_TARGET * math.exp(log_tail) if log_tail < _LOG_MAX else math.inf
+    tail = _TAIL_TARGET * math.exp(log_tail) if log_tail < _LOG_MAX else math.inf
+    return (n * step if n_max is None else n_max), tail
 
 
 def _build_distribution(series, n_max, cut=None) -> PhotonDistribution:
@@ -802,32 +839,50 @@ def two_mode_p2k_sequence(s1: float, s2: float, k_max: int) -> np.ndarray:
     k = 2048 for s = (0.95, 0.999)); the difference form stays within
     5e-15 of 40-digit values for k <= 2048 on s in {0, .05, .25, .5, .8,
     .95, .999}^2.  At z = 1 it is the Chu-Vandermonde product; at s1 = s2
-    it keeps F_k = 1 exactly.
+    it keeps F_k = 1 exactly.  The powers hi^k are Python's (libm's pow):
+    numpy's vectorized power rounds some of them differently.
 
     Raises:
         DomainError: either fraction outside [0, 1) or k_max < 0.
     """
     lo, hi = _two_mode_args(s1, s2, k_max)
     z = 1 - lo / hi if hi else 0.0  # both unsqueezed: F_k = 1, hi^k = 0^k
-    f, d = [1.0], 0.0
+    ratio, half_z = 1 - z, 0.5 * z
+    f, fk, d = [1.0], 1.0, 0.0
+    push = f.append
     for k in range(k_max):
-        d = (k * (1 - z) * d - 0.5 * z * f[k]) / (k + 1)
-        f.append(f[k] + d)
+        d = (k * ratio * d - half_z * fk) / (k + 1)
+        fk += d
+        push(fk)
     front = math.sqrt((1 - s1) * (1 - s2))
-    return np.array([front * hi**k * f[k] for k in range(k_max + 1)])
+    return front * np.array([hi**k for k in range(k_max + 1)]) * np.array(f)
 
 
 def two_mode_p2k_distribution(
     s1: float, s2: float, n_max: int | None = None
 ) -> PhotonDistribution:
-    """Total-photon-number distribution (odd counts are zero)."""
+    """Total-photon-number distribution (odd counts are zero).
+
+    In its pair index k the law has the generating function
+    sqrt((1 - s1)(1 - s2)) ((1 - s1 z)(1 - s2 z))^(-1/2), a centered
+    one-mode law's with a+- = -s1, -s2: :func:`_decay_cut` sizes it once,
+    in k, with a proven tail bound, capped at N = 2k = 4096; an explicit
+    ``n_max`` reads that bound at k = n_max // 2.
+
+    Raises:
+        DomainError: either fraction outside [0, 1) or n_max < 0.
+        RangeOverflowError: the tail bound at the cap is not below 1 (the
+            law lies past the cap).
+    """
+    _two_mode_args(s1, s2, 0)
 
     def series(n_cut: int) -> np.ndarray:
         out = np.zeros(n_cut + 1, dtype=complex)
         out[::2] = two_mode_p2k_sequence(s1, s2, n_cut // 2)
         return out
 
-    return _build_distribution(series, n_max)
+    law = _Law(-s1, -s2, 0.0, 0.0, 0.5 * math.log((1 - s1) * (1 - s2)), None)
+    return _build_distribution(series, n_max, _decay_cut(law, n_max, 2))
 
 
 def _joint_weights(params: LegendreParams, n1, n2, leg, shift) -> np.ndarray:
@@ -901,15 +956,13 @@ def two_mode_joint_distribution(
         m: max(min(n1_max - m, n2_max + m), min(n2_max - m, n1_max + m))
         for m in range(max(n1_max, n2_max) // 2 + 1)
     }
-    columns = _legendre_columns(params.f3, tops)
-    flat = np.array([entry for column in columns.values() for entry in column])
-    start = np.cumsum([0] + [len(column) for column in columns.values()])
-    parity = np.add.outer(np.arange(n1_max + 1), np.arange(n2_max + 1)) % 2
-    n1, n2 = np.nonzero(parity == 0)
-    l, m = (n1 + n2) // 2, abs(n1 - n2) // 2
+    values, shifts = _legendre_columns(params.f3, tops)
+    start = np.cumsum([0] + [top - m + 1 for m, top in tops.items()])
+    n1, n2 = np.nonzero(~np.add.outer(np.arange(n1_max + 1), np.arange(n2_max + 1)) & 1)
+    l, m = (n1 + n2) >> 1, abs(n1 - n2) >> 1
     cell = start[m] + l - m
     table = np.zeros((n1_max + 1, n2_max + 1))
-    table[n1, n2] = _joint_weights(params, n1, n2, flat[cell, 0], flat[cell, 1])
+    table[n1, n2] = _joint_weights(params, n1, n2, values[cell], shifts[cell])
     tail = max(0.0, 1.0 - float(table.sum()))
     return TwoModeJointDistribution(
         values=table, truncation=(n1_max, n2_max), tail_bound=tail
@@ -1029,21 +1082,21 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
             return (n == 0).astype(float)
         return np.exp(-x_bar + n * math.log(x_bar) - log_factorials(int(n.max()))[n])
     if kind is DeformationKind.SQUEEZED_VACUUM:
-        out = np.zeros(len(n))
-        even = n % 2 == 0
-        m = n[even] // 2
+        # the law at 0, 1, .., 2 top + 1 is read at n: P_2m at 2m, 0 between
+        top = int(n.max()) >> 1
+        table = np.zeros(2 * top + 2)
         t_half = math.tanh(abs(spec.r)) / 2
         if t_half == 0:
-            out[even] = m == 0
+            table[0] = 1.0
         else:
-            log_fact = log_factorials(int(n.max()))
-            out[even] = np.exp(
+            log_fact = log_factorials(2 * top)
+            table[::2] = np.exp(
                 -_log_cosh(spec.r)
-                + 2 * m * math.log(t_half)
-                + log_fact[2 * m]
-                - 2 * log_fact[m]
+                + 2 * np.arange(top + 1) * math.log(t_half)
+                + log_fact[::2]
+                - 2 * log_fact[: top + 1]
             )
-        return out
+        return table[n]
     if kind is DeformationKind.SQUEEZED_CORRELATED:
         if spec.r < 0:
             raise InvalidSpecError("squeeze modulus r must be nonnegative")

@@ -76,7 +76,8 @@ onto the entries that carry it, after the loop (`_shifted`).  The scalars (`herm
 The Legendre recurrence tabulates whole columns: one loop in m seeds
 P_m^m for every order at once, and one climb in degree gives the column
 P_m^m .. P_L^m, so a table of all l <= L costs O(L^2) steps
-(`_legendre_columns`; a single value is the last entry of its column).
+(`_legendre_columns`, whose columns come back end to end in two flat
+arrays; a single value is the last entry of its column).
 The log factorials come from one shared read-only table: the logs of
 exact integer factorials below 512, lgamma(k + 1) past it.
 `log_factorials` grows it on demand to at least twice its length, by
@@ -128,8 +129,9 @@ _RESCALE_LIMIT = 1e250
 # (1-z)^k prefactor is applied early.
 _SERIES_LIMIT = 1e250
 
-# log of the largest finite double; exponentiation beyond this must raise.
-_LOG_DBL_MAX = math.log(1.7976931348623157e308)
+# the largest finite double, and its log: exponentiation beyond it must raise.
+_DBL_MAX = 1.7976931348623157e308
+_LOG_DBL_MAX = math.log(_DBL_MAX)
 
 # Factorials below this are exact integers before their log is taken.
 _LOG_FACT_EXACT = 512
@@ -625,6 +627,9 @@ def hermite_sequence_log(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray
     rescaled past 1e250 as the module docstring describes; the magnitudes
     are formed all at once at the end.  A real z gives real phases, exactly
     +-1, and a zero value (odd degree at z = 0) comes out as (-inf, 0).
+    Where |2z| + n_max passes about 4e57 the rescale comes earlier, below
+    max / (4 (|2z| + n_max + 1)), so that no step's products leave the
+    double range (they gave inf - inf = NaN for |z| near 1e154).
     """
     if n_max < 0:
         raise DomainError("hermite degree must be nonnegative")
@@ -636,10 +641,11 @@ def hermite_sequence_log(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray
     prev, cur = 0 * z, 1 + 0 * z
     two_z = 2 * z
     shift = 0.0
+    limit = min(_RESCALE_LIMIT, _DBL_MAX / (4 * (abs(two_z) + n_max + 1)))
     for k in range(n_max + 1):
         push(cur)
         prev, cur = cur, two_z * cur - 2 * k * prev
-        if abs(cur) > _RESCALE_LIMIT:
+        if abs(cur) > limit:
             prev, cur, shift = _rescaled(prev, cur, shift)
             marks.append((k + 1, shift))
     mag, ph = _log_signed(np.array(raw))
@@ -798,12 +804,11 @@ def laguerre_half(n: int, x: float) -> float:
     return float(log_signed_values(*laguerre_half_sequence(x, n))[-1].real)
 
 
-def _legendre_columns(
-    x: float, tops: dict[int, int]
-) -> dict[int, list[tuple[float, float]]]:
-    """Columns of P_l^m(x) for the orders m in ``tops``: column m lists
-    (v, s) with P_l^m(x) = v e^s for l = m .. tops[m]; s = 0.0 and v is the
-    plain recurrence's value where no carried value passed 1e250.
+def _legendre_columns(x: float, tops: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of P_l^m(x) for the orders m in ``tops``, one after another
+    in the order of ``tops``, as two flat arrays (v, s): column m holds
+    P_l^m(x) = v e^s for l = m .. tops[m]; s = 0.0 and v is the plain
+    recurrence's value where no carried value passed 1e250.
 
     One loop in m seeds every column, since the product for P_M^M passes
     through each P_m^m with m <= M; each column is then one climb in degree.
@@ -821,21 +826,24 @@ def _legendre_columns(
         if cur > _RESCALE_LIMIT:
             _, cur, shift = _rescaled(0.0, cur, shift)
         seeds.append((cur, shift))
-    columns = {}
+    values, marks = [], []
+    push = values.append
     for m, l_top in tops.items():
         cur, shift = seeds[m]
-        column = [(cur, shift)]
+        if shift != (marks[-1][1] if marks else 0.0):
+            marks.append((len(values), shift))
+        push(cur)
         prev = 0.0
         for ll in range(m + 1, l_top + 1):
             prev, cur = cur, ((2 * ll - 1) * x * cur - (ll + m - 1) * prev) / (ll - m)
             if abs(cur) > _RESCALE_LIMIT:
                 prev, cur, shift = _rescaled(prev, cur, shift)
-            column.append((cur, shift))
+                marks.append((len(values), shift))
+            push(cur)
         # a value past the double range leaves every later one non-finite
         if not (math.isfinite(cur) and math.isfinite(shift)):
             raise RangeOverflowError("legendre recurrence left the double range")
-        columns[m] = column
-    return columns
+    return np.array(values), _shifted(np.zeros(len(values)), marks)
 
 
 def _legendre_scaled(l: int, m: int, x: float) -> tuple[float, float]:
@@ -846,7 +854,8 @@ def _legendre_scaled(l: int, m: int, x: float) -> tuple[float, float]:
         raise DomainError(f"legendre order m={m} exceeds degree l={l}")
     if math.isnan(x):
         raise DomainError("legendre argument is NaN")
-    return _legendre_columns(x, {m: l})[m][-1]
+    values, shifts = _legendre_columns(x, {m: l})
+    return float(values[-1]), float(shifts[-1])
 
 
 def assoc_legendre(l: int, m: int, x: float) -> float:

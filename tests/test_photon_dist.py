@@ -785,8 +785,8 @@ class TestOneCutoffRule:
             xyt = XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq)
             try:
                 own = pn_centered_xyt(xyt)
-            except RangeOverflowError:
-                with pytest.raises(RangeOverflowError):
+            except (RangeOverflowError, DivergentSeriesError) as exc:
+                with pytest.raises(type(exc)):
                     pn_hermite(state)
                 continue
             route = pn_hermite(state)
@@ -921,9 +921,30 @@ class TestLawValue:
         with pytest.raises(DivergentSeriesError, match="negative-definite"):
             self.NEGATIVE_DEFINITE[name](n_max)
 
-    def test_negative_definite_violation_keeps_doubling(self):
-        # det = 0.09 < 1/4: the violation branch, before any definiteness test
-        assert state_cut(OneModeGaussianState(-0.3, -0.3, 0.0)) is None
+    @pytest.mark.parametrize("n_max", [None, 16])
+    @pytest.mark.parametrize(
+        "state",
+        [OneModeGaussianState(-0.3, -0.3, 0.0), OneModeGaussianState(-0.3, -0.3, 0.0, 0.5, 0.2)],
+        ids=["centered", "displaced"],
+    )
+    def test_negative_definite_violation_has_no_law(self, state, n_max):
+        # det = 0.09 < 1/4 and q = 4: the centered state came back SignedReal
+        # at N = 64 with tail inf, the displaced one trimmed at N = 1 with
+        # tail 1.09
+        with pytest.raises(DivergentSeriesError, match="negative-definite"):
+            state_cut(state, n_max)
+        for route in (pn_hermite, pn_laguerre):
+            with pytest.raises(DivergentSeriesError, match="negative-definite"):
+                route(state, n_max)
+        if not (state.mean_q or state.mean_p):
+            with pytest.raises(DivergentSeriesError, match="negative-definite"):
+                pn_centered_xyt(XYTState(-0.3, -0.3), n_max)
+
+    def test_indefinite_violation_keeps_doubling(self):
+        # det < 0: the series of pure_boundary's violation cells (x < 0 < y)
+        state = OneModeGaussianState(-0.3, 0.9, 0.0)
+        assert decay_ratio(state) >= 1
+        assert state_cut(state) is None
 
     def correlated(r):
         return DeformationSpec(
@@ -953,6 +974,19 @@ class TestLawValue:
         assert photon_dist._closed_law(spec) is not None
         dist = deformed_distribution(spec)
         assert dist.classification is Classification.PROBABILITY and dist.tail_bound <= 1e-12
+
+    def test_hermite_argument_whose_square_overflows_keeps_the_coherent_law(self):
+        # |g| = 7.5e153: (2g)^2 overflowed to NaN in the Hermite recurrence,
+        # "sums to nan"; the closed law at this r is the coherent one to
+        # the rounding of its n ln(t / 2) against 2 ln |H_n(g)|
+        spec = TestLawValue.correlated(5.6e-309)
+        assert not photon_dist._unsqueezed(spec.r)
+        assert abs(photon_dist._squeezed_correlated_amplitude(spec)[1]) > 7e153
+        dist = deformed_distribution(spec)
+        assert dist.classification is Classification.PROBABILITY and dist.tail_bound <= 1e-12
+        coherent = deformed_distribution(TestLawValue.correlated(0.0))
+        for n, value in enumerate(dist.values.real.tolist()):
+            assert value == pytest.approx(coherent.values[n].real, rel=1e-13), n
 
 
 class TestLargeDisplacement:
@@ -1382,6 +1416,112 @@ class TestNormalization:
             assert 1 - dist.tail_bound - 1e-9 <= total <= 1 + 1e-9
 
 
+def fsum_verdict(values, tail_bound, proven=False):
+    """The mass check with ``math.fsum`` alone, the reference that numpy's
+    sum must never overrule."""
+    imag, real = values.imag, values.real
+    if np.count_nonzero(np.abs(imag) >= 1e-12):
+        verdict = Classification.COMPLEX
+    elif np.count_nonzero(real < -1e-12):
+        verdict = Classification.SIGNED_REAL
+    else:
+        total = math.fsum(real.tolist())
+        if 1 - tail_bound - 1e-9 <= total <= 1 + 1e-9:
+            return Classification.PROBABILITY
+        raise NormalizationError(
+            f"nonnegative weight sequence sums to {total:.12g} against tail bound "
+            f"{tail_bound:.3g}: the formal series fits no classification"
+        )
+    if proven:
+        total = math.fsum(real.tolist())
+        excess = abs(total - 1) - tail_bound - 1e-9
+        if excess > 0 and excess > len(values) * sys.float_info.epsilon * np.abs(real).sum():
+            raise NormalizationError(
+                f"{verdict.value} sequence sums to {total:.12g} against proven tail bound "
+                f"{tail_bound:.3g}: the values are not the law's"
+            )
+    return verdict
+
+
+def verdict_or_message(classify, values, tail_bound, proven):
+    try:
+        return classify(values, tail_bound, proven)
+    except NormalizationError as exc:
+        return str(exc)
+
+
+def exact_table(size, target, kind, seed):
+    """``size`` values whose real parts sum to ``target`` exactly, while
+    their float sums round: the shares are doubles of full precision and
+    at least 2^-18, so each is a multiple of 2^-70 and their exact sum an
+    integer count of 2^-70; the first entry is target minus that sum,
+    rounded, and the second its rounding error.  A "signed" table carries
+    one entry -2^-7, a "complex" one an imaginary part 1e-6."""
+    rng = np.random.default_rng(seed)
+    shares = max(1, size - 2 - (kind == "signed"))
+    rest = rng.uniform(0.9, 1.1, size - 2) * (target / 2 / shares)
+    if kind == "signed":
+        rest[-1] = -(2.0**-7)
+    scale = 2**70
+    left = int(target * scale) - sum(int(v * scale) for v in rest.tolist())
+    first = float(left) / scale
+    real = np.concatenate(([first, (left - int(first * scale)) / scale], rest))
+    values = real.astype(complex)
+    if kind == "complex":
+        values[1] += 1e-6j
+    return values
+
+
+class TestMassCheck:
+    """``_classify`` reads numpy's sum where its rounding bound settles the
+    verdict and fsum elsewhere: every verdict, exception and message is the
+    fsum rule's, also on sums a few ulps from either end of the window."""
+
+    @staticmethod
+    def targets(boundary, slack):
+        around = [boundary]
+        for step in (math.inf, -math.inf):
+            x = boundary
+            for _ in range(4):
+                x = math.nextafter(x, step)
+                around.append(x)
+        around += [boundary + f * slack for f in (-2.0, -1.0, 1.0, 2.0)]
+        return [t for t in around if t > 0]
+
+    # a signed table needs a positive share beside its negative entry
+    @pytest.mark.parametrize(
+        "kind, size",
+        [(kind, size) for kind in ("probability", "signed", "complex")
+         for size in (2, 3, 127, 128, 129, 1000, 4097) if (kind, size) != ("signed", 2)],
+    )
+    def test_numpy_sum_never_overrules_fsum(self, kind, size):
+        proven = kind != "probability"
+        outcomes, seed = set(), 0
+        for tail in (0.0, 1e-12, 0.5, 1.58):
+            slack = size * sys.float_info.epsilon * (1 + 2**-6)
+            ends = [1 - tail - 1e-9, 1 + 1e-9]
+            if proven:
+                ends += [1 + tail + 1e-9 + slack, 1 - tail - 1e-9 - slack]
+            for end in ends:
+                for target in self.targets(end, slack):
+                    seed += 1
+                    values = exact_table(size, target, kind, seed)
+                    assert math.fsum(values.real.tolist()) == target
+                    for proof in {proven, False}:
+                        got = verdict_or_message(photon_dist._classify, values, tail, proof)
+                        assert got == verdict_or_message(fsum_verdict, values, tail, proof), (
+                            size, kind, tail, target, proof)
+                        outcomes.add(isinstance(got, Classification))
+        # both sides of the windows were reached
+        assert outcomes == {True, False}
+
+    def test_long_table_in_the_window_skips_fsum(self, monkeypatch):
+        law, signed = exact_table(4097, 1.0, "probability", 1), exact_table(4097, 1.0, "signed", 1)
+        monkeypatch.setattr(photon_dist.math, "fsum", None)
+        assert photon_dist._classify(law, 0.0) is Classification.PROBABILITY
+        assert photon_dist._classify(signed, 0.0, True) is Classification.SIGNED_REAL
+
+
 class TestMeanPhotonXyt:
     def test_vacuum(self):
         assert mean_photon_xyt(0.5, 0.5) == 0.0
@@ -1506,6 +1646,75 @@ class TestTwoModeSequence:
         for args in ((1.0, 0.5, 3), (0.5, -0.1, 3), (0.5, 0.5, -1)):
             with pytest.raises(DomainError):
                 two_mode_p2k_sequence(*args)
+
+
+def two_mode_sequence_reference(s1, s2, k_max):
+    """The pair law by the difference recurrence on a list, each entry
+    formed as front * hi**k * F_k: the values the sequence must keep."""
+    lo, hi = min(s1, s2), max(s1, s2)
+    z = 1 - lo / hi if hi else 0.0
+    f, d = [1.0], 0.0
+    for k in range(k_max):
+        d = (k * (1 - z) * d - 0.5 * z * f[k]) / (k + 1)
+        f.append(f[k] + d)
+    front = math.sqrt((1 - s1) * (1 - s2))
+    return np.array([front * hi**k * f[k] for k in range(k_max + 1)])
+
+
+class TestTwoModePairCut:
+    """The two-mode total law is cut once by ``_decay_cut`` in its pair
+    index, with a proven tail bound, from a+- = -s1, -s2."""
+
+    @pytest.mark.parametrize("s1", S_GRID)
+    def test_sequence_is_the_reference_to_the_bit(self, s1):
+        for s2 in S_GRID:
+            assert (two_mode_p2k_sequence(s1, s2, 2048).tobytes()
+                    == two_mode_sequence_reference(s1, s2, 2048).tobytes()), (s1, s2)
+
+    @pytest.mark.parametrize("n_max", [None, 64])
+    def test_one_sequence_call(self, monkeypatch, n_max):
+        calls = []
+        seq = photon_dist.two_mode_p2k_sequence
+        monkeypatch.setattr(
+            photon_dist, "two_mode_p2k_sequence", lambda *a: calls.append(a) or seq(*a)
+        )
+        dist = two_mode_p2k_distribution(0.25, 0.8, n_max)
+        assert calls == [(0.25, 0.8, dist.truncation // 2)]
+
+    def test_cut_of_the_corpus_law(self):
+        # the doubling loop stopped at N = 256 on a sampled tail of 7.2e-14
+        dist = two_mode_p2k_distribution(0.25, 0.8)
+        assert dist.truncation == 258
+        assert dist.tail_bound == pytest.approx(9.77e-13, rel=1e-3)
+
+    @pytest.mark.parametrize("n_max", [None, 0, 1, 2, 7, 20, 64, 301])
+    @pytest.mark.parametrize("s1, s2", [(0.0, 0.05), (0.05, 0.8), (0.25, 0.8), (0.5, 0.5),
+                                        (0.8, 0.95), (0.95, 0.95)])
+    def test_tail_bound_covers_the_omitted_mass(self, s1, s2, n_max):
+        # past k = 2048 the law is below 0.95^2048 ~ 1e-46
+        dist = two_mode_p2k_distribution(s1, s2, n_max)
+        law = two_mode_p2k_sequence(s1, s2, 2048)
+        k = (dist.truncation if n_max is None else n_max) // 2
+        omitted = math.fsum(law[k + 1:].tolist())
+        assert dist.tail_bound >= omitted
+        assert dist.classification is Classification.PROBABILITY
+
+    def test_law_past_the_cap_raises(self):
+        # the doubling loop returned Probability at the cap with a sampled
+        # tail of 0.082, 4.3 % of the mass missing
+        with pytest.raises(RangeOverflowError, match="N = 4096 cap"):
+            two_mode_p2k_distribution(0.95, 0.999)
+        dist = two_mode_p2k_distribution(0.95, 0.999, 4096)
+        assert dist.tail_bound == pytest.approx(1.8205, rel=1e-4)
+        assert dist.tail_bound >= 1 - math.fsum(dist.values.real.tolist())
+
+    @pytest.mark.parametrize("n_max", [6, 7])
+    def test_explicit_n_reads_the_bound_at_half_of_it(self, n_max):
+        # 2 P0 q^(k+1) / (1 - q) at k = 3, q = 0.8
+        dist = two_mode_p2k_distribution(0.25, 0.8, n_max)
+        assert dist.truncation == 6
+        bound = 2 * math.sqrt(0.75 * 0.2) * 0.8**4 / 0.2
+        assert dist.tail_bound == pytest.approx(bound, rel=1e-12)
 
 
 class TestTwoModeJoint:
@@ -1794,6 +2003,96 @@ _DEFORMED_SPECS = {
     ),
     "squeezed-vacuum": DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=1.3),
 }
+
+
+def squeezed_vacuum_reference(r, n):
+    """The closed squeezed-vacuum weights at the photon numbers n, by the
+    even-index mask: the bytes the table must keep."""
+    out = np.zeros(len(n))
+    even = n % 2 == 0
+    m = n[even] // 2
+    t_half = math.tanh(abs(r)) / 2
+    if t_half == 0:
+        out[even] = m == 0
+    else:
+        log_fact = specfun.log_factorials(int(n.max()))
+        out[even] = np.exp(
+            -photon_dist._log_cosh(r) + 2 * m * math.log(t_half) + log_fact[2 * m] - 2 * log_fact[m]
+        )
+    return out
+
+
+def legendre_columns_reference(x, tops):
+    """Column m of P_l^m(x) = v e^s as a list of (v, s), by one plain climb
+    per order with the rescale rule."""
+    columns = {}
+    for m, l_top in tops.items():
+        cur, shift = 1.0, 0.0
+        for i in range(1, m + 1):
+            cur *= (2 * i - 1) * abs(x * x - 1.0) ** 0.5
+            if cur > 1e250:
+                cur, shift = 1.0, shift + math.log(cur)
+        column, prev = [(cur, shift)], 0.0
+        for ll in range(m + 1, l_top + 1):
+            prev, cur = cur, ((2 * ll - 1) * x * cur - (ll + m - 1) * prev) / (ll - m)
+            if abs(cur) > 1e250:
+                peak = abs(cur)
+                prev, cur, shift = prev / peak, cur / peak, shift + math.log(peak)
+            column.append((cur, shift))
+        columns[m] = column
+    return columns
+
+
+def joint_table_reference(params, n1_max, n2_max):
+    """The joint table from the cell list of even parity and a flat array
+    of (v, s) pairs: the bytes the table must keep."""
+    tops = {
+        m: max(min(n1_max - m, n2_max + m), min(n2_max - m, n1_max + m))
+        for m in range(max(n1_max, n2_max) // 2 + 1)
+    }
+    columns = legendre_columns_reference(params.f3, tops)
+    flat = np.array([entry for column in columns.values() for entry in column])
+    start = np.cumsum([0] + [len(column) for column in columns.values()])
+    parity = np.add.outer(np.arange(n1_max + 1), np.arange(n2_max + 1)) % 2
+    n1, n2 = np.nonzero(parity == 0)
+    l, m = (n1 + n2) // 2, abs(n1 - n2) // 2
+    cell = start[m] + l - m
+    table = np.zeros((n1_max + 1, n2_max + 1))
+    table[n1, n2] = photon_dist._joint_weights(params, n1, n2, flat[cell, 0], flat[cell, 1])
+    return table
+
+
+class TestTablesToTheBit:
+    """The closed squeezed-vacuum table and the Legendre joint table are
+    built by bit operations on flat arrays; their bytes are the mask-built
+    tables'."""
+
+    @pytest.mark.parametrize("r", [0.0, 1e-320, 0.3, 1.3, -1.3, 2.85, 5.0, 19.0])
+    def test_squeezed_vacuum(self, r):
+        spec = DeformationSpec(DeformationKind.SQUEEZED_VACUUM, r=r)
+        for n_max in (0, 1, 2, 7, 100, 4096, 9001):
+            n = np.arange(n_max + 1)
+            ref = squeezed_vacuum_reference(r, n)
+            assert photon_dist._deformed_weights(spec, n).tobytes() == ref.tobytes()
+            table = deformed_distribution(spec, n_max).values
+            assert table.real.tobytes() == ref[: len(table)].tobytes()
+        for n in (0, 1, 2, 3, 511, 512, 4096, 9000, 9001):
+            assert deformed_pn(spec, n) == squeezed_vacuum_reference(r, np.array([n]))[0]
+
+    @pytest.mark.parametrize(
+        "f1, f2, f3",
+        [(0.8, 0.02, 0.0), (0.7, 0.4, 0.25), (0.8, 0.5, -0.7), (0.8, 0.02, 3.0),
+         (0.9, 1e-13, 1e6)],
+    )
+    def test_joint(self, f1, f2, f3):
+        # f3 = 1e6 rescales both the seeds and the climbs
+        params = LegendreParams(n_factor=0.05, f1=f1, f2=f2, f3=f3)
+        for box in ((0, 0), (1, 0), (0, 1), (1, 1), (8, 8), (24, 24), (16, 29), (50, 47)):
+            table = two_mode_joint_distribution(params, *box).values
+            assert table.tobytes() == joint_table_reference(params, *box).tobytes(), box
+        for n1, n2 in ((0, 0), (3, 5), (10, 2), (40, 40)):
+            ref = joint_table_reference(params, n1, n2)[n1, n2]
+            assert two_mode_joint(params, n1, n2) == ref
 
 
 class TestDeformedTables:

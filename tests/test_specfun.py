@@ -113,6 +113,19 @@ class TestHermiteSequenceLog:
                 assert abs(mag[n] - ref_mag) <= 1e-13 * max(1.0, abs(ref_mag))
                 assert abs(ph[n] - complex(ref / abs(ref))) <= 1e-13
 
+    # the first is the Hermite argument of the squeezed/correlated law at
+    # r = 5.6e-309, theta = 0.3, <q> = 1, <p> = -0.5
+    @pytest.mark.parametrize("z", [7.105742417331425e153 - 2.3047768063542277e153j, -1e200, 1e300j])
+    def test_argument_whose_square_overflows(self, z):
+        # H_2 = (2z)^2 - 2 overflowed: NaN for the first, inf for the second
+        mag, ph = hermite_sequence_log(z, 40)
+        with mpmath.workdps(40):
+            for n in range(41):
+                ref = mpmath.hermite(n, mpmath.mpmathify(z))
+                ref_mag = float(mpmath.log(abs(ref)))
+                assert abs(mag[n] - ref_mag) <= 1e-13 * max(1.0, abs(ref_mag))
+                assert abs(ph[n] - complex(ref / abs(ref))) <= 1e-13
+
     @pytest.mark.parametrize("z", [0, 0.3, -1.7, 30.0, 2.5 + 0j])
     def test_real_argument_gives_exact_real_phases(self, z):
         mag, ph = hermite_sequence_log(z, 300)

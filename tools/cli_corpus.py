@@ -195,6 +195,14 @@ INVOCATIONS = (
         "dist --family xyt --x -1 --y -1",
         # 1 / tanh r overflows: the law is read as the coherent one
         "dist --family squeezed-correlated --r 1e-320 --mean-q 1",
+        # the two-mode law cut in its pair index: past the 4096 cap its
+        # proven tail is 1.82, which an explicit N reports
+        "dist --family two-mode --s1 0.95 --s2 0.999",
+        "dist --family two-mode --s1 0.95 --s2 0.999 --n-max 4096",
+        # a negative-definite covariance with det = 0.09 < 1/4: no law exists
+        "dist --family xyt --x -0.3 --y -0.3",
+        # 1 / tanh r is a double, but the Hermite argument's square is not
+        "dist --family squeezed-correlated --r 5.6e-309 --theta 0.3 --mean-q 1 --mean-p -0.5",
     ]
 )
 
