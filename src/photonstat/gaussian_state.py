@@ -7,9 +7,10 @@ quadrature covariance matrix
 and the means <q>, <p>.  The module derives the generating record that
 the photon-number routes read (the R-matrix, the transformed displacement w
 and the state's generating-law value `_Law`: the roots and exponents of
-the generating function, ln P0 and the covariance, computed once by
-`_generating_record`), the public R-matrix with its Hermite arguments y,
-the no-photon probability P0, and the quadrature-uncertainty verdict
+the generating function, ln P0 and the covariance's sign pattern,
+computed once by `_generating_record`), the public R-matrix with its
+Hermite arguments y, the no-photon probability P0, and the
+quadrature-uncertainty verdict
 
     det Sigma = sigma_pp sigma_qq - sigma_pq^2 >= 1/4,  Sigma > 0.
 
@@ -204,12 +205,12 @@ class _Law:
                         exp(c+ z / (1 + a+ z) + c- z / (1 + a- z)),
 
     with c+- >= 0 and ``log_p0`` = ln P0 (complex where P0 is; its real
-    part stays exact where P0 underflows).  ``sigma`` is the covariance
-    (sigma_pp, sigma_qq, sigma_pq) of a law that may violate the
-    uncertainty relation, None for a law of a valid state.  Each law
-    builds its own value from its own numbers: the generating record, the
-    xyt route's covariance invariants, the closed squeezed laws' tanh r and
-    Hermite argument.
+    part stays exact where P0 underflows).  ``definite`` is the sign
+    pattern of the law's covariance Sigma (:func:`_definite`): 1 where it
+    is positive definite, -1 negative definite, 0 neither; the closed
+    laws and the two-mode law are 1.  Each law builds its own value from
+    its own numbers: the generating record, the xyt route's covariance
+    invariants, the closed laws' tanh r and scaled Hermite argument.
     """
 
     a_plus: float
@@ -217,7 +218,15 @@ class _Law:
     c_plus: float
     c_minus: float
     log_p0: complex
-    sigma: tuple[float, float, float] | None
+    definite: int
+
+
+def _definite(sigma_pp: float, det: float) -> int:
+    """The sign pattern of a covariance from sigma_pp and det Sigma: 1
+    positive definite, -1 negative definite, 0 neither (det <= 0).  A
+    float det > 0 needs sigma_pp sigma_qq > sigma_pq^2 >= 0, so sigma_pp
+    is then nonzero."""
+    return 0 if not det > 0 else 1 if sigma_pp > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -238,7 +247,7 @@ class _GeneratingRecord:
         a+- = R12 -+ |R11|,  c+ = (Im v)^2 / 2,  c- = (Re v)^2 / 2,
         v = w exp(-i arg(R11) / 2),
 
-    the state's covariance as ``sigma``, and P0 = exp(log_p0) on the
+    its covariance's sign pattern as ``definite``, and P0 = exp(log_p0) on the
     principal branch
 
         log_p0 = E - log(D / 2) / 2,
@@ -284,7 +293,7 @@ def _generating_record(state: OneModeGaussianState) -> _GeneratingRecord:
     ) / den
     law = _Law(
         r12 - m, r12 + m, v.imag * v.imag / 2, v.real * v.real / 2,
-        expo - 0.5 * cmath.log(den / 2), (state.sigma_pp, state.sigma_qq, state.sigma_pq),
+        expo - 0.5 * cmath.log(den / 2), _definite(state.sigma_pp, state.det),
     )
     return _GeneratingRecord(r11, r11.conjugate(), r12, w, law)
 

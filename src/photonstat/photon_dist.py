@@ -33,27 +33,27 @@ range.
 
 Truncation is adaptive unless an explicit ``n_max`` is given.  Every
 one-mode Gaussian series (the Hermite and Laguerre routes, the xyt route and
-the closed squeezed-vacuum and squeezed/correlated laws) has the generating
-function P0 prod+- (1 + a+- z)^(-1/2) exp(c+- z / (1 + a+- z)) and decays
-like q^n, with q = max(|a+|, |a-|).  Each law builds one generating-law
-value (``gaussian_state._Law``: a+-, c+-, ln P0 and, where the law may
-violate the uncertainty relation, its covariance) from its own numbers,
-and one cutoff rule, :func:`_decay_cut`, reads it: the routes take the
-value from the generating record, the xyt route builds it from its
-covariance invariants, the closed laws from tanh r and their Hermite
+the closed Poisson, squeezed-vacuum and squeezed/correlated laws) has the
+generating function P0 prod+- (1 + a+- z)^(-1/2) exp(c+- z / (1 + a+- z))
+and decays like q^n, with q = max(|a+|, |a-|).  Each law builds one
+generating-law value (``gaussian_state._Law``: a+-, c+-, ln P0 and the
+sign pattern of its covariance) from its own numbers, and one cutoff
+rule, :func:`_decay_cut`, reads it: the routes take the value from the
+generating record, the xyt route builds it from its covariance
+invariants, the closed laws from their mean or tanh r and scaled Hermite
 argument.  Where q < 1 the cutoff N is chosen once, before any term is
 computed, as the smallest N whose proven bound on the omitted mass
 (doubled, for headroom) is below 1e-12, capped at 4096; the series is
 evaluated once and that bound is its ``tail_bound``.  At an explicit
 ``n_max`` the tail is the same bound evaluated there, so every printed
 tail of a law with q < 1 is a proof.  A bound at the cap that is not below
-1 raises ``RangeOverflowError``, and so does a q that rounds to 1 on a
-state satisfying the uncertainty relation (where q < 1 exactly), at any
-N; a negative-definite covariance with q >= 1 has no law, and raises
+1 raises ``RangeOverflowError``, and so does a q that is not below 1 on a
+positive-definite covariance (where q < 1 exactly), at any N; a
+negative-definite covariance with q >= 1 has no law, and raises
 ``DivergentSeriesError``.  The two-mode total law is cut by the same rule
-in its pair index.  The other series (Poisson, f- and q-coherent, the
-violation family, and violating Gaussian states with an indefinite
-covariance and q >= 1) start at 32 and double until the estimated
+in its pair index.  The other series (f- and q-coherent, the violation
+family, and Gaussian states with a covariance that is neither positive nor
+negative definite and q >= 1) start at 32 and double until the estimated
 geometric tail drops below 1e-12 or the cutoff reaches 4096.  That
 estimate ignores magnitudes below 1e3 eps of the largest term, which are
 roundoff.
@@ -97,6 +97,7 @@ from .errors import (
 from .gaussian_state import (
     OneModeGaussianState,
     XYTState,
+    _definite,
     _generating_record,
     _Law,
     from_tau,
@@ -149,9 +150,6 @@ _NORM_SLOP = 1e-9
 # costs less than numpy's two sums
 _NUMPY_SUM_FROM = 128
 _NOISE_FLOOR = 1e3 * sys.float_info.epsilon
-# gamma_2 = 2u / (1 - 2u), u the unit roundoff: the relative error bound of
-# the float det sigma_pp sigma_qq - sigma_pq^2 (Higham, ch. 3)
-_GAMMA_2 = sys.float_info.epsilon / (1 - sys.float_info.epsilon)
 _LOG_MAX = math.log(sys.float_info.max)
 
 
@@ -403,16 +401,19 @@ def _finalize(values: np.ndarray, tail: float, proven: bool = False) -> PhotonDi
     )
 
 
-# the Cauchy-estimate ratios rho = q + (1 - q) f tried for a displaced state
-_RHO_STEPS = tuple(2.0**-k for k in range(1, 13))
+# the Cauchy-estimate ratios rho = q + (1 - q) f tried for a displaced state;
+# 7/8 and 3/4 reach the rho near c / N that a law with q = 0 and a large
+# exponent c needs (a coherent law at |<q>| of 74 to 85)
+_RHO_STEPS = (0.875, 0.75) + tuple(2.0**-k for k in range(1, 13))
 
 
 def _decay_cut(law: _Law, n_max, step: int = 1) -> tuple[int, float] | None:
     """(N, tail bound) of a one-mode law from its generating-law value
     (:class:`gaussian_state._Law`: a+-, c+- and ln P0, of whose real part
     a P0 that underflows still bounds the tail exactly); or None where
-    q = max(|a+|, |a-|) >= 1 on a covariance ``law.sigma`` that violates
-    the uncertainty relation.  N is ``n_max`` where given, else adaptive.
+    q = max(|a+|, |a-|) >= 1 on a covariance that is neither positive nor
+    negative definite (``law.definite`` = 0).  N is ``n_max`` where given,
+    else adaptive.
 
     The law's index may count photons in steps of ``step``: the two-mode
     total law is such a law in its pair index k = n / 2.  Everything below
@@ -428,7 +429,9 @@ def _decay_cut(law: _Law, n_max, step: int = 1) -> tuple[int, float] | None:
     the exponent's real part peaking at z = 1/rho.  Summing the bound past N
     and doubling it gives the tail 2 |P0| B rho^(N+1) / (1 - rho).  The
     adaptive N is the smallest N >= 1 with tail <= 1e-12 for some
-    rho = q + (1 - q) 2^-k, k = 1..12, capped at 4096; the tail reported is
+    rho = q + (1 - q) f, f = 7/8, 3/4 and 2^-k, k = 1..12, capped at 4096
+    (the first two serve a law with small q and a large c, whose best rho
+    is near c / N); the tail reported is
     the least over k at N, and at an explicit N it is the same bound there
     (inf past about 1e296).  It ignores the n^(-1/2) of the terms, so
     at small N it is loose: 2.40 for the squeezed vacuum at r = 1, N = 2,
@@ -436,37 +439,33 @@ def _decay_cut(law: _Law, n_max, step: int = 1) -> tuple[int, float] | None:
     1 in floating point are tried: within a few ulps of 1 the others round
     onto q (where rho + a+ is 0) or onto 1.
 
-    On a state that satisfies the uncertainty relation q < 1 holds exactly,
-    so a q that rounds to 1 (a squeezed vacuum from about r = 18.5) means
-    a law spread far past the cap, not a series to double.  A law without
-    ``sigma`` is of a valid state; otherwise the covariance counts as
-    valid when its slack det - 1/4 is within the rounding error of the
-    float det, gamma_2 (|sigma_pp sigma_qq| + sigma_pq^2): the float det of a
-    pure state can miss 1/4 by an ulp (0.24999999999999997 for the
-    squeezed vacuum at r = 19.06 and 25).  A covariance with det > 0 and
-    sigma_pp < 0 is negative definite, valid or not: where its q is not
-    below 1 no law exists, and it is not doubled.  An indefinite
-    covariance (det < 0) with q >= 1 is doubled.
+    Whether q < 1 is read from the covariance's sign pattern, not from
+    the float q: the roots are a = (1 - 2 lambda) / (1 + 2 lambda) for the
+    eigenvalues lambda of Sigma, so q < 1 exactly when Sigma > 0.  A q
+    that is not below 1 on a positive-definite Sigma (a squeezed vacuum
+    from about r = 18.5, or (1e-17, 1) whatever its det) is rounding, and
+    means a law spread far past the cap, not a series to double.  On a
+    negative-definite Sigma no law exists, and it is not doubled.  A Sigma
+    that is neither (det <= 0) with q >= 1 is doubled.
 
     Raises:
         DomainError: ``n_max`` is negative.
         DivergentSeriesError: q >= 1 on a negative-definite covariance.
         RangeOverflowError: a squared displacement leaves the double range
             (c+ + c- or ln |P0| is not finite), the adaptive tail bound at
-            the cap is not below 1, q rounds to 1 on a valid state, or no
-            rho lies strictly between q and 1 (the law lies past the cap).
+            the cap is not below 1, q >= 1 on a positive-definite
+            covariance, or no rho lies strictly between q and 1 (the law
+            lies past the cap).
     """
     if n_max is not None and n_max < 0:
         raise DomainError("n_max must be nonnegative")
     a_plus, a_minus, c_plus, c_minus = law.a_plus, law.a_minus, law.c_plus, law.c_minus
     q = max(abs(a_plus), abs(a_minus))
     if not q < 1:
-        if law.sigma is not None:
-            pp, qq, pq = law.sigma
-            if pp < 0 and pp * qq - pq * pq > 0:
-                raise DivergentSeriesError("negative-definite covariance: no law exists")
-            if pp * qq - pq * pq - 0.25 < -_GAMMA_2 * (abs(pp * qq) + pq * pq):
-                return None
+        if law.definite < 0:
+            raise DivergentSeriesError("negative-definite covariance: no law exists")
+        if not law.definite:
+            return None
         raise RangeOverflowError("decay ratio rounds to 1: the law lies past the cap")
     if not math.isfinite(c_plus + c_minus + law.log_p0.real):
         raise RangeOverflowError("squared displacement exceeds the double range")
@@ -692,7 +691,7 @@ def pn_centered_xyt(
     # a+- = R12 -+ |R11| and P0 = 2 c^(-1/2), from these invariants alone
     root_b = 2 * math.sqrt(abs(b))  # b < 0 only by rounding
     law = _Law((a - root_b) / c, (a + root_b) / c, 0.0, 0.0, math.log(2) - 0.5 * log_c.real,
-               (state.x, state.y, state.t))
+               _definite(state.x, det))
     return _build_distribution(series, n_max, _decay_cut(law, n_max))
 
 
@@ -881,7 +880,7 @@ def two_mode_p2k_distribution(
         out[::2] = two_mode_p2k_sequence(s1, s2, n_cut // 2)
         return out
 
-    law = _Law(-s1, -s2, 0.0, 0.0, 0.5 * math.log((1 - s1) * (1 - s2)), None)
+    law = _Law(-s1, -s2, 0.0, 0.0, 0.5 * math.log((1 - s1) * (1 - s2)), 1)
     return _build_distribution(series, n_max, _decay_cut(law, n_max, 2))
 
 
@@ -1037,34 +1036,33 @@ def _deformed_log_weights(spec: DeformationSpec) -> tuple[float, tuple[float, ..
     return -log_norm, tuple(logs)
 
 
-def _unsqueezed(r: float) -> bool:
-    """Whether the squeezed/correlated law at modulus r is read as the
-    coherent (r = 0) law: r <= 0, or 1 / tanh r overflows (r below about
-    5.6e-309), where the Hermite argument g is not finite and the law
-    differs from the coherent one by O(r)."""
-    t = math.tanh(r)
-    return not (t > 0 and 1 / t < math.inf)
+def _squeezed_correlated_amplitude(spec: DeformationSpec) -> tuple[float, float, complex]:
+    """(ln P0, t = tanh r, u) of the squeezed/correlated family, whose law
+    P_n = P0 |h_n|^2 / (2^n n!) reads h_n = s^n H_n(u / s), s = sqrt(t),
+    with u = e^(-i th / 2) (t conj(z) + e^(i th) z) / 2, z = <q> + i <p>:
+    the paper's P0 (t/2)^n |H_n(g)|^2 / n! at g = u / s, with no division
+    by t, so r = 0 is the coherent law.  P0 is kept as its log, which may
+    lie far below the double range where the Hermite factors overflow.
 
-
-def _squeezed_correlated_amplitude(spec: DeformationSpec) -> tuple[float, complex]:
-    """(ln P0, Hermite argument g) of the squeezed/correlated family; at
-    large displacement P0 underflows while the Hermite factors overflow."""
+    Raises:
+        InvalidSpecError: r < 0.
+        RangeOverflowError: ln P0, the squared displacement, is not finite.
+    """
     r, th = spec.r, spec.theta
+    if r < 0:
+        raise InvalidSpecError("squeeze modulus r must be nonnegative")
     q, p = spec.mean_q, spec.mean_p
-    tanh_r = math.tanh(r)
-    # z / 2 before the product: e^(i th) / tanh r nears the double range
-    # where 1 / tanh r barely stays finite
-    g = (
-        cmath.exp(-1j * th / 2)
-        * math.sqrt(tanh_r)
-        * (complex(q, -p) / 2 + cmath.exp(1j * th) / tanh_r * (complex(q, p) / 2))
-    )
+    t = math.tanh(r)
+    z = complex(q, p)
+    u = cmath.exp(-0.5j * th) * (t * z.conjugate() + cmath.exp(1j * th) * z) / 2
     log_p0 = (
         -_log_cosh(r)
         - (p * p + q * q) / 2
-        + (tanh_r / 2) * ((p * p - q * q) * math.cos(th) + 2 * p * q * math.sin(th))
+        + (t / 2) * ((p * p - q * q) * math.cos(th) + 2 * p * q * math.sin(th))
     )
-    return log_p0, g
+    if not math.isfinite(log_p0):
+        raise RangeOverflowError("squared displacement exceeds the double range")
+    return log_p0, t, u
 
 
 def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
@@ -1073,7 +1071,7 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
     Each family's formula is written once, on arrays: :func:`deformed_pn`
     reads one entry and :func:`deformed_distribution` a whole table.  The
     squeezed/correlated family takes its Hermite values from one
-    ``hermite_sequence_log(g, max(n))`` call.
+    ``hermite_sequence_log(u, max(n), sqrt(tanh r))`` call.
     """
     kind = spec.kind
     if kind is DeformationKind.POISSON:
@@ -1098,24 +1096,10 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
             )
         return table[n]
     if kind is DeformationKind.SQUEEZED_CORRELATED:
-        if spec.r < 0:
-            raise InvalidSpecError("squeeze modulus r must be nonnegative")
-        if _unsqueezed(spec.r):
-            # unsqueezed limit: coherent statistics at |alpha|^2 = (q^2+p^2)/2
-            x_bar = (spec.mean_q * spec.mean_q + spec.mean_p * spec.mean_p) / 2
-            if not math.isfinite(x_bar):
-                raise RangeOverflowError("squared displacement exceeds the double range")
-            return _deformed_weights(
-                DeformationSpec(DeformationKind.POISSON, alpha_mag2=x_bar), n
-            )
-        log_p0, g = _squeezed_correlated_amplitude(spec)
-        h_mag = hermite_sequence_log(g, int(n.max()))[0][n]
-        return np.exp(
-            log_p0
-            + n * math.log(math.tanh(spec.r) / 2)
-            - log_factorials(int(n.max()))[n]
-            + 2 * h_mag
-        )
+        log_p0, t, u = _squeezed_correlated_amplitude(spec)
+        top = int(n.max())
+        h_mag = hermite_sequence_log(u, top, math.sqrt(t))[0][n]
+        return np.exp(log_p0 + 2 * h_mag - n * math.log(2) - log_factorials(top)[n])
     if kind is DeformationKind.Q_COHERENT and spec.lam <= 0:
         raise InvalidSpecError("q-coherent family needs lam > 0")
     log_c0, logs = _deformed_log_weights(spec)
@@ -1156,26 +1140,26 @@ def deformed_distribution(
 
 
 def _closed_law(spec: DeformationSpec) -> _Law | None:
-    """The :class:`gaussian_state._Law` of a squeezed law, read from the
-    law's own numbers; None for the other families, the squeezed vacuum
-    at r = 0 and a squeezed/correlated law that :func:`_unsqueezed` reads
-    as a Poisson law.
+    """The :class:`gaussian_state._Law` of a closed law, read from the
+    law's own numbers; None for the f- and q-coherent families.
 
-    With t = tanh |r| the law P_n = P0 (t/2)^n |H_n(g)|^2 / n! has
-    a+- = -+t, and by Mehler's formula (DLMF section 18.18) c+ = 2 t (Im g)^2
-    and c- = 2 t (Re g)^2; the squeezed vacuum has g = 0.  Both are laws of
-    valid states, so a t that rounds to 1 puts the law past the cap.
+    The Poisson law at mean x has a+- = 0, c+ = x and P0 = e^-x.  With
+    t = tanh |r| the squeezed/correlated law P0 |h_n|^2 / (2^n n!) of
+    :func:`_squeezed_correlated_amplitude` has a+- = -+t, and by Mehler's
+    formula (DLMF section 18.18) c+ = 2 (Im u)^2 and c- = 2 (Re u)^2; the
+    squeezed vacuum has u = 0.  At r = 0 these are the coherent law and
+    the vacuum.  All are laws of valid states, so a t that rounds to 1
+    puts the law past the cap.
     """
-    if spec.kind is DeformationKind.SQUEEZED_VACUUM and spec.r:
-        t, log_p0, c_plus, c_minus = math.tanh(abs(spec.r)), -_log_cosh(spec.r), 0.0, 0.0
-    elif spec.kind is DeformationKind.SQUEEZED_CORRELATED and not _unsqueezed(spec.r):
-        log_p0, g = _squeezed_correlated_amplitude(spec)
-        t = math.tanh(spec.r)
-        # g * g, not g ** 2: ** raises OverflowError past 1e154
-        c_plus, c_minus = 2 * t * g.imag * g.imag, 2 * t * g.real * g.real
+    if spec.kind is DeformationKind.POISSON:
+        return _Law(0.0, 0.0, spec.alpha_mag2, 0.0, -spec.alpha_mag2, 1)
+    if spec.kind is DeformationKind.SQUEEZED_VACUUM:
+        t, log_p0, u = math.tanh(abs(spec.r)), -_log_cosh(spec.r), 0j
+    elif spec.kind is DeformationKind.SQUEEZED_CORRELATED:
+        log_p0, t, u = _squeezed_correlated_amplitude(spec)
     else:
         return None
-    return _Law(-t, t, c_plus, c_minus, log_p0, None)
+    return _Law(-t, t, 2 * u.imag * u.imag, 2 * u.real * u.real, log_p0, 1)
 
 
 # ---------------------------------------------------------------------------

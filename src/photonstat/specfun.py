@@ -6,7 +6,10 @@ sum.
 
 Conventions
 -----------
-* Hermite: H_0 = 1, H_1 = 2z, H_{n+1} = 2 z H_n - 2 n H_{n-1}.
+* Hermite: H_0 = 1, H_1 = 2z, H_{n+1} = 2 z H_n - 2 n H_{n-1}, run in its
+  scaled form for h_n = s^n H_n(z/s), h_{n+1} = 2 z h_n - 2 n s^2 h_{n-1},
+  which is finite at s = 0, where h_n = (2z)^n (`hermite_sequence_log`);
+  s = 1 gives H_n(z).
 * Two-index Hermite H_nn^{R}(y1, y2) for a symmetric 2x2 matrix R, evaluated
   through the finite sum
 
@@ -620,16 +623,26 @@ def hermite(n: int, z: complex) -> complex:
     return complex(log_signed_values(mag[-1:], ph[-1:])[0])
 
 
-def hermite_sequence_log(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """H_0(z) .. H_{n_max}(z) as (log-magnitude, phase) arrays.
+def hermite_sequence_log(
+    z: complex, n_max: int, scale: float = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """h_n = s^n H_n(z / s), n = 0 .. n_max, s = ``scale``, as
+    (log-magnitude, phase) arrays; at s = 1 these are H_n(z).
 
-    One recurrence stores plain values, in float arithmetic for a real z,
-    rescaled past 1e250 as the module docstring describes; the magnitudes
-    are formed all at once at the end.  A real z gives real phases, exactly
-    +-1, and a zero value (odd degree at z = 0) comes out as (-inf, 0).
-    Where |2z| + n_max passes about 4e57 the rescale comes earlier, below
-    max / (4 (|2z| + n_max + 1)), so that no step's products leave the
-    double range (they gave inf - inf = NaN for |z| near 1e154).
+    h_n follows the scaled recurrence, from h_0 = 1,
+
+        h_(n+1) = 2 z h_n - 2 n s^2 h_(n-1),
+
+    which is finite at s = 0, where h_n = (2z)^n.  One recurrence stores
+    plain values, in float arithmetic for a real z and s, rescaled past
+    1e250 as the module docstring describes; the magnitudes are formed all
+    at once at the end.  A real z gives real phases, exactly +-1, and a
+    zero value (odd degree at z = 0) comes out as (-inf, 0).  Where
+    |2z| + s^2 n_max passes about 4e57 the rescale comes earlier, below
+    max / (4 (|2z| + s^2 n_max + 1)), so that no step's products leave the
+    double range (they gave inf - inf = NaN for |z| near 1e154).  The
+    default s is the integer 1, so H_n(z) is computed in the same
+    arithmetic as the unscaled recurrence.
     """
     if n_max < 0:
         raise DomainError("hermite degree must be nonnegative")
@@ -639,12 +652,12 @@ def hermite_sequence_log(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray
     raw, marks = [], []
     push = raw.append
     prev, cur = 0 * z, 1 + 0 * z
-    two_z = 2 * z
+    two_z, two_s2 = 2 * z, 2 * scale * scale
     shift = 0.0
-    limit = min(_RESCALE_LIMIT, _DBL_MAX / (4 * (abs(two_z) + n_max + 1)))
+    limit = min(_RESCALE_LIMIT, _DBL_MAX / (4 * (abs(two_z) + scale * scale * n_max + 1)))
     for k in range(n_max + 1):
         push(cur)
-        prev, cur = cur, two_z * cur - 2 * k * prev
+        prev, cur = cur, two_z * cur - two_s2 * k * prev
         if abs(cur) > limit:
             prev, cur, shift = _rescaled(prev, cur, shift)
             marks.append((k + 1, shift))

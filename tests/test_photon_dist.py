@@ -474,13 +474,13 @@ class TestDecayRatioTruncation:
         # in a normalization error.  At r = 19.06 and 25 the float det is
         # 0.24999999999999997, one ulp short of 1/4 but within its rounding
         # error, and read as a violation it ended in normalization-error
-        # ("sums to 5.39e-07 against tail bound 1.08e-06")
+        # ("sums to 5.39e-07 against tail bound 1.08e-06").  Sigma > 0 decides
+        # it, whatever the float det
         state = OneModeGaussianState.squeezed_vacuum(r)
         if r in (18.5, 20.0):
             assert state.det == 0.25
         else:
-            assert state.det < 0.25
-            assert 0.25 - state.det <= photon_dist._GAMMA_2 * state.sigma_pp * state.sigma_qq
+            assert 0 < state.det < 0.25 and state.sigma_pp > 0
         for route in (pn_hermite, pn_laguerre):
             with pytest.raises(RangeOverflowError, match="past the cap"):
                 route(state)
@@ -953,10 +953,13 @@ class TestLawValue:
 
     @pytest.mark.parametrize("r", [1e-320, 5e-324, 5.5e-309])
     def test_r_whose_tanh_inverts_to_inf_is_the_coherent_law(self, r):
-        # 1 / tanh r is inf, so g was NaN: range-overflow at r = 1e-320
-        assert photon_dist._unsqueezed(r)
+        # 1 / tanh r is inf, so g was NaN: range-overflow at r = 1e-320.  The
+        # scaled Hermite form divides by no tanh r: the closed law at this r
+        # is the r = 0 one to the bit
         spec, coherent = TestLawValue.correlated(r), TestLawValue.correlated(0.0)
-        assert photon_dist._closed_law(spec) is None
+        law, law_0 = photon_dist._closed_law(spec), photon_dist._closed_law(coherent)
+        assert (law.a_plus, law.a_minus) == (-math.tanh(r), math.tanh(r))
+        assert (law.c_plus, law.c_minus, law.log_p0) == (law_0.c_plus, law_0.c_minus, law_0.log_p0)
         tiny, zero = deformed_distribution(spec), deformed_distribution(coherent)
         assert tiny.values.tobytes() == zero.values.tobytes()
         assert (tiny.truncation, tiny.tail_bound, tiny.classification) == (
@@ -970,23 +973,161 @@ class TestLawValue:
         ids=["5.6e-309", "1e-300"],
     )
     def test_r_whose_tanh_inverts_to_a_double_keeps_the_squeezed_law(self, spec):
-        assert not photon_dist._unsqueezed(spec.r)
-        assert photon_dist._closed_law(spec) is not None
+        law = photon_dist._closed_law(spec)
+        assert (law.a_plus, law.a_minus) == (-math.tanh(spec.r), math.tanh(spec.r))
         dist = deformed_distribution(spec)
         assert dist.classification is Classification.PROBABILITY and dist.tail_bound <= 1e-12
+        # the law at this r is the r = 0 one to O(r)
+        coherent = deformed_distribution(dataclasses.replace(spec, r=0.0))
+        assert dist.truncation == coherent.truncation
+        for n, value in enumerate(dist.values.real.tolist()):
+            assert value == pytest.approx(coherent.values[n].real, rel=1e-14), n
 
     def test_hermite_argument_whose_square_overflows_keeps_the_coherent_law(self):
         # |g| = 7.5e153: (2g)^2 overflowed to NaN in the Hermite recurrence,
-        # "sums to nan"; the closed law at this r is the coherent one to
-        # the rounding of its n ln(t / 2) against 2 ln |H_n(g)|
+        # "sums to nan", and the unscaled law then lost 2.4e-12 relative to
+        # the rounding of its n ln(t / 2) against 2 ln |H_n(g)|.  The scaled
+        # argument u = sqrt(t) g is of the order of the displacement
         spec = TestLawValue.correlated(5.6e-309)
-        assert not photon_dist._unsqueezed(spec.r)
-        assert abs(photon_dist._squeezed_correlated_amplitude(spec)[1]) > 7e153
+        assert abs(photon_dist._squeezed_correlated_amplitude(spec)[2]) < 1
         dist = deformed_distribution(spec)
         assert dist.classification is Classification.PROBABILITY and dist.tail_bound <= 1e-12
         coherent = deformed_distribution(TestLawValue.correlated(0.0))
         for n, value in enumerate(dist.values.real.tolist()):
-            assert value == pytest.approx(coherent.values[n].real, rel=1e-13), n
+            assert value == pytest.approx(coherent.values[n].real, rel=1e-14), n
+
+
+class TestOneSqueezedLaw:
+    """The squeezed/correlated law is written once, for every r >= 0, as
+    P0 |h_n|^2 / (2^n n!) with h_n = s^n H_n(u / s), s = sqrt(tanh r): no
+    division by tanh r, so r = 0 is the coherent law, cut by the same
+    proven rule as the Poisson law."""
+
+    ARGS = dict(theta=0.3, mean_q=1.0, mean_p=-0.5)
+
+    @staticmethod
+    def reference(r, n_max):
+        """The paper's law in g at 50 digits; the Poisson law at r = 0."""
+        if r:
+            return squeezed_correlated_law_mp(r, 0.3, 1.0, -0.5, n_max)
+        with mpmath.workdps(50):
+            x_bar = mpmath.mpf(0.625)
+            return [mpmath.exp(-x_bar) * x_bar**n / mpmath.factorial(n) for n in range(n_max + 1)]
+
+    @pytest.mark.parametrize("r", [0.0, 1e-320, 5.6e-309, 1e-17, 1e-3, 0.7, 2.0])
+    def test_law_matches_a_50_digit_reference(self, r):
+        dist = deformed_distribution(DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=r,
+                                                     **self.ARGS))
+        assert dist.classification is Classification.PROBABILITY and dist.tail_bound <= 1e-12
+        assert error_to_top(dist.values, self.reference(r, dist.truncation)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "mean_q, mean_p, theta", [(3.0, 0.0, 0.0), (0.0, 2.0, 1.1), (-4.0, 5.0, 2.0)]
+    )
+    def test_r0_and_poisson_share_one_cut(self, mean_q, mean_p, theta):
+        coherent = deformed_distribution(DeformationSpec(
+            DeformationKind.SQUEEZED_CORRELATED, theta=theta, mean_q=mean_q, mean_p=mean_p))
+        poisson = deformed_distribution(DeformationSpec(
+            DeformationKind.POISSON, alpha_mag2=(mean_q * mean_q + mean_p * mean_p) / 2))
+        assert coherent.truncation == poisson.truncation
+        assert coherent.tail_bound == pytest.approx(poisson.tail_bound, rel=1e-12)
+        assert poisson.tail_bound <= 1e-12
+        top = np.max(np.abs(poisson.values))
+        assert np.max(np.abs(coherent.values - poisson.values)) <= 1e-14 * top
+
+    def test_poisson_law_is_cut_once_with_a_proven_tail(self, monkeypatch):
+        # the sampled doubling loop stopped at N = 32
+        runs = []
+        weights = photon_dist._deformed_weights
+        monkeypatch.setattr(photon_dist, "_deformed_weights",
+                            lambda spec, n: runs.append(len(n)) or weights(spec, n))
+        dist = deformed_distribution(DeformationSpec(DeformationKind.POISSON, alpha_mag2=2.25))
+        assert runs == [22] and dist.truncation == 21
+        assert dist.tail_bound <= 1e-12
+        with mpmath.workdps(30):
+            omitted = 1 - mpmath.fsum(mpmath.exp(-2.25) * mpmath.mpf(2.25) ** n / mpmath.factorial(n)
+                                      for n in range(22))
+        assert 0 < omitted <= dist.tail_bound
+
+    @pytest.mark.parametrize("family", ["correlated", "state"])
+    def test_coherent_law_keeps_its_reach(self, family):
+        # the candidate rho = 7/8 and 3/4 reach what the doubling loop
+        # reached at r = 0 (<q> = 85: N = 4096, sampled tail 3.5e-15)
+        if family == "correlated":
+            dist = deformed_distribution(
+                DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, mean_q=85.0))
+            n = 4092
+        else:
+            dist = pn_hermite(OneModeGaussianState.coherent(77.0, 0.0))
+            n = 3399
+        assert dist.truncation == n
+        assert dist.classification is Classification.PROBABILITY and dist.tail_bound <= 1e-12
+
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_squared_displacement_past_the_double_range_raises_for_one_term_too(self, r):
+        # deformed_pn returned 0.0 at r = 0.5 while the table raised; at
+        # r = 0 the scaled law would read nan
+        spec = DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=r, mean_q=1e155)
+        for call in (lambda: deformed_pn(spec, 3), lambda: deformed_distribution(spec)):
+            with pytest.raises(RangeOverflowError, match="squared displacement"):
+                call()
+
+    def test_squeezed_vacuum_at_r0_is_the_vacuum(self):
+        dist = deformed_distribution(DeformationSpec(DeformationKind.SQUEEZED_VACUUM))
+        assert dist.values.tolist() == [1.0]
+        assert (dist.truncation, dist.tail_bound) == (0, 0.0)
+
+
+class TestSignPattern:
+    """Whether q < 1 is read from the sign pattern of Sigma: q < 1 exactly
+    when Sigma > 0, so a float q >= 1 on a positive-definite Sigma is
+    rounding, whatever its det."""
+
+    @pytest.mark.parametrize(
+        "pp, det, sign",
+        [(0.5, 0.25, 1), (1e-17, 1e-17, 1), (-0.3, 0.09, -1), (-0.3, -0.27, 0), (0.5, 0.0, 0),
+         (0.0, 0.0, 0), (0.5, -0.0, 0)],
+    )
+    def test_definite(self, pp, det, sign):
+        assert gaussian_state._definite(pp, det) == sign
+
+    def test_each_law_carries_its_sign(self):
+        assert _generating_record(OneModeGaussianState(-0.3, 0.9)).law.definite == 0
+        assert _generating_record(OneModeGaussianState(-0.3, -0.3)).law.definite == -1
+        assert _generating_record(OneModeGaussianState(1e-17, 1.0)).law.definite == 1
+        spec = DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=0.7, mean_q=1.0)
+        assert photon_dist._closed_law(spec).definite == 1
+
+    @pytest.mark.parametrize("n_max", [None, 16])
+    @pytest.mark.parametrize(
+        "route",
+        [pn_hermite, pn_laguerre, lambda state, n_max: pn_centered_xyt(
+            XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq), n_max)],
+        ids=["hermite", "laguerre", "xyt"],
+    )
+    def test_positive_definite_q_of_one_is_past_the_cap(self, route, n_max):
+        # det = 1e-17 < 1/4 by far more than its rounding, and q rounds to
+        # 1: the routes came back SignedReal at the 4096 cap (sampled tail
+        # 144, mass 1.0044)
+        state = OneModeGaussianState(1e-17, 1.0)
+        assert decay_ratio(state) == 1.0
+        with pytest.raises(RangeOverflowError, match="decay ratio rounds to 1"):
+            route(state, n_max)
+
+    @pytest.mark.parametrize("route", [pn_hermite, pn_laguerre])
+    def test_displaced_positive_definite_q_of_one_is_past_the_cap(self, route):
+        # trimmed as divergent at N = 30 with tail 0.007
+        with pytest.raises(RangeOverflowError, match="decay ratio rounds to 1"):
+            route(OneModeGaussianState(1e-17, 1.0, 0.0, 0.3, 0.1))
+
+    def test_indefinite_q_above_one_keeps_doubling_on_the_xyt_route(self, monkeypatch):
+        sizes = []
+        build = photon_dist._build_distribution
+        monkeypatch.setattr(photon_dist, "_build_distribution",
+                            lambda series, n_max, cut=None: sizes.append(cut) or build(
+                                series, n_max, cut))
+        pn_centered_xyt(XYTState(-0.3, 0.9, 0.0))
+        assert sizes == [None]
 
 
 class TestLargeDisplacement:
@@ -1106,9 +1247,14 @@ class TestAllZeroSeries:
     @pytest.mark.parametrize("n_max", [None, 64])
     def test_raises(self, spec, n_max):
         # the squeezed law stops before its series, at any N: tanh r, its
-        # decay ratio, rounds to 1, so it lies past the cap
-        past_cap = spec.kind is DeformationKind.SQUEEZED_VACUUM
-        message = "decay ratio rounds to 1" if past_cap else "underflows to 0"
+        # decay ratio, rounds to 1, so it lies past the cap.  The Poisson
+        # law's adaptive cut proves its tail at the cap is not below 1
+        if spec.kind is DeformationKind.SQUEEZED_VACUUM:
+            message = "decay ratio rounds to 1"
+        elif spec.kind is DeformationKind.POISSON and n_max is None:
+            message = "tail bound at the N = 4096 cap is not below 1"
+        else:
+            message = "underflows to 0"
         with pytest.raises(RangeOverflowError, match=message):
             deformed_distribution(spec, n_max)
 
@@ -1906,10 +2052,14 @@ class TestDeformedFamilies:
             spec = DeformationSpec(DeformationKind.POISSON, alpha_mag2=0.625)
             return deformed_distribution(spec, n_max)
 
+        # one cut for the coherent law, whichever family names it: the two
+        # read the same law value, up to the rounding of c+ + c- = 0.625
         at_zero, ref = law(0.0), poisson()
-        assert np.array_equal(at_zero.values, ref.values)
-        assert at_zero.tail_bound == ref.tail_bound
+        assert at_zero.truncation == ref.truncation
+        assert at_zero.tail_bound == pytest.approx(ref.tail_bound, rel=1e-14)
         assert at_zero.classification is Classification.PROBABILITY
+        top = np.max(np.abs(ref.values))
+        assert np.max(np.abs(at_zero.values - ref.values)) <= 1e-15 * top
         assert np.max(np.abs(law(1e-6, 40).values - poisson(40).values)) < 1e-6
 
     def test_q_coherent_supergeometric_tail(self):
@@ -2287,6 +2437,9 @@ _SQ20 = OneModeGaussianState.squeezed_vacuum(20.0)  # its cutoff raises
         (lambda: deformed_distribution(
             DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=-0.5, mean_q=1.0)),
          InvalidSpecError, "r must be nonnegative"),
+        (lambda: deformed_pn(
+            DeformationSpec(DeformationKind.SQUEEZED_CORRELATED, r=-0.5, mean_q=1.0), 3),
+         InvalidSpecError, "r must be nonnegative"),
         (lambda: deformed_pn(DeformationSpec(
             DeformationKind.F_COHERENT, alpha_mag2=0.8, f_values=(1.0, 0.0, 2.0)), 0),
          InvalidSpecError, r"f\(1\) is zero"),
@@ -2309,7 +2462,8 @@ _SQ20 = OneModeGaussianState.squeezed_vacuum(20.0)  # its cutoff raises
     ],
     ids=[
         "negative-alpha", "unknown-convention", "joint-1d", "joint-negative", "joint-mass",
-        "deformed-negative-n", "correlated-negative-r", "f-profile-zero", "q-coherent-divergent",
+        "deformed-negative-n", "correlated-negative-r", "correlated-negative-r-one-term",
+        "f-profile-zero", "q-coherent-divergent",
         "joint-negative-index", "violation-singular", "hermite-negative-degree",
         "laguerre-negative-degree", "2f1-negative-order", "thermal-negative", "xyt-nan",
         "hermite-negative-n-max", "laguerre-negative-n-max", "xyt-negative-n-max",

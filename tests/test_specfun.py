@@ -126,6 +126,33 @@ class TestHermiteSequenceLog:
                 assert abs(mag[n] - ref_mag) <= 1e-13 * max(1.0, abs(ref_mag))
                 assert abs(ph[n] - complex(ref / abs(ref))) <= 1e-13
 
+    @pytest.mark.parametrize("scale", [1, 0.3, 1e-160])
+    @pytest.mark.parametrize("z, n_max", [(0.7, 60), (0.4 - 1.1j, 60), (30.0, 400)])
+    def test_scaled_matches_mpmath(self, z, n_max, scale):
+        # s^n H_n(z / s); z = 30 passes the 1e250 rescale at every scale
+        mag, ph = hermite_sequence_log(z, n_max, scale)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(scale)
+            for n in range(n_max + 1):
+                ref = s**n * mpmath.hermite(n, mpmath.mpmathify(z) / s)
+                ref_mag = float(mpmath.log(abs(ref)))
+                assert abs(mag[n] - ref_mag) <= 1e-13 * max(1.0, abs(ref_mag)), n
+                assert abs(ph[n] - complex(ref / abs(ref))) <= 1e-13, n
+
+    @pytest.mark.parametrize("z", [0.7, -0.4 + 1.1j, 1e200])
+    def test_scale_zero_gives_the_powers_of_2z(self, z):
+        mag, ph = hermite_sequence_log(z, 300, 0.0)
+        n = np.arange(301)
+        assert np.allclose(mag, n * math.log(abs(2 * z)), rtol=1e-13, atol=1e-13)
+        assert np.allclose(ph, np.exp(1j * n * cmath.phase(z)), atol=1e-12)
+
+    @pytest.mark.parametrize("z", [0.3, 30.0, 0.3 + 0.2j, 7.1e153 - 2.3e153j])
+    def test_scale_one_is_the_unscaled_sequence(self, z):
+        default = hermite_sequence_log(z, 300)
+        for scale in (1, 1.0):
+            scaled = hermite_sequence_log(z, 300, scale)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(default, scaled))
+
     @pytest.mark.parametrize("z", [0, 0.3, -1.7, 30.0, 2.5 + 0j])
     def test_real_argument_gives_exact_real_phases(self, z):
         mag, ph = hermite_sequence_log(z, 300)

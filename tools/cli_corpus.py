@@ -193,7 +193,7 @@ INVOCATIONS = (
         "dist --family gaussian --state DISPLACED_VIOLATING_STATE --route laguerre",
         # a negative-definite covariance with det = 1: no law exists
         "dist --family xyt --x -1 --y -1",
-        # 1 / tanh r overflows: the law is read as the coherent one
+        # 1 / tanh r overflows: the law is the coherent one
         "dist --family squeezed-correlated --r 1e-320 --mean-q 1",
         # the two-mode law cut in its pair index: past the 4096 cap its
         # proven tail is 1.82, which an explicit N reports
@@ -201,8 +201,16 @@ INVOCATIONS = (
         "dist --family two-mode --s1 0.95 --s2 0.999 --n-max 4096",
         # a negative-definite covariance with det = 0.09 < 1/4: no law exists
         "dist --family xyt --x -0.3 --y -0.3",
-        # 1 / tanh r is a double, but the Hermite argument's square is not
+        # 1 / tanh r is a double, but the square of the unscaled Hermite
+        # argument is not
         "dist --family squeezed-correlated --r 5.6e-309 --theta 0.3 --mean-q 1 --mean-p -0.5",
+        # the squeezed/correlated law at and near r = 0, where it is the
+        # coherent law, and far out, where its cut needs rho near c / N
+        "dist --family squeezed-correlated --r 0 --theta 0.3 --mean-q 1 --mean-p -0.5",
+        "dist --family squeezed-correlated --r 1e-17 --theta 0.3 --mean-q 1 --mean-p -0.5",
+        "dist --family squeezed-correlated --r 0 --mean-q 85",
+        # a positive-definite covariance whose q rounds to 1, det far below 1/4
+        "dist --family xyt --x 1e-17 --y 1",
     ]
 )
 
