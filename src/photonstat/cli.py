@@ -25,6 +25,7 @@ inequality CSV sorts its columns.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -92,7 +93,14 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     and lands at -2.2e-16, on the wrong side of the boundary.  Other starts
     round to +-1e-16 there (-0.3 + 3*0.1 gives 5.6e-17), so the point whose
     decimal value, as the flags are written, is zero is set to 0 exactly.
+
+    Raises:
+        DomainError: start, stop or step is not finite.
     """
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DomainError(
+            f"sweep start, stop and step must be finite, got {start!r}, {stop!r}, {step!r}"
+        )
     d_start, d_step = Decimal(repr(start)), Decimal(repr(step))
     return [
         0.0 if d_start + i * d_step == 0 else start + i * step
@@ -252,6 +260,16 @@ def _cmd_inequality(args) -> int:
     return 0
 
 
+# the label of a sweep row whose covariance law raises: its denominator
+# vanishes, it leaves the double range, or no law exists (q >= 1 on a
+# negative-definite covariance)
+_ROW_LABELS = {
+    SingularDenominatorError: "Singular",
+    RangeOverflowError: "RangeOverflow",
+    DivergentSeriesError: "Nonexistent",
+}
+
+
 def _cmd_violation(args) -> int:
     if args.tau_step <= 0:
         raise DomainError("--tau-step must be positive")
@@ -267,8 +285,8 @@ def _cmd_violation(args) -> int:
         try:
             dist = pn_centered_xyt(xyt, args.n_max)
             label = dist.classification.value
-        except SingularDenominatorError:
-            dist, label = None, "Singular"
+        except tuple(_ROW_LABELS) as exc:
+            dist, label = None, _ROW_LABELS[type(exc)]
         try:
             mean = mean_photon_xyt(xyt.x, xyt.y)
             mean_s, mean_a = _fmt(mean), _fmt(abs(mean))
@@ -388,7 +406,17 @@ def _add_shared_options(sub: argparse.ArgumentParser, *flags: str) -> None:
         sub.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``photonstat`` parser: one per process, built on first use.
+
+    Nothing in the tree depends on argv, and ``parse_args`` keeps no state
+    between calls: each call fills a fresh Namespace, and argparse looks up
+    stdout, stderr and the terminal width when it prints.  So every call of
+    :func:`main` parses, prints and exits as with a parser of its own, while
+    the six subparsers and their flags are built once (each flag makes a
+    help formatter to check its metavar).
+    """
     parser = argparse.ArgumentParser(
         prog="photonstat",
         description="Photon-number distributions, block-partition information, "

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from photonstat import cli, entropy, photon_dist
+from photonstat import cli, entropy, oracle, photon_dist
 from photonstat.cli import main
 from photonstat.entropy import PartitionScheme, block_entropies
 from photonstat.gaussian_state import OneModeGaussianState, XYTState
@@ -458,6 +458,37 @@ class TestViolation:
         assert row[:6] == ["0.75", "-0.5", "-0.75", "Singular", "0.5", "0.5"]
         assert all(math.isfinite(float(v)) for v in row[6:])
 
+    def test_range_overflow_row_does_not_abort_the_sweep(self, capsys):
+        # at tau = 0.6000000000000001, x = -0.5000000000000001 leaves
+        # 4 det + 2 Tr + 1 a rounding residue; every other cell evaluates
+        code, out, err = run(
+            capsys, "violation", "--y", "0.7", "--tau-min", "0", "--tau-max", "3",
+            "--tau-step", "0.05",
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 61
+        labels = {row[0]: row[3] for row in rows}
+        assert labels.pop("0.60000000000000009") == "RangeOverflow"
+        assert set(labels.values()) <= {"Probability", "SignedReal", "Complex"}
+        row = next(row for row in rows if row[3] == "RangeOverflow")
+        assert row[4:6] == ["0.5", "0.5"]
+        assert all(math.isfinite(float(v)) for v in row[6:])
+
+    def test_nonexistent_rows(self, capsys):
+        # a negative-definite covariance with q >= 1 on every row: no law
+        # exists, while the mean and, from tau = 0, the tau family evaluate
+        code, out, err = run(
+            capsys, "violation", "--y", "-1", "--tau-min", "-0.2", "--tau-max", "0.2",
+            "--tau-step", "0.1",
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[3] for row in rows] == ["Nonexistent"] * 5
+        assert all(math.isfinite(float(row[4])) for row in rows)
+        assert [row[6:] for row in rows[:2]] == [["nan"] * 4] * 2
+        assert all(math.isfinite(float(v)) for row in rows[3:] for v in row[6:])
+
 
 class TestFigures:
     def test_parity_information_endpoints(self, capsys):
@@ -548,6 +579,24 @@ class TestErrorPaths:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: invalid-spec:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["violation", "--y", "1", "--tau-max", "inf"],
+            ["violation", "--y", "1", "--tau-min=-inf"],
+            ["violation", "--y", "1", "--tau-step", "nan"],
+            ["violation", "--y", "1", "--tau-step", "inf"],
+            ["figures", "--fig", "1", "--param-max", "nan"],
+            ["figures", "--fig", "2", "--param-min=-inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_sweep_bound_is_single_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: domain-error: sweep start, stop and step must be finite")
 
     def test_large_displacement(self, capsys):
         # P0 underflows while the weights' Hermite factors overflow
@@ -736,6 +785,71 @@ class TestOptionSurface:
         assert code == 1
         assert out == ""
         assert err == f"error: domain-error: {message}\n"
+
+
+def _outcome(capsys, argv, out_path):
+    """(exit code, stdout, stderr, --out bytes) of one ``main`` call."""
+    if out_path.exists():
+        out_path.unlink()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    data = out_path.read_bytes() if out_path.exists() else None
+    return code, captured.out, captured.err, data
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_leave_no_state_in_the_parser(self, capsys, tmp_path):
+        out_path = tmp_path / "oracle.jsonl"
+        calls = [
+            ["dist", "--family", "poisson", "--alpha", "1.5"],
+            ["dist", "--family", "nope"],
+            ["entropy", "--family", "poisson", "--alpha", "1.0", "--format", "json"],
+            ["oracle", "--out", str(out_path)],
+            ["--help"],
+            ["violation", "--y", "5", "--tau-min", "-0.2", "--tau-max", "0.2"],
+            ["figures", "--fig", "3", "--param-max", "0.1"],
+            ["dist", "--family", "poisson", "--alpha", "1.5"],
+        ]
+        shared = [_outcome(capsys, argv, out_path) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(_outcome(capsys, argv, out_path))
+        assert [o[0] for o in shared] == [0, 2, 0, 0, 0, 0, 0, 0]
+        assert shared[3][3] and shared[4][1].startswith("usage: photonstat")
+        assert shared == fresh
+
+    def test_each_oracle_call_runs_the_suite(self, capsys, monkeypatch, tmp_path):
+        counts = {}
+
+        def spy(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(cli, "run_suite")
+        for name in ("pn_hermite", "pn_laguerre", "two_mode_p2k_sequence"):
+            spy(oracle, name)
+        outputs, tallies = [], []
+        for path in (tmp_path / "first.jsonl", tmp_path / "second.jsonl"):
+            counts.clear()
+            assert main(["oracle", "--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+            tallies.append(dict(counts))
+        assert tallies[0]["run_suite"] == 1
+        assert all(tallies[0][name] > 0 for name in counts)
+        assert tallies[0] == tallies[1]
+        assert outputs[0] == outputs[1]
 
 
 def _tool_module(name="cli_corpus"):

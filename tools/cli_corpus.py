@@ -211,6 +211,15 @@ INVOCATIONS = (
         "dist --family squeezed-correlated --r 0 --mean-q 85",
         # a positive-definite covariance whose q rounds to 1, det far below 1/4
         "dist --family xyt --x 1e-17 --y 1",
+        # non-finite sweep bounds: a domain error, not a traceback
+        "violation --y 1 --tau-max inf",
+        "violation --y 1 --tau-step nan",
+        "figures --fig 1 --param-max nan",
+        # a cell's own error labels its row: at tau = 0.6000000000000001,
+        # 4 det + 2 Tr + 1 is a rounding residue (RangeOverflow); at y = -1
+        # the covariance is negative definite on every row (Nonexistent)
+        "violation --y 0.7 --tau-min 0 --tau-max 3 --tau-step 0.05",
+        "violation --y -1 --tau-min -0.2 --tau-max 0.2 --tau-step 0.1",
     ]
 )
 
