@@ -297,7 +297,7 @@ def _cmd_violation(args) -> int:
         if tau >= 0:
             try:
                 dist_i = pn_violation(tau, args.y, args.t, args.n_max)
-            except (NormalizationError, SingularDenominatorError):
+            except (NormalizationError, SingularDenominatorError, RangeOverflowError):
                 dist_i = None
         else:
             dist_i = dist

@@ -25,11 +25,14 @@ raises ``NormalizationError``.
 
 The two 1e-12 tolerances are fixed, so no caller can move a verdict.
 
-Each series is a finite double sum "row n = e^{C[n]} sum_k A[k] B[n-k]";
-every route builds its own A, B and C as log-magnitudes and phases, and
-:func:`specfun.log_cauchy_rows` sums all rows at once by a tilted
-convolution, keeping each row's log-magnitude far outside the double
-range.
+The Hermite and Laguerre routes and the violation family are finite
+double sums "row n = e^{C[n]} sum_k A[k] B[n-k]"; each builds its own A, B
+and C as log-magnitudes and phases, and :func:`specfun.log_cauchy_rows`
+sums all rows at once by a tilted convolution, keeping each row's
+log-magnitude far outside the double range.  The xyt route and the
+two-mode total law sum nothing: each is P0 b^n F_n, with F_n =
+2F1(-n, 1/2; 1; z), z in [0, 2], from one O(N) recurrence shared by both
+(:func:`specfun._gauss_2f1_half`), and |F_n| <= 1.
 
 Truncation is adaptive unless an explicit ``n_max`` is given.  Every
 one-mode Gaussian series (the Hermite and Laguerre routes, the xyt route and
@@ -103,6 +106,7 @@ from .gaussian_state import (
     from_tau,
 )
 from .specfun import (
+    _gauss_2f1_half,
     _legendre_columns,
     _legendre_scaled,
     gauss_2f1_terminating,
@@ -646,52 +650,60 @@ def pn_centered_xyt(
     state: XYTState, n_max: int | None = None
 ) -> PhotonDistribution:
     """Distribution of a centered covariance triple, coded directly from the
-    covariance invariants (no R-matrix plumbing):
+    covariance invariants (no R-matrix plumbing).  Its generating function
+    is P0 ((1 + a+ z)(1 + a- z))^(-1/2) with
 
-        P_n = 2 n! sum_k (-1)^k |H_{n-k}(0)|^2 / (k! ((n-k)!)^2)
-              (1 - 4 det)^k (Tr^2 - 4 det)^{(n-k)/2} / (4 det + 2 Tr + 1)^{n+1/2}
+        a+- = (1 - 4 det -+ 2 sqrt(Tr^2 - 4 det)) / (4 det + 2 Tr + 1),
+        P0 = 2 (4 det + 2 Tr + 1)^(-1/2),
 
-    |H_m(0)|^2 / m!^2 is 1 / (m/2)!^2 at even m and 0 at odd m, so every
-    row is one Cauchy product of (4 det - 1)^k / k! with a factor that is
-    (Tr^2 - 4 det)^j / j!^2 at 2j and 0 between.
+    so with |a_lo| <= |a_hi| the law is Gauss' hypergeometric form
+
+        P_n = P0 (-a_hi)^n 2F1(-n, 1/2; 1; z),    z = 1 - a_lo / a_hi in [0, 2],
+
+    which is P0 (-a_hi)^n rho^(n/2) P_n((1 + rho) / (2 sqrt(rho))) with
+    rho = 1 - z and P_n Legendre's polynomial.  The 2F1 factors come from
+    one O(N) recurrence (:func:`specfun._gauss_2f1_half`, also the two-mode
+    law's), each at most 1 in modulus, and (-a_hi)^n from
+    :func:`specfun.log_powers`; no Cauchy product is summed, so a table
+    costs O(N).  F_n is within 1e-16 of mpmath's 2F1 for n <= 2048 on
+    z in [0, 2], and each term carries the rounding of n ln|a_hi| besides.
+    Where (-a_hi)^n P0 passes the double range (a growing, uncut series)
+    ln|F_n| goes into the log-magnitude before the one exponentiation.
 
     Valid on both sides of the uncertainty boundary; for det < -(2 Tr + 1)/4
-    the half-integer power makes the values purely imaginary.
+    the half-integer power makes the values purely imaginary:
+    P0 = -2i |4 det + 2 Tr + 1|^(-1/2) on the principal branch.
 
     Raises:
         SingularDenominatorError: 4 det + 2 Tr + 1 = 0.
-        RangeOverflowError: 4 det + 2 Tr + 1 leaves the double range, or
-            the law lies past the 4096 cap.
+        RangeOverflowError: 4 det + 2 Tr + 1, Tr^2 or a root a+- leaves
+            the double range, or the law lies past the 4096 cap.
     """
     tr = state.x + state.y
     det = state.x * state.y - state.t * state.t
     a = 1 - 4 * det
-    b = tr * tr - 4 * det  # (x - y)^2 + 4 t^2 >= 0
     c = 4 * det + 2 * tr + 1
     if c == 0:
         raise SingularDenominatorError("4 det + 2 Tr + 1 vanishes for this state")
     if not math.isfinite(c):
         raise RangeOverflowError("4 det + 2 Tr + 1 exceeds the double range")
-    log_c = cmath.log(complex(c))
+    # a+- = R12 -+ |R11| and P0 = 2 c^(-1/2), from these invariants alone;
+    # Tr^2 - 4 det = (x - y)^2 + 4 t^2 is negative only by rounding
+    root_b = 2 * math.sqrt(abs(tr * tr - 4 * det))
+    law = _Law((a - root_b) / c, (a + root_b) / c, 0.0, 0.0, math.log(2) - 0.5 * math.log(abs(c)),
+               _definite(state.x, det))
+    lo, hi = sorted((law.a_plus, law.a_minus), key=abs)
+    z = 1 - lo / hi if hi else 0.0  # the vacuum: F_n = 1, (-a_hi)^n = 0^n
 
     def series(n_max: int) -> np.ndarray:
-        n = np.arange(n_max + 1)
-        log_fact = log_factorials(n_max)
-        a_mag, a_ph = log_powers(-a, n_max)  # absorbs the (-1)^k alternation
-        # odd-degree Hermite vanishes at 0: B[2m] = b^m / m!^2, B[2m + 1] = 0
-        half_mag, half_ph = log_powers(b, n_max // 2)
-        b_mag, b_ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
-        b_mag[::2], b_ph[::2] = half_mag - 2 * log_fact[: n_max // 2 + 1], half_ph
-        mag, ph = log_cauchy_rows(a_mag - log_fact, a_ph, b_mag, b_ph, n_max + 1)
-        mag += math.log(2) + log_fact - (n + 0.5) * log_c.real
-        if log_c.imag:
-            ph = ph * np.exp(-1j * (n + 0.5) * log_c.imag)
-        return log_signed_values(mag, ph)
+        mag, ph = log_powers(-hi, n_max)  # raises where Tr^2 or a+- overflowed
+        mag += law.log_p0
+        f = _gauss_2f1_half(z, n_max)
+        if mag.max() > _LOG_MAX:  # growing terms: a small F_n may keep P_n in range
+            with np.errstate(divide="ignore"):
+                mag, f = mag + np.log(np.abs(f)), np.sign(f)
+        return log_signed_values(mag, ph * f) * (-1j if c < 0 else 1)
 
-    # a+- = R12 -+ |R11| and P0 = 2 c^(-1/2), from these invariants alone
-    root_b = 2 * math.sqrt(abs(b))  # b < 0 only by rounding
-    law = _Law((a - root_b) / c, (a + root_b) / c, 0.0, 0.0, math.log(2) - 0.5 * log_c.real,
-               _definite(state.x, det))
     return _build_distribution(series, n_max, _decay_cut(law, n_max))
 
 
@@ -728,6 +740,7 @@ def pn_violation(
     Raises:
         DomainError: tau < 0 (the family parameterizes violations only).
         SingularDenominatorError: y = 0 or the half-power base vanishes.
+        RangeOverflowError: (x + y)^2 - 1 - 4 tau leaves the double range.
         NormalizationError: the positive divergent corner, or a cut on the
             SignedReal side that keeps only nonnegative terms (both above).
     """
@@ -820,41 +833,23 @@ def two_mode_p2k(s1: float, s2: float, k: int) -> float:
 
 
 def two_mode_p2k_sequence(s1: float, s2: float, k_max: int) -> np.ndarray:
-    """P_0, P_2, ..., P_{2 k_max} of :func:`two_mode_p2k` in O(k_max).
-
-    F_k = 2F1(-k, 1/2; 1; z), z = 1 - lo/hi, follows the contiguous
-    relation in the first parameter (DLMF 15.5.11)
-
-        (k+1) F_{k+1} = (2k + 1 - (k + 1/2) z) F_k - k (1 - z) F_{k-1},
-
-    from F_0 = 1, F_1 = 1 - z/2; then P_2k = sqrt((1-s1)(1-s2)) hi^k F_k.
-    Its characteristic roots are 1 and 1 - z = lo/hi, so the forward
-    direction is stable.  It is run on the differences D_k = F_k - F_{k-1},
-
-        (k+1) D_{k+1} = k (1 - z) D_k - (z/2) F_k,    F_{k+1} = F_k + D_{k+1},
-
-    whose two terms share their sign.  Where the roots nearly coincide
-    (s1 close to s2) the three-term form loses about k eps (1.1e-13 at
-    k = 2048 for s = (0.95, 0.999)); the difference form stays within
-    5e-15 of 40-digit values for k <= 2048 on s in {0, .05, .25, .5, .8,
-    .95, .999}^2.  At z = 1 it is the Chu-Vandermonde product; at s1 = s2
-    it keeps F_k = 1 exactly.  The powers hi^k are Python's (libm's pow):
-    numpy's vectorized power rounds some of them differently.
+    """P_0, P_2, ..., P_{2 k_max} of :func:`two_mode_p2k` in O(k_max):
+    P_2k = sqrt((1-s1)(1-s2)) hi^k F_k with F_k = 2F1(-k, 1/2; 1; z),
+    z = 1 - lo/hi in [0, 1], from the difference recurrence of
+    :func:`specfun._gauss_2f1_half` that :func:`pn_centered_xyt` also runs.
+    Its two terms share their sign for z in [0, 1], and the sequence stays
+    within 5e-15 of 40-digit values for k <= 2048 on s in {0, .05, .25,
+    .5, .8, .95, .999}^2; at s1 = s2 it keeps F_k = 1 exactly.  The powers
+    hi^k are Python's (libm's pow): numpy's vectorized power rounds some of
+    them differently.
 
     Raises:
         DomainError: either fraction outside [0, 1) or k_max < 0.
     """
     lo, hi = _two_mode_args(s1, s2, k_max)
     z = 1 - lo / hi if hi else 0.0  # both unsqueezed: F_k = 1, hi^k = 0^k
-    ratio, half_z = 1 - z, 0.5 * z
-    f, fk, d = [1.0], 1.0, 0.0
-    push = f.append
-    for k in range(k_max):
-        d = (k * ratio * d - half_z * fk) / (k + 1)
-        fk += d
-        push(fk)
     front = math.sqrt((1 - s1) * (1 - s2))
-    return front * np.array([hi**k for k in range(k_max + 1)]) * np.array(f)
+    return front * np.array([hi**k for k in range(k_max + 1)]) * _gauss_2f1_half(z, k_max)
 
 
 def two_mode_p2k_distribution(

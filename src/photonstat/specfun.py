@@ -34,6 +34,13 @@ Conventions
   differences M_n - a M_{n-1} (`laguerre_half_sequence`).  At x = 0 it
   has the closed form M_n = a^n (1/2)_n / n! (DLMF 18.6.1), taken from one
   cumulative product instead (`_log_half_rising`).
+* Gauss 2F1(-k, 1/2; 1; z), z in [0, 2]: the coefficients of
+  ((1 - u)(1 - rho u))^(-1/2), rho = 1 - z, so F_k = rho^(k/2)
+  P_k((1 + rho) / (2 sqrt(rho))) with P_k Legendre's polynomial and
+  |F_k| <= 1.  One sequence (`_gauss_2f1_half`), run on the differences of
+  the contiguous relation in k (DLMF 15.5.11), serves the centered
+  one-mode law and the two-mode total law, both P0 b^k F_k; `gauss_2f1_terminating`
+  is the general pointwise sum.
 * Associated Legendre: integer l >= m >= 0, real argument of any magnitude,
   defined here as |x^2 - 1|^{m/2} d^m/dx^m P_l(x) -- i.e. no Condon-Shortley
   phase and an absolute value under the half power so the result is real on
@@ -42,7 +49,8 @@ Conventions
 
 Factorial-heavy sums are assembled in the log domain and exponentiated
 last; a plain double-precision path overflows near n = 170.  Every finite
-double sum of the package has the Cauchy-product shape
+double sum of the package (the Hermite and Laguerre routes, the violation
+family) has the Cauchy-product shape
 
     row n = e^{C[n]} sum_k A[k] B[n-k],
 
@@ -489,8 +497,13 @@ def log_powers(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
     The phases of a real z are real, +-1 by the parity of k; a complex z
     gives exp(i k arg z).
+
+    Raises:
+        RangeOverflowError: z is not finite (0 ln|z| would be NaN).
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise RangeOverflowError("power base left the double range: not finite")
     if z == 0:
         mag, ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
         mag[0], ph[0] = 0.0, 1.0
@@ -498,8 +511,7 @@ def log_powers(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(n_max + 1, dtype=float)
     mag = k * math.log(abs(z))
     if z.imag == 0:
-        ph = np.empty(n_max + 1)
-        ph.fill(1.0)
+        ph = np.ones(n_max + 1)
         if z.real < 0:
             ph[1::2] = -1.0
         return mag, ph
@@ -891,6 +903,49 @@ def assoc_legendre(l: int, m: int, x: float) -> float:
     return math.copysign(math.exp(log_mag), value)
 
 
+def _gauss_2f1_half(z: float, k_max: int) -> np.ndarray:
+    """F_k = 2F1(-k, 1/2; 1; z) for k = 0 .. k_max and real z in [0, 2],
+    as a float array.
+
+    F_k is the coefficient of u^k in ((1 - u)(1 - rho u))^(-1/2), rho = 1 - z,
+    so |F_k| <= 1 on [0, 2], and F_k = rho^(k/2) P_k((1 + rho) / (2 sqrt(rho)))
+    with P_k Legendre's polynomial.  It follows the contiguous relation in
+    the first parameter (DLMF 15.5.11)
+
+        (k+1) F_{k+1} = (2k + 1 - (k + 1/2) z) F_k - k rho F_{k-1},
+
+    from F_0 = 1, F_1 = 1 - z/2, whose characteristic roots are 1 and rho:
+    the forward direction is stable.  It is run on the differences
+    D_k = F_k - F_{k-1},
+
+        (k+1) D_{k+1} = k rho D_k - (z/2) F_k,    F_{k+1} = F_k + D_{k+1}:
+
+    where the roots nearly coincide (z near 0) the three-term form loses
+    about k eps (1.1e-13 at k = 2048, z = 1 - 0.95/0.999).  The difference
+    form is stable on all of [0, 2]: for k <= 2048 it stays within 1e-16
+    (absolute) of mpmath's 2F1 at z in {0.3, 1, 1.01, 1.5, 1.99}, and the
+    two-mode laws it gives within 5e-15 of 40-digit values.  It costs one
+    Python step per k, with no rescale since |F_k| <= 1.
+
+    At z = 0 (a thermal law, or the two-mode law at s1 = s2) it keeps
+    F_k = 1 exactly, and at z = 1 it is the Chu-Vandermonde product
+    (1/2)_k / k!.  At z = 2 (rho = -1, a pure state's law) F_2m =
+    (1/2)_m / m! and F_2m+1 = 0, where the recurrence leaves odd terms of a
+    few eps from k = 75 on: there the closed form is taken instead, from
+    `_log_half_rising`.
+    """
+    if z == 2:
+        f = np.zeros(k_max + 1)
+        f[::2] = np.exp(_log_half_rising(k_max // 2))
+        return f
+    ratio, half_z = 1 - z, 0.5 * z
+    f, d = [1.0], 0.0
+    for k in range(k_max):
+        d = (k * ratio * d - half_z * f[k]) / (k + 1)
+        f.append(f[k] + d)
+    return np.array(f)
+
+
 def gauss_2f1_terminating(k: int, b: float, c: float, z: float) -> float:
     """Terminating hypergeometric sum 2F1(-k, b; c; z).
 
@@ -929,10 +984,7 @@ def gauss_2f1_terminating(k: int, b: float, c: float, z: float) -> float:
                 left -= m
         return (1 - z) ** left * total
     if z == 1 and c > 0 and c - b > 0:
-        prod = 1.0
-        for j in range(k):
-            prod *= (c - b + j) / (c + j)
-        return prod
+        return math.prod(((c - b + j) / (c + j) for j in range(k)), start=1.0)
     b_r, c_r, z_r = Fraction(b), Fraction(c), Fraction(z)
     term = Fraction(1)
     total = Fraction(1)

@@ -490,6 +490,19 @@ class TestViolation:
         assert [row[6:] for row in rows[:2]] == [["nan"] * 4] * 2
         assert all(math.isfinite(float(v)) for row in rows[3:] for v in row[6:])
 
+    @pytest.mark.parametrize("y", ["1e300", "1e-300"])
+    def test_square_past_the_double_range_labels_every_row(self, capsys, y):
+        # (x + y)^2 overflows on every row (x is huge at y = 1e-300): the
+        # covariance law is labelled RangeOverflow and the tau family's
+        # information is nan, with no numpy warning and no abort
+        code, out, err = run(capsys, "violation", "--y", y)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 61
+        assert {row[3] for row in rows} == {"RangeOverflow"}
+        assert all(row[6:] == ["nan"] * 4 for row in rows)
+        assert all(math.isfinite(float(row[4])) for row in rows)
+
 
 class TestFigures:
     def test_parity_information_endpoints(self, capsys):

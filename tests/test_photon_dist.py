@@ -395,24 +395,26 @@ class TestDecayRatioTruncation:
         ],
     )
     def test_series_evaluated_once(self, monkeypatch, state):
-        calls = []
-        kernel = photon_dist.log_cauchy_rows
+        calls, passes = [], []
+        kernel, sequence = photon_dist.log_cauchy_rows, photon_dist._gauss_2f1_half
 
         def counted(*args):
             calls.append(args)
             return kernel(*args)
 
         monkeypatch.setattr(photon_dist, "log_cauchy_rows", counted)
-        routes = [(pn_hermite, state), (pn_laguerre, state)]
-        if state.is_centered:
-            # both photon-number parities in one kernel call
-            xyt = XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq)
-            routes.append((pn_centered_xyt, xyt))
+        monkeypatch.setattr(photon_dist, "_gauss_2f1_half", lambda *a: passes.append(a) or sequence(*a))
         n_cut = state_cut(state)[0]
-        for route, arg in routes:
+        for route in (pn_hermite, pn_laguerre):
             calls.clear()
-            assert route(arg).truncation <= n_cut
+            assert route(state).truncation <= n_cut
             assert len(calls) == 1
+        if state.is_centered:
+            # one pass of the 2F1 sequence, and no Cauchy product
+            calls.clear()
+            xyt = XYTState(state.sigma_pp, state.sigma_qq, state.sigma_pq)
+            assert pn_centered_xyt(xyt).truncation <= n_cut
+            assert not calls and len(passes) == 1
 
     @pytest.mark.parametrize("n_max", [None, 256])
     @pytest.mark.parametrize("means", [(0.0, 0.0), (0.6, -0.5)])
@@ -423,18 +425,24 @@ class TestDecayRatioTruncation:
         sigmas = (nu / 2 * (ch + math.cos(theta) * sh), nu / 2 * (ch - math.cos(theta) * sh),
                   nu / 2 * math.sin(theta) * sh)
         state = OneModeGaussianState(*sigmas, *means)
-        calls, convolutions = [], []
+        calls, convolutions, passes = [], [], []
         kernel, convolve = photon_dist.log_cauchy_rows, specfun._convolve_rows
+        sequence = photon_dist._gauss_2f1_half
         monkeypatch.setattr(photon_dist, "log_cauchy_rows", lambda *a: calls.append(a) or kernel(*a))
         monkeypatch.setattr(specfun, "_convolve_rows", lambda *a: convolutions.append(a) or convolve(*a))
-        routes = [(pn_hermite, state), (pn_laguerre, state)]
-        if state.is_centered:
-            routes.append((pn_centered_xyt, XYTState(*sigmas)))
-        for route, arg in routes:
+        monkeypatch.setattr(photon_dist, "_gauss_2f1_half", lambda *a: passes.append(a) or sequence(*a))
+        for route in (pn_hermite, pn_laguerre):
             calls.clear()
             convolutions.clear()
-            assert route(arg, n_max).classification is Classification.PROBABILITY
+            assert route(state, n_max).classification is Classification.PROBABILITY
             assert calls and len(convolutions) == len(calls)
+        if state.is_centered:
+            # the xyt route runs one pass of the 2F1 sequence and no kernel
+            calls.clear()
+            convolutions.clear()
+            dist = pn_centered_xyt(XYTState(*sigmas), n_max)
+            assert dist.classification is Classification.PROBABILITY
+            assert not calls and not convolutions and len(passes) == 1
 
     def test_equivalent_laws_share_the_cutoff(self):
         for r, theta, mq, mp in [(0.7, 0.5, 0.3, -0.2), (1.0, 0.0, 1.0, 0.5), (0.2, 1.0, 0.0, 0.0)]:
@@ -1444,6 +1452,78 @@ class TestCenteredXytRoute:
         with pytest.raises(SingularDenominatorError):
             pn_centered_xyt(XYTState(-0.5, 1.0, 0.0), 10)
 
+    @pytest.mark.parametrize(
+        "xyt, n_max, kind, tol",
+        [
+            ((1.6, 1.1, 0.3), 256, Classification.PROBABILITY, 1e-15),  # the Cauchy route: 1.4e-14
+            ((1.6, 1.1, 0.3), 4096, Classification.PROBABILITY, 1e-15),
+            ((0.3, 0.6, 0.1), None, Classification.SIGNED_REAL, 1e-15),  # Sigma > 0, det < 1/4
+            ((-0.3, 0.9, 0.0), None, Classification.SIGNED_REAL, 3e-15),  # indefinite: doubled
+            ((-0.75, 5.0, 0.0), 40, Classification.COMPLEX, 1e-14),  # 4 det + 2 Tr + 1 < 0
+        ],
+    )
+    def test_fifty_digit_reference(self, xyt, n_max, kind, tol):
+        dist = pn_centered_xyt(XYTState(*xyt), n_max)
+        assert dist.classification is kind
+        ref = xyt_law_mp(*xyt, dist.truncation)
+        assert np.abs(dist.values - ref).max() <= tol * np.abs(ref).max()
+        if kind is Classification.COMPLEX:
+            # P0 = -2i |4 det + 2 Tr + 1|^(-1/2): every term purely imaginary
+            assert not np.count_nonzero(dist.values.real)
+
+    def test_thermal_terms_to_their_relative_precision(self):
+        # each term P0 q^n of thermal(10): the Cauchy route's worst was 5e-13
+        dist = pn_centered_xyt(XYTState(10.5, 10.5))
+        ref = xyt_law_mp(10.5, 10.5, 0.0, dist.truncation)
+        assert np.max(np.abs(dist.values - ref) / np.abs(ref)) <= 3e-14
+
+    def test_p0_of_a_correlated_state(self):
+        # P0 = 2 / sqrt(10.24) = 0.625; the Cauchy route gave 0.6249999999999911
+        p0_value = pn_centered_xyt(XYTState(1.5, 1.5, 1.2), 256).values[0]
+        assert p0_value.imag == 0
+        assert abs(p0_value.real - 0.625) <= math.ulp(0.625)
+
+    @pytest.mark.parametrize(
+        "xyt", [(1.6, 1.1, 0.3), (0.3, 0.6, 0.1), (-0.3, 0.9, 0.0), (-0.75, 5.0, 0.0), (10.5, 10.5, 0.0),
+                (math.exp(2) / 2, math.exp(-2) / 2, 0.0)]
+    )
+    def test_no_cauchy_product(self, monkeypatch, xyt):
+        calls = []
+        kernel = photon_dist.log_cauchy_rows
+        monkeypatch.setattr(photon_dist, "log_cauchy_rows", lambda *a: calls.append(a) or kernel(*a))
+        for n_max in (None, 64):
+            pn_centered_xyt(XYTState(*xyt), n_max)
+        assert not calls
+
+    def test_pure_state_odd_terms_are_zero(self):
+        # det = 1/4 exactly puts z at 2, where F_n's closed form has exact
+        # zeros at odd n, as the squeezed vacuum law has
+        y = 1.6
+        dist = pn_centered_xyt(from_tau(0.0, y), 4096)
+        assert not np.count_nonzero(dist.values[1::2])
+        r = -0.5 * math.log(2 * y)
+        ref = squeezed_vacuum_law_mp(r, 400, digits=50)
+        assert max(abs(dist.values[n] - complex(ref[n])) for n in range(401)) <= 1e-15
+
+    def test_growing_terms_past_the_double_range(self):
+        # (-a_hi)^256 P0 passes the double range where F_256 keeps P_256
+        # inside: the table is the law's, SignedReal, as the Cauchy route gave
+        xyt = (-0.44140212335006795, 1.7963999142691391, 0.0)
+        dist = pn_centered_xyt(XYTState(*xyt), 256)
+        assert (dist.classification, dist.truncation) == (Classification.SIGNED_REAL, 256)
+        ref = xyt_law_mp(*xyt, 256)
+        assert np.abs(dist.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n_max", [None, 16])
+    def test_square_past_the_double_range_raises(self, n_max):
+        # (x + y)^2 overflows while 4 det + 2 Tr + 1 does not
+        with pytest.raises(RangeOverflowError, match="left the double range"):
+            pn_centered_xyt(from_tau(0.5, 1e300), n_max)
+        with pytest.raises(RangeOverflowError, match="left the double range"):
+            pn_violation(0.5, 1e300, 0.0, n_max)
+        with pytest.raises(RangeOverflowError, match="left the double range"):
+            pn_violation(0.5, 1e-300, 0.0, n_max)
+
     def test_positive_denominator_gives_real_values(self):
         # x = -0.25, y = 5: 4 det + 2 Tr + 1 = 5.5 > 0 makes every term real,
         # also past k = 100 where powers of a complex -1 pick up roundoff
@@ -1451,6 +1531,26 @@ class TestCenteredXytRoute:
         assert dist.classification is Classification.SIGNED_REAL
         assert len(dist.values) > 100
         assert all(v.imag == 0 for v in dist.values)
+
+
+def xyt_law_mp(x, y, t, n_max, digits=50):
+    """P_0 .. P_n_max of the centered law of (x, y, t), in mpmath at
+    ``digits`` digits from the exact binary inputs, by the recurrence
+    (n + 1) P_(n+1) = -(n + 1/2) s P_n - n p P_(n-1), s = a+ + a-,
+    p = a+ a-, of the generating function P0 ((1 + a+ z)(1 + a- z))^(-1/2)
+    (it satisfies (1 + s z + p z^2) G' = -(s/2 + p z) G)."""
+    with mpmath.workdps(digits):
+        x, y, t = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(t)
+        tr, det = x + y, x * y - t * t
+        c = 4 * det + 2 * tr + 1
+        root_b = 2 * mpmath.sqrt(tr * tr - 4 * det)
+        a_plus, a_minus = (1 - 4 * det - root_b) / c, (1 - 4 * det + root_b) / c
+        s, p = a_plus + a_minus, a_plus * a_minus
+        law = [2 / mpmath.sqrt(mpmath.mpc(c))]
+        law.append(-s / 2 * law[0])
+        for n in range(1, n_max):
+            law.append((-(n + mpmath.mpf(0.5)) * s * law[n] - n * p * law[n - 1]) / (n + 1))
+        return np.array([complex(v) for v in law[: n_max + 1]])
 
 
 def violation_closed_form(l_max):

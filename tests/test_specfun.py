@@ -607,6 +607,47 @@ class TestGauss2F1:
         )
 
 
+class TestGauss2F1Half:
+    """The sequence F_k = 2F1(-k, 1/2; 1; z), z in [0, 2], that the xyt
+    route and the two-mode total law share."""
+
+    # every 64th k to 2048 and the last two: mpmath's sum costs O(k) each
+    KS = list(range(0, 2049, 64)) + [2047, 2048]
+
+    @pytest.mark.parametrize("z", [1.01, 1.5, 1.99])
+    def test_matches_mpmath_past_one(self, z):
+        f = specfun._gauss_2f1_half(z, 2048)
+        with mpmath.workdps(30):
+            for k in self.KS:
+                assert abs(f[k] - float(mpmath.hyp2f1(-k, 0.5, 1, z))) <= 2e-16, k
+
+    def test_bounded_by_one(self):
+        for z in np.linspace(0.0, 2.0, 41):
+            assert np.abs(specfun._gauss_2f1_half(float(z), 512)).max() <= 1.0
+
+    def test_closed_forms_at_the_ends(self):
+        assert specfun._gauss_2f1_half(0.0, 300).tolist() == [1.0] * 301
+        f = specfun._gauss_2f1_half(2.0, 2049)
+        assert not np.count_nonzero(f[1::2])
+        for m in (0, 1, 2, 37, 500, 1024):
+            ref = math.comb(2 * m, m) / 4**m  # (1/2)_m / m!
+            assert abs(f[2 * m] - ref) <= 1e-14 * ref
+
+    def test_just_below_two_the_odd_terms_are_kept(self):
+        # rho = 1 - z near -1: F_2m+1 is of order 2 - z = 9.5e-7, not 0
+        f = specfun._gauss_2f1_half(2.0 - 2.0**-20, 64)
+        with mpmath.workdps(30):
+            for k in (1, 2, 3, 31, 63, 64):
+                ref = float(mpmath.hyp2f1(-k, 0.5, 1, mpmath.mpf(2.0 - 2.0**-20)))
+                assert abs(f[k] - ref) <= 1e-16, k
+        assert (f[1::2] > 1e-7).all()
+
+    def test_lengths(self):
+        for z in (0.0, 0.5, 2.0):
+            assert len(specfun._gauss_2f1_half(z, 0)) == 1
+            assert len(specfun._gauss_2f1_half(z, 7)) == 8
+
+
 class TestLogFactorial:
     def test_small_values(self):
         assert log_factorial(0) == 0.0

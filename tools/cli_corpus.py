@@ -220,6 +220,12 @@ INVOCATIONS = (
         # the covariance is negative definite on every row (Nonexistent)
         "violation --y 0.7 --tau-min 0 --tau-max 3 --tau-step 0.05",
         "violation --y -1 --tau-min -0.2 --tau-max 0.2 --tau-step 0.1",
+        # the xyt route's 2F1 recurrence over a long table, and a pure
+        # state (det = 1/4 exactly, z = 2), whose odd terms are exact zeros
+        "dist --family xyt --x 20 --y 15 --t 1 --n-max 4096",
+        "dist --family xyt --x 2 --y 0.125 --n-max 4096",
+        # (x + y)^2 overflows on every row: each is labelled, none aborts
+        "violation --y 1e300",
     ]
 )
 
