@@ -32,6 +32,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, RangeOverflowError, SingularDenominatorError
 
@@ -197,8 +198,7 @@ def uncertainty_check(state: OneModeGaussianState) -> UncertaintyVerdict:
     return UncertaintyVerdict(det_sigma=d, slack=slack, valid=slack >= 0 and state.sigma_pp > 0)
 
 
-@dataclass(frozen=True)
-class _Law:
+class _Law(NamedTuple):
     """The numbers of a one-mode generating function
 
         sum_n P_n z^n = P0 ((1 + a+ z)(1 + a- z))^(-1/2)
@@ -229,8 +229,7 @@ def _definite(sigma_pp: float, det: float) -> int:
     return 0 if not det > 0 else 1 if sigma_pp > 0 else -1
 
 
-@dataclass(frozen=True)
-class _GeneratingRecord:
+class _GeneratingRecord(NamedTuple):
     """What the photon-number routes read of a state, computed once.
 
     With D = Tr Sigma + 2 det Sigma + 1/2, S = sigma_pp - sigma_qq

@@ -84,7 +84,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, takewhile
+from itertools import chain, repeat, takewhile
 
 import numpy as np
 
@@ -175,6 +175,10 @@ class PhotonDistribution:
     is ``inf`` only where that bound leaves the double range; for every
     other series it is estimated from the geometric decay of the last
     retained terms, and is ``inf`` where they do not decay.
+
+    The constructor copies ``values``, so an array passed in stays the
+    caller's: writeable, and shared with no distribution.  The tables the
+    library builds are frozen in place and wrapped with no second copy.
     """
 
     values: np.ndarray
@@ -394,15 +398,16 @@ def _classify(values: np.ndarray, tail_bound: float, proven: bool = False) -> Cl
 
 
 def _finalize(values: np.ndarray, tail: float, proven: bool = False) -> PhotonDistribution:
+    """The distribution of a complex128 table that the library built and
+    that nothing else holds: it is frozen in place and wrapped, not copied."""
     if len(values) > 1 and not values[-1]:  # trailing zeros are dropped, values[0] kept
         nonzero = values[1:].nonzero()[0]
         values = values[: nonzero[-1] + 2 if nonzero.size else 1]
-    return PhotonDistribution(
-        values=values,
-        truncation=len(values) - 1,
-        tail_bound=tail,
-        classification=_classify(values, tail, proven),
-    )
+    values.flags.writeable = False
+    dist = object.__new__(PhotonDistribution)  # the table is wrapped, not copied
+    vars(dist).update(values=values, truncation=len(values) - 1, tail_bound=tail,
+                      classification=_classify(values, tail, proven))
+    return dist
 
 
 # the Cauchy-estimate ratios rho = q + (1 - q) f tried for a displaced state;
@@ -543,8 +548,10 @@ def _build_distribution(series, n_max, cut=None) -> PhotonDistribution:
 
 
 def distribution_from_values(values) -> PhotonDistribution:
-    """Wrap an explicit weight sequence in a classified distribution."""
-    values = np.asarray(values, dtype=complex)
+    """Wrap an explicit weight sequence in a classified distribution.  The
+    sequence is copied: an array passed in stays the caller's, writeable
+    and unaliased."""
+    values = np.array(values, dtype=complex)
     return _finalize(values, _tail_estimate(np.abs(values)))
 
 
@@ -849,7 +856,8 @@ def two_mode_p2k_sequence(s1: float, s2: float, k_max: int) -> np.ndarray:
     lo, hi = _two_mode_args(s1, s2, k_max)
     z = 1 - lo / hi if hi else 0.0  # both unsqueezed: F_k = 1, hi^k = 0^k
     front = math.sqrt((1 - s1) * (1 - s2))
-    return front * np.array([hi**k for k in range(k_max + 1)]) * _gauss_2f1_half(z, k_max)
+    powers = np.fromiter(map(pow, repeat(hi), range(k_max + 1)), float, k_max + 1)
+    return front * powers * _gauss_2f1_half(z, k_max)
 
 
 def two_mode_p2k_distribution(

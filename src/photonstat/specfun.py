@@ -89,12 +89,17 @@ P_m^m for every order at once, and one climb in degree gives the column
 P_m^m .. P_L^m, so a table of all l <= L costs O(L^2) steps
 (`_legendre_columns`, whose columns come back end to end in two flat
 arrays; a single value is the last entry of its column).
-The log factorials come from one shared read-only table: the logs of
-exact integer factorials below 512, lgamma(k + 1) past it.
-`log_factorials` grows it on demand to at least twice its length, by
-replacing it with a longer table that holds the same values; the
-Laguerre closed form's ln((1/2)_k / k!) (`_log_half_rising`) grows the
-same way.
+Arrays that depend on the length N alone are read from shared read-only
+tables, not rebuilt on each call: the float ramp k = 0, 1, ... (the
+kernel's tilt), the phases of real powers (all +1, and alternating +-1),
+the powers of zero, the centered Hermite factor B with its phases, the
+log factorials (the logs of exact integer factorials below 512,
+lgamma(k + 1) past it) and the Laguerre closed form's ln((1/2)_k / k!).
+Every table starts empty and grows by one rule (`_shared`): a read past
+its end replaces it with a table of at least twice its length from its
+builder, which computes each entry from its index alone, so an entry
+never changes.  Readers get views, which the tables' own flags keep
+read-only.  No table depends on a function's other arguments.
 
 All functions are pure apart from those growths, which a concurrent caller
 sees as either the old table or the new one, and use a fixed summation
@@ -359,10 +364,11 @@ def _only_first(x_mag: np.ndarray) -> bool:
 def _single_term_rows(a_mag, a_ph, b_mag, b_ph, n_rows: int):
     """Rows where A[0] is A's only nonzero entry: row n is the single term
     A[0] B[n], exact in the log domain."""
-    mag, ph = _zero_rows(n_rows, np.result_type(a_ph, b_ph))
     n = min(n_rows, len(b_mag))
-    mag[:n] = a_mag[0] + b_mag[:n]
-    ph[:n] = a_ph[0] * b_ph[:n]
+    mag, ph = a_mag[0] + b_mag[:n], a_ph[0] * b_ph[:n]
+    if n < n_rows:  # the rows past B's end are zero
+        zero_mag, zero_ph = _zero_rows(n_rows - n, ph.dtype)
+        mag, ph = np.concatenate([mag, zero_mag]), np.concatenate([ph, zero_ph])
     if not _top(mag) < np.inf:
         raise RangeOverflowError(_NOT_FINITE)
     return mag, ph
@@ -429,8 +435,7 @@ def _tilted_rows(a_mag, a_ph, b_mag, b_ph, n0: int, n1: int):
     by row, the modulus and the exact zero factors of every term.
     """
     ka, kb = min(n1, len(a_mag)), min(n1, len(b_mag))
-    ramp = np.arange(n1, dtype=float)
-    ramp *= _level_tilt(a_mag, b_mag, n0, n1)
+    ramp = _shared("_ramp_table", n1 - 1) * _level_tilt(a_mag, b_mag, n0, n1)
     t_a, t_b = a_mag[:ka] - ramp[:ka], b_mag[:kb] - ramp[:kb]
     top_a, top_b = _top(t_a), _top(t_b)
     if not (top_a < np.inf and top_b < np.inf):
@@ -496,7 +501,8 @@ def log_powers(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """z**k for k = 0 .. n_max as (log-magnitude, phase) arrays, with 0**0 = 1.
 
     The phases of a real z are real, +-1 by the parity of k; a complex z
-    gives exp(i k arg z).
+    gives exp(i k arg z).  The log-magnitudes are a new array; the phases
+    of a real z may be a read-only view of a shared table.
 
     Raises:
         RangeOverflowError: z is not finite (0 ln|z| would be NaN).
@@ -505,53 +511,80 @@ def log_powers(z: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     if not cmath.isfinite(z):
         raise RangeOverflowError("power base left the double range: not finite")
     if z == 0:
-        mag, ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
-        mag[0], ph[0] = 0.0, 1.0
-        return mag, ph
-    k = np.arange(n_max + 1, dtype=float)
+        return _shared("_zero_mag_table", n_max).copy(), _shared("_zero_ph_table", n_max)
+    k = _shared("_ramp_table", n_max)
     mag = k * math.log(abs(z))
     if z.imag == 0:
-        ph = np.ones(n_max + 1)
-        if z.real < 0:
-            ph[1::2] = -1.0
-        return mag, ph
+        return mag, _shared("_alternating_table" if z.real < 0 else "_ones_table", n_max)
     return mag, np.exp(1j * cmath.phase(z) * k)
 
 
-def _exact_log_factorials(size: int) -> np.ndarray:
-    table = [0.0]
-    fact = 1
-    for i in range(1, size):
-        fact *= i
+def _log_factorial_entries(size: int) -> np.ndarray:
+    """ln(k!) for k below ``size``: the logs of exact integer factorials
+    below 512, lgamma(k + 1) from there on."""
+    table, fact = [0.0], 1
+    for k in range(1, min(size, _LOG_FACT_EXACT)):
+        fact *= k
         table.append(math.log(fact))
-    out = np.array(table)
-    out.flags.writeable = False
-    return out
+    return np.array(table + [math.lgamma(k + 1) for k in range(len(table), size)])
 
 
-# ln(k!) for k below its length; see `log_factorials`
-_log_fact_table = _exact_log_factorials(_LOG_FACT_EXACT)
+def _log_half_entries(size: int) -> np.ndarray:
+    """ln((1/2)_k / k!) = ln(cumprod((j - 1/2) / j, j = 1 .. k)) for k below
+    ``size``.  A product accumulates in order, so an entry does not depend
+    on the length the table is computed to."""
+    j = np.arange(1, size)
+    return np.concatenate([[0.0], np.log(np.cumprod((j - 0.5) / j))])
 
 
-def _grown_log_fact_table(n_max: int) -> np.ndarray:
-    """The shared table extended past n_max, to at least twice its length.
+# The builders of the shared tables: each gives entries 0 .. size - 1, every
+# entry a function of its index alone (see `_shared`).
+_BUILDERS = {
+    "_ramp_table": lambda size: np.arange(size, dtype=float),
+    # the phases of real powers, and the powers of zero
+    "_ones_table": np.ones,
+    "_alternating_table": lambda size: np.where(np.arange(size) % 2, -1.0, 1.0),
+    "_zero_mag_table": lambda size: np.where(np.arange(size), -np.inf, 0.0),
+    "_zero_ph_table": lambda size: np.where(np.arange(size), 0.0, 1.0),
+    # the centered Hermite factor 1 / j!^2 at index 2j, 0 at odd indices
+    "_centered_b_table": lambda size: np.where(
+        np.arange(size) % 2, -np.inf, -2 * log_factorials((size - 1) // 2).repeat(2)[:size]),
+    "_even_ph_table": lambda size: np.where(np.arange(size) % 2, 0.0, 1.0),
+    "_log_fact_table": _log_factorial_entries,
+    "_log_half_table": _log_half_entries,
+}
 
-    The new entries are lgamma(k + 1).  The table is replaced, never
-    written, so a concurrent reader holds either the old or the new one.
+# the shared tables, each empty until first read (see `_shared`)
+_ramp_table = _ones_table = _alternating_table = _zero_mag_table = _zero_ph_table = np.empty(0)
+_centered_b_table = _even_ph_table = _log_fact_table = _log_half_table = np.empty(0)
+
+
+def _shared(name: str, n_max: int) -> np.ndarray:
+    """Entries 0 .. n_max of the shared read-only table ``name``, the
+    module attribute that holds it and the key of its builder in `_BUILDERS`.
+
+    Where the table is shorter, it is replaced by one of at least twice its
+    length from its builder, never written, so a concurrent reader holds
+    either the old table or the new one, and an entry never changes.
     """
-    global _log_fact_table
-    table = _log_fact_table
-    size = max(n_max + 1, 2 * len(table))
-    tail = [math.lgamma(k + 1) for k in range(len(table), size)]
-    grown = np.concatenate([table, tail])
-    grown.flags.writeable = False
-    _log_fact_table = grown
-    return grown
+    tables = globals()
+    table = tables[name]
+    if n_max >= len(table):
+        table = _BUILDERS[name](max(n_max + 1, 2 * len(table)))
+        table.flags.writeable = False
+        tables[name] = table
+    return table[: n_max + 1]
+
+
+def _log_half_rising(n_max: int) -> np.ndarray:
+    """ln((1/2)_k / k!) for k = 0 .. n_max, a read-only view of its shared table."""
+    return _shared("_log_half_table", n_max)
 
 
 def log_factorial(n: int) -> float:
-    """ln(n!): entry n of the table of :func:`log_factorials`, or
-    lgamma(n + 1), the same value, past its end (which does not grow it).
+    """ln(n!): entry n of the table of :func:`log_factorials` below 512, and
+    lgamma(n + 1), the same value as the table's, from 512 on (which does
+    not grow it).
 
     Raises:
         TypeError: n is not an integer.
@@ -560,9 +593,8 @@ def log_factorial(n: int) -> float:
     n = operator.index(n)
     if n < 0:
         raise DomainError("factorial of a negative integer")
-    table = _log_fact_table
-    if n < len(table):
-        return float(table[n])
+    if n < _LOG_FACT_EXACT:
+        return float(log_factorials(n)[n])
     return math.lgamma(n + 1)
 
 
@@ -571,36 +603,11 @@ def log_factorials(n_max: int) -> np.ndarray:
 
     Entries below 512 are the logs of exact integer factorials, the others
     lgamma(k + 1).  The table grows on demand, so a run pays for each entry
-    once.
+    about twice at most.
     """
     if n_max < 0:
         raise DomainError("factorial of a negative integer")
-    table = _log_fact_table
-    if n_max >= len(table):
-        table = _grown_log_fact_table(n_max)
-    return table[: n_max + 1]
-
-
-# ln((1/2)_k / k!) for k below its length; see `_log_half_rising`
-_log_half_table = np.zeros(1)
-
-
-def _log_half_rising(n_max: int) -> np.ndarray:
-    """ln((1/2)_k / k!) = ln(cumprod((j - 1/2) / j, j = 1 .. k)) for
-    k = 0 .. n_max, as a read-only view of one shared table.
-
-    The table grows on demand to at least twice its length, by replacing
-    it with a longer one.  A product accumulates in order, so an entry does
-    not depend on the length the table was computed to.
-    """
-    global _log_half_table
-    table = _log_half_table
-    if n_max >= len(table):
-        j = np.arange(1, max(n_max + 1, 2 * len(table)))
-        table = np.concatenate([[0.0], np.log(np.cumprod((j - 0.5) / j))])
-        table.flags.writeable = False
-        _log_half_table = table
-    return table[: n_max + 1]
+    return _shared("_log_fact_table", n_max)
 
 
 def _rescaled(prev, cur, shift: float):
@@ -708,8 +715,8 @@ def hermite_2d_factors(n_max: int, r, w1: complex, w2: complex):
 
     Where z1 = z2 = 0 (every centered state with rho != 0) B has the closed
     form H_2j(0) = (-1)^j (2j)! / j!, H_2j+1(0) = 0 (DLMF Table 18.6.1):
-    B[2j] = 1 / j!^2 from the shared log-factorial table and B[2j+1] = 0,
-    with no recurrence and no difference of two large logs.  Where
+    B[2j] = 1 / j!^2 and B[2j+1] = 0, with no recurrence and no difference
+    of two large logs, as read-only views of two shared tables.  Where
     z2 == conj(z1) otherwise (every state's R-matrix with w2 = conj(w1)) B
     comes from one recurrence, real, and equal to the exact conjugate
     product of two.
@@ -726,9 +733,8 @@ def hermite_2d_factors(n_max: int, r, w1: complex, w2: complex):
         a_mag, a_ph = log_powers(-2 * r12 / rho, n_max)
         z1, z2 = w1 / (2 * s1), w2 / (2 * s2)
         if z1 == 0 and z2 == 0:
-            b_mag, b_ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
-            b_mag[::2], b_ph[::2] = -2 * log_fact[: n_max // 2 + 1], 1.0
-            return (a_mag - log_fact, a_ph), (b_mag, b_ph), log_powers(rho / 2, n_max)
+            b = _shared("_centered_b_table", n_max), _shared("_even_ph_table", n_max)
+            return (a_mag - log_fact, a_ph), b, log_powers(rho / 2, n_max)
         h1_mag, h1_ph = hermite_sequence_log(z1, n_max)
         if z2 == z1.conjugate():  # H_m(z2) = conj(H_m(z1)): B = |H_m(z1)|^2 / m!^2
             b_mag, b_ph = 2 * h1_mag, h1_ph.real * h1_ph.real + h1_ph.imag * h1_ph.imag
@@ -801,7 +807,8 @@ def laguerre_half_sequence(
         x = x.real
     if x == 0:
         mag, ph = log_powers(scale, n_max)
-        return mag + _log_half_rising(n_max), ph
+        mag += _log_half_rising(n_max)
+        return mag, ph
     raw, marks = [1.0], []
     push = raw.append
     cur, diff = 0.5 * scale - x, -0.5 * scale - x
@@ -927,13 +934,16 @@ def _gauss_2f1_half(z: float, k_max: int) -> np.ndarray:
     two-mode laws it gives within 5e-15 of 40-digit values.  It costs one
     Python step per k, with no rescale since |F_k| <= 1.
 
-    At z = 0 (a thermal law, or the two-mode law at s1 = s2) it keeps
-    F_k = 1 exactly, and at z = 1 it is the Chu-Vandermonde product
+    At z = 0 (a thermal law, or the two-mode law at s1 = s2) F_k = 1
+    exactly, as the recurrence keeps it, and is returned without running
+    it; at z = 1 it is the Chu-Vandermonde product
     (1/2)_k / k!.  At z = 2 (rho = -1, a pure state's law) F_2m =
     (1/2)_m / m! and F_2m+1 = 0, where the recurrence leaves odd terms of a
     few eps from k = 75 on: there the closed form is taken instead, from
     `_log_half_rising`.
     """
+    if z == 0:
+        return np.ones(k_max + 1)
     if z == 2:
         f = np.zeros(k_max + 1)
         f[::2] = np.exp(_log_half_rising(k_max // 2))

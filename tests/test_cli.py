@@ -921,3 +921,15 @@ class A:
 '''
     # import, class, def, the two lines of text and the return line
     assert _tool_module("code_lines").code_lines(source) == 6
+
+
+def test_kind_times_summary_pairs_rounds_per_kind():
+    old = [{"clean": 1.0, "noisy": 2.0, "rare": 5.0}, {"clean": 1.2, "noisy": 2.0, "rare": 3.0},
+           {"clean": 1.1, "noisy": 2.4}]
+    new = [{"clean": 0.9, "noisy": 2.1, "rare": 4.0}, {"clean": 1.0, "noisy": 1.8},
+           {"clean": 1.05, "noisy": 2.2}]
+    got = _tool_module("kind_times").summary(old, new)
+    # medians over rounds of each side; a kind counts only where both sides ran it
+    assert got["clean"] == (1.1, 1.0, 1.0 / 1.1 - 1, 3)
+    assert got["noisy"] == (2.0, 2.1, 2.1 / 2.0 - 1, 2)
+    assert got["rare"] == (5.0, 4.0, 4.0 / 5.0 - 1, 1)

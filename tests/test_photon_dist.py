@@ -2516,6 +2516,28 @@ class TestValuesFormat:
         weights[0] = 0.0
         assert dist.values[0] == 0.75
 
+    @pytest.mark.parametrize("make", [
+        lambda arr: PhotonDistribution(values=arr, truncation=1, tail_bound=0.0,
+                                       classification=Classification.PROBABILITY),
+        distribution_from_values,
+    ], ids=["constructor", "from-values"])
+    def test_caller_complex_array_stays_the_callers(self, make):
+        # a complex128 array needs no conversion, and is copied all the same
+        weights = np.array([0.75, 0.25], dtype=complex)
+        dist = make(weights)
+        assert weights.flags.writeable and not np.shares_memory(weights, dist.values)
+        assert not dist.values.flags.writeable
+        weights[0] = 0.0
+        assert dist.values.tolist() == [0.75, 0.25]
+
+    def test_library_table_is_wrapped_without_a_copy(self):
+        table = np.array([0.75, 0.25, 0.0], dtype=complex)
+        dist = photon_dist._finalize(table, 0.0)
+        assert np.shares_memory(dist.values, table) and dist.values.tolist() == [0.75, 0.25]
+        assert not dist.values.flags.writeable
+        assert (dist.truncation, dist.tail_bound, dist.classification) == (
+            1, 0.0, Classification.PROBABILITY)
+
 
 _SQ20 = OneModeGaussianState.squeezed_vacuum(20.0)  # its cutoff raises
 

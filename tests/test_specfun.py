@@ -1,7 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -1122,3 +1125,96 @@ class TestLogPowers:
     def test_log_factorials_match_scalar(self):
         table = log_factorials(700)
         assert [float(v) for v in table] == [log_factorial(n) for n in range(701)]
+
+
+def _log_powers_by_formula(z, n_max):
+    """z**k as log_powers formed it from fresh np.arange / np.full arrays."""
+    z = complex(z)
+    if z == 0:
+        mag, ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
+        mag[0], ph[0] = 0.0, 1.0
+        return mag, ph
+    k = np.arange(n_max + 1, dtype=float)
+    mag = k * math.log(abs(z))
+    if z.imag == 0:
+        ph = np.ones(n_max + 1)
+        if z.real < 0:
+            ph[1::2] = -1.0
+        return mag, ph
+    return mag, np.exp(1j * cmath.phase(z) * k)
+
+
+def _same_bits(got, expected):
+    return got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+POWER_BASES = [0, 0.3, -0.3, -2.5, 0.4 + 0.2j]
+POWER_LENGTHS = [0, 1, 8, 257, 4097]
+
+
+class TestSharedTables:
+    """The tables that depend on N alone are built once, read-only, and
+    give the bits that fresh arrays gave."""
+
+    @pytest.mark.parametrize("n_max", POWER_LENGTHS)
+    @pytest.mark.parametrize("z", POWER_BASES)
+    def test_log_powers_match_the_formula_to_the_bit(self, z, n_max):
+        mag, ph = log_powers(z, n_max)
+        ref_mag, ref_ph = _log_powers_by_formula(z, n_max)
+        assert _same_bits(mag, ref_mag) and _same_bits(ph, ref_ph)
+        # the log-magnitudes are the caller's to change
+        assert mag.flags.writeable and not any(
+            np.shares_memory(mag, getattr(specfun, name)) for name in specfun._BUILDERS)
+
+    @pytest.mark.parametrize("n_max", POWER_LENGTHS)
+    @pytest.mark.parametrize("z", POWER_BASES)
+    def test_centered_hermite_factors_match_the_formula_to_the_bit(self, z, n_max):
+        # R11 = R22 = 1 and R12 = -z/2: A = z^k / k!, B = 1 / j!^2 at m = 2j, C = (1/2)^n
+        r = type("R", (), {"r11": 1.0, "r22": 1.0, "r12": -complex(z) / 2})()
+        (a_mag, a_ph), (b_mag, b_ph), (c_mag, c_ph) = specfun.hermite_2d_factors(n_max, r, 0j, 0j)
+        log_fact = log_factorials(n_max)
+        ref_a_mag, ref_a_ph = _log_powers_by_formula(-2 * complex(r.r12) / specfun._roots(r)[0],
+                                                     n_max)
+        ref_b_mag, ref_b_ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
+        ref_b_mag[::2], ref_b_ph[::2] = -2 * log_fact[: n_max // 2 + 1], 1.0
+        ref_c_mag, ref_c_ph = _log_powers_by_formula(0.5, n_max)
+        assert _same_bits(a_mag, ref_a_mag - log_fact) and _same_bits(a_ph, ref_a_ph)
+        assert _same_bits(b_mag, ref_b_mag) and _same_bits(b_ph, ref_b_ph)
+        assert _same_bits(c_mag, ref_c_mag) and _same_bits(c_ph, ref_c_ph)
+
+    @pytest.mark.parametrize("name", list(specfun._BUILDERS))
+    def test_grown_table_keeps_its_entries(self, monkeypatch, name):
+        monkeypatch.setattr(specfun, name, np.empty(0))
+        small = specfun._shared(name, 9).copy()
+        assert len(getattr(specfun, name)) == 10
+        grown = specfun._shared(name, 2500)
+        assert len(getattr(specfun, name)) == 2501
+        assert grown[:10].tobytes() == small.tobytes()
+        # a shorter request reads the grown table; a longer one at least doubles it
+        assert np.shares_memory(specfun._shared(name, 30), grown)
+        specfun._shared(name, 2501)
+        assert len(getattr(specfun, name)) == 5002
+
+    @pytest.mark.parametrize("name", list(specfun._BUILDERS))
+    def test_every_table_is_read_only(self, name):
+        view = specfun._shared(name, 40)
+        for array in (view, getattr(specfun, name)):
+            with pytest.raises(ValueError):
+                array[0] = 2.0
+
+    def test_readers_take_views_of_the_tables(self):
+        # the phases of real powers and the centered B factor
+        for z, name in ((0.3, "_ones_table"), (-0.3, "_alternating_table"), (0, "_zero_ph_table")):
+            assert np.shares_memory(log_powers(z, 20)[1], getattr(specfun, name))
+        r = type("R", (), {"r11": 0.5, "r22": 0.5, "r12": 0.0})()
+        _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(20, r, 0j, 0j)
+        assert np.shares_memory(b_mag, specfun._centered_b_table)
+        assert np.shares_memory(b_ph, specfun._even_ph_table)
+
+    def test_tables_start_empty(self):
+        # importing the package computes no table
+        code = ("import photonstat.specfun as s; "
+                "print(max(len(getattr(s, name)) for name in s._BUILDERS))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(Path(specfun.__file__).parents[1])})
+        assert out.stdout.strip() == "0"
