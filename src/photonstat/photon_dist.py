@@ -404,7 +404,7 @@ def _finalize(values: np.ndarray, tail: float, proven: bool = False) -> PhotonDi
         nonzero = values[1:].nonzero()[0]
         values = values[: nonzero[-1] + 2 if nonzero.size else 1]
     values.flags.writeable = False
-    dist = object.__new__(PhotonDistribution)  # the table is wrapped, not copied
+    dist = object.__new__(PhotonDistribution)
     vars(dist).update(values=values, truncation=len(values) - 1, tail_bound=tail,
                       classification=_classify(values, tail, proven))
     return dist
