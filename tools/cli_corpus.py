@@ -36,7 +36,9 @@ from pathlib import Path
 # det Sigma < 1/4, whose law is a signed real sequence,
 # DISPLACED_VIOLATING_STATE a displaced positive-definite Sigma with
 # det Sigma = 0.0024, whose Hermite table loses its mass to cancellation,
-# and NON_NUMERIC_STATE a descriptor with a field that is not a number
+# NEAR_ISOTROPIC_STATE a displaced state whose R11 R22 is tiny beside R12
+# (sigma_pp - sigma_qq = 2^-30), and NON_NUMERIC_STATE a descriptor with a
+# field that is not a number
 DESCRIPTORS = {
     "STATE": {
         "sigma_pp": 0.8, "sigma_qq": 0.4, "sigma_pq": 0.1, "mean_q": 0.3, "mean_p": -0.2
@@ -72,6 +74,9 @@ DESCRIPTORS = {
         "sigma_pp": 0.18167952100237902, "sigma_qq": 0.017483699616411906,
         "sigma_pq": 0.028158037131206473, "mean_q": -0.6564138200562226,
         "mean_p": -1.914582857884865
+    },
+    "NEAR_ISOTROPIC_STATE": {
+        "sigma_pp": 1.5 + 2.0**-30, "sigma_qq": 1.5, "sigma_pq": 0.0, "mean_q": 1.0, "mean_p": 0.5
     },
     "NON_NUMERIC_STATE": {
         "sigma_pp": "abc", "sigma_qq": 0.5, "sigma_pq": 0.0, "mean_q": 0.0, "mean_p": 0.0
@@ -226,6 +231,9 @@ INVOCATIONS = (
         "dist --family xyt --x 2 --y 0.125 --n-max 4096",
         # (x + y)^2 overflows on every row: each is labelled, none aborts
         "violation --y 1e300",
+        # a displaced state where sqrt(R11 R22) is about 1e-10 of R12, on both routes
+        "dist --family gaussian --state NEAR_ISOTROPIC_STATE",
+        "dist --family gaussian --state NEAR_ISOTROPIC_STATE --route laguerre",
     ]
 )
 
