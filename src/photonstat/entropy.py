@@ -37,6 +37,7 @@ from .errors import (
 )
 from .gaussian_state import OneModeGaussianState
 from .photon_dist import (
+    _NORM_SLOP,
     Classification,
     PhotonDistribution,
     TwoModeJointDistribution,
@@ -176,7 +177,7 @@ def joint_entropy_report(joint: TwoModeJointDistribution) -> EntropyReport:
     """
     table = joint.values
     total = float(table.sum())
-    if abs(total - 1.0) > joint.tail_bound + 1e-9:
+    if abs(total - 1.0) > joint.tail_bound + _NORM_SLOP:
         raise NormalizationError(
             f"joint table mass {total:.12g} outside tolerance "
             f"(tail_bound {joint.tail_bound:.3g})"

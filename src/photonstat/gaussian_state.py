@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, RangeOverflowError, SingularDenominatorError
+from .specfun import _LOG_DBL_MAX
 
 __all__ = [
     "OneModeGaussianState",
@@ -48,13 +48,12 @@ __all__ = [
 ]
 
 _STATE_FIELDS = ("sigma_pp", "sigma_qq", "sigma_pq", "mean_q", "mean_p")
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _check_squeeze(r: float) -> None:
     """Raise RangeOverflowError where e^(2|r|), the scale of a squeezed
     covariance, leaves the double range (|r| past about 354.89)."""
-    if 2 * abs(r) > _LOG_MAX:
+    if 2 * abs(r) > _LOG_DBL_MAX:
         raise RangeOverflowError(f"e^(2|r|) exceeds the double range at r = {r!r}")
 
 

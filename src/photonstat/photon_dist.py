@@ -106,6 +106,7 @@ from .gaussian_state import (
     from_tau,
 )
 from .specfun import (
+    _LOG_DBL_MAX,
     _gauss_2f1_half,
     _legendre_columns,
     _legendre_scaled,
@@ -154,7 +155,6 @@ _NORM_SLOP = 1e-9
 # costs less than numpy's two sums
 _NUMPY_SUM_FROM = 128
 _NOISE_FLOOR = 1e3 * sys.float_info.epsilon
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 class Classification(str, enum.Enum):
@@ -504,7 +504,7 @@ def _decay_cut(law: _Law, n_max, step: int = 1) -> tuple[int, float] | None:
         raise RangeOverflowError(
             f"tail bound at the N = {n * step} cap is not below 1: the law lies past the cap"
         )
-    tail = _TAIL_TARGET * math.exp(log_tail) if log_tail < _LOG_MAX else math.inf
+    tail = _TAIL_TARGET * math.exp(log_tail) if log_tail < _LOG_DBL_MAX else math.inf
     return (n * step if n_max is None else n_max), tail
 
 
@@ -560,14 +560,15 @@ def distribution_from_values(values) -> PhotonDistribution:
 # ---------------------------------------------------------------------------
 
 def _hermite_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """log-signed P_n / P0 = H_nn^{R}(y1, y2) / n! for n = 0..n_max, whose
+    """log-signed P_n / P0 = H_nn^{R}(y1, y2) / n! = n! sum_k A[k] B[n-k]
+    for n = 0..n_max, one Cauchy product of the two factors of
+    :func:`specfun.hermite_2d_factors`, which take no root of R.  The
     arguments enter only through the record's w = R11 y1 + R12 y2 and its
     conjugate R12 y1 + R22 y2."""
-    a, b, (c_mag, c_ph) = hermite_2d_factors(n_max, rec, rec.w, rec.w.conjugate())
+    a, b = hermite_2d_factors(n_max, rec, rec.w, rec.w.conjugate())
     mag, ph = log_cauchy_rows(*a, *b, n_max + 1)
-    mag += c_mag
     mag += log_factorials(n_max)
-    return mag, ph * c_ph
+    return mag, ph
 
 
 def _laguerre_ratio_seq(rec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -706,7 +707,7 @@ def pn_centered_xyt(
         mag, ph = log_powers(-hi, n_max)  # raises where Tr^2 or a+- overflowed
         mag += law.log_p0
         f = _gauss_2f1_half(z, n_max)
-        if mag.max() > _LOG_MAX:  # growing terms: a small F_n may keep P_n in range
+        if mag.max() > _LOG_DBL_MAX:  # growing terms: a small F_n may keep P_n in range
             with np.errstate(divide="ignore"):
                 mag, f = mag + np.log(np.abs(f)), np.sign(f)
         return log_signed_values(mag, ph * f) * (-1j if c < 0 else 1)
@@ -1041,7 +1042,8 @@ def _deformed_log_weights(spec: DeformationSpec) -> tuple[float, tuple[float, ..
 
 def _squeezed_correlated_amplitude(spec: DeformationSpec) -> tuple[float, float, complex]:
     """(ln P0, t = tanh r, u) of the squeezed/correlated family, whose law
-    P_n = P0 |h_n|^2 / (2^n n!) reads h_n = s^n H_n(u / s), s = sqrt(t),
+    P_n = P0 |h_n|^2 / (2^n n!) reads h_n = s^n H_n(u / s), s^2 = t (the
+    scaled sequence takes t itself, so no root of t is taken),
     with u = e^(-i th / 2) (t conj(z) + e^(i th) z) / 2, z = <q> + i <p>:
     the paper's P0 (t/2)^n |H_n(g)|^2 / n! at g = u / s, with no division
     by t, so r = 0 is the coherent law.  P0 is kept as its log, which may
@@ -1074,7 +1076,7 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
     Each family's formula is written once, on arrays: :func:`deformed_pn`
     reads one entry and :func:`deformed_distribution` a whole table.  The
     squeezed/correlated family takes its Hermite values from one
-    ``hermite_sequence_log(u, max(n), sqrt(tanh r))`` call.
+    ``hermite_sequence_log(u, max(n), tanh r)`` call.
     """
     kind = spec.kind
     if kind is DeformationKind.POISSON:
@@ -1101,7 +1103,7 @@ def _deformed_weights(spec: DeformationSpec, n: np.ndarray) -> np.ndarray:
     if kind is DeformationKind.SQUEEZED_CORRELATED:
         log_p0, t, u = _squeezed_correlated_amplitude(spec)
         top = int(n.max())
-        h_mag = hermite_sequence_log(u, top, math.sqrt(t))[0][n]
+        h_mag = hermite_sequence_log(u, top, t)[0][n]
         return np.exp(log_p0 + 2 * h_mag - n * math.log(2) - log_factorials(top)[n])
     if kind is DeformationKind.Q_COHERENT and spec.lam <= 0:
         raise InvalidSpecError("q-coherent family needs lam > 0")

@@ -8,26 +8,28 @@ Conventions
 -----------
 * Hermite: H_0 = 1, H_1 = 2z, H_{n+1} = 2 z H_n - 2 n H_{n-1}, run in its
   scaled form for h_n = s^n H_n(z/s), h_{n+1} = 2 z h_n - 2 n s^2 h_{n-1},
-  which is finite at s = 0, where h_n = (2z)^n (`hermite_sequence_log`);
-  s = 1 gives H_n(z).
-* Two-index Hermite H_nn^{R}(y1, y2) for a symmetric 2x2 matrix R, evaluated
-  through the finite sum
+  which reads s only through s^2 (complex allowed) and is finite at
+  s^2 = 0, where h_n = (2z)^n (`hermite_sequence_log`); s^2 = 1 gives
+  H_n(z).
+* Two-index Hermite H_nn^{R}(y1, y2) for a symmetric 2x2 matrix R: n!^2
+  times the coefficient of (t1 t2)^n in the generating function
+  exp(-t^T R t / 2 + t^T R y / sqrt(2)) (Dodonov, Man'ko & Man'ko,
+  Phys. Rev. A 49, 2993 (1994)).  It factors into exp(-R12 t1 t2) and one
+  Gaussian in each t, which gives the finite sum
 
-      H_nn = n!^2 (R11 R22 / 4)^{n/2}
-             sum_k (-2 R12 / sqrt(R11 R22))^k / ((n-k)!^2 k!)
-                   H_{n-k}(z1) H_{n-k}(z2),
+      H_nn = n!^2 sum_k (-R12)^k / k! B[n-k],
+      B[m] = 2^-m h_m(w1; R11) h_m(w2; R22) / m!^2,
 
-  z1 = w1 / (2 sqrt(R11)), z2 = w2 / (2 sqrt(R22)), with the transformed
-  displacements w1 = R11 y1 + R12 y2 and w2 = R12 y1 + R22 y2; the
-  factors take w1 and w2, so the photon-number routes never form y.
-  Principal branches are used for every fractional power, and sqrt(R22) is
-  derived from sqrt(R11 R22) / sqrt(R11) so all branch choices are mutually
-  consistent.  The degenerate case R11 R22 = 0 is evaluated by its limit,
-  in which only powers of R12 survive (see `hermite_2d_factors`).  A real
-  covariance gives z2 = conj(z1) to the bit, so H_m(z1) H_m(z2) is
-  |H_m(z1)|^2 (Dodonov, Man'ko & Man'ko, Phys. Rev. A 49, 2993 (1994)).
-  At z1 = z2 = 0, every centered state's, it has the closed form
-  H_2j(0)^2 / (2j)!^2 = 1 / j!^2, and 0 at odd m (DLMF Table 18.6.1).
+  with h_m(w; s^2) = s^m H_m(w / 2s), the scaled sequence at z = w / 2,
+  and the transformed displacements w1 = R11 y1 + R12 y2 and
+  w2 = R12 y1 + R22 y2; the factors take w1 and w2, so the photon-number
+  routes never form y (see `hermite_2d_factors`).  No root of R is taken,
+  so no branch is chosen, and R11 R22 = 0 needs no case of its own (there
+  h_m = w^m).  A real covariance gives R22 = conj(R11) and w2 = conj(w1),
+  so h_m(w2; R22) = conj(h_m(w1; R11)) to the bit and B[m] is
+  2^-m |h_m(w1; R11)|^2 / m!^2.  At w1 = w2 = 0, every centered state's,
+  B has the closed form (R11 R22 / 4)^j / j!^2 at m = 2j, and 0 at odd m
+  (DLMF Table 18.6.1).
 * Laguerre: order alpha = -1/2 only, recurrence
   (n+1) L_{n+1} = (2n + 1/2 - x) L_n - (n - 1/2) L_{n-1}, run in its scaled
   form for M_n = a^n L_n(x/a), which is finite at a = 0, and on the
@@ -92,7 +94,7 @@ arrays; a single value is the last entry of its column).
 Arrays that depend on the length N alone are read from shared read-only
 tables, not rebuilt on each call: the float ramp k = 0, 1, ... (the
 kernel's tilt), the phases of real powers (all +1, and alternating +-1),
-the powers of zero, the centered Hermite factor B with its phases, the
+the powers of zero, the centered Hermite factor 1 / j!^2 with its phases, the
 log factorials (the logs of exact integer factorials below 512,
 lgamma(k + 1) past it) and the Laguerre closed form's ln((1/2)_k / k!).
 Every table starts empty and grows by one rule (`_shared`): a read past
@@ -643,24 +645,26 @@ def hermite(n: int, z: complex) -> complex:
 
 
 def hermite_sequence_log(
-    z: complex, n_max: int, scale: float = 1
+    z: complex, n_max: int, s2: complex = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """h_n = s^n H_n(z / s), n = 0 .. n_max, s = ``scale``, as
-    (log-magnitude, phase) arrays; at s = 1 these are H_n(z).
+    """h_n = s^n H_n(z / s), n = 0 .. n_max, for s^2 = ``s2``, as
+    (log-magnitude, phase) arrays; at s^2 = 1 these are H_n(z).
 
     h_n follows the scaled recurrence, from h_0 = 1,
 
         h_(n+1) = 2 z h_n - 2 n s^2 h_(n-1),
 
-    which is finite at s = 0, where h_n = (2z)^n.  One recurrence stores
-    plain values, in float arithmetic for a real z and s, rescaled past
-    1e250 as the module docstring describes; the magnitudes are formed all
-    at once at the end.  A real z gives real phases, exactly +-1, and a
-    zero value (odd degree at z = 0) comes out as (-inf, 0).  Where
-    |2z| + s^2 n_max passes about 4e57 the rescale comes earlier, below
-    max / (4 (|2z| + s^2 n_max + 1)), so that no step's products leave the
-    double range (they gave inf - inf = NaN for |z| near 1e154).  The
-    default s is the integer 1, so H_n(z) is computed in the same
+    which reads s only through s^2, so h_n is a polynomial in z and s^2:
+    no root is taken, either root of s^2 gives the same h_n, and s^2 may be
+    complex or 0, where h_n = (2z)^n.  One recurrence stores plain values,
+    in float arithmetic for a real z and s^2, rescaled past 1e250 as the
+    module docstring describes; the magnitudes are formed all at once at
+    the end.  A real z and s^2 give real phases, exactly +-1, and a zero
+    value (odd degree at z = 0) comes out as (-inf, 0).  Where
+    |2z| + |s^2| n_max passes about 4e57 the rescale comes earlier, below
+    max / (4 (|2z| + |s^2| n_max + 1)), so that no step's products leave
+    the double range (they gave inf - inf = NaN for |z| near 1e154).  The
+    default s^2 is the integer 1, so H_n(z) is computed in the same
     arithmetic as the unscaled recurrence.
     """
     if n_max < 0:
@@ -668,12 +672,14 @@ def hermite_sequence_log(
     z = complex(z)
     if z.imag == 0:
         z = z.real
+    if isinstance(s2, complex) and s2.imag == 0:
+        s2 = s2.real
     raw, marks = [], []
     push = raw.append
     prev, cur = 0 * z, 1 + 0 * z
-    two_z, two_s2 = 2 * z, 2 * scale * scale
+    two_z, two_s2 = 2 * z, 2 * s2
     shift = 0.0
-    limit = min(_RESCALE_LIMIT, _DBL_MAX / (4 * (abs(two_z) + scale * scale * n_max + 1)))
+    limit = min(_RESCALE_LIMIT, _DBL_MAX / (4 * (abs(two_z) + abs(s2) * n_max + 1)))
     for k in range(n_max + 1):
         push(cur)
         prev, cur = cur, two_z * cur - two_s2 * k * prev
@@ -684,75 +690,65 @@ def hermite_sequence_log(
     return _shifted(mag, marks), ph
 
 
-def _roots(r) -> tuple[complex, complex, complex]:
-    """Principal sqrt(R11 R22) and roots of R11, R22 sharing its branch.
-
-    All three are 0 when R11 R22 = 0, the degenerate limit.  Where
-    R22 = conj(R11), as for every real covariance, the root of R22 is
-    conj(sqrt(R11)) exactly, so conjugate Hermite arguments stay conjugate
-    to the bit.
-    """
-    r11, r22 = complex(r.r11), complex(r.r22)
-    rho = cmath.sqrt(r11 * r22)
-    if rho == 0:
-        return 0j, 0j, 0j
-    s1 = cmath.sqrt(r11)
-    return rho, s1, s1.conjugate() if r22 == r11.conjugate() else rho / s1
-
-
 def hermite_2d_factors(n_max: int, r, w1: complex, w2: complex):
     """Factors of the finite two-index Hermite sum for n = 0 .. n_max,
 
-        H_nn^{R}(y1, y2) = n!^2 e^{C[n]} sum_k A[k] B[n-k],
+        H_nn^{R}(y1, y2) = n!^2 sum_k A[k] B[n-k],
 
     from the transformed displacements w1 = R11 y1 + R12 y2 and
-    w2 = R12 y1 + R22 y2, as three (log-magnitude, phase) array pairs
-    ``(A, B, C)``: A[k] = c^k / k!, B[m] = H_m(z1) H_m(z2) / m!^2 and
-    e^{C[n]} = (rho/2)^n with rho = sqrt(R11 R22), c = -2 R12 / rho,
-    z1 = w1 / (2 sqrt(R11)) and z2 = w2 / (2 sqrt(R22)).  In the degenerate
-    limit rho = 0 they are A[k] = (-2 R12)^k / k!, B[m] = (w1 w2)^m / m!^2
-    and e^{C[n]} = 2^-n.
+    w2 = R12 y1 + R22 y2, as two (log-magnitude, phase) array pairs
+    ``(A, B)``: A[k] = (-R12)^k / k! and
 
-    Where z1 = z2 = 0 (every centered state with rho != 0) B has the closed
-    form H_2j(0) = (-1)^j (2j)! / j!, H_2j+1(0) = 0 (DLMF Table 18.6.1):
-    B[2j] = 1 / j!^2 and B[2j+1] = 0, with no recurrence and no difference
-    of two large logs, as read-only views of two shared tables.  Where
-    z2 == conj(z1) otherwise (every state's R-matrix with w2 = conj(w1)) B
+        B[m] = 2^-m h_m(w1; R11) h_m(w2; R22) / m!^2,
+
+    with h_m(w; s^2) = s^m H_m(w / 2s) from :func:`hermite_sequence_log`
+    at z = w / 2, which reads only s^2.  These are the coefficients of the
+    three factors of the generating function of :func:`hermite_2d`,
+    exp(-R12 t1 t2) and exp(w_i t_i / sqrt(2) - R_ii t_i^2 / 2) for
+    i = 1, 2, so no root of R is taken and R11 R22 = 0 needs no case of
+    its own.
+
+    Where w1 = w2 = 0 (every centered state) B has the closed form
+    H_2j(0) = (-1)^j (2j)! / j!, H_2j+1(0) = 0 (DLMF Table 18.6.1):
+    B[2j] = (R11 R22 / 4)^j / j!^2 and B[2j+1] = 0, with no recurrence and
+    no difference of two large logs, from the shared table of 1 / j!^2 and
+    the powers of sqrt(R11 R22) / 2; only even powers enter, so either root
+    gives B.  Where w2 = conj(w1) and R22 = conj(R11) otherwise (every
+    state's record) h_m(w2; R22) = conj(h_m(w1; R11)) to the bit, so B
     comes from one recurrence, real, and equal to the exact conjugate
     product of two.
 
     ``r`` is any object with attributes ``r11``, ``r22``, ``r12``.
     """
-    r12 = complex(r.r12)
-    rho, s1, s2 = _roots(r)
+    r11, r22 = complex(r.r11), complex(r.r22)
     log_fact = log_factorials(n_max)
-    if rho == 0:
-        a_mag, a_ph = log_powers(-2 * r12, n_max)
-        b_mag, b_ph = log_powers(w1 * w2, n_max)
+    a_mag, a_ph = log_powers(-complex(r.r12), n_max)
+    if w1 == 0 and w2 == 0:
+        b_mag, b_ph = log_powers(cmath.sqrt(r11 * r22) / 2, n_max)
+        b_mag += _shared("_centered_b_table", n_max)
+        return (a_mag - log_fact, a_ph), (b_mag, b_ph * _shared("_even_ph_table", n_max))
+    h1_mag, h1_ph = hermite_sequence_log(w1 / 2, n_max, r11)
+    if w2 == w1.conjugate() and r22 == r11.conjugate():
+        b_mag, b_ph = 2 * h1_mag, h1_ph.real * h1_ph.real + h1_ph.imag * h1_ph.imag
     else:
-        a_mag, a_ph = log_powers(-2 * r12 / rho, n_max)
-        z1, z2 = w1 / (2 * s1), w2 / (2 * s2)
-        if z1 == 0 and z2 == 0:
-            b = _shared("_centered_b_table", n_max), _shared("_even_ph_table", n_max)
-            return (a_mag - log_fact, a_ph), b, log_powers(rho / 2, n_max)
-        h1_mag, h1_ph = hermite_sequence_log(z1, n_max)
-        if z2 == z1.conjugate():  # H_m(z2) = conj(H_m(z1)): B = |H_m(z1)|^2 / m!^2
-            b_mag, b_ph = 2 * h1_mag, h1_ph.real * h1_ph.real + h1_ph.imag * h1_ph.imag
-        else:
-            h2_mag, h2_ph = hermite_sequence_log(z2, n_max)
-            b_mag, b_ph = h1_mag + h2_mag, h1_ph * h2_ph
-    c = log_powers(rho / 2 if rho else 0.5, n_max)
-    return (a_mag - log_fact, a_ph), (b_mag - 2 * log_fact, b_ph), c
+        h2_mag, h2_ph = hermite_sequence_log(w2 / 2, n_max, r22)
+        b_mag, b_ph = h1_mag + h2_mag, h1_ph * h2_ph
+    b_mag += log_powers(0.5, n_max)[0]
+    return (a_mag - log_fact, a_ph), (b_mag - 2 * log_fact, b_ph)
 
 
 def hermite_2d(n: int, r, y1: complex, y2: complex) -> complex:
-    """Two-index Hermite polynomial H_nn^{R}(y1, y2) as a plain complex value.
+    """Two-index Hermite polynomial H_nn^{R}(y1, y2) as a plain complex value,
+    n!^2 times the coefficient of (t1 t2)^n in
+
+        exp(-t^T R t / 2 + t^T R y / sqrt(2)).
 
     ``r`` is any object with attributes ``r11``, ``r22``, ``r12`` (for
     example the R-matrix produced by the Gaussian-state module).  The y
     arguments are taken from the call, not from ``r``; they enter only
     through w1 = R11 y1 + R12 y2 and w2 = R12 y1 + R22 y2, the arguments of
     :func:`hermite_2d_factors`, of which only row n is summed, in O(n).
+    No root of R is taken, so the value does not depend on a branch.
 
     Raises:
         DomainError: n < 0.
@@ -760,14 +756,13 @@ def hermite_2d(n: int, r, y1: complex, y2: complex) -> complex:
     """
     if n < 0:
         raise DomainError("hermite_2d degree must be nonnegative")
-    (a_mag, a_ph), (b_mag, b_ph), (c_mag, c_ph) = hermite_2d_factors(
+    (a_mag, a_ph), (b_mag, b_ph) = hermite_2d_factors(
         n, r, r.r11 * y1 + r.r12 * y2, r.r12 * y1 + r.r22 * y2
     )
     row_mag, row_ph = _log_row_sums(
         (a_mag + b_mag[::-1])[None], (_phases(a_ph) * _phases(b_ph)[::-1])[None]
     )
-    mag = row_mag + c_mag[n] + 2 * log_factorial(n)
-    return complex(log_signed_values(mag, row_ph * c_ph[n])[0])
+    return complex(log_signed_values(row_mag + 2 * log_factorial(n), row_ph)[0])
 
 
 def laguerre_half_sequence(

@@ -129,13 +129,13 @@ class TestHermiteSequenceLog:
                 assert abs(mag[n] - ref_mag) <= 1e-13 * max(1.0, abs(ref_mag))
                 assert abs(ph[n] - complex(ref / abs(ref))) <= 1e-13
 
-    @pytest.mark.parametrize("scale", [1, 0.3, 1e-160])
+    @pytest.mark.parametrize("s2", [1, 0.3**2, 1e-160**2, -0.6 + 0.8j])
     @pytest.mark.parametrize("z, n_max", [(0.7, 60), (0.4 - 1.1j, 60), (30.0, 400)])
-    def test_scaled_matches_mpmath(self, z, n_max, scale):
-        # s^n H_n(z / s); z = 30 passes the 1e250 rescale at every scale
-        mag, ph = hermite_sequence_log(z, n_max, scale)
+    def test_scaled_matches_mpmath(self, z, n_max, s2):
+        # s^n H_n(z / s) from s^2; z = 30 passes the 1e250 rescale at every s
+        mag, ph = hermite_sequence_log(z, n_max, s2)
         with mpmath.workdps(40):
-            s = mpmath.mpf(scale)
+            s = mpmath.sqrt(mpmath.mpmathify(s2))
             for n in range(n_max + 1):
                 ref = s**n * mpmath.hermite(n, mpmath.mpmathify(z) / s)
                 ref_mag = float(mpmath.log(abs(ref)))
@@ -162,6 +162,23 @@ class TestHermiteSequenceLog:
         assert ph.dtype == np.float64
         assert set(np.unique(ph)) <= {-1.0, 0.0, 1.0}
         assert np.array_equal(ph == 0, mag == -np.inf)
+
+
+# (R11, R22, R12, y1, y2) where a root of R11 or R22 picks a branch: R on the
+# negative axis, just above and below it, R11 = R22 = 0 with y != 0, a tiny
+# R11, complex R12, and random complex R
+_BRANCH_CASES = [
+    (-1.0, -1.0, 0.3, 0.4 + 0.2j, 0.4 - 0.2j),
+    (-1 + 1e-17j, -1 - 1e-17j, 0.3, 0.4 + 0.2j, 0.4 - 0.2j),
+    (-1 + 1e-17j, -1 + 1e-17j, 0.3, 0.4 + 0.2j, -0.5 + 0.1j),
+    (-1 - 1e-17j, -1 - 1e-17j, -0.6, 0.7, 0.2j),
+    (0.0, 0.0, 0.5, 1.0, 0.5j),
+    (1e-300, 0.7, 0.4, 0.8, -0.3),
+    (0.3 + 0.2j, -0.1 + 0.5j, 0.2 - 0.4j, 0.5 + 0.1j, -0.3 + 0.2j),
+] + [
+    tuple(complex(*pair) for pair in draw.reshape(5, 2))
+    for draw in np.random.default_rng(20).uniform(-1.5, 1.5, size=(4, 10))
+]
 
 
 class TestHermite2d:
@@ -219,9 +236,36 @@ class TestHermite2d:
         with pytest.raises(RangeOverflowError):
             hermite_2d(4, rm, math.inf, 1)
 
+    @pytest.mark.parametrize("r11, r22, r12, y1, y2", _BRANCH_CASES)
+    def test_matches_the_generating_function_on_every_branch(self, r11, r22, r12, y1, y2):
+        # n!^2 [(t1 t2)^n] exp(-t^T R t / 2 + t^T R y / sqrt(2)) at 40 digits,
+        # from the monomial series of each factor; the error is measured
+        # against n!^2 sum_k |A[k] B[n-k]|, the sum's own rounding scale
+        r = type("R", (), {"r11": r11, "r22": r22, "r12": r12})()
+        with mpmath.workdps(40):
+            m11, m22, m12 = (mpmath.mpmathify(v) for v in (r11, r22, r12))
+            a = (m11 * mpmath.mpmathify(y1) + m12 * mpmath.mpmathify(y2)) / mpmath.sqrt(2)
+            b = (m12 * mpmath.mpmathify(y1) + m22 * mpmath.mpmathify(y2)) / mpmath.sqrt(2)
+
+            def series(w, s2, m):
+                # [t^m] exp(w t - s2 t^2 / 2)
+                return mpmath.fsum(
+                    (-s2 / 2) ** i * w ** (m - 2 * i)
+                    / (mpmath.factorial(i) * mpmath.factorial(m - 2 * i))
+                    for i in range(m // 2 + 1))
+
+            for n in (0, 1, 2, 3, 8, 17, 30):
+                terms = [(-m12) ** k / mpmath.factorial(k)
+                         * series(a, m11, n - k) * series(b, m22, n - k) for k in range(n + 1)]
+                scale = mpmath.factorial(n) ** 2
+                ref = scale * mpmath.fsum(terms)
+                size = scale * mpmath.fsum(abs(t) for t in terms)
+                got = hermite_2d(n, r, y1, y2)
+                assert abs(mpmath.mpc(got) - ref) <= 1e-13 * size, n
+
 
 # displaced valid states; the first is the one whose sqrt(R11 R22) / sqrt(R11)
-# misses conj(sqrt(R11)) by an ulp
+# missed conj(sqrt(R11)) by an ulp, when the factors took roots of R
 _DISPLACED_STATES = [
     OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7),
     OneModeGaussianState(1.4, 0.7, 0.25, 0.6, -0.3),
@@ -232,16 +276,17 @@ _DISPLACED_STATES = [
 
 
 def _hermite_arguments(r, w1, w2):
-    _, s1, s2 = specfun._roots(r)
-    return w1 / (2 * s1), w2 / (2 * s2)
+    """(z, s^2) of the two scaled sequences h_m(w; s^2) = s^m H_m(w / 2s)."""
+    return (w1 / 2, complex(r.r11)), (w2 / 2, complex(r.r22))
 
 
 def _counted_hermite_sequences(monkeypatch):
-    """Patch hermite_sequence_log to record its arguments; return the list
+    """Patch hermite_sequence_log to record its (z, s^2); return the list
     and the original function."""
     calls, seq = [], specfun.hermite_sequence_log
     monkeypatch.setattr(
-        specfun, "hermite_sequence_log", lambda z, n: calls.append(z) or seq(z, n)
+        specfun, "hermite_sequence_log",
+        lambda z, n, s2=1: calls.append((z, s2)) or seq(z, n, s2),
     )
     return calls, seq
 
@@ -251,24 +296,27 @@ class TestHermite2dFactors:
 
     @pytest.mark.parametrize("state", _DISPLACED_STATES)
     def test_conjugate_arguments_take_one_recurrence(self, monkeypatch, state):
-        # the route's arguments: z2 = conj(z1), so B = |H_m(z1)|^2 / m!^2
+        # the route's arguments: w2 = conj(w1) and R22 = conj(R11), so
+        # B = 2^-m |h_m(w1; R11)|^2 / m!^2
         rec = _generating_record(state)
         w1, w2 = rec.w, rec.w.conjugate()
-        z1, z2 = _hermite_arguments(rec, w1, w2)
-        assert z2 == z1.conjugate() and z1.imag
+        (z1, s1), (z2, s2) = _hermite_arguments(rec, w1, w2)
+        assert z2 == z1.conjugate() and s2 == s1.conjugate() and z1.imag
         calls, seq = _counted_hermite_sequences(monkeypatch)
-        _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(self.N, rec, w1, w2)
-        assert calls == [z1]
+        _, (b_mag, b_ph) = specfun.hermite_2d_factors(self.N, rec, w1, w2)
+        assert calls == [(z1, s1)]
         assert b_ph.dtype == np.float64
         # the product of the two recurrences, rounded as written
-        h1_mag, h1_ph = seq(z1, self.N)
-        h2_mag, h2_ph = seq(z2, self.N)
+        h1_mag, h1_ph = seq(z1, self.N, s1)
+        h2_mag, h2_ph = seq(z2, self.N, s2)
         assert np.iscomplexobj(h1_ph)
         re = h1_ph.real * h2_ph.real - h1_ph.imag * h2_ph.imag
         im = h1_ph.real * h2_ph.imag + h1_ph.imag * h2_ph.real
         assert not im.any()
         assert b_ph.tobytes() == re.tobytes()
-        assert b_mag.tobytes() == (h1_mag + h2_mag - 2 * log_factorials(self.N)).tobytes()
+        half_mag = log_powers(0.5, self.N)[0]
+        assert b_mag.tobytes() == (
+            h1_mag + h2_mag + half_mag - 2 * log_factorials(self.N)).tobytes()
 
     @pytest.mark.parametrize(
         "state",
@@ -276,15 +324,19 @@ class TestHermite2dFactors:
          OneModeGaussianState(0.8, -0.4, 0.1)],
     )
     def test_centered_arguments_take_the_closed_form(self, monkeypatch, state):
-        # H_2j(0) = (-1)^j (2j)! / j! and H_2j+1(0) = 0: B[2j] = 1 / j!^2
+        # H_2j(0) = (-1)^j (2j)! / j! and H_2j+1(0) = 0:
+        # B[2j] = (R11 R22 / 4)^j / j!^2, with R11 R22 = |R11|^2 > 0
         rec = _generating_record(state)
-        assert rec.w == 0 and specfun._roots(rec)[0] != 0
+        r11_r22 = rec.r11 * rec.r22
+        assert rec.w == 0 and r11_r22.real > 0 and r11_r22.imag == 0
         calls, _ = _counted_hermite_sequences(monkeypatch)
         for n in (0, 1, 7, 8, self.N):
-            _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(n, rec, 0j, 0j)
+            _, (b_mag, b_ph) = specfun.hermite_2d_factors(n, rec, 0j, 0j)
             assert b_ph.dtype == np.float64 and len(b_mag) == len(b_ph) == n + 1
             assert (b_mag[1::2] == -np.inf).all() and (b_ph[1::2] == 0).all()
-            assert b_mag[::2].tobytes() == (-2 * log_factorials(n // 2)).tobytes()
+            j = np.arange(n // 2 + 1)
+            ref = j * math.log(r11_r22.real / 4) - 2 * log_factorials(n // 2)
+            assert np.allclose(b_mag[::2], ref, rtol=1e-14, atol=1e-14)
             assert (b_ph[::2] == 1).all()
         assert calls == []
 
@@ -313,13 +365,14 @@ class TestHermite2dFactors:
     def test_other_arguments_take_two_recurrences(self, monkeypatch):
         r = _generating_record(OneModeGaussianState(1.2, 0.8, 0.2, 0.5, -0.7))
         w1, w2 = 0.4 + 0.3j, -0.2 + 0.5j
-        z1, z2 = _hermite_arguments(r, w1, w2)
+        (z1, s1), (z2, s2) = _hermite_arguments(r, w1, w2)
         calls, seq = _counted_hermite_sequences(monkeypatch)
-        _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(40, r, w1, w2)
-        assert calls == [z1, z2]
-        (h1_mag, h1_ph), (h2_mag, h2_ph) = seq(z1, 40), seq(z2, 40)
+        _, (b_mag, b_ph) = specfun.hermite_2d_factors(40, r, w1, w2)
+        assert calls == [(z1, s1), (z2, s2)]
+        (h1_mag, h1_ph), (h2_mag, h2_ph) = seq(z1, 40, s1), seq(z2, 40, s2)
         assert np.array_equal(b_ph, h1_ph * h2_ph)
-        assert np.array_equal(b_mag, h1_mag + h2_mag - 2 * log_factorials(40))
+        assert np.array_equal(
+            b_mag, h1_mag + h2_mag + log_powers(0.5, 40)[0] - 2 * log_factorials(40))
 
 
 class TestLaguerreHalf:
@@ -1169,18 +1222,16 @@ class TestSharedTables:
     @pytest.mark.parametrize("n_max", POWER_LENGTHS)
     @pytest.mark.parametrize("z", POWER_BASES)
     def test_centered_hermite_factors_match_the_formula_to_the_bit(self, z, n_max):
-        # R11 = R22 = 1 and R12 = -z/2: A = z^k / k!, B = 1 / j!^2 at m = 2j, C = (1/2)^n
+        # R11 = R22 = 1 and R12 = -z/2: A = (z/2)^k / k!, B = (1/2)^m / j!^2 at m = 2j
         r = type("R", (), {"r11": 1.0, "r22": 1.0, "r12": -complex(z) / 2})()
-        (a_mag, a_ph), (b_mag, b_ph), (c_mag, c_ph) = specfun.hermite_2d_factors(n_max, r, 0j, 0j)
+        (a_mag, a_ph), (b_mag, b_ph) = specfun.hermite_2d_factors(n_max, r, 0j, 0j)
         log_fact = log_factorials(n_max)
-        ref_a_mag, ref_a_ph = _log_powers_by_formula(-2 * complex(r.r12) / specfun._roots(r)[0],
-                                                     n_max)
+        ref_a_mag, ref_a_ph = _log_powers_by_formula(-complex(r.r12), n_max)
         ref_b_mag, ref_b_ph = np.full(n_max + 1, -np.inf), np.zeros(n_max + 1)
         ref_b_mag[::2], ref_b_ph[::2] = -2 * log_fact[: n_max // 2 + 1], 1.0
-        ref_c_mag, ref_c_ph = _log_powers_by_formula(0.5, n_max)
+        half_mag, half_ph = _log_powers_by_formula(0.5, n_max)
         assert _same_bits(a_mag, ref_a_mag - log_fact) and _same_bits(a_ph, ref_a_ph)
-        assert _same_bits(b_mag, ref_b_mag) and _same_bits(b_ph, ref_b_ph)
-        assert _same_bits(c_mag, ref_c_mag) and _same_bits(c_ph, ref_c_ph)
+        assert _same_bits(b_mag, half_mag + ref_b_mag) and _same_bits(b_ph, half_ph * ref_b_ph)
 
     @pytest.mark.parametrize("name", list(specfun._BUILDERS))
     def test_grown_table_keeps_its_entries(self, monkeypatch, name):
@@ -1203,13 +1254,9 @@ class TestSharedTables:
                 array[0] = 2.0
 
     def test_readers_take_views_of_the_tables(self):
-        # the phases of real powers and the centered B factor
+        # the phases of real powers
         for z, name in ((0.3, "_ones_table"), (-0.3, "_alternating_table"), (0, "_zero_ph_table")):
             assert np.shares_memory(log_powers(z, 20)[1], getattr(specfun, name))
-        r = type("R", (), {"r11": 0.5, "r22": 0.5, "r12": 0.0})()
-        _, (b_mag, b_ph), _ = specfun.hermite_2d_factors(20, r, 0j, 0j)
-        assert np.shares_memory(b_mag, specfun._centered_b_table)
-        assert np.shares_memory(b_ph, specfun._even_ph_table)
 
     def test_tables_start_empty(self):
         # importing the package computes no table
