@@ -234,6 +234,14 @@ INVOCATIONS = (
         # a displaced state where sqrt(R11 R22) is about 1e-10 of R12, on both routes
         "dist --family gaussian --state NEAR_ISOTROPIC_STATE",
         "dist --family gaussian --state NEAR_ISOTROPIC_STATE --route laguerre",
+        # tau = 1-3 eps, where the violation family's bases are both positive:
+        # its ulp rows print nan informations, and its table cannot sum to 1
+        "violation --y 0.7 --tau-min 0 --tau-max 6.661338147750939e-16 "
+        "--tau-step 2.220446049250313e-16",
+        "dist --family xyt --y 0.7 --tau 2.220446049250313e-16",
+        # a non-finite tau or t of the violation family
+        "dist --family xyt --y 5 --tau nan",
+        "dist --family xyt --y 5 --tau 1 --t nan",
     ]
 )
 
