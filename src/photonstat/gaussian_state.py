@@ -360,8 +360,12 @@ def from_tau(tau: float, y: float, t: float = 0.0) -> XYTState:
     exactly on the boundary.
 
     Raises:
+        DomainError: tau, y or t is not finite.
         SingularDenominatorError: y = 0.
     """
+    for name, v in (("tau", tau), ("y", y), ("t", t)):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
     if y == 0:
         raise SingularDenominatorError("y must be nonzero to solve for x")
     return XYTState(x=(0.25 - tau + t * t) / y, y=y, t=t)

@@ -151,6 +151,9 @@ _TAIL_TARGET = 1e-12
 _ADAPTIVE_START = 32
 _ADAPTIVE_CAP = 4096
 _NORM_SLOP = 1e-9
+# relative margin of each test on the violation family's closed-form head,
+# far above the few ulps by which the series' own P_0, P_2, P_4 miss it
+_HEAD_MARGIN = 1 - 1e-12
 # tables this long sum their mass in numpy first; on shorter ones fsum
 # costs less than numpy's two sums
 _NUMPY_SUM_FROM = 128
@@ -715,51 +718,9 @@ def pn_centered_xyt(
     return _build_distribution(series, n_max, _decay_cut(law, n_max))
 
 
-def pn_violation(
-    tau: float, y: float, t: float = 0.0, n_max: int | None = None
-) -> PhotonDistribution:
-    """Even-photon weights of the tau-parameterized violation family,
-    det Sigma = 1/4 - tau with x solved from (y, t):
-
-        P_{2l} = (2l)! sum_i tau^{2(l-i)} / (i! ((2(l-i))!)^2)
-                 ((x+y)^2 - 1 - 4 tau)^i
-                 2^{2l - 4i + 1/2} / (x + y + 1 - 4 tau)^{2l + 1/2}
-
-    Odd indices are identically zero.  This family is internally consistent
-    with its closed complex special cases but is NOT the analytic
-    continuation of :func:`pn_centered_xyt` away from tau = 0 (they agree at
-    the vacuum boundary); its series is asymptotic, so adaptive truncation
-    stops at the smallest term.  Classification is typically SignedReal
-    ((x+y)^2 < 1 + 4 tau) or Complex (x + y + 1 < 4 tau) for tau > 0.
-
-    Where both of those bases are positive the weights are positive with a
-    divergent tail; no classification applies there and a
-    NormalizationError is raised -- the covariance route
-    (:func:`pn_centered_xyt`) is the meaningful diagnostic in that corner.
-    The same error comes on the SignedReal side wherever the smallest-term
-    cut keeps only nonnegative terms that sum past 1 + 1e-9: at
-    tau = 0.5380340133488818, y = 1.6434924579041392 (t = 0) the cut keeps
-    two terms, summing to 4.55 against a tail bound of 17.1.
-    Immediately above the boundary the optimal (smallest-term) truncation
-    may keep so few terms that the values pass the probability window
-    within their large tail uncertainty; boundary detection should always
-    use the covariance route.
-
-    Raises:
-        DomainError: tau < 0 (the family parameterizes violations only).
-        SingularDenominatorError: y = 0 or the half-power base vanishes.
-        RangeOverflowError: (x + y)^2 - 1 - 4 tau leaves the double range.
-        NormalizationError: the positive divergent corner, or a cut on the
-            SignedReal side that keeps only nonnegative terms (both above).
-    """
-    if tau < 0:
-        raise DomainError("tau must be nonnegative")
-    xyt = from_tau(tau, y, t)
-    tr = xyt.x + xyt.y
-    bp = tr * tr - 1 - 4 * tau
-    w = tr + 1 - 4 * tau
-    if w == 0:
-        raise SingularDenominatorError("x + y + 1 - 4 tau vanishes")
+def _violation_series(tau: float, bp: float, w: float):
+    """``series(N)`` of the violation family, from tau and its bases
+    bp = (x+y)^2 - 1 - 4 tau and w = x + y + 1 - 4 tau (w != 0)."""
     log_w = cmath.log(complex(w))
 
     def series(n_cut: int) -> np.ndarray:
@@ -780,7 +741,96 @@ def pn_violation(
         out[::2] = log_signed_values(mag, ph)
         return out
 
-    return _build_distribution(series, n_max)
+    return series
+
+
+def _violation_head(tau: float, bp: float, w: float) -> tuple[float, float, float]:
+    """P_0, P_2 and P_4 of the violation family in closed form, for bp > 0
+    and w > 0 (the bases of :func:`_violation_series`):
+
+        P_0 = sqrt(2 / w)
+        P_2 = (2^(3/2) tau^2 + 2^(-1/2) bp) / w^(5/2)
+            = P_0 (2 v^2 + u / 2)
+        P_4 = 24 (2^(9/2) tau^4 / 576 + 2^(1/2) tau^2 bp / 4 + 2^(-7/2) bp^2 / 2) / w^(9/2)
+            = P_0 (2 v^4 / 3 + 6 v^2 u + 3 u^2 / 4)
+
+    with u = bp / w^2 and v = tau / w, the form computed: no power of w
+    is taken, so none overflows.
+    """
+    u, v = bp / w / w, tau / w
+    v2 = v * v
+    p0 = math.sqrt(2 / w)
+    return p0, p0 * (2 * v2 + u / 2), p0 * (2 * v2 * v2 / 3 + 6 * v2 * u + 0.75 * u * u)
+
+
+def pn_violation(
+    tau: float, y: float, t: float = 0.0, n_max: int | None = None
+) -> PhotonDistribution:
+    """Even-photon weights of the tau-parameterized violation family,
+    det Sigma = 1/4 - tau with x solved from (y, t):
+
+        P_{2l} = (2l)! sum_i tau^{2(l-i)} / (i! ((2(l-i))!)^2)
+                 ((x+y)^2 - 1 - 4 tau)^i
+                 2^{2l - 4i + 1/2} / (x + y + 1 - 4 tau)^{2l + 1/2}
+
+    Odd indices are identically zero.  This family is internally consistent
+    with its closed complex special cases but is NOT the analytic
+    continuation of :func:`pn_centered_xyt` away from tau = 0 (they agree at
+    the vacuum boundary); its series is asymptotic, so adaptive truncation
+    stops at the smallest term.  Classification is typically SignedReal
+    ((x+y)^2 < 1 + 4 tau) or Complex (x + y + 1 < 4 tau) for tau > 0.
+
+    Where both of those bases are positive (bp = (x+y)^2 - 1 - 4 tau > 0,
+    w = x + y + 1 - 4 tau > 0) the weights are positive with a divergent
+    tail; no classification applies there unless the kept terms happen to
+    sum to within 1e-9 of 1 (near the vacuum, as at tau = 0,
+    y = 0.4999999666950137), and a NormalizationError is raised -- the
+    covariance route (:func:`pn_centered_xyt`) is the meaningful diagnostic
+    in that corner.  The adaptive call settles most of the corner before
+    any table is built: from the closed forms of P_0, P_2 and P_4
+    (:func:`_violation_head`), where 0 < P_4 < P_2 < P_0 and
+    P_0 + P_2 + P_4 > 1 + 1e-9, each by a relative margin of 1e-12, it
+    raises at once.  That is the outcome the tables would reach: the odd
+    terms are 0 and the even ones positive, so the smallest term lies at
+    index 4 or later, every smallest-term cut keeps indices 0 to 4 (as
+    does an uncut table), and the classification rejects the nonnegative
+    table whose mass is at least P_0 + P_2 + P_4.  An explicit ``n_max``
+    is not settled early: its one table is built as asked, and a long one
+    can leave the double range and raise RangeOverflowError instead.
+    The same error comes on the SignedReal side wherever the smallest-term
+    cut keeps only nonnegative terms that sum past 1 + 1e-9: at
+    tau = 0.5380340133488818, y = 1.6434924579041392 (t = 0) the cut keeps
+    two terms, summing to 4.55 against a tail bound of 17.1.
+    Immediately above the boundary the optimal (smallest-term) truncation
+    may keep so few terms that the values pass the probability window
+    within their large tail uncertainty; boundary detection should always
+    use the covariance route.
+
+    Raises:
+        DomainError: tau < 0 (the family parameterizes violations only),
+            or tau, y or t is not finite.
+        SingularDenominatorError: y = 0 or the half-power base vanishes.
+        RangeOverflowError: (x + y)^2 - 1 - 4 tau leaves the double range.
+        NormalizationError: the positive divergent corner, or a cut on the
+            SignedReal side that keeps only nonnegative terms (both above).
+    """
+    if tau < 0:
+        raise DomainError("tau must be nonnegative")
+    xyt = from_tau(tau, y, t)
+    tr = xyt.x + xyt.y
+    bp = tr * tr - 1 - 4 * tau
+    w = tr + 1 - 4 * tau
+    if w == 0:
+        raise SingularDenominatorError("x + y + 1 - 4 tau vanishes")
+    if n_max is None and 0 < bp < math.inf and w > 0:
+        p0, p2, p4 = _violation_head(tau, bp, w)
+        if (0 < p4 < _HEAD_MARGIN * p2 and p2 < _HEAD_MARGIN * p0
+                and _HEAD_MARGIN * (p0 + p2 + p4) > 1 + _NORM_SLOP):
+            raise NormalizationError(
+                f"nonnegative weight sequence keeps at least P0 + P2 + P4 = "
+                f"{p0 + p2 + p4:.12g} in every cut: the formal series fits no classification"
+            )
+    return _build_distribution(_violation_series(tau, bp, w), n_max)
 
 
 def mean_photon_xyt(x: float, y: float) -> float:

@@ -92,6 +92,15 @@ class TestDist:
         assert (code, out) == (1, "")
         assert err == "error: singular-denominator: y must be nonzero to solve for x\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--y", "5", "--tau", "nan"], "tau must be finite, got nan"),
+        (["--y", "5", "--tau", "1", "--t", "nan"], "t must be finite, got nan"),
+        (["--y", "inf", "--tau", "1"], "y must be finite, got inf"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_non_finite_tau_family_argument_is_named(self, capsys, argv, message):
+        code, out, err = run(capsys, "dist", "--family", "xyt", *argv)
+        assert (code, out, err) == (1, "", f"error: domain-error: {message}\n")
+
     def test_centered_xyt_family(self, capsys):
         code, out, err = run(
             capsys, "dist", "--family", "xyt", "--x", "0.6", "--y", "0.7", "--t", "0.1"

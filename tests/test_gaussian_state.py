@@ -206,6 +206,17 @@ class TestFromTau:
         with pytest.raises(SingularDenominatorError):
             from_tau(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 5.0, 0.0), "tau must be finite, got nan"),
+        ((-math.inf, 5.0, 0.0), "tau must be finite, got -inf"),
+        ((1.0, math.inf, 0.0), "y must be finite, got inf"),
+        ((1.0, 5.0, math.nan), "t must be finite, got nan"),
+    ])
+    def test_non_finite_argument_is_named(self, args, message):
+        # not the x solved from them
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            from_tau(*args)
+
 
 class TestStateDescriptor:
     def test_roundtrip(self):

@@ -1568,6 +1568,63 @@ def violation_closed_form(l_max):
     return out
 
 
+def violation_bases(tau, y, t):
+    """The bases bp = (x+y)^2 - 1 - 4 tau and w = x + y + 1 - 4 tau of
+    pn_violation, as it forms them."""
+    xyt = from_tau(tau, y, t)
+    tr = xyt.x + xyt.y
+    return tr * tr - 1 - 4 * tau, tr + 1 - 4 * tau
+
+
+def violation_corner_draws(seed, count):
+    """``count`` seeded (tau, y, t) with both bases of pn_violation positive:
+    tau is 0, k eps (k <= 60), 10^U(-16, 0) or U(0, 3) in turn; y is
+    log-uniform on [1e-3, 1e2], or on every other draw within
+    10^U(-9, log10 0.3) of 1/2 (near the vacuum); t is 0 or U(-3, 3).
+    Draws outside the corner are drawn again."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        tau = (0.0 if kind == 0 else int(rng.integers(0, 61)) * sys.float_info.epsilon
+               if kind == 1 else 10 ** rng.uniform(-16, 0) if kind == 2 else rng.uniform(0, 3))
+        if len(out) % 2:
+            y = 0.5 + rng.choice((-1, 1)) * 10 ** rng.uniform(-9, math.log10(0.3))
+        else:
+            y = 10 ** rng.uniform(-3, 2)
+        t = 0.0 if rng.random() < 0.5 else rng.uniform(-3, 3)
+        tau, y, t = float(tau), float(y), float(t)
+        bp, w = violation_bases(tau, y, t)
+        if 0 < bp < math.inf and w > 0:
+            out.append((tau, y, t))
+    return out
+
+
+def violation_head_mp(tau, bp, w, digits=40):
+    """P_0, P_2, P_4 of pn_violation's documented sum, at ``digits`` digits."""
+    with mpmath.workdps(digits):
+        tau, bp, w = mpmath.mpf(tau), mpmath.mpf(bp), mpmath.mpf(w)
+        return [
+            float(mpmath.factorial(2 * l) * mpmath.fsum(
+                tau ** (2 * (l - i)) / (mpmath.factorial(i) * mpmath.factorial(2 * (l - i)) ** 2)
+                * bp**i * mpmath.mpf(2) ** (2 * l - 4 * i + mpmath.mpf(0.5))
+                for i in range(l + 1)) / w ** (2 * l + mpmath.mpf(0.5)))
+            for l in range(3)
+        ]
+
+
+class _KernelCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Make every call of the Cauchy kernel in photon_dist raise _KernelCalled."""
+    def fail(*args, **kwargs):
+        raise _KernelCalled
+    monkeypatch.setattr(photon_dist, "log_cauchy_rows", fail)
+
+
 class TestViolationFamily:
     def test_boundary_is_vacuum(self):
         dist = pn_violation(0.0, 0.5, 0.0)
@@ -1626,6 +1683,74 @@ class TestViolationFamily:
 
         with pytest.raises(NormalizationError):
             pn_violation(0.5, 5.0, 0.0, 40)
+
+    def test_head_closed_forms_match_the_series(self):
+        # P_0, P_2, P_4 in closed form against the documented sum at 40
+        # digits and against the family's own series at N = 4
+        for tau, y, t in violation_corner_draws(11, 300):
+            bp, w = violation_bases(tau, y, t)
+            head = photon_dist._violation_head(tau, bp, w)
+            table = photon_dist._violation_series(tau, bp, w)(4)
+            assert not table[1::2].any() and not table.imag.any()
+            for got, series, ref in zip(head, table[::2].real, violation_head_mp(tau, bp, w)):
+                assert rel_close(got, ref, 1e-13), (tau, y, t)
+                assert rel_close(got, series, 1e-13), (tau, y, t)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("y", [0.65, 0.7, 0.8])
+    def test_ulp_cells_settle_before_any_series(self, no_kernel, k, y):
+        tau = k * sys.float_info.epsilon
+        with pytest.raises(NormalizationError, match="at least P0 \\+ P2 \\+ P4"):
+            pn_violation(tau, y)
+        # an explicit N builds its one table as asked
+        with pytest.raises(_KernelCalled):
+            pn_violation(tau, y, 0.0, 32)
+
+    def test_corner_settles_only_where_every_table_raises(self, monkeypatch):
+        # wherever the adaptive call raises without a series, the full
+        # doubling path on the same series raises NormalizationError too
+        def fail(*args, **kwargs):
+            raise _KernelCalled
+
+        draws = violation_corner_draws(5, 600)
+        settled = set()
+        for tau, y, t in draws:
+            with monkeypatch.context() as m:
+                m.setattr(photon_dist, "log_cauchy_rows", fail)
+                try:
+                    pn_violation(tau, y, t)
+                except NormalizationError:
+                    settled.add((tau, y, t))
+                except _KernelCalled:
+                    pass
+        tables = 0
+        for tau, y, t in draws:
+            bp, w = violation_bases(tau, y, t)
+            try:
+                photon_dist._build_distribution(photon_dist._violation_series(tau, bp, w), None)
+                tables += 1
+                assert (tau, y, t) not in settled
+            except NormalizationError:
+                pass
+        # the slice holds both outcomes, tau = 0 and near-vacuum y
+        assert len(settled) >= 100 and tables >= 50
+        assert any(tau == 0 for tau, _, _ in settled)
+        assert any(abs(y - 0.5) < 1e-4 for _, y, _ in settled)
+
+    def test_near_vacuum_corner_keeps_its_table(self):
+        dist = pn_violation(0.0, 0.4999999666950137)
+        assert dist.classification is Classification.PROBABILITY
+        assert (dist.truncation, dist.tail_bound) == (32, 0.0)
+        with pytest.raises(NormalizationError):
+            pn_violation(0.0, 0.49)
+
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 0.7), "tau"), ((math.inf, 5.0), "tau"),
+        ((1.0, math.nan), "y"), ((1.0, 5.0, math.nan), "t"),
+    ])
+    def test_non_finite_argument_is_named(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got"):
+            pn_violation(*args)
 
 
 class TestClassificationBoundary:
