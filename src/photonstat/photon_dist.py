@@ -62,8 +62,11 @@ estimate ignores magnitudes below 1e3 eps of the largest term, which are
 roundoff.
 Sequences whose tail grows (the uncertainty-violating families are
 asymptotic, not convergent) are trimmed at their smallest term and the
-residual is reported in ``tail_bound``.  A series whose every term is 0
-(underflowed) at its last N, or at an explicit N, raises
+residual is reported in ``tail_bound``; where the violation family's
+terms are all positive, its adaptive call reads from P_0, P_2 and P_4
+alone whether every such cut must fail the mass check, and raises
+before building a table (:func:`pn_violation`).  A series whose every
+term is 0 (underflowed) at its last N, or at an explicit N, raises
 ``RangeOverflowError``.
 
 A distribution's ``values`` are one read-only complex128 array from the
@@ -754,8 +757,8 @@ def _violation_head(tau: float, bp: float, w: float) -> tuple[float, float, floa
         P_4 = 24 (2^(9/2) tau^4 / 576 + 2^(1/2) tau^2 bp / 4 + 2^(-7/2) bp^2 / 2) / w^(9/2)
             = P_0 (2 v^4 / 3 + 6 v^2 u + 3 u^2 / 4)
 
-    with u = bp / w^2 and v = tau / w, the form computed: no power of w
-    is taken, so none overflows.
+    with u = bp / w^2 and v = tau / w, the form computed: it takes no
+    power of w, whose w^(9/2) would overflow from w of about 1e68.
     """
     u, v = bp / w / w, tau / w
     v2 = v * v

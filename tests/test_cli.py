@@ -937,8 +937,16 @@ def test_kind_times_summary_pairs_rounds_per_kind():
            {"clean": 1.1, "noisy": 2.4}]
     new = [{"clean": 0.9, "noisy": 2.1, "rare": 4.0}, {"clean": 1.0, "noisy": 1.8},
            {"clean": 1.05, "noisy": 2.2}]
-    got = _tool_module("kind_times").summary(old, new)
+    kind_times = _tool_module("kind_times")
+    got = kind_times.summary(old, new)
     # medians over rounds of each side; a kind counts only where both sides ran it
     assert got["clean"] == (1.1, 1.0, 1.0 / 1.1 - 1, 3)
     assert got["noisy"] == (2.0, 2.1, 2.1 / 2.0 - 1, 2)
     assert got["rare"] == (5.0, 4.0, 4.0 / 5.0 - 1, 1)
+    # a run's medians: each round's latencies scaled by the reference over
+    # the mean of the kernel times before and after it (factors 1/2, 1/4)
+    rounds = [[("clean", 1.0), ("clean", 3.0), ("noisy", 2.0)], [("clean", 4.0), ("noisy", 8.0)]]
+    assert kind_times.kind_medians([2.0, 2.0, 6.0], rounds, 1.0) == {
+        "raw": {"clean": 3.0, "noisy": 5.0},
+        "scaled": {"clean": 1.0, "noisy": 1.5},
+    }

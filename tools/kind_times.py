@@ -5,17 +5,23 @@ Usage: python3 tools/kind_times.py OLD NEW [--workload W] [--rounds R]
 
 Each round runs OLD and NEW once, OLD first on even rounds and NEW first on
 odd ones, each in a fresh interpreter that imports photonstat from
-``CHECKOUT/src`` and the operations from ``CHECKOUT/perfbench/workloads.py``
-(read only; nothing there changes).  Both sides draw the same seed, so they
-run the same inputs.  A run replays the workload's rounds of operations for
-S seconds after one untimed round, times each operation's library calls
-(its ``run``, not its checks) with ``time.perf_counter`` and reports the
-median latency of each kind.  The summary gives, per kind, the median over
-rounds of each side's run medians, NEW's relative change, and in how many
-rounds NEW was faster.  Latencies are raw wall times, not scaled to
-perfbench's reference speed: only the alternation pairs the two sides, so
-compare a kind only where NEW wins nearly every round.  Standard library
-only; not part of the test suite.
+``CHECKOUT/src`` and the operations and perfbench's speed kernel from
+``CHECKOUT/perfbench/workloads.py`` and ``run.py`` (read only; nothing
+there changes).  Both sides draw the same seed, so they run the same
+inputs.  A run replays the workload's rounds of operations for S seconds
+after one untimed round, times each operation's library calls (its
+``run``, not its checks) with ``time.perf_counter`` and reports the median
+latency of each kind.  Latencies are reported twice: raw wall times, and
+scaled to perfbench's reference speed.  The fixed pure-Python kernel
+(``run.kernel``, which never calls photonstat) is timed before the first
+timed round and after each round, and every latency of a round is
+multiplied by the reference kernel time over the mean of the two kernel
+times around that round, so a machine-speed swing between or within runs
+moves the scaled figures much less than the raw ones.  The summary gives,
+per kind and for both readings, the median over rounds of each side's
+run medians, NEW's relative change, and in how many rounds NEW was
+faster; compare a kind only where NEW wins nearly every round.  Standard
+library only; not part of the test suite.
 """
 
 from __future__ import annotations
@@ -35,29 +41,58 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
-def run_medians(checkout: str, workload: str, seed: int, seconds: float) -> dict[str, float]:
+def kind_medians(kernel: list[float], rounds: list[list[tuple[str, float]]],
+                 ref: float) -> dict[str, dict[str, float]]:
+    """Median latency of each kind, raw and scaled, from the (kind, latency)
+    of each operation of each round and the kernel times taken around the
+    rounds (``kernel[i]`` before round i, ``kernel[i + 1]`` after it): a
+    round's latencies are scaled by ``ref`` over the mean of those two."""
+    raw: dict[str, list[float]] = {}
+    scaled: dict[str, list[float]] = {}
+    for i, latencies in enumerate(rounds):
+        factor = ref / statistics.fmean(kernel[i : i + 2])
+        for kind, dt in latencies:
+            raw.setdefault(kind, []).append(dt)
+            scaled.setdefault(kind, []).append(dt * factor)
+    return {name: {kind: statistics.median(times) for kind, times in by_kind.items()}
+            for name, by_kind in (("raw", raw), ("scaled", scaled))}
+
+
+def run_medians(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """Median latency in seconds of each operation kind of one timed run,
-    in this interpreter."""
+    in this interpreter, raw and scaled (:func:`kind_medians`), and the
+    run's mean kernel time."""
     root = Path(checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import photonstat
     import photonstat.cli  # noqa: F401  (the oracle workload calls it)
     import workloads
+    from run import KERNEL_REF_S, kernel
 
-    by_kind: dict[str, list[float]] = {}
+    def kernel_time() -> float:
+        t0 = time.perf_counter()
+        kernel()
+        return time.perf_counter() - t0
+
+    rounds: list[list[tuple[str, float]]] = []
     with tempfile.TemporaryDirectory() as tmp:
         stream = workloads.rounds(photonstat, workload, seed, str(Path(tmp) / "oracle.jsonl"))
         for op in next(stream):  # untimed: first imports and table growth
             op.run()
+        kernel_times = [kernel_time()]
         start = time.perf_counter()
         for ops in stream:
+            latencies = []
             for op in ops:
                 t0 = time.perf_counter()
                 op.run()
-                by_kind.setdefault(op.kind, []).append(time.perf_counter() - t0)
+                latencies.append((op.kind, time.perf_counter() - t0))
+            rounds.append(latencies)
+            kernel_times.append(kernel_time())
             if time.perf_counter() - start >= seconds:
                 break
-    return {kind: statistics.median(times) for kind, times in by_kind.items()}
+    return {**kind_medians(kernel_times, rounds, KERNEL_REF_S),
+            "kernel": statistics.fmean(kernel_times)}
 
 
 def summary(old: list[dict[str, float]], new: list[dict[str, float]]) -> dict[str, tuple]:
@@ -98,10 +133,17 @@ def main(argv=None) -> int:
                 capture_output=True, text=True, env=env, check=True)
             runs[side].append(json.loads(res.stdout.splitlines()[-1]))
     print(f"{args.workload}: {args.rounds} rounds of {args.seconds:g} s per side, seed {args.seed}")
-    print(f"{'kind':<14}{'old ms':>10}{'new ms':>10}{'change':>10}  new faster")
-    for kind, (o, n, rel, wins) in summary(*runs).items():
-        print(f"{kind:<14}{1e3 * o:>10.4f}{1e3 * n:>10.4f}{100 * rel:>+9.1f}%  "
-              f"{wins} of {args.rounds}")
+    for name, side in (("old", 0), ("new", 1)):
+        means = [1e3 * run["kernel"] for run in runs[side]]
+        print(f"kernel mean ms, {name}: " + " ".join(f"{m:.4g}" for m in means))
+    raw = summary([r["raw"] for r in runs[0]], [r["raw"] for r in runs[1]])
+    scaled = summary([r["scaled"] for r in runs[0]], [r["scaled"] for r in runs[1]])
+    print(f"{'':<14}{'raw':-^38}  {'scaled to the reference kernel':-^38}")
+    print(f"{'kind':<14}" + f"{'old ms':>10}{'new ms':>10}{'change':>10}{'wins':>8}  " * 2)
+    for kind in raw:
+        cells = [f"{1e3 * o:>10.4f}{1e3 * n:>10.4f}{100 * rel:>+9.1f}%{wins:>4} of {args.rounds}"
+                 for o, n, rel, wins in (raw[kind], scaled[kind])]
+        print(f"{kind:<14}" + "  ".join(cells))
     return 0
 
 
