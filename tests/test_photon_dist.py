@@ -1617,12 +1617,9 @@ class _KernelCalled(Exception):
     pass
 
 
-@pytest.fixture
-def no_kernel(monkeypatch):
-    """Make every call of the Cauchy kernel in photon_dist raise _KernelCalled."""
-    def fail(*args, **kwargs):
-        raise _KernelCalled
-    monkeypatch.setattr(photon_dist, "log_cauchy_rows", fail)
+def _no_kernel(*args, **kwargs):
+    """Stands in for the Cauchy kernel where no series may be evaluated."""
+    raise _KernelCalled
 
 
 class TestViolationFamily:
@@ -1698,7 +1695,8 @@ class TestViolationFamily:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("y", [0.65, 0.7, 0.8])
-    def test_ulp_cells_settle_before_any_series(self, no_kernel, k, y):
+    def test_ulp_cells_settle_before_any_series(self, monkeypatch, k, y):
+        monkeypatch.setattr(photon_dist, "log_cauchy_rows", _no_kernel)
         tau = k * sys.float_info.epsilon
         with pytest.raises(NormalizationError, match="at least P0 \\+ P2 \\+ P4"):
             pn_violation(tau, y)
@@ -1709,14 +1707,11 @@ class TestViolationFamily:
     def test_corner_settles_only_where_every_table_raises(self, monkeypatch):
         # wherever the adaptive call raises without a series, the full
         # doubling path on the same series raises NormalizationError too
-        def fail(*args, **kwargs):
-            raise _KernelCalled
-
         draws = violation_corner_draws(5, 600)
         settled = set()
-        for tau, y, t in draws:
-            with monkeypatch.context() as m:
-                m.setattr(photon_dist, "log_cauchy_rows", fail)
+        with monkeypatch.context() as m:
+            m.setattr(photon_dist, "log_cauchy_rows", _no_kernel)
+            for tau, y, t in draws:
                 try:
                     pn_violation(tau, y, t)
                 except NormalizationError:
